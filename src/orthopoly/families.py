@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import mpmath
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
@@ -64,8 +63,13 @@ def _guarded_sum(term_fn, n_terms: int) -> float:
         t = term_fn(k, float)
         total += t
         max_abs = max(max_abs, abs(t))
+    if not (math.isfinite(total) and math.isfinite(max_abs)):
+        raise FamilyError(f"terms of a {n_terms}-term series leave the "
+                          "double range")
     if max_abs <= 1e3 * max(abs(total), _TINY):
         return total
+    import mpmath
+
     dps = 30 + int(math.log10(max_abs / max(abs(total), max_abs * 1e-200)))
     for _ in range(4):
         with mpmath.workdps(dps):

@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg as _sp_linalg
 
 from .measures import Measure, integrate
 from .recurrence import (NormData, RecurrenceError, RecurrenceSystem,
@@ -122,6 +121,8 @@ def jacobi_matrix(sys: RecurrenceSystem, n: int) -> tuple[np.ndarray,
 
 def zeros(sys: RecurrenceSystem, norms: NormData | None, n: int) -> np.ndarray:
     """Zeros of p_n as eigenvalues of the Jacobi matrix."""
+    from scipy import linalg as _sp_linalg
+
     if n < 1:
         raise KernelError("need n >= 1")
     report = validate_favard(sys, n)
@@ -135,13 +136,20 @@ def zeros(sys: RecurrenceSystem, norms: NormData | None, n: int) -> np.ndarray:
 def gauss_rule(sys: RecurrenceSystem, norms: NormData, m: Measure,
                n: int, tol: float = 1e-12) -> QuadratureRule:
     """n-point Gauss rule: nodes from the Jacobi matrix, weights from the
-    first eigenvector components scaled by mu_0."""
+    first eigenvector components scaled by mu_0 = h_0 / p_0^2.
+
+    mu_0 is taken from `norms` (the squared norm h_0 of the constant p_0),
+    not integrated, so `m` and `tol` no longer affect the weights; they are
+    kept so that callers need not change.
+    """
+    from scipy import linalg as _sp_linalg
+
     if n < 1:
         raise KernelError("need n >= 1")
     diag, off = jacobi_matrix(sys, n)
     vals, vecs = _sp_linalg.eigh_tridiagonal(diag, off)
     order = np.argsort(vals)
-    mu0 = integrate(m, lambda x: 1.0, tol)
+    mu0 = norms.h[0] / sys.p0 ** 2
     weights = mu0 * vecs[0, order] ** 2
     return QuadratureRule(nodes=vals[order], weights=weights,
                           exactness_degree=2 * n - 1, source=sys)

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate as _sp_integrate
 
 from .recurrence import NormData, RecurrenceError, RecurrenceSystem
 
@@ -86,6 +85,8 @@ def integrate(m: Measure, f: Callable[[float], float],
 
 
 def _integrate_continuous(m: Measure, f, tol: float) -> float:
+    from scipy import integrate as _sp_integrate
+
     a, b = m.support
     if m.alg_exponents is not None:
         smooth = m.alg_smooth or (lambda x: 1.0)

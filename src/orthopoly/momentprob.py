@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate as _sp_integrate
 
 from .kernels import zeros as _zeros
 from .measures import Measure, MomentSequence, integrate
@@ -377,6 +376,8 @@ def lognormal_moment(n: int, C: float, tol: float = 1e-12) -> float:
     The substitution u = log x - (n+1)/2 turns the integral into a centered
     Gaussian against 1 + C sin(2 pi u + phase), which quadrature handles well.
     """
+    from scipy import integrate as _sp_integrate
+
     if not -1.0 < C < 1.0:
         raise MomentProblemError("need C in (-1, 1)")
     phase = math.pi * (n + 1)

@@ -8,8 +8,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import mpmath
-
 from .families import FamilyError, special_case_eval, gegenbauer
 
 
@@ -154,6 +152,8 @@ def askey_wilson_eval(ctx: QContext, n: int, a: float, b: float, c: float,
     """
     if a == 0:
         raise QSeriesError("parameter a must be nonzero")
+    import mpmath
+
     q = ctx.q
     with mpmath.workdps(30):
         qm = mpmath.mpf(q)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-import mpmath
 import numpy as np
 
 FORMS = ("general", "monic", "orthonormal")
@@ -100,6 +99,8 @@ def eval_poly(sys: RecurrenceSystem, n: int, x, precision: int | None = None):
 
 
 def _eval_poly_mp(sys: RecurrenceSystem, n: int, x, digits: int):
+    import mpmath
+
     with mpmath.workdps(digits):
         xm = mpmath.mpmathify(x)
         p_prev = mpmath.mpf(0)

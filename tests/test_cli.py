@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import orthopoly
 from orthopoly import io as opio
 from orthopoly.cli import main
 
@@ -152,6 +157,15 @@ def test_check_quadratic_rejects_hermite(capsys):
     assert code == 2
 
 
+def test_check_series_overflow_exits_1(capsys):
+    # the Hermite series terms overflow doubles long before degree 200
+    code, out, err = run(capsys, "check", "--family", "hermite",
+                         "--identity", "shift", "--n", "200")
+    assert code == 1
+    assert "double range" in err
+    assert "Traceback" not in err
+
+
 def test_check_limit_monotone(capsys):
     code, out, _ = run(capsys, "check", "--family", "laguerre",
                        "--alpha", "0.5", "--identity", "limit", "--n", "2")
@@ -245,3 +259,36 @@ def test_diagnose_complex_rho(capsys):
     doc = json.loads(out)
     assert doc["rho"]["verdict"] == "diverges"
     assert doc["rho"]["value"] == 0.0
+
+
+_IMPORT_PROBE = textwrap.dedent("""
+    import json, sys
+    from orthopoly.cli import main
+
+    def heavy():
+        return sorted(m for m in sys.modules
+                      if m.split(".")[0] in ("scipy", "mpmath"))
+
+    main(["tabulate", "--family", "legendre", "--n-max", "3",
+          "--grid=-1:1:3"])
+    main(["recurrence", "--family", "jacobi", "--alpha", "0.5",
+          "--beta", "1.5", "--n-max", "5"])
+    lean = heavy()
+    main(["quadrature", "--family", "legendre", "--n", "5"])
+    print(json.dumps({"lean": lean, "quadrature": heavy()}))
+""")
+
+
+def test_cli_imports_scipy_and_mpmath_on_first_use():
+    src = os.path.dirname(os.path.dirname(orthopoly.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    mods = json.loads(proc.stdout.splitlines()[-1])
+    assert mods["lean"] == []
+    assert "scipy.linalg" in mods["quadrature"]
+    assert "scipy.integrate" not in mods["quadrature"]
+    assert not any(m.split(".")[0] == "mpmath" for m in mods["quadrature"])

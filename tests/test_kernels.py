@@ -140,7 +140,13 @@ def test_zeros_requires_favard():
         K.zeros(legendre_system(), None, 0)
 
 
-def test_gauss_rule_legendre_two_point():
+def _no_quadrature(*args, **kwargs):
+    raise AssertionError("gauss_rule must not integrate the measure")
+
+
+def test_gauss_rule_legendre_two_point(monkeypatch):
+    # mu_0 comes from norms.h[0] in closed form, not from quadrature
+    monkeypatch.setattr(K, "integrate", _no_quadrature)
     sys, norms = legendre_setup()
     m = family_measure(legendre())
     rule = K.gauss_rule(sys, norms, m, 2)
@@ -159,6 +165,15 @@ def test_gauss_rule_one_point_is_mean():
     rule = K.gauss_rule(sys, norms, m, 1)
     assert rule.nodes == pytest.approx([0.0], abs=1e-15)
     assert rule.weights == pytest.approx([2.0])
+    # orthonormal form: p_0 = 1/sqrt(2) and h_0 = 1, so the weights still sum
+    # to h_0 / p_0^2 = mu_0 = 2
+    on = R.convert_form(sys, norms, "orthonormal")
+    assert on.p0 == pytest.approx(1 / math.sqrt(2))
+    on_norms = R.norms_from_recurrence(on, 1.0, on.p0, 6)
+    for n in (1, 2, 5):
+        rule = K.gauss_rule(on, on_norms, m, n)
+        assert rule.weights.sum() == pytest.approx(
+            on_norms.h[0] / on.p0 ** 2, rel=1e-14)
 
 
 def test_lagrange_weights_cross_check():
@@ -181,12 +196,15 @@ def test_finite_discrete_system_legendre():
     assert rep.weight_error < 1e-12
 
 
-def test_finite_discrete_system_charlier():
+def test_finite_discrete_system_charlier(monkeypatch):
+    monkeypatch.setattr(K, "integrate", _no_quadrature)
     a = 1.0
     sys = charlier_system(a)
     norms = R.norms_from_recurrence(sys, 1.0, 1.0, 6)
     m = discrete_family_measure(charlier(a), normalized=True)
     rule = K.gauss_rule(sys, norms, m, 3)
+    # the normalized Charlier measure has mass h_0 = 1
+    assert rule.weights.sum() == pytest.approx(1.0, rel=1e-14)
     rep = K.finite_discrete_system(rule, sys, norms, 3)
     # h_n = a^{-n} n! at a=1: 1, 1, 2
     assert np.diag(rep.gram) == pytest.approx([1.0, 1.0, 2.0], rel=1e-9)
