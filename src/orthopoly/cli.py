@@ -52,24 +52,16 @@ def _default_tol() -> float:
     return tol
 
 
-def _family_params(args) -> dict:
-    out = {}
-    for key in ("alpha", "beta", "lam", "p", "N", "c", "a"):
-        val = getattr(args, key if key != "N" else "N_param", None)
-        if val is not None:
-            out[key] = val
-    return out
-
-
 def _family_spec(args):
     if args.family is None:
         raise ConfigError("missing --family")
     try:
-        return OPIO.family_spec_from_params(args.family, _family_params(args))
+        return F.family_spec(args.family, {k: v for k, v in vars(args).items()
+                                           if v is not None})
     except KeyError as exc:
         raise ConfigError(f"family {args.family!r} needs parameter "
                           f"--{exc.args[0]}") from exc
-    except (F.FamilyError, OPIO.SchemaError) as exc:
+    except F.FamilyError as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -104,12 +96,14 @@ def _cmd_tabulate(args) -> int:
     spec = _family_spec(args)
     grid = _parse_grid(args.grid)
     n_max = args.n
-    if isinstance(spec, D.DiscreteFamily):
+    if spec.discrete:
         rows = [[x] + [D.discrete_eval(spec, n, float(x))
                        for n in range(n_max + 1)] for x in grid]
     else:
-        sys_ = F.family_system(spec)
-        rows = [[x] + R.eval_all(sys_, n_max, float(x)) for x in grid]
+        # values beyond the double range print as inf/nan, without warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = np.column_stack(
+                [grid] + R.eval_all(F.family_system(spec), n_max, grid))
     header = ["x"] + [f"p{n}" for n in range(n_max + 1)]
     if args.format == "json":
         _emit_json(args, {"schema": OPIO.SCHEMA_VERSION, "columns": header,
@@ -126,7 +120,7 @@ def _cmd_tabulate(args) -> int:
 
 
 def _bundle(spec, normalized=False):
-    if isinstance(spec, D.DiscreteFamily):
+    if spec.discrete:
         raise ConfigError(f"{spec.family} is not supported by this "
                           "subcommand; use a continuous family")
     return F.family_bundle(spec, normalized)
@@ -161,12 +155,7 @@ def _load_system(args) -> R.RecurrenceSystem:
         raise ConfigError("exactly one of --family, --recurrence, --measure "
                           f"is required (got {sources or 'none'})")
     if args.family is not None:
-        spec = _family_spec(args)
-        if isinstance(spec, D.DiscreteFamily):
-            if spec.family != "charlier":
-                raise ConfigError(f"no bundled recurrence for {spec.family}")
-            return D.charlier_system(spec.a)
-        return F.family_system(spec)
+        return F.family_system(_family_spec(args))
     if getattr(args, "recurrence", None) is not None:
         try:
             return OPIO.load_recurrence(OPIO.read_json(args.recurrence))
@@ -211,14 +200,8 @@ def _cmd_recurrence(args) -> int:
                                    f"tolerance {args.tol}: {exc}") from exc
     else:
         spec = _family_spec(args)
-        if isinstance(spec, D.DiscreteFamily):
-            if spec.family != "charlier":
-                raise ConfigError(f"no bundled recurrence for {spec.family}")
-            sys_ = D.charlier_system(spec.a)
-        elif args.form == "monic":
-            sys_ = F.family_monic_system(spec)
-        else:
-            sys_ = F.family_system(spec)
+        sys_ = (F.family_monic_system(spec) if args.form == "monic"
+                else F.family_system(spec))
     doc = OPIO.dump_recurrence(sys_, args.n)
     doc["tolerance"] = args.tol
     _emit_json(args, doc)
@@ -227,7 +210,7 @@ def _cmd_recurrence(args) -> int:
 
 def _check_battery(spec, identity: str, n: int, tol: float):
     """Run one identity over degrees <= n; return (max residual, details)."""
-    if isinstance(spec, D.DiscreteFamily):
+    if spec.discrete:
         raise ConfigError("check supports the continuous families")
     xs = np.linspace(-0.9, 0.9, 7)
     if spec.family == "laguerre":
@@ -261,10 +244,11 @@ def _check_battery(spec, identity: str, n: int, tol: float):
             c2 = K.cd_kernel(b.system, norms, n, float(x), float(x))
             worst = max(worst, abs(s2 - c2) / max(abs(s2), 1.0))
     elif identity == "quadratic":
-        alpha = spec.parameters.get("alpha", 0.0)
-        if spec.family not in ("jacobi", "legendre", "gegenbauer"):
+        try:
+            alpha = F._as_jacobi(spec, 0)[0]
+        except F.FamilyError as exc:
             raise ConfigError("quadratic transformation applies to the "
-                              "Jacobi-type families")
+                              "Jacobi-type families") from exc
         for k in range(n + 1):
             for x in xs:
                 e, o = F.quadratic_transform_check(k, alpha, float(x))
@@ -281,8 +265,8 @@ def _check_battery(spec, identity: str, n: int, tol: float):
                 worst = max(worst,
                             abs(val) / math.sqrt(norms.h[i] * norms.h[j]))
     elif identity == "limit":
-        which = {"jacobi": 26, "legendre": 26, "gegenbauer": 26,
-                 "laguerre": 28, "hermite": None}.get(spec.family)
+        # every Jacobi-type family is a source of relation 26
+        which = {"laguerre": 28, "hermite": None}.get(spec.family, 26)
         if which is None:
             raise ConfigError(
                 f"{spec.family} is a limit target, not a source; use "
@@ -364,15 +348,9 @@ def _cmd_diagnose(args) -> int:
 # argument parsing
 
 def _add_family_args(sp, required=False):
-    sp.add_argument("--family", required=required,
-                    choices=OPIO.CONTINUOUS_FAMILIES + OPIO.DISCRETE_FAMILIES)
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--beta", type=float)
-    sp.add_argument("--lam", type=float)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--N", dest="N_param", type=int)
-    sp.add_argument("--c", type=float)
-    sp.add_argument("--a", type=float)
+    sp.add_argument("--family", required=required, choices=F.PARAMETERS)
+    for name in dict.fromkeys(p for ps in F.PARAMETERS.values() for p in ps):
+        sp.add_argument(f"--{name}", type=int if name == "N" else float)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,90 +1,47 @@
 """Discrete orthogonal families: Krawtchouk, Hahn, Meixner, Charlier.
 
 Each family carries its weight on an integer lattice, a terminating
-hypergeometric evaluation, and a three-point difference equation whose
-coefficients are documented here per family and verified in the tests.
+hypergeometric evaluation, a three-term recurrence, and a three-point
+difference equation whose coefficients are documented here per family and
+verified in the tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .families import FamilyError, hyp, pochhammer
+from .families import FamilyError, FamilySpec, hyp, pochhammer
 from .measures import Measure, discrete_infinite_measure, discrete_measure
-from .recurrence import RecurrenceSystem
-
-_DISCRETE = ("krawtchouk", "hahn", "meixner", "charlier")
+from .recurrence import RecurrenceError, RecurrenceSystem
 
 
-@dataclass(frozen=True)
-class DiscreteFamily:
-    """Discrete family tag with parameter record and lattice support."""
-
-    family: str
-    parameters: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        f, p = self.family, self.parameters
-        if f not in _DISCRETE:
-            raise FamilyError(f"unknown discrete family {f!r}")
-        if f == "krawtchouk":
-            if not 0 < p["p"] < 1:
-                raise FamilyError("krawtchouk requires 0 < p < 1")
-            if p["N"] < 1 or p["N"] != int(p["N"]):
-                raise FamilyError("krawtchouk requires integer N >= 1")
-        elif f == "hahn":
-            if p["alpha"] <= -1 or p["beta"] <= -1:
-                raise FamilyError("hahn requires alpha, beta > -1")
-            if p["N"] < 1 or p["N"] != int(p["N"]):
-                raise FamilyError("hahn requires integer N >= 1")
-        elif f == "meixner":
-            if p["beta"] <= 0 or not 0 < p["c"] < 1:
-                raise FamilyError("meixner requires beta > 0 and 0 < c < 1")
-        elif f == "charlier":
-            if p["a"] <= 0:
-                raise FamilyError("charlier requires a > 0")
-
-    def __getattr__(self, name):
-        try:
-            return self.parameters[name]
-        except KeyError:
-            raise AttributeError(name) from None
-
-    @property
-    def degree_bound(self) -> int | None:
-        if self.family in ("krawtchouk", "hahn"):
-            return int(self.parameters["N"])
-        return None
+def krawtchouk(p: float, N: int) -> FamilySpec:
+    return FamilySpec("krawtchouk", {"p": float(p), "N": int(N)})
 
 
-def krawtchouk(p: float, N: int) -> DiscreteFamily:
-    return DiscreteFamily("krawtchouk", {"p": float(p), "N": int(N)})
+def hahn(alpha: float, beta: float, N: int) -> FamilySpec:
+    return FamilySpec("hahn", {"alpha": float(alpha), "beta": float(beta),
+                               "N": int(N)})
 
 
-def hahn(alpha: float, beta: float, N: int) -> DiscreteFamily:
-    return DiscreteFamily("hahn", {"alpha": float(alpha),
-                                   "beta": float(beta), "N": int(N)})
+def meixner(beta: float, c: float) -> FamilySpec:
+    return FamilySpec("meixner", {"beta": float(beta), "c": float(c)})
 
 
-def meixner(beta: float, c: float) -> DiscreteFamily:
-    return DiscreteFamily("meixner", {"beta": float(beta), "c": float(c)})
-
-
-def charlier(a: float) -> DiscreteFamily:
-    return DiscreteFamily("charlier", {"a": float(a)})
+def charlier(a: float) -> FamilySpec:
+    return FamilySpec("charlier", {"a": float(a)})
 
 
 # ---------------------------------------------------------------------------
 # evaluation and weights
 
-def discrete_eval(fam: DiscreteFamily, n: int, x: float) -> float:
+def discrete_eval(fam: FamilySpec, n: int, x: float) -> float:
     """Value of the degree-n family member at x (x need not be a lattice point)."""
     if n < 0:
         raise FamilyError("degree must be non-negative")
-    bound = fam.degree_bound
+    bound = fam.parameters.get("N")
     if bound is not None and n > bound:
         raise FamilyError(f"degree {n} exceeds family bound N={bound}")
     f = fam.family
@@ -99,7 +56,7 @@ def discrete_eval(fam: DiscreteFamily, n: int, x: float) -> float:
     return hyp([-n, -x], [], -1.0 / fam.a, terms=n)
 
 
-def discrete_weight(fam: DiscreteFamily, x: int) -> float:
+def discrete_weight(fam: FamilySpec, x: int) -> float:
     """Lattice weight w_x."""
     if x != int(x) or x < 0:
         raise FamilyError(f"{x} is not in the lattice support")
@@ -121,7 +78,7 @@ def discrete_weight(fam: DiscreteFamily, x: int) -> float:
     return fam.a ** x / math.factorial(x)
 
 
-def family_measure(fam: DiscreteFamily, normalized: bool = False) -> Measure:
+def family_measure(fam: FamilySpec, normalized: bool = False) -> Measure:
     """Orthogonality measure on the lattice; `normalized` applies e^{-a} for
     Charlier (the other families are left as displayed)."""
     f = fam.family
@@ -164,7 +121,7 @@ def family_measure(fam: DiscreteFamily, normalized: bool = False) -> Measure:
 # ---------------------------------------------------------------------------
 # difference equations
 
-def difference_residual(fam: DiscreteFamily, n: int, x: float) -> float:
+def difference_residual(fam: FamilySpec, n: int, x: float) -> float:
     """Scaled residual of A(x) p_n(x-1) + B(x) p_n(x) + C(x) p_n(x+1)
     = lambda_n p_n(x).
 
@@ -206,14 +163,65 @@ def hahn_to_jacobi_limit(n: int, alpha: float, beta: float, N: int,
 
 
 # ---------------------------------------------------------------------------
-# Charlier recurrence
+# three-term recurrences
+
+def _recurrence_terms(fam: FamilySpec):
+    """n -> (A_n, C_n) of x p_n = -A_n p_{n+1} + (A_n + C_n) p_n - C_n p_{n-1}
+    with p_n(0) = 1 (Koekoek, Lesky & Swarttouw 2010, (9.5.3), (9.10.3),
+    (9.11.3), (9.14.3))."""
+    f = fam.family
+    if f == "charlier":
+        a = fam.a
+        return lambda n: (a, float(n))
+    if f == "krawtchouk":
+        p, N = fam.p, fam.N
+        return lambda n: (p * (N - n), n * (1 - p))
+    if f == "meixner":
+        beta, c = fam.beta, fam.c
+        return lambda n: (c * (n + beta) / (1 - c), n / (1 - c))
+    if f != "hahn":
+        raise FamilyError(f"{f} is not a discrete family")
+    al, be, N = fam.alpha, fam.beta, fam.N
+
+    def hahn_terms(n: int) -> tuple[float, float]:
+        if n == 0:
+            # the (alpha + beta + 1) factor cancels; this form stays finite
+            # for alpha + beta = -1
+            return (al + 1) * N / (al + be + 2), 0.0
+        s = 2 * n + al + be
+        return ((n + al + be + 1) * (n + al + 1) * (N - n)
+                / ((s + 1) * (s + 2)),
+                n * (n + al + be + N + 1) * (n + be) / (s * (s + 1)))
+
+    return hahn_terms
+
+
+def discrete_system(fam: FamilySpec, monic: bool = False) -> RecurrenceSystem:
+    """Three-term recurrence of a discrete family, normalized by p_n(0) = 1
+    as in discrete_eval, or monic: (1, A_n + C_n, A_{n-1} C_n).
+
+    A family on a finite lattice stops at N: coefficients past index N raise
+    RecurrenceError, and so does a_N = 0 in the general form.
+    """
+    terms = _recurrence_terms(fam)
+    bound = fam.parameters.get("N")
+
+    def coeff(n: int) -> tuple[float, float, float]:
+        if bound is not None and n > bound:
+            raise RecurrenceError(f"{fam.family} stops at degree N={bound}; "
+                                  f"no coefficients at index {n}")
+        A, C = terms(n)
+        if monic:
+            return 1.0, A + C, terms(n - 1)[0] * C if n else 0.0
+        return -A, A + C, -C
+
+    return RecurrenceSystem(coeff, form="monic" if monic else "general",
+                            p0=1.0, max_index_hint=bound)
+
 
 def charlier_system(a: float) -> RecurrenceSystem:
     """Three-term recurrence of the Charlier polynomials c_n(x; a)."""
-    if a <= 0:
-        raise FamilyError("charlier requires a > 0")
-    return RecurrenceSystem(lambda n: (-a, n + a, -float(n)),
-                            form="general", p0=1.0)
+    return discrete_system(charlier(a))
 
 
 def charlier_norms(a: float, n: int) -> float:

@@ -1,4 +1,5 @@
-"""Jacobi, Laguerre and Hermite families with their special cases.
+"""The family registry, and the Jacobi, Laguerre and Hermite families with
+their special cases.
 
 Series evaluation, differential equations, shift operators, Rodrigues
 formulas, quadratic transformations, even-weight splitting, limit relations
@@ -9,6 +10,7 @@ loses too many digits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -56,6 +58,21 @@ def _termination_index(upper) -> int:
     return min(candidates)
 
 
+def _in_double_range(fn):
+    """Report the OverflowError of an int factorial too large for a float
+    (degree 171 on) as FamilyError."""
+    @functools.wraps(fn)
+    def checked(*args):
+        try:
+            return fn(*args)
+        except OverflowError as exc:
+            raise FamilyError(f"{fn.__name__}: terms leave the double range "
+                              f"({exc})") from exc
+
+    return checked
+
+
+@_in_double_range
 def _guarded_sum(term_fn, n_terms: int) -> float:
     """Sum term_fn(k, num) for k < n_terms, escalating precision on cancellation."""
     total, max_abs = 0.0, 0.0
@@ -113,40 +130,70 @@ def hyp(upper, lower, z, terms=None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# family parameter records
+# the family registry
 
-_FAMILIES = ("jacobi", "laguerre", "hermite", "gegenbauer", "legendre",
-             "chebyshev_t", "chebyshev_u")
+# Parameters of every family, in the order the command line lists the
+# families.  N is the size of a finite integer lattice and an int; the other
+# parameters are floats.
+PARAMETERS = {
+    "legendre": (), "hermite": (), "jacobi": ("alpha", "beta"),
+    "laguerre": ("alpha",), "gegenbauer": ("lam",), "chebyshev_t": (),
+    "chebyshev_u": (), "krawtchouk": ("p", "N"),
+    "hahn": ("alpha", "beta", "N"), "meixner": ("beta", "c"),
+    "charlier": ("a",),
+}
+# the families orthogonal on an integer lattice (see discrete.py)
+LATTICE = frozenset(("krawtchouk", "hahn", "meixner", "charlier"))
+
+
+def _validate(f: str, p: dict) -> None:
+    """Raise FamilyError unless p is a valid parameter record of family f."""
+    if f not in PARAMETERS:
+        raise FamilyError(f"unknown family {f!r}")
+    if f in ("jacobi", "hahn") and (p["alpha"] <= -1 or p["beta"] <= -1):
+        raise FamilyError(f"{f} requires alpha > -1 and beta > -1")
+    if f == "laguerre" and p["alpha"] <= -1:
+        raise FamilyError("laguerre requires alpha > -1")
+    if f == "gegenbauer" and (p["lam"] <= -0.5 or p["lam"] == 0.0):
+        raise FamilyError("gegenbauer requires lam > -1/2 and lam != 0")
+    if f == "krawtchouk" and not 0 < p["p"] < 1:
+        raise FamilyError("krawtchouk requires 0 < p < 1")
+    if "N" in PARAMETERS[f] and (p["N"] < 1 or p["N"] != int(p["N"])):
+        raise FamilyError(f"{f} requires integer N >= 1")
+    if f == "meixner" and (p["beta"] <= 0 or not 0 < p["c"] < 1):
+        raise FamilyError("meixner requires beta > 0 and 0 < c < 1")
+    if f == "charlier" and p["a"] <= 0:
+        raise FamilyError("charlier requires a > 0")
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Tagged explicit family with parameter record."""
+    """Tagged family with parameter record (see PARAMETERS)."""
 
     family: str
     parameters: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        f, p = self.family, self.parameters
-        if f not in _FAMILIES:
-            raise FamilyError(f"unknown family {f!r}")
-        if f == "jacobi":
-            if p["alpha"] <= -1 or p["beta"] <= -1:
-                raise FamilyError("jacobi requires alpha > -1 and beta > -1")
-        elif f == "laguerre":
-            if p["alpha"] <= -1:
-                raise FamilyError("laguerre requires alpha > -1")
-        elif f == "gegenbauer":
-            lam = p["lam"]
-            if lam <= -0.5 or lam == 0.0:
-                raise FamilyError(
-                    "gegenbauer requires lam > -1/2 and lam != 0")
+        _validate(self.family, self.parameters)
 
     def __getattr__(self, name):
         try:
             return self.parameters[name]
         except KeyError:
             raise AttributeError(name) from None
+
+    @property
+    def discrete(self) -> bool:
+        """True for the families orthogonal on an integer lattice."""
+        return self.family in LATTICE
+
+
+def family_spec(name: str, params: dict) -> FamilySpec:
+    """Build a spec from a flat parameter dict; extra keys are ignored and a
+    missing parameter raises KeyError with its name."""
+    return FamilySpec(name, {k: int(params[k]) if k == "N"
+                             else float(params[k])
+                             for k in PARAMETERS.get(name, ())})
 
 
 def jacobi(alpha: float, beta: float) -> FamilySpec:
@@ -229,30 +276,18 @@ def hermite_eval(n: int, x: float) -> float:
 def special_case_eval(spec: FamilySpec, n: int, x: float) -> float:
     """Evaluate a family member, routing special cases through Jacobi."""
     f = spec.family
-    if f == "jacobi":
-        return jacobi_eval(n, spec.alpha, spec.beta, x)
     if f == "laguerre":
         return laguerre_eval(n, spec.alpha, x)
     if f == "hermite":
         return hermite_eval(n, x)
-    if f == "gegenbauer":
-        lam = spec.lam
-        scale = pochhammer(2 * lam, n) / pochhammer(lam + 0.5, n)
-        return scale * jacobi_eval(n, lam - 0.5, lam - 0.5, x)
-    if f == "legendre":
-        return jacobi_eval(n, 0.0, 0.0, x)
-    if f == "chebyshev_t":
-        scale = math.factorial(n) / pochhammer(0.5, n)
-        return scale * jacobi_eval(n, -0.5, -0.5, x)
-    if f == "chebyshev_u":
-        scale = pochhammer(2.0, n) / pochhammer(1.5, n)
-        return scale * jacobi_eval(n, 0.5, 0.5, x)
-    raise FamilyError(f"unknown family {f!r}")
+    a, b, scale = _as_jacobi(spec, n)
+    return scale * jacobi_eval(n, a, b, x)
 
 
 # ---------------------------------------------------------------------------
 # monomial coefficient vectors (exact-in-coefficients derivatives)
 
+@_in_double_range
 def jacobi_coeffs(n: int, alpha: float, beta: float) -> np.ndarray:
     """Monomial coefficients of P_n^{(alpha,beta)}, ascending order."""
     out = np.zeros(n + 1)
@@ -267,6 +302,7 @@ def jacobi_coeffs(n: int, alpha: float, beta: float) -> np.ndarray:
     return out
 
 
+@_in_double_range
 def laguerre_coeffs(n: int, alpha: float) -> np.ndarray:
     out = np.zeros(n + 1)
     for k in range(n + 1):
@@ -275,6 +311,7 @@ def laguerre_coeffs(n: int, alpha: float) -> np.ndarray:
     return out
 
 
+@_in_double_range
 def hermite_coeffs(n: int) -> np.ndarray:
     out = np.zeros(n + 1)
     for j in range(n // 2 + 1):
@@ -291,23 +328,27 @@ def family_coeffs(spec: FamilySpec, n: int) -> np.ndarray:
         return laguerre_coeffs(n, spec.alpha)
     if f == "hermite":
         return hermite_coeffs(n)
-    base, scale = _as_jacobi(spec, n)
-    return scale * jacobi_coeffs(n, base.alpha, base.beta)
+    a, b, scale = _as_jacobi(spec, n)
+    return scale * jacobi_coeffs(n, a, b)
 
 
-def _as_jacobi(spec: FamilySpec, n: int) -> tuple[FamilySpec, float]:
-    """Underlying Jacobi spec and degree-n prefactor for the special cases."""
+@_in_double_range
+def _as_jacobi(spec: FamilySpec, n: int) -> tuple[float, float, float]:
+    """(alpha, beta, prefactor) with p_n = prefactor * P_n^{(alpha,beta)}
+    for the Jacobi family and its special cases; FamilyError otherwise."""
     f = spec.family
+    if f == "jacobi":
+        return spec.alpha, spec.beta, 1.0
     if f == "gegenbauer":
         lam = spec.lam
-        return jacobi(lam - 0.5, lam - 0.5), (pochhammer(2 * lam, n)
-                                              / pochhammer(lam + 0.5, n))
+        return lam - 0.5, lam - 0.5, (pochhammer(2 * lam, n)
+                                      / pochhammer(lam + 0.5, n))
     if f == "legendre":
-        return jacobi(0.0, 0.0), 1.0
+        return 0.0, 0.0, 1.0
     if f == "chebyshev_t":
-        return jacobi(-0.5, -0.5), math.factorial(n) / pochhammer(0.5, n)
+        return -0.5, -0.5, math.factorial(n) / pochhammer(0.5, n)
     if f == "chebyshev_u":
-        return jacobi(0.5, 0.5), pochhammer(2.0, n) / pochhammer(1.5, n)
+        return 0.5, 0.5, pochhammer(2.0, n) / pochhammer(1.5, n)
     raise FamilyError(f"{f} has no Jacobi reduction")
 
 
@@ -318,24 +359,22 @@ def ode_residual(spec: FamilySpec, n: int, x: float) -> float:
     """Residual of the second order ODE, scaled by the size of its terms."""
     if n == 0:
         return 0.0
-    if spec.family in ("gegenbauer", "legendre", "chebyshev_t", "chebyshev_u"):
-        base, _ = _as_jacobi(spec, n)
-        return ode_residual(base, n, x)
-    c = family_coeffs(spec, n)
-    d1 = npoly.polyder(c)
-    d2 = npoly.polyder(c, 2)
-    p = npoly.polyval(x, c)
-    dp = npoly.polyval(x, d1)
-    ddp = npoly.polyval(x, d2)
-    if spec.family == "jacobi":
-        a, b = spec.alpha, spec.beta
-        t = [(1 - x * x) * ddp, (b - a - (a + b + 2) * x) * dp,
-             n * (n + a + b + 1) * p]
-    elif spec.family == "laguerre":
+    # sigma p'' + tau p' + lam p = 0
+    f = spec.family
+    if f == "laguerre":
         a = spec.alpha
-        t = [x * ddp, (a + 1 - x) * dp, n * p]
-    else:  # hermite
-        t = [ddp, -2 * x * dp, 2 * n * p]
+        c, sigma, tau, lam = laguerre_coeffs(n, a), x, a + 1 - x, n
+    elif f == "hermite":
+        c, sigma, tau, lam = hermite_coeffs(n), 1, -2 * x, 2 * n
+    else:
+        a, b, _ = _as_jacobi(spec, 0)
+        c = jacobi_coeffs(n, a, b)
+        sigma, tau, lam = (1 - x * x, b - a - (a + b + 2) * x,
+                           n * (n + a + b + 1))
+    p = npoly.polyval(x, c)
+    dp = npoly.polyval(x, npoly.polyder(c))
+    ddp = npoly.polyval(x, npoly.polyder(c, 2))
+    t = [sigma * ddp, tau * dp, lam * p]
     scale = max(max(abs(v) for v in t), _TINY)
     return sum(t) / scale
 
@@ -352,18 +391,6 @@ def shift_check(spec: FamilySpec, n: int, direction: str, x: float) -> float:
         raise FamilyError(f"unknown direction {direction!r}")
     if n == 0 and direction == "raise":
         return 0.0
-    if f == "jacobi":
-        a, b = spec.alpha, spec.beta
-        if direction == "raise":
-            dp = npoly.polyval(x, npoly.polyder(jacobi_coeffs(n, a, b)))
-            rhs = 0.5 * (n + a + b + 1) * jacobi_eval(n - 1, a + 1, b + 1, x)
-            return _rel(dp - rhs, dp, rhs)
-        qc = jacobi_coeffs(n - 1, a + 1, b + 1)
-        q = npoly.polyval(x, qc)
-        dq = npoly.polyval(x, npoly.polyder(qc))
-        lhs = (1 - x * x) * dq + (b - a - (a + b + 2) * x) * q
-        rhs = -2 * n * jacobi_eval(n, a, b, x)
-        return _rel(lhs - rhs, lhs, rhs)
     if f == "laguerre":
         a = spec.alpha
         if direction == "raise":
@@ -386,8 +413,17 @@ def shift_check(spec: FamilySpec, n: int, direction: str, x: float) -> float:
                - 2 * x * npoly.polyval(x, qc))
         rhs = -hermite_eval(n, x)
         return _rel(lhs - rhs, lhs, rhs)
-    base, _ = _as_jacobi(spec, n)
-    return shift_check(base, n, direction, x)
+    a, b, _ = _as_jacobi(spec, 0)
+    if direction == "raise":
+        dp = npoly.polyval(x, npoly.polyder(jacobi_coeffs(n, a, b)))
+        rhs = 0.5 * (n + a + b + 1) * jacobi_eval(n - 1, a + 1, b + 1, x)
+        return _rel(dp - rhs, dp, rhs)
+    qc = jacobi_coeffs(n - 1, a + 1, b + 1)
+    q = npoly.polyval(x, qc)
+    dq = npoly.polyval(x, npoly.polyder(qc))
+    lhs = (1 - x * x) * dq + (b - a - (a + b + 2) * x) * q
+    rhs = -2 * n * jacobi_eval(n, a, b, x)
+    return _rel(lhs - rhs, lhs, rhs)
 
 
 def _rel(diff: float, *refs: float) -> float:
@@ -560,21 +596,25 @@ def jacobi_system(alpha: float, beta: float) -> RecurrenceSystem:
 
 
 def family_system(spec: FamilySpec) -> RecurrenceSystem:
-    """Three-term recurrence in the family's classical normalization."""
+    """Three-term recurrence in the family's classical normalization (for
+    the discrete families p_n(0) = 1, as in discrete.discrete_eval)."""
     f = spec.family
-    if f == "jacobi":
-        return jacobi_system(spec.alpha, spec.beta)
+    if spec.discrete:
+        from .discrete import discrete_system
+        return discrete_system(spec)
     if f == "laguerre":
         return laguerre_system(spec.alpha)
     if f == "hermite":
         return hermite_system()
     if f == "legendre":
         return legendre_system()
-    base, _ = _as_jacobi(spec, 0)
-    jac = jacobi_system(base.alpha, base.beta)
+    a, b, _ = _as_jacobi(spec, 0)
+    jac = jacobi_system(a, b)
+    if f == "jacobi":
+        return jac
 
     def scale_n(n: int) -> float:
-        return _as_jacobi(spec, n)[1]
+        return _as_jacobi(spec, n)[2]
 
     def coeff(n: int) -> tuple[float, float, float]:
         a, b, c = jac.coeffs(n)
@@ -588,14 +628,14 @@ def family_system(spec: FamilySpec) -> RecurrenceSystem:
 
 def family_monic_system(spec: FamilySpec) -> RecurrenceSystem:
     f = spec.family
+    if spec.discrete:
+        from .discrete import discrete_system
+        return discrete_system(spec, monic=True)
     if f == "laguerre":
         return laguerre_monic_system(spec.alpha)
     if f == "hermite":
         return hermite_monic_system()
-    if f == "jacobi":
-        return jacobi_monic_system(spec.alpha, spec.beta)
-    base, _ = _as_jacobi(spec, 0)
-    return jacobi_monic_system(base.alpha, base.beta)
+    return jacobi_monic_system(*_as_jacobi(spec, 0)[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -603,8 +643,12 @@ def family_monic_system(spec: FamilySpec) -> RecurrenceSystem:
 
 def family_measure(spec: FamilySpec, normalized: bool = False) -> Measure:
     """Orthogonality measure; `normalized` applies the classical prefactor
-    (1/2 for Legendre, pi^{-1/2} for Hermite, 1/pi for Chebyshev-T)."""
+    (1/2 for Legendre, pi^{-1/2} for Hermite, 1/pi for Chebyshev-T, e^{-a}
+    for Charlier)."""
     f = spec.family
+    if spec.discrete:
+        from .discrete import family_measure as lattice_measure
+        return lattice_measure(spec, normalized)
     if f == "hermite":
         norm = math.pi ** -0.5 if normalized else 1.0
         return continuous_measure(lambda x: math.exp(-x * x),
@@ -628,11 +672,7 @@ def family_measure(spec: FamilySpec, normalized: bool = False) -> Measure:
                                   alg_smooth=lambda x: 1.0,
                                   meta={"name": "chebyshev_t"})
     # jacobi-type weights (1-x)^alpha (1+x)^beta
-    if f == "jacobi":
-        a, b = spec.alpha, spec.beta
-    else:
-        base, _ = _as_jacobi(spec, 0)
-        a, b = base.alpha, base.beta
+    a, b, _ = _as_jacobi(spec, 0)
     return continuous_measure(lambda x: (1 - x) ** a * (1 + x) ** b,
                               (-1.0, 1.0), alg_exponents=(b, a),
                               alg_smooth=lambda x: 1.0,
@@ -650,11 +690,7 @@ def family_mu0(spec: FamilySpec, normalized: bool = False) -> float:
         return math.gamma(spec.alpha + 1)
     if f == "chebyshev_t":
         return 1.0 if normalized else math.pi
-    if f == "jacobi":
-        a, b = spec.alpha, spec.beta
-    else:
-        base, _ = _as_jacobi(spec, 0)
-        a, b = base.alpha, base.beta
+    a, b, _ = _as_jacobi(spec, 0)
     return (2 ** (a + b + 1) * math.gamma(a + 1) * math.gamma(b + 1)
             / math.gamma(a + b + 2))
 

@@ -2,7 +2,7 @@
 
 Documents carry a versioned `schema: 1` field.  Continuous weights are not
 serialized as code: measures are referenced by name plus parameters, drawn
-from the family registries.
+from the family registry (families.PARAMETERS).
 """
 
 from __future__ import annotations
@@ -12,17 +12,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import discrete as _discrete
 from . import families as _families
 from .kernels import QuadratureRule
 from .measures import Measure, discrete_measure
 from .recurrence import NormData, RecurrenceSystem, from_tables
 
 SCHEMA_VERSION = 1
-
-CONTINUOUS_FAMILIES = ("legendre", "hermite", "jacobi", "laguerre",
-                       "gegenbauer", "chebyshev_t", "chebyshev_u")
-DISCRETE_FAMILIES = ("krawtchouk", "hahn", "meixner", "charlier")
 
 
 class SchemaError(ValueError):
@@ -37,21 +32,14 @@ def _check_schema(doc: dict) -> None:
                           f"got {doc.get('schema')!r}")
 
 
-def family_spec_from_params(family: str, params: dict):
-    """Build a FamilySpec or DiscreteFamily from a flat parameter dict."""
-    if family in CONTINUOUS_FAMILIES:
-        needed = {"jacobi": ("alpha", "beta"), "laguerre": ("alpha",),
-                  "gegenbauer": ("lam",)}.get(family, ())
-        kwargs = {k: params[k] for k in needed}
-        return _families.FamilySpec(family, {k: float(v)
-                                             for k, v in kwargs.items()})
-    if family in DISCRETE_FAMILIES:
-        needed = {"krawtchouk": ("p", "N"), "hahn": ("alpha", "beta", "N"),
-                  "meixner": ("beta", "c"), "charlier": ("a",)}[family]
-        return _discrete.DiscreteFamily(
-            family, {k: (int(params[k]) if k == "N" else float(params[k]))
-                     for k in needed})
-    raise SchemaError(f"unknown family {family!r}")
+def _family_spec(name: str, params: dict) -> _families.FamilySpec:
+    if name not in _families.PARAMETERS:
+        raise SchemaError(f"unknown family {name!r}")
+    try:
+        return _families.family_spec(name, params)
+    except KeyError as exc:
+        raise SchemaError(f"family {name!r} needs parameter "
+                          f"{exc.args[0]!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -61,19 +49,10 @@ def load_recurrence(doc: dict) -> RecurrenceSystem:
     """Read a recurrence document: coefficient tables or a named family."""
     _check_schema(doc)
     if "family" in doc:
-        spec = family_spec_from_params(doc["family"],
-                                       doc.get("parameters", {}))
-        form = doc.get("form", "general")
-        if isinstance(spec, _discrete.DiscreteFamily):
-            if spec.family != "charlier":
-                raise SchemaError(
-                    "only charlier has a bundled discrete recurrence")
-            sys = _discrete.charlier_system(spec.a)
-        elif form == "monic":
+        spec = _family_spec(doc["family"], doc.get("parameters", {}))
+        if doc.get("form", "general") == "monic":
             return _families.family_monic_system(spec)
-        else:
-            sys = _families.family_system(spec)
-        return sys
+        return _families.family_system(spec)
     tables = doc.get("coefficients")
     if tables is None:
         raise SchemaError("document needs 'family' or 'coefficients'")
@@ -101,8 +80,10 @@ def load_measure(doc: dict) -> Measure:
     """Read a measure document (named weight or explicit finite support)."""
     _check_schema(doc)
     kind = doc.get("kind")
-    if kind == "continuous":
-        spec = family_spec_from_params(doc["name"], doc.get("parameters", {}))
+    if kind in ("continuous", "discrete_infinite"):
+        spec = _family_spec(doc["name"], doc.get("parameters", {}))
+        if spec.discrete != (kind == "discrete_infinite"):
+            raise SchemaError(f"{spec.family} has no {kind} measure")
         m = _families.family_measure(spec)
         if "normalizer" in doc:
             m = replace(m, normalizer=float(doc["normalizer"]))
@@ -110,12 +91,6 @@ def load_measure(doc: dict) -> Measure:
     if kind == "discrete_finite":
         return discrete_measure(doc["nodes"], doc["weights"],
                                 normalizer=float(doc.get("normalizer", 1.0)))
-    if kind == "discrete_infinite":
-        fam = family_spec_from_params(doc["name"], doc.get("parameters", {}))
-        m = _discrete.family_measure(fam)
-        if "normalizer" in doc:
-            m = replace(m, normalizer=float(doc["normalizer"]))
-        return m
     raise SchemaError(f"unknown measure kind {kind!r}")
 
 

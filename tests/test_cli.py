@@ -8,6 +8,7 @@ import textwrap
 import pytest
 
 import orthopoly
+from orthopoly import families as F
 from orthopoly import io as opio
 from orthopoly.cli import main
 
@@ -158,12 +159,48 @@ def test_check_quadratic_rejects_hermite(capsys):
 
 
 def test_check_series_overflow_exits_1(capsys):
-    # the Hermite series terms overflow doubles long before degree 200
-    code, out, err = run(capsys, "check", "--family", "hermite",
-                         "--identity", "shift", "--n", "200")
-    assert code == 1
-    assert "double range" in err
-    assert "Traceback" not in err
+    # the Hermite series terms overflow doubles long before degree 200;
+    # 171! no longer converts to a float
+    for args in (("--family", "hermite", "--identity", "shift", "--n", "200"),
+                 ("--family", "laguerre", "--alpha", "0.5", "--identity",
+                  "ode", "--n", "171")):
+        code, out, err = run(capsys, "check", *args)
+        assert code == 1
+        assert "double range" in err
+        assert "Traceback" not in err
+
+
+def test_check_quadratic_takes_alpha_from_jacobi_reduction(capsys,
+                                                          monkeypatch):
+    seen = []
+    real = F.quadratic_transform_check
+
+    def spy(n, alpha, x):
+        seen.append(alpha)
+        return real(n, alpha, x)
+
+    monkeypatch.setattr(F, "quadratic_transform_check", spy)
+    for args, alpha in ((("--family", "gegenbauer", "--lam", "1.5"), 1.0),
+                        (("--family", "chebyshev_t"), -0.5),
+                        (("--family", "chebyshev_u"), 0.5)):
+        seen.clear()
+        code, out, _ = run(capsys, "check", *args, "--identity",
+                           "quadratic", "--n", "10")
+        assert code == 0
+        assert json.loads(out)["residual"] <= 1e-11
+        assert set(seen) == {alpha}
+
+
+def test_check_limit_from_every_jacobi_type_family(capsys):
+    for family in ("legendre", "chebyshev_t", "chebyshev_u"):
+        code, out, _ = run(capsys, "check", "--family", family,
+                           "--identity", "limit", "--n", "2")
+        assert code == 0
+        assert json.loads(out)["monotone"] is True
+    code, _, err = run(capsys, "check", "--family", "hermite",
+                       "--identity", "limit", "--n", "2")
+    assert code == 2
+    assert "limit target" in err
 
 
 def test_check_limit_monotone(capsys):
@@ -171,6 +208,72 @@ def test_check_limit_monotone(capsys):
                        "--alpha", "0.5", "--identity", "limit", "--n", "2")
     assert code == 0
     assert json.loads(out)["monotone"] is True
+
+
+def test_recurrence_charlier_monic(capsys):
+    code, out, _ = run(capsys, "recurrence", "--family", "charlier", "--a",
+                       "2", "--n-max", "5", "--form", "monic")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["form"] == "monic"
+    coeffs = doc["coefficients"]
+    assert coeffs["a"] == [1.0] * 6
+    assert coeffs["b"] == pytest.approx([n + 2.0 for n in range(6)])
+    assert coeffs["c"][1:] == pytest.approx([2.0 * n for n in range(1, 6)])
+
+
+def test_finite_family_recurrence_past_lattice_exits_1(capsys):
+    for form, n_max in (("general", "5"), ("monic", "6")):
+        code, _, err = run(capsys, "recurrence", "--family", "krawtchouk",
+                           "--p", "0.3", "--N", "5", "--n-max", n_max,
+                           "--form", form)
+        assert code == 1
+        assert "Traceback" not in err
+
+
+# one valid parameter value per family parameter
+_VALUES = {"alpha": 0.5, "beta": 1.5, "lam": 1.5, "p": 0.3, "N": 12,
+           "c": 0.4, "a": 2.0}
+
+
+@pytest.mark.parametrize("family", list(F.PARAMETERS))
+def test_registry_flags_and_documents_agree(family, capsys):
+    flags = [x for k in F.PARAMETERS[family]
+             for x in (f"--{k}", str(_VALUES[k]))]
+    params = {k: _VALUES[k] for k in F.PARAMETERS[family]}
+    for form in ("general", "monic"):
+        code, out, err = run(capsys, "recurrence", "--family", family,
+                             *flags, "--n-max", "6", "--form", form)
+        assert code == 0, err
+        got = json.loads(out)["coefficients"]
+        sys_ = opio.load_recurrence({"schema": 1, "family": family,
+                                     "parameters": params, "form": form})
+        assert sys_.form == form
+        assert [list(sys_.coeffs(n)) for n in range(7)] \
+            == [list(t) for t in zip(got["a"], got["b"], got["c"])]
+
+
+@pytest.mark.parametrize("family",
+                         [f for f, ps in F.PARAMETERS.items() if ps])
+def test_registry_missing_flag_exits_2(family, capsys):
+    names = F.PARAMETERS[family]
+    flags = [x for k in names[1:] for x in (f"--{k}", str(_VALUES[k]))]
+    code, _, err = run(capsys, "recurrence", "--family", family, *flags,
+                       "--n-max", "3")
+    assert code == 2
+    assert f"--{names[0]}" in err
+
+
+def test_unknown_family_document_exits_2(tmp_path, capsys):
+    path = tmp_path / "rec.json"
+    for doc in ({"schema": 1, "family": "zernike"},
+                {"schema": 1, "family": "jacobi",
+                 "parameters": {"alpha": 0.5}}):
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "zeros", "--recurrence", str(path),
+                           "--n", "2")
+        assert code == 2
+        assert "Traceback" not in err
 
 
 def test_bad_family_params_exit_2(capsys):

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from orthopoly import discrete as D
+from orthopoly import families as F
 from orthopoly import measures as M
 from orthopoly import qseries as Q
 from orthopoly import recurrence as R
@@ -117,13 +118,36 @@ def test_charlier_diagonal_norms():
             assert got == pytest.approx(D.charlier_norms(a, n), rel=1e-10)
 
 
-def test_charlier_recurrence_matches_series():
-    sys = D.charlier_system(1.0)
-    fam = D.charlier(1.0)
-    for n in range(7):
-        for x in (0.0, 1.0, 4.0, 6.5):
-            assert R.eval_poly(sys, n, x) == pytest.approx(
-                D.discrete_eval(fam, n, x), rel=1e-11, abs=1e-11)
+def test_discrete_recurrence_matches_series():
+    assert D.charlier_system(1.0).coeffs(3) == (-1.0, 4.0, -3.0)
+    for fam in (D.charlier(1.0), D.krawtchouk(0.3, 8), D.hahn(0.5, 1.5, 8),
+                D.hahn(-0.5, -0.5, 8), D.meixner(1.5, 0.4)):
+        sys = F.family_system(fam)
+        for n in range(7):
+            for x in (0.0, 1.0, 4.0, 6.5):
+                assert R.eval_poly(sys, n, x) == pytest.approx(
+                    D.discrete_eval(fam, n, x), rel=1e-11, abs=1e-11)
+        # the monic form is the general one rescaled by k_n
+        norms = R.norms_from_recurrence(sys, 1.0, 1.0, 7)
+        rescaled = R.convert_form(sys, norms, "monic")
+        monic = F.family_monic_system(fam)
+        assert monic.form == "monic"
+        for n in range(8):
+            assert monic.coeffs(n) == pytest.approx(rescaled.coeffs(n),
+                                                    rel=1e-14)
+
+
+def test_finite_recurrences_stop_at_lattice():
+    for fam in (D.krawtchouk(0.3, 8), D.hahn(0.5, 1.5, 8)):
+        general = F.family_system(fam)
+        monic = F.family_monic_system(fam)
+        general.coeffs(7)
+        monic.coeffs(8)  # b_N, c_N define p_{N+1}, which vanishes on 0..N
+        with pytest.raises(R.RecurrenceError):
+            general.coeffs(8)  # a_N = 0
+        for sys in (general, monic):
+            with pytest.raises(R.RecurrenceError):
+                sys.coeffs(9)
 
 
 def test_hahn_to_jacobi_limit_examples():

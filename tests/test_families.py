@@ -134,6 +134,20 @@ def test_coeff_vectors_match_series():
                 F.special_case_eval(spec, n, x), rel=1e-11)
 
 
+def test_degree_171_raises_family_error():
+    # 171! is the first factorial beyond the double range
+    calls = (lambda n: F.jacobi_eval(n, 0.5, 1.5, 0.3),
+             lambda n: F.laguerre_eval(n, 0.5, 1.0),
+             lambda n: F.hermite_eval(n, 0.5),
+             lambda n: F.jacobi_coeffs(n, 0.5, 1.5),
+             lambda n: F.laguerre_coeffs(n, 0.5),
+             lambda n: F.special_case_eval(F.chebyshev_t(), n, 0.3))
+    for call in calls:
+        with pytest.raises(F.FamilyError, match="double range"):
+            call(171)
+    assert F.laguerre_coeffs(170, 0.5)[-1] == 1 / math.factorial(170)
+
+
 # ---------------------------------------------------------------------------
 # differential equations, shifts, Rodrigues
 
