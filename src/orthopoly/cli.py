@@ -155,7 +155,8 @@ def _load_system(args) -> R.RecurrenceSystem:
         raise ConfigError("exactly one of --family, --recurrence, --measure "
                           f"is required (got {sources or 'none'})")
     if args.family is not None:
-        return F.family_system(_family_spec(args))
+        # zeros and moment diagnostics do not depend on the normalisation
+        return F.family_monic_system(_family_spec(args))
     if getattr(args, "recurrence", None) is not None:
         try:
             return OPIO.load_recurrence(OPIO.read_json(args.recurrence))
@@ -217,53 +218,46 @@ def _check_battery(spec, identity: str, n: int, tol: float):
         xs = np.linspace(0.2, 8.0, 7)
     elif spec.family == "hermite":
         xs = np.linspace(-2.0, 2.0, 7)
-    worst = 0.0
+    # residuals by degree
     if identity == "ode":
-        for k in range(n + 1):
-            for x in xs:
-                worst = max(worst, abs(F.ode_residual(spec, k, float(x))))
+        by_degree = dict(enumerate(F.ode_residual(spec, n, xs)))
     elif identity == "shift":
-        for k in range(1, n + 1):
-            for x in xs:
-                for d in ("raise", "lower"):
-                    worst = max(worst,
-                                abs(F.shift_check(spec, k, d, float(x))))
+        by_degree = dict(enumerate(np.hstack(
+            [F.shift_check(spec, n, d, xs) for d in ("raise", "lower")])))
     elif identity == "cd":
         b = _bundle(spec)
         norms = R.norms_from_recurrence(b.system, b.h0, b.k0, n + 1)
         rng = np.random.default_rng(20260823)
         lo, hi = (0.2, 8.0) if spec.family == "laguerre" else (-0.95, 0.95)
+        res = []
         for _ in range(50):
             x, y = rng.uniform(lo, hi, 2)
-            s = K.cd_kernel(b.system, norms, n, float(x), float(y),
-                            method="sum")
-            c = K.cd_kernel(b.system, norms, n, float(x), float(y))
-            worst = max(worst, abs(s - c) / max(abs(s), 1.0))
-            s2 = K.cd_kernel(b.system, norms, n, float(x), float(x),
-                             method="sum")
-            c2 = K.cd_kernel(b.system, norms, n, float(x), float(x))
-            worst = max(worst, abs(s2 - c2) / max(abs(s2), 1.0))
+            for u, v in ((x, y), (x, x)):
+                s = K.cd_kernel(b.system, norms, n, float(u), float(v),
+                                method="sum")
+                c = K.cd_kernel(b.system, norms, n, float(u), float(v))
+                res.append((s - c) / max(abs(s), 1.0))
+        by_degree = {n: res}
     elif identity == "quadratic":
         try:
             alpha = F._as_jacobi(spec, 0)[0]
         except F.FamilyError as exc:
             raise ConfigError("quadratic transformation applies to the "
                               "Jacobi-type families") from exc
-        for k in range(n + 1):
-            for x in xs:
-                e, o = F.quadratic_transform_check(k, alpha, float(x))
-                worst = max(worst, abs(e), abs(o))
+        by_degree = {k: [F.quadratic_transform_check(k, alpha, float(x))
+                         for x in xs] for k in range(n + 1)}
     elif identity == "orthogonality":
         b = _bundle(spec)
         norms = R.norms_from_recurrence(b.system, b.h0, b.k0, n)
-        for i in range(n + 1):
-            for j in range(i + 1, n + 1):
-                val = M.inner_product(
-                    lambda x, i=i: R.eval_poly(b.system, i, x),
-                    lambda x, j=j: R.eval_poly(b.system, j, x),
-                    b.measure)
-                worst = max(worst,
-                            abs(val) / math.sqrt(norms.h[i] * norms.h[j]))
+
+        def inner(i, j):
+            val = M.inner_product(lambda x: R.eval_poly(b.system, i, x),
+                                  lambda x: R.eval_poly(b.system, j, x),
+                                  b.measure)
+            return val / math.sqrt(norms.h[i] * norms.h[j])
+
+        by_degree = {j: [inner(i, j) for i in range(j)]
+                     for j in range(n + 1)}
     elif identity == "limit":
         # every Jacobi-type family is a source of relation 26
         which = {"laguerre": 28, "hermite": None}.get(spec.family, 26)
@@ -279,6 +273,14 @@ def _check_battery(spec, identity: str, n: int, tol: float):
                                             "monotone": monotone}
     else:
         raise ConfigError(f"unknown identity {identity!r}")
+    worst = 0.0
+    for k, res in by_degree.items():
+        res = np.abs(np.asarray(res, dtype=float))
+        if not np.all(np.isfinite(res)):
+            raise NumericalFailure(
+                f"{identity} residual at degree {k} is not finite: the "
+                "values leave the double range")
+        worst = max(worst, float(res.max(initial=0.0)))
     return worst, {}
 
 

@@ -18,7 +18,8 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .measures import Measure, continuous_measure
-from .recurrence import NormData, RecurrenceError, RecurrenceSystem, eval_poly
+from .recurrence import (NormData, RecurrenceError, RecurrenceSystem,
+                         eval_all_derivatives, eval_poly)
 
 _TINY = 1e-300
 
@@ -320,18 +321,6 @@ def hermite_coeffs(n: int) -> np.ndarray:
     return out
 
 
-def family_coeffs(spec: FamilySpec, n: int) -> np.ndarray:
-    f = spec.family
-    if f == "jacobi":
-        return jacobi_coeffs(n, spec.alpha, spec.beta)
-    if f == "laguerre":
-        return laguerre_coeffs(n, spec.alpha)
-    if f == "hermite":
-        return hermite_coeffs(n)
-    a, b, scale = _as_jacobi(spec, n)
-    return scale * jacobi_coeffs(n, a, b)
-
-
 @_in_double_range
 def _as_jacobi(spec: FamilySpec, n: int) -> tuple[float, float, float]:
     """(alpha, beta, prefactor) with p_n = prefactor * P_n^{(alpha,beta)}
@@ -353,81 +342,69 @@ def _as_jacobi(spec: FamilySpec, n: int) -> tuple[float, float, float]:
 
 
 # ---------------------------------------------------------------------------
-# differential equations and shift operators
+# differential equations and shift operators on the monic chain
 
-def ode_residual(spec: FamilySpec, n: int, x: float) -> float:
-    """Residual of the second order ODE, scaled by the size of its terms."""
-    if n == 0:
-        return 0.0
-    # sigma p'' + tau p' + lam p = 0
-    f = spec.family
-    if f == "laguerre":
-        a = spec.alpha
-        c, sigma, tau, lam = laguerre_coeffs(n, a), x, a + 1 - x, n
-    elif f == "hermite":
-        c, sigma, tau, lam = hermite_coeffs(n), 1, -2 * x, 2 * n
-    else:
-        a, b, _ = _as_jacobi(spec, 0)
-        c = jacobi_coeffs(n, a, b)
-        sigma, tau, lam = (1 - x * x, b - a - (a + b + 2) * x,
-                           n * (n + a + b + 1))
-    p = npoly.polyval(x, c)
-    dp = npoly.polyval(x, npoly.polyder(c))
-    ddp = npoly.polyval(x, npoly.polyder(c, 2))
-    t = [sigma * ddp, tau * dp, lam * p]
-    scale = max(max(abs(v) for v in t), _TINY)
-    return sum(t) / scale
+def pearson_pair(spec: FamilySpec):
+    """(sigma, tau, shifted) with (sigma w)' = tau w for the weight w.
 
-
-def shift_check(spec: FamilySpec, n: int, direction: str, x: float) -> float:
-    """Scaled residual of the raising/lowering shift operator relation.
-
-    direction "raise" differentiates p_n (raising parameters, lowering
-    degree); "lower" applies the weighted derivative that lowers parameters
-    and raises degree.
+    sigma = s0 + s1 x + s2 x^2 and tau = t0 + t1 x are ascending coefficient
+    tuples; `shifted` is the family with weight sigma w, whose monic members
+    are the derivatives of the monic p_n divided by n.
     """
     f = spec.family
-    if direction not in ("raise", "lower"):
-        raise FamilyError(f"unknown direction {direction!r}")
-    if n == 0 and direction == "raise":
-        return 0.0
     if f == "laguerre":
         a = spec.alpha
-        if direction == "raise":
-            dp = npoly.polyval(x, npoly.polyder(laguerre_coeffs(n, a)))
-            rhs = -laguerre_eval(n - 1, a + 1, x)
-            return _rel(dp - rhs, dp, rhs)
-        qc = laguerre_coeffs(n - 1, a + 1)
-        q = npoly.polyval(x, qc)
-        dq = npoly.polyval(x, npoly.polyder(qc))
-        lhs = x * dq + (a + 1 - x) * q
-        rhs = n * laguerre_eval(n, a, x)
-        return _rel(lhs - rhs, lhs, rhs)
+        return (0.0, 1.0, 0.0), (a + 1, -1.0), laguerre(a + 1)
     if f == "hermite":
-        if direction == "raise":
-            dp = npoly.polyval(x, npoly.polyder(hermite_coeffs(n)))
-            rhs = 2 * n * hermite_eval(n - 1, x)
-            return _rel(dp - rhs, dp, rhs)
-        qc = hermite_coeffs(n - 1)
-        lhs = (npoly.polyval(x, npoly.polyder(qc))
-               - 2 * x * npoly.polyval(x, qc))
-        rhs = -hermite_eval(n, x)
-        return _rel(lhs - rhs, lhs, rhs)
+        return (1.0, 0.0, 0.0), (0.0, -2.0), spec
     a, b, _ = _as_jacobi(spec, 0)
-    if direction == "raise":
-        dp = npoly.polyval(x, npoly.polyder(jacobi_coeffs(n, a, b)))
-        rhs = 0.5 * (n + a + b + 1) * jacobi_eval(n - 1, a + 1, b + 1, x)
-        return _rel(dp - rhs, dp, rhs)
-    qc = jacobi_coeffs(n - 1, a + 1, b + 1)
-    q = npoly.polyval(x, qc)
-    dq = npoly.polyval(x, npoly.polyder(qc))
-    lhs = (1 - x * x) * dq + (b - a - (a + b + 2) * x) * q
-    rhs = -2 * n * jacobi_eval(n, a, b, x)
-    return _rel(lhs - rhs, lhs, rhs)
+    return (1.0, 0.0, -1.0), (b - a, -(a + b + 2)), jacobi(a + 1, b + 1)
 
 
-def _rel(diff: float, *refs: float) -> float:
-    return diff / max(max(abs(r) for r in refs), 1.0)
+def _scaled(*terms) -> np.ndarray:
+    """Sum of the terms over the largest of them, 0 where all vanish."""
+    terms = np.array(terms)
+    scale = np.max(np.abs(terms), axis=0)
+    return np.where(scale == 0, 0.0, np.sum(terms, axis=0) / scale)
+
+
+def _pearson_chains(spec: FamilySpec, n: int, x):
+    """Monic p_k, k <= n, and q_k, k < n, of the shifted family, with their
+    derivatives, plus sigma(x), tau(x) and mu_k = tau' + (k - 1) sigma''/2."""
+    (s0, s1, s2), (t0, t1), shifted = pearson_pair(spec)
+    x = np.asarray(x, dtype=float)
+    p = np.array(eval_all_derivatives(family_monic_system(spec), n, x))
+    q = np.array(eval_all_derivatives(family_monic_system(shifted),
+                                      max(n - 1, 0), x))
+    k = np.arange(n + 1).reshape((-1,) + (1,) * x.ndim)
+    return p, q, s0 + (s1 + s2 * x) * x, t0 + t1 * x, t1 + (k - 1) * s2, k
+
+
+def ode_residual(spec: FamilySpec, n: int, x) -> np.ndarray:
+    """Scaled residuals of sigma p'' + tau p' - k mu_k p = 0 for the monic
+    p_k, k = 0..n, at the points x (rows are degrees)."""
+    with np.errstate(all="ignore"):
+        (p, dp, ddp), _, sigma, tau, mu, k = _pearson_chains(spec, n, x)
+        return _scaled(sigma * ddp, tau * dp, -k * mu * p)
+
+
+def shift_check(spec: FamilySpec, n: int, direction: str, x) -> np.ndarray:
+    """Scaled residuals of a shift relation for the monic p_k, k = 0..n, at
+    the points x (rows are degrees; row 0 is 0).
+
+    direction "raise": p_k' = k q_{k-1}, the derivative lowers the degree and
+    moves to the shifted family; "lower": sigma q_{k-1}' + tau q_{k-1}
+    = mu_k p_k, the weighted derivative back to the family.
+    """
+    if direction not in ("raise", "lower"):
+        raise FamilyError(f"unknown direction {direction!r}")
+    with np.errstate(all="ignore"):
+        (p, dp, _), (q, dq, _), sigma, tau, mu, k = _pearson_chains(spec, n, x)
+        if direction == "raise":
+            out = _scaled(dp[1:], -k[1:] * q)
+        else:
+            out = _scaled(sigma * dq, tau * q, -mu[1:] * p[1:])
+    return np.concatenate([np.zeros_like(p[:1]), out])
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,7 @@ import numpy as np
 
 from .measures import Measure, integrate
 from .recurrence import (NormData, RecurrenceError, RecurrenceSystem,
-                         eval_all, eval_poly, eval_poly_with_derivative,
-                         validate_favard)
+                         eval_all, eval_all_derivatives, eval_poly)
 
 # below this separation the closed form of the kernel cancels; use the
 # confluent (derivative) form instead
@@ -66,9 +65,8 @@ def cd_kernel(sys: RecurrenceSystem, norms: NormData, n: int, x: float,
         pn_x, pn1_x = eval_all(sys, n + 1, x)[-2:]
         pn_y, pn1_y = eval_all(sys, n + 1, y)[-2:]
         return float(pref * (pn1_x * pn_y - pn_x * pn1_y) / (x - y))
-    pn_x, dn_x = eval_poly_with_derivative(sys, n, x)
-    pn1_x, dn1_x = eval_poly_with_derivative(sys, n + 1, x)
-    return float(pref * (dn1_x * pn_x - dn_x * pn1_x))
+    ps, ds, _ = eval_all_derivatives(sys, n + 1, x)
+    return float(pref * (ds[n + 1] * ps[n] - ds[n] * ps[n + 1]))
 
 
 def project(sys: RecurrenceSystem, norms: NormData, n: int, f,
@@ -125,9 +123,6 @@ def zeros(sys: RecurrenceSystem, norms: NormData | None, n: int) -> np.ndarray:
 
     if n < 1:
         raise KernelError("need n >= 1")
-    report = validate_favard(sys, n)
-    if not report.passed:
-        raise RecurrenceError(f"Favard violations at {report.failures}")
     diag, off = jacobi_matrix(sys, n)
     vals = _sp_linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
     return np.sort(vals)

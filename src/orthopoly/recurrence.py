@@ -113,18 +113,26 @@ def _eval_poly_mp(sys: RecurrenceSystem, n: int, x, digits: int):
         return float(p)
 
 
-def eval_poly_with_derivative(sys: RecurrenceSystem, n: int, x):
-    """Return (p_n(x), p_n'(x)) by differentiating the recurrence."""
-    p_prev, d_prev = 0.0, 0.0
+def eval_all_derivatives(sys: RecurrenceSystem, n: int, x):
+    """Return ([p_0..p_n], [p_0'..p_n'], [p_0''..p_n'']) at x, from one pass
+    of the recurrence differentiated once and twice."""
+    p_prev, d_prev, s_prev = 0.0, 0.0, 0.0
     p = sys.p0 + 0.0 * x
     d = 0.0 * x
+    s = 0.0 * x
+    ps, ds, ss = [p], [d], [s]
     for j in range(n):
         a, b, c = sys.coeffs(j)
         p_next = ((x - b) * p - c * p_prev) / a
         d_next = ((x - b) * d + p - c * d_prev) / a
+        s_next = ((x - b) * s + 2 * d - c * s_prev) / a
         p, p_prev = p_next, p
         d, d_prev = d_next, d
-    return p, d
+        s, s_prev = s_next, s
+        ps.append(p)
+        ds.append(d)
+        ss.append(s)
+    return ps, ds, ss
 
 
 def eval_all(sys: RecurrenceSystem, n: int, x) -> list:

@@ -8,6 +8,7 @@ import textwrap
 import pytest
 
 import orthopoly
+from orthopoly import discrete as D
 from orthopoly import families as F
 from orthopoly import io as opio
 from orthopoly.cli import main
@@ -99,6 +100,34 @@ def test_zeros_from_recurrence_file(tmp_path, capsys):
     assert got == pytest.approx([-1 / math.sqrt(2), 1 / math.sqrt(2)])
 
 
+def test_zeros_of_finite_family_at_lattice_size(capsys):
+    # p_5 of Krawtchouk(0.3, 5) has its five zeros inside [0, 5]
+    code, out, err = run(capsys, "zeros", "--family", "krawtchouk", "--p",
+                         "0.3", "--N", "5", "--n", "5")
+    assert code == 0, err
+    spec = F.family_spec("krawtchouk", {"p": 0.3, "N": 5})
+    for z in json.loads(out)["zeros"]:
+        assert abs(D.discrete_eval(spec, 5, z)) <= 1e-12
+
+
+def test_zeros_and_diagnose_past_classical_jacobi_overflow(capsys):
+    # the classical Jacobi-type chain stops at a_133 = 0; the monic one not
+    code, out, err = run(capsys, "zeros", "--family", "gegenbauer", "--lam",
+                         "1.5", "--n", "150")
+    assert code == 0, err
+    zs = json.loads(out)["zeros"]
+    assert len(zs) == 150
+    assert all(-1 < a < b < 1 for a, b in zip(zs, zs[1:]))
+    code, out, err = run(capsys, "diagnose", "--family", "jacobi", "--alpha",
+                         "0.5", "--beta", "1.5", "--carleman", "--rho",
+                         "0.3", "--true-interval", "100")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["carleman"]["verdict"] == "diverges"
+    assert doc["rho"]["verdict"] == "diverges"
+    assert doc["true_interval"]["limits"] == pytest.approx([-1, 1], abs=1e-3)
+
+
 def test_zeros_requires_one_source(capsys):
     code, _, err = run(capsys, "zeros", "--n", "2")
     assert code == 2
@@ -159,15 +188,55 @@ def test_check_quadratic_rejects_hermite(capsys):
 
 
 def test_check_series_overflow_exits_1(capsys):
-    # the Hermite series terms overflow doubles long before degree 200;
-    # 171! no longer converts to a float
-    for args in (("--family", "hermite", "--identity", "shift", "--n", "200"),
-                 ("--family", "laguerre", "--alpha", "0.5", "--identity",
-                  "ode", "--n", "171")):
-        code, out, err = run(capsys, "check", *args)
+    # monic Laguerre values grow like n! and leave the double range before
+    # degree 171
+    for n in ("171", "200"):
+        code, out, err = run(capsys, "check", "--family", "laguerre",
+                             "--alpha", "0.5", "--identity", "ode", "--n", n)
         assert code == 1
+        assert out == ""
         assert "double range" in err
         assert "Traceback" not in err
+
+
+_CONTINUOUS = {"legendre": (), "jacobi": ("--alpha", "0.5", "--beta", "1.5"),
+               "laguerre": ("--alpha", "0.5"), "hermite": (),
+               "gegenbauer": ("--lam", "1.5"), "chebyshev_t": (),
+               "chebyshev_u": ()}
+
+
+@pytest.mark.parametrize("n", (10, 30, 60))
+@pytest.mark.parametrize("identity", ("ode", "shift"))
+@pytest.mark.parametrize("family", _CONTINUOUS)
+def test_check_pearson_identities_pass(family, identity, n, capsys):
+    code, out, err = run(capsys, "check", "--family", family,
+                         *_CONTINUOUS[family], "--identity", identity,
+                         "--n", str(n))
+    assert code == 0, err
+    assert json.loads(out)["residual"] <= 1e-10
+
+
+def test_check_shift_at_degree_200(capsys):
+    for family in ("hermite", "legendre"):
+        code, out, err = run(capsys, "check", "--family", family,
+                             "--identity", "shift", "--n", "200")
+        assert code == 0, err
+        assert json.loads(out)["pass"] is True
+
+
+def test_check_non_finite_residual_exits_1(capsys, monkeypatch):
+    real = F.quadratic_transform_check
+
+    def one_nan(n, alpha, x):
+        e, o = real(n, alpha, x)
+        return (math.nan, o) if n == 2 and abs(x) < 0.1 else (e, o)
+
+    monkeypatch.setattr(F, "quadratic_transform_check", one_nan)
+    code, out, err = run(capsys, "check", "--family", "legendre",
+                         "--identity", "quadratic", "--n", "3")
+    assert code == 1
+    assert out == ""
+    assert "degree 2" in err
 
 
 def test_check_quadratic_takes_alpha_from_jacobi_reduction(capsys,
@@ -376,6 +445,8 @@ _IMPORT_PROBE = textwrap.dedent("""
           "--grid=-1:1:3"])
     main(["recurrence", "--family", "jacobi", "--alpha", "0.5",
           "--beta", "1.5", "--n-max", "5"])
+    main(["check", "--family", "legendre", "--identity", "shift",
+          "--n", "30"])
     lean = heavy()
     main(["quadrature", "--family", "legendre", "--n", "5"])
     print(json.dumps({"lean": lean, "quadrature": heavy()}))

@@ -63,10 +63,11 @@ def test_from_tables_raises_past_stored_range():
 
 def test_eval_with_derivative():
     sys = legendre_system()
-    p, d = R.eval_poly_with_derivative(sys, 3, 0.4)
-    # P_3 = (5x^3-3x)/2, P_3' = (15x^2-3)/2
+    p, d, s = (v[3] for v in R.eval_all_derivatives(sys, 3, 0.4))
+    # P_3 = (5x^3-3x)/2, P_3' = (15x^2-3)/2, P_3'' = 15x
     assert p == pytest.approx((5 * 0.064 - 1.2) / 2)
     assert d == pytest.approx((15 * 0.16 - 3) / 2)
+    assert s == pytest.approx(15 * 0.4)
 
 
 def test_eval_all_consistent_with_eval_poly():
