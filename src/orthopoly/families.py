@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .measures import Measure, continuous_measure
-from .recurrence import (NormData, RecurrenceError, RecurrenceSystem,
+from .recurrence import (RecurrenceError, RecurrenceSystem,
                          eval_all_derivatives, eval_poly)
 
 _TINY = 1e-300

@@ -10,7 +10,7 @@ import numpy as np
 
 from .measures import Measure, integrate
 from .recurrence import (NormData, RecurrenceError, RecurrenceSystem,
-                         eval_all, eval_all_derivatives, eval_poly)
+                         eval_all, eval_all_derivatives)
 
 # below this separation the closed form of the kernel cancels; use the
 # confluent (derivative) form instead
