@@ -60,12 +60,12 @@ def _termination_index(upper) -> int:
 
 
 def _in_double_range(fn):
-    """Report the OverflowError of an int factorial too large for a float
-    (degree 171 on) as FamilyError."""
+    """Report an OverflowError as FamilyError: an int factorial too large
+    for a float (degree 171 on) or a float power past the double range."""
     @functools.wraps(fn)
-    def checked(*args):
+    def checked(*args, **kwargs):
         try:
-            return fn(*args)
+            return fn(*args, **kwargs)
         except OverflowError as exc:
             raise FamilyError(f"{fn.__name__}: terms leave the double range "
                               f"({exc})") from exc
@@ -375,7 +375,7 @@ def _pearson_chains(spec: FamilySpec, n: int, x):
     x = np.asarray(x, dtype=float)
     p = np.array(eval_all_derivatives(family_monic_system(spec), n, x))
     q = np.array(eval_all_derivatives(family_monic_system(shifted),
-                                      max(n - 1, 0), x))
+                                      max(n - 1, 0), x))[:, :n]
     k = np.arange(n + 1).reshape((-1,) + (1,) * x.ndim)
     return p, q, s0 + (s1 + s2 * x) * x, t0 + t1 * x, t1 + (k - 1) * s2, k
 
@@ -467,8 +467,8 @@ def split_even_system(sys: RecurrenceSystem,
                       n_max: int) -> tuple[RecurrenceSystem, RecurrenceSystem]:
     """Split an even system into monic q, r with p_2n(x) = q_n(x^2),
     p_{2n+1}(x) = x r_n(x^2) (after monic rescaling of p)."""
-    for j in range(2 * n_max + 3):
-        if sys.coeffs(j)[1] != 0.0:
+    for j, (_, b, _) in enumerate(sys.table(2 * n_max + 2)):
+        if b != 0.0:
             raise RecurrenceError(f"b_{j} != 0: measure is not even")
 
     def c_monic(j: int) -> float:
@@ -696,6 +696,7 @@ def family_bundle(spec: FamilySpec, normalized: bool = False) -> FamilyBundle:
 # ---------------------------------------------------------------------------
 # limit relations
 
+@_in_double_range
 def limit_check(which: int, n: int, parameter: float, x: float,
                 alpha: float = 0.0) -> float:
     """Error of one of the three classical limit relations at x.

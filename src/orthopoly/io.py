@@ -63,12 +63,8 @@ def load_recurrence(doc: dict) -> RecurrenceSystem:
 
 def dump_recurrence(sys: RecurrenceSystem, n_max: int) -> dict:
     """Tabulate a system's coefficients into a document."""
-    a, b, c = [], [], []
-    for n in range(n_max + 1):
-        an, bn, cn = sys.coeffs(n)
-        a.append(an)
-        b.append(bn)
-        c.append(cn)
+    rows = sys.table(n_max)
+    a, b, c = ([row[i] for row in rows] for i in range(3))
     return {"schema": SCHEMA_VERSION, "form": sys.form, "p0": sys.p0,
             "coefficients": {"a": a, "b": b, "c": c}}
 

@@ -3,14 +3,13 @@ the Jacobi matrix, and Gauss quadrature with exactness checks."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .measures import Measure, integrate
 from .recurrence import (NormData, RecurrenceError, RecurrenceSystem,
-                         eval_all, eval_all_derivatives)
+                         eval_all, eval_all_derivatives, validate_favard)
 
 # below this separation the closed form of the kernel cancels; use the
 # confluent (derivative) form instead
@@ -105,16 +104,11 @@ def kernel_poly_bilinear_residual(sys: RecurrenceSystem, norms: NormData,
 def jacobi_matrix(sys: RecurrenceSystem, n: int) -> tuple[np.ndarray,
                                                           np.ndarray]:
     """Diagonal and off-diagonal of the n x n orthonormal-form Jacobi matrix."""
-    diag = np.array([sys.coeffs(j)[1] for j in range(n)])
-    off = np.empty(max(n - 1, 0))
-    for j in range(n - 1):
-        a_j = sys.coeffs(j)[0]
-        c_next = sys.coeffs(j + 1)[2]
-        prod = a_j * c_next
-        if prod <= 0:
-            raise RecurrenceError(f"Favard violation at n={j}")
-        off[j] = math.sqrt(prod)
-    return diag, off
+    diag = np.array([b for _, b, _ in sys.table(n - 1)])
+    favard = validate_favard(sys, n - 1)
+    if favard.failures:
+        raise RecurrenceError(f"Favard violation at n={favard.failures[0][0]}")
+    return diag, np.sqrt(favard.products)
 
 
 def zeros(sys: RecurrenceSystem, norms: NormData | None, n: int) -> np.ndarray:

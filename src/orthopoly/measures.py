@@ -8,7 +8,8 @@ from typing import Callable
 
 import numpy as np
 
-from .recurrence import NormData, RecurrenceError, RecurrenceSystem
+from .recurrence import (NormData, RecurrenceError, RecurrenceSystem,
+                         from_tables)
 
 DEFAULT_TOL = 1e-12
 _MAX_DISCRETE_TERMS = 200_000
@@ -209,11 +210,5 @@ def recurrence_from_measure(m: Measure, n_max: int,
         hs.append(hn)
         bs.append(integrate(m, lambda x: x * p_eval(n, x) ** 2, tol) / hn)
 
-    b_arr, c_arr = list(bs), list(cs)
-
-    def coeff(n: int) -> tuple[float, float, float]:
-        return 1.0, b_arr[n], c_arr[n]
-
-    sys = RecurrenceSystem(coeff, form="monic", p0=1.0, max_index_hint=n_max)
-    k = np.ones(n_max + 1)
-    return sys, NormData(h=np.array(hs), k=k)
+    sys = from_tables([1.0] * len(bs), bs, cs, form="monic")
+    return sys, NormData(h=np.array(hs), k=np.ones(n_max + 1))

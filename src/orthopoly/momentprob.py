@@ -27,27 +27,19 @@ class MomentProblemError(RuntimeError):
 
 def numerator_polys(sys: RecurrenceSystem) -> RecurrenceSystem:
     """First associated system p_n^{(1)}: coefficients shifted by one index."""
-    if sys.form == "monic":
-        def coeff(n: int) -> tuple[float, float, float]:
-            _, b1, c1 = sys.coeffs(n + 1)
+    if sys.form not in ("monic", "orthonormal"):
+        raise MomentProblemError(
+            "numerator polynomials need a monic or orthonormal system")
+
+    def coeff(n: int) -> tuple[float, float, float]:
+        a1, b1, c1 = sys.coeffs(n + 1)
+        if sys.form == "monic":
             return 1.0, b1, c1 if n > 0 else 0.0
+        return a1, b1, sys.coeffs(n)[0] if n > 0 else 0.0
 
-        return RecurrenceSystem(coeff, form="monic", p0=1.0,
-                                max_index_hint=None
-                                if sys.max_index_hint is None
-                                else sys.max_index_hint - 1)
-    if sys.form == "orthonormal":
-        def coeff(n: int) -> tuple[float, float, float]:
-            a1, b1, _ = sys.coeffs(n + 1)
-            a_n = sys.coeffs(n)[0]
-            return a1, b1, a_n if n > 0 else 0.0
-
-        return RecurrenceSystem(coeff, form="orthonormal", p0=1.0,
-                                max_index_hint=None
-                                if sys.max_index_hint is None
-                                else sys.max_index_hint - 1)
-    raise MomentProblemError(
-        "numerator polynomials need a monic or orthonormal system")
+    hint = sys.max_index_hint
+    return RecurrenceSystem(coeff, form=sys.form, p0=1.0,
+                            max_index_hint=None if hint is None else hint - 1)
 
 
 def stieltjes_identity_residual(sys: RecurrenceSystem, m: Measure, n: int,
@@ -72,11 +64,12 @@ def continued_fraction(sys: RecurrenceSystem, n: int, z,
     if n < 1:
         raise MomentProblemError("need n >= 1")
     if method == "cf":
-        t = z - sys.coeffs(n - 1)[1]
+        rows = sys.table(n - 1)
+        t = z - rows[n - 1][1]
         for j in range(n - 2, -1, -1):
             if t == 0:
                 raise MomentProblemError(f"pole in continued fraction at {z}")
-            t = z - sys.coeffs(j)[1] - sys.coeffs(j + 1)[2] / t
+            t = z - rows[j][1] - rows[j + 1][2] / t
         if t == 0:
             raise MomentProblemError(f"pole in continued fraction at {z}")
         return 1.0 / t
@@ -316,8 +309,7 @@ def support_bound_criteria(sys: RecurrenceSystem,
     if sys.form != "monic":
         raise MomentProblemError("support criteria stated for monic systems")
     ns = np.arange(1, n_max + 1)
-    b = np.array([sys.coeffs(int(n))[1] for n in ns])
-    c = np.array([sys.coeffs(int(n))[2] for n in ns])
+    _, b, c = np.array(sys.table(n_max)[1:]).reshape(-1, 3).T
     tail = ns >= max(3 * n_max // 4, 2)
 
     def settled(seq):

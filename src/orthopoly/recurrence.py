@@ -26,28 +26,41 @@ class RecurrenceError(ValueError):
 class RecurrenceSystem:
     """Orthogonal polynomial system given by a coefficient function.
 
-    coeff_fn(n) returns the triple (a_n, b_n, c_n); c_0 is ignored.
+    coeff_fn(n) returns the triple (a_n, b_n, c_n); c_0 is ignored.  Each
+    index is computed and validated once, into a table that grows on demand.
     """
 
     coeff_fn: Callable[[int], tuple[float, float, float]]
     form: str = "general"
     p0: float = 1.0
     max_index_hint: int | None = None
+    _rows: list = field(default_factory=list, init=False, compare=False,
+                        repr=False)
 
     def __post_init__(self):
         if self.form not in FORMS:
             raise RecurrenceError(f"unknown form {self.form!r}")
 
+    def table(self, n: int) -> list[tuple[float, float, float]]:
+        """Rows (a_j, b_j, c_j) for j = 0..n, as Python floats."""
+        rows = self._rows
+        for j in range(len(rows), n + 1):
+            try:
+                a, b, c = self.coeff_fn(j)
+            except (IndexError, KeyError) as exc:
+                raise RecurrenceError(
+                    f"coefficients undefined at index {j}") from exc
+            if a == 0:
+                raise RecurrenceError(f"a_{j} = 0")
+            rows.append((float(a), float(b), float(c)))
+        return rows[:max(n + 1, 0)]
+
     def coeffs(self, n: int) -> tuple[float, float, float]:
         if n < 0:
             raise RecurrenceError(f"coefficient index {n} is negative")
-        try:
-            a, b, c = self.coeff_fn(n)
-        except (IndexError, KeyError) as exc:
-            raise RecurrenceError(f"coefficients undefined at index {n}") from exc
-        if a == 0:
-            raise RecurrenceError(f"a_{n} = 0")
-        return float(a), float(b), float(c)
+        if n >= len(self._rows):
+            self.table(n)
+        return self._rows[n]
 
 
 @dataclass(frozen=True)
@@ -92,8 +105,7 @@ def eval_poly(sys: RecurrenceSystem, n: int, x, precision: int | None = None):
         return _eval_poly_mp(sys, n, x, precision)
     p_prev = 0.0
     p = sys.p0 + 0.0 * x  # promotes to complex when x is complex
-    for j in range(n):
-        a, b, c = sys.coeffs(j)
+    for a, b, c in sys.table(n - 1):
         p, p_prev = ((x - b) * p - c * p_prev) / a, p
     return p
 
@@ -105,8 +117,7 @@ def _eval_poly_mp(sys: RecurrenceSystem, n: int, x, digits: int):
         xm = mpmath.mpmathify(x)
         p_prev = mpmath.mpf(0)
         p = mpmath.mpmathify(sys.p0)
-        for j in range(n):
-            a, b, c = sys.coeffs(j)
+        for a, b, c in sys.table(n - 1):
             p, p_prev = ((xm - b) * p - c * p_prev) / a, p
         if isinstance(p, mpmath.mpc):
             return complex(p)
@@ -121,8 +132,7 @@ def eval_all_derivatives(sys: RecurrenceSystem, n: int, x):
     d = 0.0 * x
     s = 0.0 * x
     ps, ds, ss = [p], [d], [s]
-    for j in range(n):
-        a, b, c = sys.coeffs(j)
+    for a, b, c in sys.table(n - 1):
         p_next = ((x - b) * p - c * p_prev) / a
         d_next = ((x - b) * d + p - c * d_prev) / a
         s_next = ((x - b) * s + 2 * d - c * s_prev) / a
@@ -138,12 +148,8 @@ def eval_all_derivatives(sys: RecurrenceSystem, n: int, x):
 def eval_all(sys: RecurrenceSystem, n: int, x) -> list:
     """Return [p_0(x), ..., p_n(x)]."""
     out = [sys.p0 + 0.0 * x]
-    if n == 0:
-        return out
-    p_prev = 0.0
-    p = out[0]
-    for j in range(n):
-        a, b, c = sys.coeffs(j)
+    p_prev, p = 0.0, out[0]
+    for a, b, c in sys.table(n - 1):
         p, p_prev = ((x - b) * p - c * p_prev) / a, p
         out.append(p)
     return out
@@ -159,16 +165,16 @@ class FavardReport:
         return not self.failures
 
 
+def favard_products(sys: RecurrenceSystem, upto: int) -> np.ndarray:
+    """a_n c_{n+1} for n < upto; Favard's theorem needs each one positive."""
+    rows = sys.table(upto)
+    return np.array([a * c for (a, _, _), (_, _, c) in zip(rows, rows[1:])])
+
+
 def validate_favard(sys: RecurrenceSystem, upto: int) -> FavardReport:
     """Check a_n c_{n+1} > 0 for n < upto; report offending products."""
-    products = np.empty(max(upto, 0))
-    failures = []
-    for n in range(upto):
-        a, _, _ = sys.coeffs(n)
-        _, _, c_next = sys.coeffs(n + 1)
-        products[n] = a * c_next
-        if products[n] <= 0:
-            failures.append((n, products[n]))
+    products = favard_products(sys, upto)
+    failures = [(int(n), products[n]) for n in np.flatnonzero(products <= 0)]
     return FavardReport(products=products, failures=failures)
 
 
@@ -182,9 +188,8 @@ def norms_from_recurrence(sys: RecurrenceSystem, h0: float, k0: float,
     h = np.empty(upto + 1)
     k = np.empty(upto + 1)
     h[0], k[0] = h0, k0
-    for n in range(upto):
-        a, _, _ = sys.coeffs(n)
-        _, _, c_next = sys.coeffs(n + 1)
+    rows = sys.table(upto)
+    for n, ((a, _, _), (_, _, c_next)) in enumerate(zip(rows, rows[1:])):
         h[n + 1] = h[n] * c_next / a
         if h[n + 1] <= 0:
             raise RecurrenceError(
@@ -210,11 +215,9 @@ def convert_form(sys: RecurrenceSystem, norms: NormData,
     src = sys.coeffs
 
     def monic_coeff(n: int) -> tuple[float, float, float]:
-        a, b, c = src(n)
-        if n == 0:
-            return 1.0, b, 0.0
-        a_prev, _, _ = src(n - 1)
-        return 1.0, b, c * a_prev
+        # the monic c_n is the Favard product a_{n-1} c_n
+        _, b, c = src(n)
+        return 1.0, b, c * src(n - 1)[0] if n > 0 else 0.0
 
     if target == "monic":
         return RecurrenceSystem(monic_coeff, form="monic", p0=1.0,
@@ -222,17 +225,11 @@ def convert_form(sys: RecurrenceSystem, norms: NormData,
 
     if target == "orthonormal":
         def ortho_coeff(n: int) -> tuple[float, float, float]:
-            a, b, _ = src(n)
-            _, _, c_next = src(n + 1)
-            prod = a * c_next
+            prod = monic_coeff(n + 1)[2]
             if prod <= 0:
                 raise RecurrenceError(f"Favard violation at n={n}")
-            a_new = np.sqrt(prod)
-            if n == 0:
-                return a_new, b, 0.0
-            a_prev, _, _ = src(n - 1)
-            _, _, c_cur = src(n)
-            return a_new, b, np.sqrt(a_prev * c_cur)
+            _, b, c = monic_coeff(n)
+            return np.sqrt(prod), b, np.sqrt(c)
 
         p0 = sys.p0 / np.sqrt(norms.h[0])
         return RecurrenceSystem(ortho_coeff, form="orthonormal", p0=p0,
@@ -256,10 +253,8 @@ def convert_form(sys: RecurrenceSystem, norms: NormData,
 
 def _check_norm_consistency(sys: RecurrenceSystem, norms: NormData,
                             rtol: float = 1e-9) -> None:
-    m = min(len(norms.h), len(norms.k)) - 1
-    for n in range(m):
-        a, _, _ = sys.coeffs(n)
-        _, _, c_next = sys.coeffs(n + 1)
+    rows = sys.table(min(len(norms.h), len(norms.k)) - 1)
+    for n, ((a, _, _), (_, _, c_next)) in enumerate(zip(rows, rows[1:])):
         if not np.isclose(norms.h[n + 1], norms.h[n] * c_next / a, rtol=rtol):
             raise RecurrenceError(f"inconsistent norms: h chain breaks at n={n}")
         if not np.isclose(norms.k[n + 1], norms.k[n] / a, rtol=rtol):
@@ -275,7 +270,7 @@ class SymmetryReport:
 def check_even_symmetry(sys: RecurrenceSystem, n_max: int,
                         samples: Sequence[float]) -> SymmetryReport:
     """Verify p_n(-x) = (-1)^n p_n(x) at the samples when all b_n vanish."""
-    all_b_zero = all(sys.coeffs(n)[1] == 0.0 for n in range(n_max + 1))
+    all_b_zero = all(b == 0.0 for _, b, _ in sys.table(n_max))
     worst = 0.0
     if all_b_zero:
         for x in samples:

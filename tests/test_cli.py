@@ -205,7 +205,7 @@ _CONTINUOUS = {"legendre": (), "jacobi": ("--alpha", "0.5", "--beta", "1.5"),
                "chebyshev_u": ()}
 
 
-@pytest.mark.parametrize("n", (10, 30, 60))
+@pytest.mark.parametrize("n", (0, 10, 30, 60))
 @pytest.mark.parametrize("identity", ("ode", "shift"))
 @pytest.mark.parametrize("family", _CONTINUOUS)
 def test_check_pearson_identities_pass(family, identity, n, capsys):
@@ -466,3 +466,122 @@ def test_cli_imports_scipy_and_mpmath_on_first_use():
     assert "scipy.linalg" in mods["quadrature"]
     assert "scipy.integrate" not in mods["quadrature"]
     assert not any(m.split(".")[0] == "mpmath" for m in mods["quadrature"])
+
+
+@pytest.mark.parametrize("family", ("legendre", "jacobi", "laguerre",
+                                    "hermite"))
+def test_check_orthogonality_passes(family, capsys):
+    # the inner products of distinct degrees are 0; the check normalises
+    # inside the integrand so the absolute quadrature tolerance holds
+    code, out, err = run(capsys, "check", "--family", family,
+                         *_CONTINUOUS[family], "--identity", "orthogonality",
+                         "--n", "10")
+    assert code == 0, err
+    assert json.loads(out)["residual"] <= 1e-14
+
+
+@pytest.mark.parametrize("c2", (0.0, -0.5))
+def test_diagnose_carleman_on_non_favard_recurrence_exits_1(c2, tmp_path,
+                                                           capsys):
+    # enough rows for all 2000 Carleman terms, with a_1 c_2 <= 0
+    c = [0.0] + [0.25] * 2001
+    c[2] = c2
+    doc = {"schema": 1, "form": "monic",
+           "coefficients": {"a": [1.0] * 2002, "b": [0.0] * 2002, "c": c}}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "diagnose", "--recurrence", str(path),
+                         "--carleman")
+    assert code == 1
+    assert out == ""
+    assert "Favard violation at n=1" in err
+
+
+@pytest.mark.parametrize("n", ("500", "1000"))
+@pytest.mark.parametrize("family", ("legendre", "jacobi", "gegenbauer",
+                                    "chebyshev_t", "chebyshev_u"))
+def test_check_limit_past_double_range_exits_1(family, n, capsys):
+    # a^(n/2) with a = 800 leaves the double range from n = 213 on
+    code, out, err = run(capsys, "check", "--family", family,
+                         *_CONTINUOUS[family], "--identity", "limit",
+                         "--n", n)
+    assert code == 1
+    assert out == ""
+    assert "double range" in err
+
+
+def test_check_limit_exact_at_degree_one(capsys):
+    # relation 26 holds exactly at n = 1: all four errors are 0
+    for family in ("legendre", "jacobi", "chebyshev_t"):
+        code, out, err = run(capsys, "check", "--family", family,
+                             *_CONTINUOUS[family], "--identity", "limit",
+                             "--n", "1")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["errors"] == [0.0] * 4
+        assert doc["pass"] is True
+
+
+@pytest.mark.parametrize("argv", (
+    ("check", "--family", "legendre", "--identity", "ode", "--n", "-1"),
+    ("check", "--family", "legendre", "--identity", "quadratic",
+     "--n", "-1"),
+    ("quadrature", "--family", "legendre", "--n", "-1"),
+    ("zeros", "--family", "legendre", "--n", "-1"),
+    ("tabulate", "--family", "legendre", "--n-max", "-1", "--grid", "0:1:2"),
+    ("recurrence", "--family", "legendre", "--n-max", "-1"),
+    ("diagnose", "--family", "legendre", "--true-interval", "0"),
+    ("diagnose", "--family", "legendre", "--true-interval", "-3"),
+))
+def test_degree_below_minimum_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be at least" in err
+
+
+def test_degree_zero_rule_and_zeros_exit_1(capsys):
+    for sub in ("quadrature", "zeros"):
+        code, _, err = run(capsys, sub, "--family", "legendre", "--n", "0")
+        assert code == 1
+        assert "need n >= 1" in err
+
+
+_SWEEP_FAMILIES = {**_CONTINUOUS, "krawtchouk": ("--p", "0.3", "--N", "20"),
+                   "hahn": ("--alpha", "0.5", "--beta", "1.5", "--N", "20"),
+                   "meixner": ("--beta", "1.5", "--c", "0.5"),
+                   "charlier": ("--a", "2")}
+
+
+def _sweep_commands(family):
+    fam = ("--family", family, *_SWEEP_FAMILIES[family])
+    for n in ("1", "133", "134", "500", "1000"):
+        yield ("tabulate", *fam, "--n-max", n, "--grid=-0.5:0.5:3",
+               "--format", "json")
+        yield ("quadrature", *fam, "--n", n)
+        yield ("zeros", *fam, "--n", n)
+        yield ("recurrence", *fam, "--n-max", n)
+        # orthogonality integrates every pair of degrees, and the quadratic
+        # check sums hypergeometric series of degree 2n: both take minutes
+        # at n = 133, so they run at n = 1 only
+        for identity in ("ode", "shift", "cd", "limit", "quadratic",
+                         "orthogonality")[:4 if n != "1" else 6]:
+            yield ("check", *fam, "--identity", identity, "--n", n)
+        if n in ("1", "133", "134"):
+            yield ("diagnose", *fam, "--carleman", "--rho", "0.3",
+                   "--true-interval", n)
+
+
+@pytest.mark.parametrize("family", _SWEEP_FAMILIES)
+def test_sweep_gives_a_document_or_a_clean_exit(family, capsys):
+    """Every subcommand at degrees around and past the classical Jacobi
+    overflow either emits a parsable document or exits 1/2 with a
+    message, never a traceback."""
+    for argv in _sweep_commands(family):
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1, 2), argv
+        if code:
+            assert err.startswith("orthopoly: "), (argv, err)
+        else:
+            json.loads(out)

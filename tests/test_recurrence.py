@@ -244,3 +244,76 @@ def test_even_symmetry_skips_asymmetric():
                              form="monic")
     rep = R.check_even_symmetry(sys, 4, [0.5])
     assert not rep.all_b_zero
+
+
+def _counting_legendre():
+    calls = {}
+    base = legendre_system().coeff_fn
+
+    def coeff(n):
+        calls[n] = calls.get(n, 0) + 1
+        return base(n)
+
+    return R.RecurrenceSystem(coeff, form="general", p0=1.0), calls
+
+
+def test_table_rows_are_python_floats_and_match_coeffs():
+    sys = R.RecurrenceSystem(lambda n: (np.float64(n + 1), n, 0.5 * n))
+    rows = sys.table(4)
+    assert len(rows) == 5
+    assert all(type(v) is float for row in rows for v in row)
+    assert [sys.coeffs(j) for j in range(5)] == rows
+    assert sys.table(-1) == []
+
+
+def test_every_consumer_computes_each_coefficient_once():
+    from orthopoly import io as opio
+    from orthopoly import kernels as K
+    from orthopoly.families import family_measure, legendre
+
+    sys, calls = _counting_legendre()
+    n = 30
+    x = np.linspace(-0.9, 0.9, 5)
+    norms = R.norms_from_recurrence(sys, 2.0, 1.0, n + 1)
+    R.eval_all(sys, n, x)
+    R.eval_all_derivatives(sys, n, 0.3)
+    R.eval_poly(sys, n, 0.3)
+    K.jacobi_matrix(sys, n)
+    K.gauss_rule(sys, norms, family_measure(legendre()), n)
+    K.cd_kernel(sys, norms, n, 0.2, 0.7)
+    K.cd_kernel(sys, norms, n, 0.2, 0.2)
+    K.cd_kernel(sys, norms, n, 0.2, 0.7, method="sum")
+    R.validate_favard(sys, n)
+    opio.dump_recurrence(sys, n + 1)
+    assert sorted(calls) == list(range(n + 2))
+    assert set(calls.values()) == {1}
+
+
+def test_derived_systems_read_the_cached_rows():
+    sys, calls = _counting_legendre()
+    norms = R.norms_from_recurrence(sys, 2.0, 1.0, 1)
+    for target in ("monic", "orthonormal"):
+        R.eval_all(R.convert_form(sys, norms, target), 20, 0.4)
+    assert set(calls.values()) == {1}
+
+
+def test_undefined_index_is_reported_once_and_stays_reported():
+    sys = R.from_tables([1.0, 1.0], [0.0, 0.0], [0.0, 0.5])
+    for _ in range(2):
+        with pytest.raises(R.RecurrenceError, match="undefined at index 2"):
+            sys.table(3)
+    assert sys.coeffs(1) == (1.0, 0.0, 0.5)
+
+
+def test_classical_jacobi_still_fails_at_index_133():
+    from orthopoly.families import jacobi_system
+
+    with pytest.raises(R.RecurrenceError, match="a_133 = 0"):
+        R.eval_all(jacobi_system(0.5, 1.5), 200, 0.3)
+
+
+def test_favard_products_match_the_report():
+    sys = legendre_system()
+    prods = R.favard_products(sys, 6)
+    assert list(prods) == list(R.validate_favard(sys, 6).products)
+    assert len(R.favard_products(sys, 0)) == 0
