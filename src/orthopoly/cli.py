@@ -167,8 +167,13 @@ def _load_system(args) -> R.RecurrenceSystem:
         m = OPIO.load_measure(OPIO.read_json(args.measure))
     except (OSError, json.JSONDecodeError, OPIO.SchemaError) as exc:
         raise ConfigError(f"--measure {args.measure}: {exc}") from exc
-    n_max = max(getattr(args, "n", 0) or 0,
-                getattr(args, "true_interval", 0) or 0, 16)
+    degree = max(getattr(args, "n", 0) or 0,
+                 getattr(args, "true_interval", 0) or 0)
+    n_max = max(degree, 16)
+    if m.n_points is not None and degree <= m.n_points:
+        # the zeros of p_N on N points are the points: rows to N - 1 do,
+        # and the floor must not ask for a degree the measure does not have
+        n_max = min(n_max, m.n_points - 1)
     try:
         sys_, _ = M.recurrence_from_measure(m, n_max, args.tol)
     except (M.IntegrationError, R.RecurrenceError) as exc:

@@ -8,6 +8,7 @@ verified in the tests.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -74,8 +75,28 @@ def discrete_weight(fam: FamilySpec, x: int) -> float:
         return (pochhammer(a + 1, x) / math.factorial(x)
                 * pochhammer(b + 1, N - x) / math.factorial(N - x))
     if f == "meixner":
-        return (pochhammer(fam.beta, x) * fam.c ** x / math.factorial(x))
-    return fam.a ** x / math.factorial(x)
+        beta, c = fam.beta, fam.c
+        return _lattice_weight(
+            x, lambda: pochhammer(beta, x) * c ** x / math.factorial(x),
+            lambda: (math.lgamma(beta + x) - math.lgamma(beta)
+                     + x * math.log(c) - math.lgamma(x + 1)))
+    a = fam.a
+    return _lattice_weight(x, lambda: a ** x / math.factorial(x),
+                           lambda: x * math.log(a) - math.lgamma(x + 1))
+
+
+def _lattice_weight(x: int, direct, log_weight) -> float:
+    """direct() where it is a finite double, so that such weights keep their
+    digits; past that exp(log_weight()), which underflows to 0 instead of
+    raising once the weight leaves the double range."""
+    w = math.inf
+    if x <= 170:  # x! is a double
+        with contextlib.suppress(OverflowError):
+            w = direct()
+    if not math.isfinite(w):
+        lw = log_weight()
+        w = math.exp(lw) if lw < 709.78 else math.inf
+    return w
 
 
 def family_measure(fam: FamilySpec, normalized: bool = False) -> Measure:
@@ -87,6 +108,10 @@ def family_measure(fam: FamilySpec, normalized: bool = False) -> Measure:
         weights = np.array([discrete_weight(fam, k) for k in range(fam.N + 1)])
         return discrete_measure(nodes, weights, meta={"name": f,
                                                       **fam.parameters})
+
+    def w(k: int) -> float:
+        return discrete_weight(fam, k)
+
     if f == "charlier":
         a = fam.a
 
@@ -94,17 +119,12 @@ def family_measure(fam: FamilySpec, normalized: bool = False) -> Measure:
             # sum_{x > k} a^x/x! <= a^{k+1}/(k+1)! * 1/(1 - a/(k+2))
             if k + 2 <= a:
                 return math.exp(a)
-            head = a ** (k + 1) / math.factorial(k + 1)
-            return head / (1 - a / (k + 2))
+            return w(k + 1) / (1 - a / (k + 2))
 
         norm = math.exp(-a) if normalized else 1.0
-        return discrete_infinite_measure(float, lambda k: a ** k / math.factorial(k),
-                                         tail, normalizer=norm,
+        return discrete_infinite_measure(float, w, tail, normalizer=norm,
                                          meta={"name": "charlier", "a": a})
     beta, c = fam.beta, fam.c
-
-    def w(k: int) -> float:
-        return pochhammer(beta, k) * c ** k / math.factorial(k)
 
     def tail(k: int) -> float:
         # ratio w_{x+1}/w_x = c (beta+x)/(x+1) is eventually < r < 1

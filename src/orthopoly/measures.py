@@ -1,4 +1,5 @@
-"""Orthogonality measures: inner products, moments, Hankel minors, Stieltjes procedure."""
+"""Orthogonality measures: inner products, moments, Hankel minors, and the
+recurrence of a measure by discretized Lanczos."""
 
 from __future__ import annotations
 
@@ -13,6 +14,8 @@ from .recurrence import (NormData, RecurrenceError, RecurrenceSystem,
 
 DEFAULT_TOL = 1e-12
 _MAX_DISCRETE_TERMS = 200_000
+# Largest discretization recurrence_from_measure tries before it gives up.
+_MAX_POINTS = 2048
 
 
 class IntegrationError(RuntimeError):
@@ -42,6 +45,13 @@ class Measure:
     alg_exponents: tuple[float, float] | None = None
     alg_smooth: Callable[[float], float] | None = None
     meta: dict = field(default_factory=dict)
+
+    @property
+    def n_points(self) -> int | None:
+        """Distinct support points of a finite measure, None otherwise."""
+        if self.kind != "discrete_finite":
+            return None
+        return int(np.unique(self.nodes).size)
 
 
 def continuous_measure(weight, support, normalizer=1.0, alg_exponents=None,
@@ -180,35 +190,147 @@ def hankel_minors(ms: MomentSequence, n_max: int) -> HankelReport:
 def recurrence_from_measure(m: Measure, n_max: int,
                             tol: float = DEFAULT_TOL
                             ) -> tuple[RecurrenceSystem, NormData]:
-    """Monic recurrence coefficients by the Stieltjes procedure.
+    """Monic recurrence coefficients by discretized Lanczos.
 
-    b_n = <x p_n, p_n>/h_n and c_n = h_n/h_{n-1}, with p_n evaluated from
-    the coefficients found so far.
+    The measure is replaced by a K-point discrete one: on a finite interval
+    a Gauss-Jacobi rule with the declared `alg_exponents` (Gauss-Legendre
+    when none are declared), on a half line a generalized Gauss-Laguerre
+    rule with the exponent at the finite end, on the whole line a
+    Gauss-Hermite rule, each times the rest of the weight; on an infinite
+    lattice its first K points.  Lanczos with full reorthogonalisation on
+    diag(nodes) gives b_n and c_n = beta_n^2 (Gautschi, Orthogonal
+    Polynomials: Computation and Approximation, 2004, section 2.2; Gragg &
+    Harrod 1984).  K starts at n_max + 1 and doubles until every b_n and
+    sqrt(c_n) changes by at most `tol` relative to |b_n| + sqrt(c_n) +
+    sqrt(c_{n+1}).  A finite measure is used as it is.
+
+    Raises RecurrenceError when K would exceed _MAX_POINTS.  So a weight
+    with an endpoint singularity that `alg_exponents` does not declare, or
+    whose decay does not fit the Laguerre or Hermite rule, fails instead of
+    giving drifted coefficients, and so does a `tol` at the rounding level.
+    A measure on N points has no polynomial of degree N: n_max >= N raises.
     """
-    bs: list[float] = []
-    cs: list[float] = [0.0]
-    hs: list[float] = []
-
-    def p_eval(j: int, x: float) -> float:
-        p_prev, p = 0.0, 1.0
-        for i in range(j):
-            p, p_prev = (x - bs[i]) * p - cs[i] * p_prev, p
-        return p
-
-    h0 = integrate(m, lambda x: 1.0, tol)
-    if h0 <= 0:
-        raise RecurrenceError("measure has non-positive total mass")
-    hs.append(h0)
-    bs.append(integrate(m, lambda x: x, tol) / h0)
-    for n in range(1, n_max + 1):
-        hn = integrate(m, lambda x: p_eval(n, x) ** 2, tol)
-        if hn <= 0:
+    if m.kind == "discrete_finite":
+        if n_max >= m.n_points:
             raise RecurrenceError(
-                f"loss of positivity in h_{n}: insufficient precision or "
-                "invalid measure")
-        cs.append(hn / hs[-1])
-        hs.append(hn)
-        bs.append(integrate(m, lambda x: x * p_eval(n, x) ** 2, tol) / hn)
+                f"a measure on {m.n_points} points has orthogonal polynomials "
+                f"of degree < {m.n_points} only; asked for degree {n_max}")
+        rows = _lanczos(m.nodes, m.normalizer * m.node_weights, n_max)
+        if rows is None:
+            raise RecurrenceError("Lanczos breakdown: a node or weight is "
+                                  "not finite, or the process lost "
+                                  "positivity")
+    else:
+        coarse, size = None, n_max + 1
+        while True:
+            if size > _MAX_POINTS:
+                raise RecurrenceError(
+                    f"recurrence coefficients to n = {n_max} did not settle "
+                    f"to tolerance {tol} within {_MAX_POINTS} points")
+            rows = _lanczos(*_discretize(m, size), n_max)
+            # a doubling confirms the coarse rows only if it put weight on
+            # more points than the coarse measure had
+            if (coarse is not None and rows is not None
+                    and rows[0] > coarse[0] and _settled(coarse, rows, tol)):
+                break
+            coarse, size = rows, 2 * size
+    _, h0, b, beta = rows
+    c = beta[:n_max + 1] ** 2
+    with np.errstate(over="ignore"):
+        h = h0 * np.cumprod(np.concatenate(([1.0], c[1:])))
+    sys = from_tables([1.0] * (n_max + 1), b, c, form="monic")
+    return sys, NormData(h=h, k=np.ones(n_max + 1))
 
-    sys = from_tables([1.0] * len(bs), bs, cs, form="monic")
-    return sys, NormData(h=np.array(hs), k=np.ones(n_max + 1))
+
+def _discretize(m: Measure, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of a size-point discrete stand-in for the measure."""
+    from scipy import special
+
+    if m.kind == "discrete_infinite":
+        x = np.array([m.node_fn(k) for k in range(size)], dtype=float)
+        w = np.array([m.weight_fn(k) for k in range(size)], dtype=float)
+        return x, m.normalizer * w
+    a, b = m.support
+    if m.alg_exponents is None:
+        exponents, rest = (0.0, 0.0), m.weight
+    else:
+        exponents, rest = m.alg_exponents, m.alg_smooth or (lambda x: 1.0)
+    if math.isinf(a) and math.isinf(b):
+        x, rule = special.roots_hermite(size)
+        ratio = _times_exp(_values(m.weight, x), x * x)
+    elif math.isinf(a) or math.isinf(b):
+        # x = end + sign t, t >= 0, with the exponent at the finite end
+        sign, end, expo = ((1.0, a, exponents[0]) if math.isinf(b)
+                           else (-1.0, b, exponents[1]))
+        t, rule = special.roots_genlaguerre(size, expo)
+        x = end + sign * t
+        ratio = _times_exp(_values(rest, x), t)
+    else:
+        # (x - a)^l (b - x)^r is ((b - a)/2)^(l + r) (1 + t)^l (1 - t)^r
+        left, right = exponents
+        half = (b - a) / 2
+        t, rule = special.roots_jacobi(size, right, left)
+        x = a + half * (1.0 + t)
+        ratio = half ** (left + right + 1) * _values(rest, x)
+    w = rule * ratio
+    w[rule == 0] = 0.0
+    return x, m.normalizer * w
+
+
+def _values(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    return np.array([f(float(t)) for t in x], dtype=float)
+
+
+def _times_exp(v: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """v e^t, in log form where e^t leaves the double range."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(t < 700.0, v * np.exp(np.minimum(t, 700.0)),
+                        np.exp(np.log(v) + t))
+
+
+def _lanczos(x: np.ndarray, w: np.ndarray, n_max: int):
+    """(points, mass, b_0..b_n, beta_0..beta_{n+1}) of the discrete measure
+    sum_k w_k delta(x_k), by Lanczos on diag(x) with two full
+    reorthogonalisations per step; beta_0 = 0 and beta_n = sqrt(c_n).
+
+    Points of weight 0 are dropped.  Returns None when a node or weight is
+    not finite, or when fewer than n_max + 1 points carry weight.
+    """
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
+        return None
+    if np.any(w < 0):
+        raise RecurrenceError("measure has a negative weight")
+    keep = w > 0
+    x, w = x[keep], w[keep]
+    if len(x) <= n_max:
+        return None
+    h0 = float(w.sum())
+    Q = np.empty((n_max + 1, len(x)))
+    Q[0] = np.sqrt(w / h0)
+    b = np.empty(n_max + 1)
+    beta = np.zeros(n_max + 2)
+    for j in range(n_max + 1):
+        v = x * Q[j]
+        b[j] = Q[j] @ v
+        v -= b[j] * Q[j]
+        if j:
+            v -= beta[j] * Q[j - 1]
+        for _ in range(2):
+            v -= Q[:j + 1].T @ (Q[:j + 1] @ v)
+        beta[j + 1] = math.sqrt(v @ v)
+        if j < n_max:
+            if not beta[j + 1] > 0:
+                return None
+            Q[j + 1] = v / beta[j + 1]
+    return len(x), h0, b, beta
+
+
+def _settled(coarse, fine, tol: float) -> bool:
+    """Every b_n, sqrt(c_n) and the mass agree to tol, on the row scale
+    |b_n| + sqrt(c_n) + sqrt(c_{n+1}) of the finer discretization."""
+    _, h0, b0, beta0 = coarse
+    _, h1, b1, beta1 = fine
+    scale = tol * (np.abs(b1) + beta1[:-1] + beta1[1:])
+    return bool(abs(h1 - h0) <= tol * h1
+                and np.all(np.abs(b1 - b0) <= scale)
+                and np.all(np.abs(beta1[:-1] - beta0[:-1]) <= scale))

@@ -1,5 +1,10 @@
 """Shared test plumbing: acceptance criteria results are collected here and
-printed as one line per criterion in the terminal summary."""
+printed as one line per criterion in the terminal summary; the error of
+computed monic recurrence rows against a family's closed form."""
+
+import math
+
+from orthopoly.families import family_monic_system
 
 acceptance_lines = []
 
@@ -16,3 +21,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for _, line in sorted(acceptance_lines):
         terminalreporter.write_line(line)
+
+
+def monic_row_error(b, c, spec) -> float:
+    """Largest difference of b_j and sqrt(c_j), j < len(b), from the closed
+    monic form of the family, relative to the Jacobi-row scale |b_j| +
+    sqrt(c_j) + sqrt(c_{j+1}) (c_{N+1} = 0 on a lattice of N + 1 points)."""
+    n = len(b) - 1
+    last = spec.parameters.get("N", n + 1)
+    ref = family_monic_system(spec).table(min(n + 1, last))
+    err = 0.0
+    for j in range(n + 1):
+        rb, rc = ref[j][1:]
+        rc1 = ref[j + 1][2] if j + 1 < len(ref) else 0.0
+        scale = abs(rb) + math.sqrt(rc) + math.sqrt(rc1)
+        err = max(err, abs(b[j] - rb) / scale,
+                  abs(math.sqrt(c[j]) - math.sqrt(rc)) / scale)
+    return err

@@ -5,7 +5,9 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
+from conftest import monic_row_error
 
 import orthopoly
 from orthopoly import discrete as D
@@ -156,6 +158,104 @@ def test_recurrence_from_measure_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["coefficients"]["c"][1] == pytest.approx(1.0 / 3.0, rel=1e-9)
+
+
+def _measure_file(tmp_path, family, flags):
+    """A named measure document with the parameters of the CLI flags."""
+    params = {k[2:]: int(v) if k == "--N" else float(v)
+              for k, v in zip(flags[::2], flags[1::2])}
+    spec = F.family_spec(family, params)
+    doc = {"schema": 1, "name": family, "parameters": params,
+           "kind": "discrete_infinite" if spec.discrete else "continuous"}
+    path = tmp_path / f"{family}.json"
+    path.write_text(json.dumps(doc))
+    return str(path), spec
+
+
+def _finite_file(tmp_path, size):
+    # the benchmark's finite measure has 60 nodes
+    doc = {"schema": 1, "kind": "discrete_finite",
+           "nodes": [-1 + 2 * k / (size - 1) for k in range(size)],
+           "weights": [1 + 0.5 * math.sin(k) for k in range(size)]}
+    path = tmp_path / f"finite{size}.json"
+    path.write_text(json.dumps(doc))
+    return str(path), doc
+
+
+@pytest.mark.parametrize("family", ("legendre", "jacobi", "laguerre",
+                                    "hermite", "gegenbauer", "chebyshev_t",
+                                    "chebyshev_u", "charlier", "meixner",
+                                    "krawtchouk", "hahn"))
+def test_recurrence_from_named_measure_file_is_its_closed_form(
+        family, tmp_path, capsys):
+    flags = {"meixner": ("--beta", "0.5", "--c", "0.5")}.get(
+        family, _SWEEP_FAMILIES[family])
+    path, spec = _measure_file(tmp_path, family, flags)
+    for n in (10, 40, 100):
+        n = min(n, spec.parameters.get("N", n + 1) - 1)
+        code, out, err = run(capsys, "recurrence", "--measure", path,
+                             "--n-max", str(n))
+        assert code == 0, err
+        co = json.loads(out)["coefficients"]
+        assert co["a"] == [1.0] * (n + 1)
+        assert monic_row_error(co["b"], co["c"], spec) <= 1e-12
+
+
+def test_finite_measure_file_degree_limit(tmp_path, capsys):
+    path, doc = _finite_file(tmp_path, 60)
+    for argv in (("recurrence", "--measure", path, "--n-max", "60"),
+                 ("zeros", "--measure", path, "--n", "61"),
+                 ("diagnose", "--measure", path, "--true-interval", "61")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert "60 points" in err
+    # the zeros of p_60 are the 60 points
+    code, out, err = run(capsys, "zeros", "--measure", path, "--n", "60")
+    assert code == 0, err
+    assert json.loads(out)["zeros"] == pytest.approx(doc["nodes"], abs=1e-13)
+    kpath, _ = _measure_file(tmp_path, "krawtchouk", ("--p", "0.3",
+                                                      "--N", "20"))
+    code, out, err = run(capsys, "zeros", "--measure", kpath, "--n", "22")
+    assert (code, out) == (1, "")
+    assert "21 points" in err
+
+
+def test_zeros_on_small_finite_measure_file(tmp_path, capsys):
+    # fewer points than the floor of 16 rows that --measure asks for
+    path, doc = _finite_file(tmp_path, 10)
+    code, out, err = run(capsys, "zeros", "--measure", path, "--n", "5")
+    assert code == 0, err
+    zs = json.loads(out)["zeros"]
+    # p_5 = prod (x - z) is orthogonal to 1, x, .., x^4 on the points
+    x, w = np.array(doc["nodes"]), np.array(doc["weights"])
+    p5 = np.prod([x - z for z in zs], axis=0)
+    for j in range(5):
+        assert abs(np.sum(w * x ** j * p5)) <= 1e-14 * np.sum(w * np.abs(p5))
+    code, out, err = run(capsys, "diagnose", "--measure", path, "--rho",
+                         "0.3")
+    assert code == 0, err
+    assert json.loads(out)["rho"]["n_terms"] == 8
+
+
+def test_meixner_measure_file(tmp_path, capsys):
+    # the lattice weights leave the double range of k! at k = 171
+    path, spec = _measure_file(tmp_path, "meixner", ("--beta", "0.5",
+                                                     "--c", "0.5"))
+    for argv in (("recurrence", "--measure", path, "--n-max", "40"),
+                 ("zeros", "--measure", path, "--n", "40"),
+                 ("diagnose", "--measure", path, "--carleman")):
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        json.loads(out)
+
+
+def test_recurrence_from_measure_at_rounding_tolerance_exits_1(tmp_path,
+                                                              capsys):
+    path, _ = _measure_file(tmp_path, "legendre", ())
+    code, out, err = run(capsys, "--tol", "1e-18", "recurrence", "--measure",
+                         path, "--n-max", "10")
+    assert (code, out) == (1, "")
+    assert "did not settle" in err
 
 
 def test_recurrence_roundtrip_through_loader(capsys):
@@ -447,25 +547,38 @@ _IMPORT_PROBE = textwrap.dedent("""
           "--beta", "1.5", "--n-max", "5"])
     main(["check", "--family", "legendre", "--identity", "shift",
           "--n", "30"])
+    named, finite = sys.argv[1:]
+    main(["recurrence", "--measure", finite, "--n-max", "5"])
     lean = heavy()
     main(["quadrature", "--family", "legendre", "--n", "5"])
-    print(json.dumps({"lean": lean, "quadrature": heavy()}))
+    quadrature = heavy()
+    main(["zeros", "--measure", finite, "--n", "5"])
+    main(["recurrence", "--measure", named, "--n-max", "5"])
+    main(["zeros", "--measure", named, "--n", "5"])
+    print(json.dumps({"lean": lean, "quadrature": quadrature,
+                      "measure": heavy()}))
 """)
 
 
-def test_cli_imports_scipy_and_mpmath_on_first_use():
+def test_cli_imports_scipy_and_mpmath_on_first_use(tmp_path):
     src = os.path.dirname(os.path.dirname(orthopoly.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
-                          capture_output=True, text=True, timeout=120)
+    named, _ = _measure_file(tmp_path, "jacobi", _CONTINUOUS["jacobi"])
+    finite, _ = _finite_file(tmp_path, 10)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, named, finite],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     mods = json.loads(proc.stdout.splitlines()[-1])
     assert mods["lean"] == []
     assert "scipy.linalg" in mods["quadrature"]
-    assert "scipy.integrate" not in mods["quadrature"]
-    assert not any(m.split(".")[0] == "mpmath" for m in mods["quadrature"])
+    # the discretized Lanczos of --measure takes its rules from scipy.special
+    assert "scipy.special" in mods["measure"]
+    for key in ("quadrature", "measure"):
+        assert not any(m.startswith("scipy.integrate") for m in mods[key])
+        assert not any(m.split(".")[0] == "mpmath" for m in mods[key])
 
 
 @pytest.mark.parametrize("family", ("legendre", "jacobi", "laguerre",
@@ -573,12 +686,26 @@ def _sweep_commands(family):
                    "--true-interval", n)
 
 
-@pytest.mark.parametrize("family", _SWEEP_FAMILIES)
-def test_sweep_gives_a_document_or_a_clean_exit(family, capsys):
+def _measure_sweep_commands(path):
+    for n in ("1", "40", "133"):
+        yield ("recurrence", "--measure", path, "--n-max", n)
+        yield ("zeros", "--measure", path, "--n", n)
+        yield ("diagnose", "--measure", path, "--carleman",
+               "--true-interval", n)
+
+
+@pytest.mark.parametrize("family", (*_SWEEP_FAMILIES, "finite"))
+def test_sweep_gives_a_document_or_a_clean_exit(family, tmp_path, capsys):
     """Every subcommand at degrees around and past the classical Jacobi
-    overflow either emits a parsable document or exits 1/2 with a
-    message, never a traceback."""
-    for argv in _sweep_commands(family):
+    overflow, and every --measure command on the family's named measure
+    document (or on a 60-point finite measure), either emits a parsable
+    document or exits 1/2 with a message, never a traceback."""
+    if family == "finite":
+        commands = _measure_sweep_commands(_finite_file(tmp_path, 60)[0])
+    else:
+        path, _ = _measure_file(tmp_path, family, _SWEEP_FAMILIES[family])
+        commands = [*_sweep_commands(family), *_measure_sweep_commands(path)]
+    for argv in commands:
         code, out, err = run(capsys, *argv)
         assert code in (0, 1, 2), argv
         if code:

@@ -58,6 +58,32 @@ def test_weights():
         assert D.discrete_weight(fam, x) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("fam", (D.charlier(2.0), D.meixner(0.5, 0.5),
+                                 D.meixner(1.5, 0.5)))
+def test_lattice_weights_past_the_factorial_range(fam):
+    # k! leaves the double range at k = 171: the weights and the tail
+    # bounds go on in log form and underflow to 0, where they used to
+    # raise OverflowError
+    if fam.family == "charlier":
+        direct = lambda k: fam.a ** k / math.factorial(k)
+        log_w = lambda k: k * math.log(fam.a) - math.lgamma(k + 1)
+    else:
+        direct = lambda k: (pochhammer(fam.beta, k) * fam.c ** k
+                            / math.factorial(k))
+        log_w = lambda k: (math.lgamma(fam.beta + k) - math.lgamma(fam.beta)
+                           + k * math.log(fam.c) - math.lgamma(k + 1))
+    for k in range(171):
+        assert D.discrete_weight(fam, k) == direct(k)
+    for k in (171, 200, 500, 1000):
+        assert D.discrete_weight(fam, k) == pytest.approx(
+            math.exp(log_w(k)), rel=1e-12)
+    assert D.discrete_weight(fam, 5000) == 0.0
+    m = D.family_measure(fam)
+    assert m.weight_fn(300) == D.discrete_weight(fam, 300)
+    assert 0.0 <= m.tail_bound(300) < 1e-50
+    assert m.tail_bound(5000) == 0.0
+
+
 def test_weight_outside_support():
     with pytest.raises(FamilyError):
         D.discrete_weight(D.krawtchouk(0.3, 5), 6)

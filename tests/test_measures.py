@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from conftest import monic_row_error
 
+from orthopoly import discrete as D
 from orthopoly import measures as M
 from orthopoly import recurrence as R
 from orthopoly.discrete import charlier, family_measure as charlier_measure
-from orthopoly.families import (family_measure, hermite, jacobi,
-                                jacobi_monic_c, legendre)
+from orthopoly.families import (chebyshev_t, chebyshev_u, family_measure,
+                                gegenbauer, hermite, jacobi, jacobi_monic_b,
+                                jacobi_monic_c, laguerre, legendre)
 
 
 def legendre_half():
@@ -136,3 +139,85 @@ def test_infinite_sum_truncates_by_tail_bound():
 def test_continuous_support_validation():
     with pytest.raises(ValueError):
         M.continuous_measure(lambda x: 1.0, (1.0, 1.0))
+
+
+# the benchmark's parameters for the continuous families and Charlier;
+# Meixner, Krawtchouk and Hahn as in the CLI sweep
+NAMED_MEASURES = {
+    "legendre": legendre(), "jacobi": jacobi(0.5, 1.5),
+    "laguerre": laguerre(0.5), "hermite": hermite(),
+    "gegenbauer": gegenbauer(1.5), "chebyshev_t": chebyshev_t(),
+    "chebyshev_u": chebyshev_u(), "charlier": D.charlier(2.0),
+    "meixner": D.meixner(0.5, 0.5), "krawtchouk": D.krawtchouk(0.3, 20),
+    "hahn": D.hahn(0.5, 1.5, 20)}
+
+
+@pytest.mark.parametrize("n", (10, 40, 100))
+@pytest.mark.parametrize("name", NAMED_MEASURES)
+def test_named_measure_gives_its_closed_form_recurrence(name, n):
+    spec = NAMED_MEASURES[name]
+    n = min(n, spec.parameters.get("N", n + 1) - 1)
+    sys, norms = M.recurrence_from_measure(family_measure(spec), n)
+    a, b, c = np.array(sys.table(n)).T
+    assert np.all(a == 1.0)
+    assert monic_row_error(b, c, spec) <= 1e-12
+    # h_n = h_0 prod c_j
+    with np.errstate(over="ignore"):
+        assert np.array_equal(norms.h, norms.h[0] * np.cumprod(
+            np.concatenate(([1.0], c[1:]))))
+
+
+def test_undeclared_endpoint_singularity_raises():
+    m = M.continuous_measure(lambda x: x ** -0.9, (0.0, 1.0))
+    with pytest.raises(R.RecurrenceError, match="did not settle"):
+        M.recurrence_from_measure(m, 16)
+
+
+def test_declared_endpoint_singularity_is_shifted_jacobi():
+    # x^-0.9 on [0, 1] is the Jacobi weight alpha = 0, beta = -0.9 moved
+    # from [-1, 1]: b_n -> (1 + b_n)/2, c_n -> c_n/4
+    m = M.continuous_measure(lambda x: x ** -0.9, (0.0, 1.0),
+                             alg_exponents=(-0.9, 0.0))
+    sys, norms = M.recurrence_from_measure(m, 16)
+    assert norms.h[0] == pytest.approx(10.0, rel=1e-14)
+    for n in range(17):
+        _, b, c = sys.coeffs(n)
+        assert b == pytest.approx((1 + jacobi_monic_b(n, 0.0, -0.9)) / 2,
+                                  rel=1e-12)
+        if n:
+            assert c == pytest.approx(jacobi_monic_c(n, 0.0, -0.9) / 4,
+                                      rel=1e-12)
+
+
+def test_weight_that_does_not_evaluate_raises():
+    m = M.continuous_measure(lambda x: math.nan, (0.0, 1.0))
+    with pytest.raises(R.RecurrenceError, match="did not settle"):
+        M.recurrence_from_measure(m, 4)
+
+
+def test_tolerance_below_rounding_raises():
+    with pytest.raises(R.RecurrenceError, match="did not settle"):
+        M.recurrence_from_measure(family_measure(legendre()), 10, 1e-18)
+
+
+@pytest.mark.parametrize("n_max", (60, 61, 70))
+def test_finite_measure_stops_below_its_support_size(n_max):
+    nodes = np.linspace(-1.0, 1.0, 60)
+    m = M.discrete_measure(nodes, 1 + 0.5 * np.sin(np.arange(60)))
+    assert m.n_points == 60
+    sys, _ = M.recurrence_from_measure(m, 59)
+    assert len(sys.table(59)) == 60
+    with pytest.raises(R.RecurrenceError, match="60 points"):
+        M.recurrence_from_measure(m, n_max)
+
+
+def test_finite_measure_counts_distinct_points():
+    m = M.discrete_measure([0.0, 0.0, 1.0], [1.0, 1.0, 2.0])
+    assert m.n_points == 2
+    sys, norms = M.recurrence_from_measure(m, 1)
+    # mass 2 at 0 and 2 at 1: b_0 = 1/2, c_1 = 1/4
+    assert sys.coeffs(0)[1] == pytest.approx(0.5)
+    assert sys.coeffs(1)[2] == pytest.approx(0.25)
+    assert norms.h[0] == 4.0
+    with pytest.raises(R.RecurrenceError):
+        M.recurrence_from_measure(m, 2)
