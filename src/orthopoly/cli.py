@@ -249,22 +249,19 @@ def _check_battery(spec, identity: str, n: int, tol: float):
         except F.FamilyError as exc:
             raise ConfigError("quadratic transformation applies to the "
                               "Jacobi-type families") from exc
-        by_degree = {k: [F.quadratic_transform_check(k, alpha, float(x))
-                         for x in xs] for k in range(n + 1)}
+        by_degree = dict(enumerate(np.hstack(
+            F.quadratic_transform_residuals(n, alpha, xs))))
     elif identity == "orthogonality":
+        # the Gram matrix of the orthonormal chain on a Gauss rule of n + 2
+        # points, which integrates every product of degrees <= n exactly;
+        # its residuals are the rule's own rounding, 1e-15 to 1e-14 at n = 10
         b = _bundle(spec)
-        norms = R.norms_from_recurrence(b.system, b.h0, b.k0, n)
-
-        def inner(i, j):
-            # normalise inside the integrand, so that the absolute quadrature
-            # tolerance applies to O(1) values
-            s = math.sqrt(norms.h[i] * norms.h[j])
-            return M.inner_product(lambda x: R.eval_poly(b.system, i, x) / s,
-                                   lambda x: R.eval_poly(b.system, j, x),
-                                   b.measure)
-
-        by_degree = {j: [inner(i, j) for i in range(j)]
-                     for j in range(n + 1)}
+        nodes, weights = _independent_rule(spec, n + 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = np.array(R.eval_all(_orthonormal_from(b.system, b.h0), n,
+                                    nodes))
+            gram = (p * weights) @ p.T
+        by_degree = {j: gram[j, :j] for j in range(n + 1)}
     elif identity == "limit":
         # every Jacobi-type family is a source of relation 26
         which = {"laguerre": 28, "hermite": None}.get(spec.family, 26)
@@ -290,6 +287,29 @@ def _check_battery(spec, identity: str, n: int, tol: float):
                 "values leave the double range")
         worst = max(worst, float(res.max(initial=0.0)))
     return worst, {}
+
+
+def _independent_rule(spec, size: int):
+    """Nodes and weights of the size-point Gauss rule of the family's weight,
+    from scipy.special, which does not use the recurrence under check."""
+    from scipy import special
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.family == "laguerre":
+            nodes, weights = special.roots_genlaguerre(size, spec.alpha)
+        elif spec.family == "hermite":
+            nodes, weights = special.roots_hermite(size)
+        else:
+            a, b, _ = F._as_jacobi(spec, 0)
+            nodes, weights = special.roots_jacobi(size, a, b)
+    # a weight that underflowed drops its node's products from the Gram
+    # matrix, which then reads as a violated identity
+    if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))
+            and np.all(weights > 0)):
+        raise NumericalFailure(
+            f"orthogonality to degree {size - 2}: the {size}-point Gauss "
+            "rule has weights that underflow or are not finite")
+    return nodes, weights
 
 
 def _cmd_check(args) -> int:

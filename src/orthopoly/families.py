@@ -74,8 +74,14 @@ def _in_double_range(fn):
 
 
 @_in_double_range
-def _guarded_sum(term_fn, n_terms: int) -> float:
-    """Sum term_fn(k, num) for k < n_terms, escalating precision on cancellation."""
+def _guarded_sum(term_fn, n_terms: int, ratio) -> float:
+    """Sum term_fn(k, num) for k < n_terms, escalating precision on
+    cancellation.
+
+    The escalated pass forms each term from the one before it,
+    t_{k+1} = t_k * ratio(k, num), so a term costs O(1) there where
+    term_fn(k, num) costs O(n).
+    """
     total, max_abs = 0.0, 0.0
     for k in range(n_terms):
         t = term_fn(k, float)
@@ -91,8 +97,10 @@ def _guarded_sum(term_fn, n_terms: int) -> float:
     dps = 30 + int(math.log10(max_abs / max(abs(total), max_abs * 1e-200)))
     for _ in range(4):
         with mpmath.workdps(dps):
-            mp_total = mpmath.fsum(term_fn(k, mpmath.mpf)
-                                   for k in range(n_terms))
+            terms = [term_fn(0, mpmath.mpf)]
+            for k in range(n_terms - 1):
+                terms.append(terms[-1] * ratio(k, mpmath.mpf))
+            mp_total = mpmath.fsum(terms)
             ok = abs(mp_total) > max_abs * mpmath.mpf(10) ** (18 - dps)
             val = float(mp_total)
         if ok or val == 0.0:
@@ -104,8 +112,9 @@ def _guarded_sum(term_fn, n_terms: int) -> float:
 def hyp_terminating(spec: HypergeometricTerm) -> float:
     """Evaluate a terminating (generalized) hypergeometric series exactly.
 
-    Terms are formed directly from shifted factorials, so a zero factor
-    coming from an upper parameter never contaminates later terms.
+    Double-precision terms are formed directly from shifted factorials; an
+    escalated sum multiplies by the term ratio, in which a vanishing upper
+    factor a + k zeroes every later term, as it does in (a)_k.
     """
     n = spec.terms if spec.terms is not None else _termination_index(spec.upper)
     for b in spec.lower:
@@ -121,7 +130,16 @@ def hyp_terminating(spec: HypergeometricTerm) -> float:
             t /= pochhammer(b, k, num)
         return t / math.factorial(k)
 
-    return _guarded_sum(term, n + 1)
+    def ratio(k, num):
+        r = num(spec.argument) / (k + 1)
+        for a in spec.upper:
+            r *= num(a) + k
+        for b in spec.lower:
+            # b + k != 0 for k < n: such a pole is refused above
+            r /= num(b) + k
+        return r
+
+    return _guarded_sum(term, n + 1, ratio)
 
 
 def hyp(upper, lower, z, terms=None) -> float:
@@ -245,7 +263,11 @@ def jacobi_eval(n: int, alpha: float, beta: float, x: float) -> float:
                 / (math.factorial(k) * math.factorial(n - k))
                 * ((num(x) - 1) / 2) ** k)
 
-    return _guarded_sum(term, n + 1)
+    def ratio(k, num):
+        return ((num(alpha) + num(beta) + (n + 1 + k)) * (n - k)
+                / ((num(alpha) + (k + 1)) * (k + 1)) * ((num(x) - 1) / 2))
+
+    return _guarded_sum(term, n + 1, ratio)
 
 
 def laguerre_eval(n: int, alpha: float, x: float) -> float:
@@ -258,7 +280,10 @@ def laguerre_eval(n: int, alpha: float, x: float) -> float:
                 / (math.factorial(k) * math.factorial(n - k))
                 * (-num(x)) ** k)
 
-    return _guarded_sum(term, n + 1)
+    def ratio(k, num):
+        return (n - k) * -num(x) / ((num(alpha) + (k + 1)) * (k + 1))
+
+    return _guarded_sum(term, n + 1, ratio)
 
 
 def hermite_eval(n: int, x: float) -> float:
@@ -271,7 +296,13 @@ def hermite_eval(n: int, x: float) -> float:
                 * math.factorial(n) / (math.factorial(j)
                                        * math.factorial(n - 2 * j)))
 
-    return _guarded_sum(term, n // 2 + 1)
+    def ratio(j, num):
+        # never called at x = 0: every term but j = n/2 vanishes there, so
+        # the sum has no cancellation and does not escalate
+        return (-(n - 2 * j) * (n - 2 * j - 1)
+                / ((j + 1) * (2 * num(x)) ** 2))
+
+    return _guarded_sum(term, n // 2 + 1, ratio)
 
 
 def special_case_eval(spec: FamilySpec, n: int, x: float) -> float:
@@ -447,9 +478,64 @@ def rodrigues_eval(spec: FamilySpec, n: int, x: float) -> float:
 # ---------------------------------------------------------------------------
 # quadratic transformations and even-weight splitting
 
+def _jacobi_ratio_chain(m_max: int, alpha: float, beta: float,
+                        x: np.ndarray) -> np.ndarray:
+    """P_m^{(alpha,beta)}(x) / P_m^{(alpha,beta)}(1) for m = 0..m_max (rows),
+    from the monic recurrence.
+
+    With r_m = p_m(x)/p_m(1) and rho_m = p_{m+1}(1)/p_m(1) for the monic p_m,
+    r_{m+1} = ((x - b_m) r_m - (c_m/rho_{m-1}) r_{m-1}) / rho_m, so p_m(1)
+    itself, about 2^-m and below the normal range from m ~ 1030, is never
+    formed.  rho_m is taken in closed form: its own recurrence
+    rho_m = 1 - b_m - c_m/rho_{m-1} follows the subdominant solution at
+    x = 1 when alpha < 0 and loses digits (for alpha = -0.9 the residuals
+    to degree 21 came out 9e-12 that way, 8e-14 this way).
+    """
+    r_prev, r, rho_prev = np.zeros_like(x), np.ones_like(x), 1.0
+    rows = [r]
+    for m in range(m_max):
+        b = jacobi_monic_b(m, alpha, beta)
+        s = 2 * m + alpha + beta
+        # p_m(1) = 2^m (alpha + 1)_m / (m + alpha + beta + 1)_m
+        rho = (1 - b if m == 0 else
+               2 * (m + alpha + 1) * (m + alpha + beta + 1)
+               / ((s + 1) * (s + 2)))
+        c_scaled = jacobi_monic_c(m, alpha, beta) / rho_prev  # c_0 = 0
+        r, r_prev = ((x - b) * r - c_scaled * r_prev) / rho, r
+        rows.append(r)
+        rho_prev = rho
+    return np.array(rows)
+
+
+def quadratic_transform_residuals(n: int, alpha: float,
+                                  xs) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals of the even and odd quadratic transformations
+    P_2k^{(a,a)}(x) ~ P_k^{(a,-1/2)}(2x^2 - 1) and
+    P_2k+1^{(a,a)}(x) ~ x P_k^{(a,1/2)}(2x^2 - 1), each side normalised by
+    its value at 1, for k = 0..n (rows) at the points xs (columns).
+
+    All three chains come from the monic Jacobi recurrence in one pass
+    each; quadratic_transform_check is the series form of the same
+    residuals at one degree and point.  For alpha < -1/2 the normalised
+    values grow like k^(-1/2 - alpha), and a residual is taken relative to
+    the largest value of its degree where that exceeds 1.
+    """
+    def residual(lhs, rhs):
+        scale = np.maximum(abs(lhs), abs(rhs)).max(axis=1, keepdims=True)
+        return (lhs - rhs) / np.maximum(1.0, scale)
+
+    x = np.asarray(xs, dtype=float)
+    y = 2 * x * x - 1
+    sym = _jacobi_ratio_chain(2 * n + 1, alpha, alpha, x)
+    return (residual(sym[0::2], _jacobi_ratio_chain(n, alpha, -0.5, y)),
+            residual(sym[1::2], x * _jacobi_ratio_chain(n, alpha, 0.5, y)))
+
+
 def quadratic_transform_check(n: int, alpha: float,
                               x: float) -> tuple[float, float]:
-    """Residuals of the even/odd quadratic transformation identities."""
+    """Residuals of the even/odd quadratic transformation identities at one
+    degree and point, from the hypergeometric series: the test oracle of
+    quadratic_transform_residuals."""
     y = 2 * x * x - 1
 
     def norm1(m, a, b):

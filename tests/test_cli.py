@@ -14,6 +14,7 @@ from orthopoly import discrete as D
 from orthopoly import families as F
 from orthopoly import io as opio
 from orthopoly.cli import main
+from orthopoly.recurrence import RecurrenceSystem
 
 
 def run(capsys, *argv):
@@ -249,6 +250,32 @@ def test_meixner_measure_file(tmp_path, capsys):
         json.loads(out)
 
 
+def test_large_lattice_measure_files(tmp_path, capsys):
+    # the binomials and factorials of these weights leave the double range,
+    # which gave an OverflowError traceback
+    path, spec = _measure_file(tmp_path, "hahn", ("--alpha", "0.5", "--beta",
+                                                  "1.5", "--N", "400"))
+    for n in (10, 133):
+        code, out, err = run(capsys, "recurrence", "--measure", path,
+                             "--n-max", str(n))
+        assert code == 0, err
+        co = json.loads(out)["coefficients"]
+        assert monic_row_error(co["b"], co["c"], spec) <= 1e-12
+        code, out, err = run(capsys, "zeros", "--measure", path, "--n",
+                             str(n))
+        assert code == 0, err
+        assert len(json.loads(out)["zeros"]) == n
+    # Krawtchouk(0.3, 2000) weights underflow to 0 from x = 1437 on; without
+    # those points the rows are wrong from degree 350 on, so it is refused
+    path, _ = _measure_file(tmp_path, "krawtchouk", ("--p", "0.3",
+                                                     "--N", "2000"))
+    for argv in (("recurrence", "--measure", path, "--n-max", "10"),
+                 ("zeros", "--measure", path, "--n", "10")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert "w_1437 underflows to 0" in err
+
+
 def test_recurrence_from_measure_at_rounding_tolerance_exits_1(tmp_path,
                                                               capsys):
     path, _ = _measure_file(tmp_path, "legendre", ())
@@ -325,13 +352,14 @@ def test_check_shift_at_degree_200(capsys):
 
 
 def test_check_non_finite_residual_exits_1(capsys, monkeypatch):
-    real = F.quadratic_transform_check
+    real = F.quadratic_transform_residuals
 
-    def one_nan(n, alpha, x):
-        e, o = real(n, alpha, x)
-        return (math.nan, o) if n == 2 and abs(x) < 0.1 else (e, o)
+    def one_nan(n, alpha, xs):
+        even, odd = real(n, alpha, xs)
+        even[2, np.abs(xs) < 0.1] = math.nan
+        return even, odd
 
-    monkeypatch.setattr(F, "quadratic_transform_check", one_nan)
+    monkeypatch.setattr(F, "quadratic_transform_residuals", one_nan)
     code, out, err = run(capsys, "check", "--family", "legendre",
                          "--identity", "quadratic", "--n", "3")
     assert code == 1
@@ -342,13 +370,13 @@ def test_check_non_finite_residual_exits_1(capsys, monkeypatch):
 def test_check_quadratic_takes_alpha_from_jacobi_reduction(capsys,
                                                           monkeypatch):
     seen = []
-    real = F.quadratic_transform_check
+    real = F.quadratic_transform_residuals
 
-    def spy(n, alpha, x):
+    def spy(n, alpha, xs):
         seen.append(alpha)
-        return real(n, alpha, x)
+        return real(n, alpha, xs)
 
-    monkeypatch.setattr(F, "quadratic_transform_check", spy)
+    monkeypatch.setattr(F, "quadratic_transform_residuals", spy)
     for args, alpha in ((("--family", "gegenbauer", "--lam", "1.5"), 1.0),
                         (("--family", "chebyshev_t"), -0.5),
                         (("--family", "chebyshev_u"), 0.5)):
@@ -358,6 +386,67 @@ def test_check_quadratic_takes_alpha_from_jacobi_reduction(capsys,
         assert code == 0
         assert json.loads(out)["residual"] <= 1e-11
         assert set(seen) == {alpha}
+
+
+@pytest.mark.parametrize("n", ("10", "133"))
+def test_check_quadratic_fails_on_a_perturbed_coefficient(n, capsys,
+                                                          monkeypatch):
+    real = F.jacobi_monic_c
+
+    def perturbed(m, alpha, beta):
+        c = real(m, alpha, beta)
+        return c * (1 + 1e-9) if (m, alpha, beta) == (5, 0.0, 0.0) else c
+
+    monkeypatch.setattr(F, "jacobi_monic_c", perturbed)
+    code, out, err = run(capsys, "check", "--family", "legendre",
+                         "--identity", "quadratic", "--n", n)
+    assert code == 1
+    assert json.loads(out)["residual"] > 1e-10
+    assert "not verified" in err
+
+
+@pytest.mark.parametrize("n", ("10", "133"))
+@pytest.mark.parametrize("family", ("legendre", "laguerre", "hermite"))
+def test_check_orthogonality_fails_on_a_perturbed_coefficient(
+        family, n, capsys, monkeypatch):
+    real = F.family_system
+
+    def perturbed(spec):
+        sys_ = real(spec)
+
+        def coeff(j):
+            a, b, c = sys_.coeffs(j)
+            return a, b, c * (1 + 1e-9) if j == 5 else c
+
+        return RecurrenceSystem(coeff, form=sys_.form, p0=sys_.p0)
+
+    monkeypatch.setattr(F, "family_system", perturbed)
+    code, out, err = run(capsys, "check", "--family", family,
+                         *_CONTINUOUS[family], "--identity", "orthogonality",
+                         "--n", n)
+    assert code == 1
+    assert json.loads(out)["residual"] > 1e-10
+    assert "not verified" in err
+
+
+@pytest.mark.parametrize("n", ("133", "300", "1000"))
+@pytest.mark.parametrize("family, identity", (
+    ("legendre", "orthogonality"), ("laguerre", "orthogonality"),
+    ("hermite", "orthogonality"), ("legendre", "quadratic"),
+    ("chebyshev_t", "quadratic"), ("gegenbauer", "quadratic")))
+def test_check_never_reports_a_true_identity_as_violated(family, identity, n,
+                                                         capsys):
+    # a Gauss rule with weights that underflow to 0 drops products from the
+    # Gram matrix (accepted, it reads 0.331 for Laguerre at n = 300), so
+    # orthogonality refuses it as a numerical failure
+    code, out, err = run(capsys, "check", "--family", family,
+                         *_CONTINUOUS[family], "--identity", identity,
+                         "--n", n)
+    if code:
+        assert (code, out) == (1, "")
+        assert err.startswith("orthopoly: numerical failure"), err
+    else:
+        assert json.loads(out)["pass"] is True
 
 
 def test_check_limit_from_every_jacobi_type_family(capsys):
@@ -547,6 +636,8 @@ _IMPORT_PROBE = textwrap.dedent("""
           "--beta", "1.5", "--n-max", "5"])
     main(["check", "--family", "legendre", "--identity", "shift",
           "--n", "30"])
+    main(["check", "--family", "legendre", "--identity", "quadratic",
+          "--n", "30"])
     named, finite = sys.argv[1:]
     main(["recurrence", "--measure", finite, "--n-max", "5"])
     lean = heavy()
@@ -555,8 +646,11 @@ _IMPORT_PROBE = textwrap.dedent("""
     main(["zeros", "--measure", finite, "--n", "5"])
     main(["recurrence", "--measure", named, "--n-max", "5"])
     main(["zeros", "--measure", named, "--n", "5"])
+    measure = heavy()
+    main(["check", "--family", "hermite", "--identity", "orthogonality",
+          "--n", "30"])
     print(json.dumps({"lean": lean, "quadrature": quadrature,
-                      "measure": heavy()}))
+                      "measure": measure, "orthogonality": heavy()}))
 """)
 
 
@@ -572,11 +666,14 @@ def test_cli_imports_scipy_and_mpmath_on_first_use(tmp_path):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     mods = json.loads(proc.stdout.splitlines()[-1])
+    # the quadratic check runs on the monic recurrence, with no series sums
     assert mods["lean"] == []
     assert "scipy.linalg" in mods["quadrature"]
     # the discretized Lanczos of --measure takes its rules from scipy.special
     assert "scipy.special" in mods["measure"]
-    for key in ("quadrature", "measure"):
+    # orthogonality integrates on a scipy.special Gauss rule
+    assert "scipy.special" in mods["orthogonality"]
+    for key in ("quadrature", "measure", "orthogonality"):
         assert not any(m.startswith("scipy.integrate") for m in mods[key])
         assert not any(m.split(".")[0] == "mpmath" for m in mods[key])
 
@@ -584,8 +681,8 @@ def test_cli_imports_scipy_and_mpmath_on_first_use(tmp_path):
 @pytest.mark.parametrize("family", ("legendre", "jacobi", "laguerre",
                                     "hermite"))
 def test_check_orthogonality_passes(family, capsys):
-    # the inner products of distinct degrees are 0; the check normalises
-    # inside the integrand so the absolute quadrature tolerance holds
+    # the inner products of distinct degrees are 0; the residuals are the
+    # rounding of the scipy.special Gauss rule that the check integrates on
     code, out, err = run(capsys, "check", "--family", family,
                          *_CONTINUOUS[family], "--identity", "orthogonality",
                          "--n", "10")
@@ -675,11 +772,8 @@ def _sweep_commands(family):
         yield ("quadrature", *fam, "--n", n)
         yield ("zeros", *fam, "--n", n)
         yield ("recurrence", *fam, "--n-max", n)
-        # orthogonality integrates every pair of degrees, and the quadratic
-        # check sums hypergeometric series of degree 2n: both take minutes
-        # at n = 133, so they run at n = 1 only
         for identity in ("ode", "shift", "cd", "limit", "quadratic",
-                         "orthogonality")[:4 if n != "1" else 6]:
+                         "orthogonality"):
             yield ("check", *fam, "--identity", identity, "--n", n)
         if n in ("1", "133", "134"):
             yield ("diagnose", *fam, "--carleman", "--rho", "0.3",

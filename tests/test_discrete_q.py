@@ -84,6 +84,56 @@ def test_lattice_weights_past_the_factorial_range(fam):
     assert m.tail_bound(5000) == 0.0
 
 
+@pytest.mark.parametrize("fam", (D.krawtchouk(0.3, 2000),
+                                 D.krawtchouk(0.5, 1050),
+                                 D.hahn(0.5, 1.5, 400)))
+def test_finite_lattice_weights_past_the_double_range(fam):
+    # C(N, x) and (N - x)! leave the double range: those weights go to log
+    # form where they raised OverflowError, and every weight the direct
+    # formula gives as a positive double keeps its bits
+    N = fam.N
+    if fam.family == "krawtchouk":
+        p = fam.p
+
+        def direct(k):
+            return math.comb(N, k) * p ** k * (1 - p) ** (N - k)
+
+        def log_w(k):
+            return (math.lgamma(N + 1) - math.lgamma(k + 1)
+                    - math.lgamma(N - k + 1) + k * math.log(p)
+                    + (N - k) * math.log1p(-p))
+    else:
+        a, b = fam.alpha, fam.beta
+
+        def direct(k):
+            return (pochhammer(a + 1, k) / math.factorial(k)
+                    * pochhammer(b + 1, N - k) / math.factorial(N - k))
+
+        def log_w(k):
+            return (math.lgamma(a + 1 + k) - math.lgamma(a + 1)
+                    - math.lgamma(k + 1) + math.lgamma(b + 1 + N - k)
+                    - math.lgamma(b + 1) - math.lgamma(N - k + 1))
+    logs = 0
+    for k in range(N + 1):
+        try:
+            want = direct(k)
+        except OverflowError:
+            want = math.nan
+        got = D.discrete_weight(fam, k)
+        if 0 < want < math.inf:
+            assert got == want
+        else:
+            logs += 1
+            assert got == pytest.approx(math.exp(log_w(k)), rel=1e-10,
+                                        abs=1e-320)
+    assert logs >= 100
+    if fam.family == "krawtchouk" and fam.p == 0.5:
+        # every weight of Krawtchouk(0.5, 1050) is a double, though the
+        # binomials near N/2 are not: the weights are binomial probabilities
+        assert D.family_measure(fam).node_weights.sum() == pytest.approx(
+            1.0, rel=1e-11)
+
+
 def test_weight_outside_support():
     with pytest.raises(FamilyError):
         D.discrete_weight(D.krawtchouk(0.3, 5), 6)

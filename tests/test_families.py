@@ -137,6 +137,61 @@ def test_coeff_vectors_match_series():
                 F.special_case_eval(spec, n, x), rel=1e-11)
 
 
+def _direct_mp_sum(term, n_terms):
+    """A direct sum of mpmath terms at 150 digits, which keeps 50 past the
+    largest cancellation here (about 10^53 at n = 100), rounded to double."""
+    import mpmath
+
+    with mpmath.workdps(150):
+        return float(mpmath.fsum(term(mpmath.mpf, k) for k in range(n_terms)))
+
+
+@pytest.mark.parametrize("n", (30, 60, 100))
+def test_escalated_series_equal_a_direct_mp_sum(n, monkeypatch):
+    # the escalated pass forms each term from the one before it by the term
+    # ratio; it must agree with the sum of directly formed terms
+    import mpmath
+
+    ratio_calls = []
+    real = F._guarded_sum
+
+    def spy(term_fn, n_terms, ratio):
+        def counted(k, num):
+            ratio_calls.append(k)
+            return ratio(k, num)
+
+        return real(term_fn, n_terms, counted)
+
+    monkeypatch.setattr(F, "_guarded_sum", spy)
+
+    def jacobi_term(a, b, x):
+        return lambda mp, k: (mpmath.rf(mp(a) + mp(b) + n + 1, k)
+                              * mpmath.rf(mp(a) + k + 1, n - k)
+                              / (mpmath.factorial(k) * mpmath.factorial(n - k))
+                              * ((mp(x) - 1) / 2) ** k)
+
+    # Jacobi(0.5, 1.5), Gegenbauer(1.5) through its Jacobi(1, 1) reduction,
+    # Laguerre(0.5), at the points of the series benchmark
+    cases = [(lambda x: F.jacobi_eval(n, 0.5, 1.5, x),
+              jacobi_term(0.5, 1.5, x), x) for x in (-0.7, -0.2, 0.3, 0.8)]
+    cases += [(lambda x: F.jacobi_eval(n, 1.0, 1.0, x),
+               jacobi_term(1.0, 1.0, x), x) for x in (-0.7, -0.2, 0.3, 0.8)]
+    cases += [(lambda x: F.laguerre_eval(n, 0.5, x),
+               lambda mp, k, x=x: (mpmath.rf(mp(0.5) + k + 1, n - k)
+                                   / (mpmath.factorial(k)
+                                      * mpmath.factorial(n - k))
+                                   * (-mp(x)) ** k), x)
+              for x in (0.5, 3.0, 7.0, 15.0)]
+    escalated = 0
+    for fn, term, x in cases:
+        ratio_calls.clear()
+        got = fn(x)
+        if ratio_calls:
+            assert got == _direct_mp_sum(term, n + 1), (n, x)
+            escalated += 1
+    assert escalated >= 9
+
+
 def test_degree_171_raises_family_error():
     # 171! is the first factorial beyond the double range
     calls = (lambda n: F.jacobi_eval(n, 0.5, 1.5, 0.3),
@@ -288,6 +343,30 @@ def test_quadratic_transform_sweep():
         for x in (-1.0, -0.3, 0.2, 0.9):
             even, odd = F.quadratic_transform_check(n, 0.5, x)
             assert abs(even) < 1e-11 and abs(odd) < 1e-11
+
+
+_CLI_POINTS = np.linspace(-0.9, 0.9, 7)
+
+
+# alpha of Legendre, Jacobi(0.5, 1.5), Gegenbauer(1.5), Chebyshev T and U
+@pytest.mark.parametrize("alpha", (0.0, 0.5, 1.0, -0.5))
+def test_quadratic_transform_residuals_match_the_series(alpha):
+    even, odd = F.quadratic_transform_residuals(10, alpha, _CLI_POINTS)
+    assert even.shape == odd.shape == (11, 7)
+    for k in range(11):
+        for i, x in enumerate(_CLI_POINTS):
+            e, o = F.quadratic_transform_check(k, alpha, float(x))
+            assert abs(even[k, i] - e) <= 1e-12
+            assert abs(odd[k, i] - o) <= 1e-12
+
+
+def test_quadratic_transform_residuals_reach_degree_1000():
+    # the monic p_m(1) leaves the normal range from m ~ 1030, which degree
+    # 2n + 1 reaches at n ~ 515; the chain carries p_m(x)/p_m(1) instead
+    for alpha in (0.0, -0.5, 1.0):
+        even, odd = F.quadratic_transform_residuals(1000, alpha, _CLI_POINTS)
+        assert np.all(np.isfinite(even)) and np.all(np.isfinite(odd))
+        assert max(np.abs(even).max(), np.abs(odd).max()) <= 1e-12
 
 
 def test_split_hermite_gives_laguerre_half():
