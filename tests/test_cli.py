@@ -308,6 +308,23 @@ def test_check_fails_with_tiny_tol(capsys):
     assert json.loads(out)["pass"] is False
 
 
+def test_check_cd_hermite_past_the_norm_product_overflow(capsys):
+    # h_n k_{n+1} leaves the double range at n = 134 although h_n and k_n do
+    # not; the kernel prefactor a_n / h_n never forms that product
+    code, out, _ = run(capsys, "check", "--family", "hermite",
+                       "--identity", "cd", "--n", "134")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["pass"] is True
+    assert doc["residual"] < 1e-12
+    # from n = 150 the confluent form's p_n p'_{n+1}, about n h_n, leaves the
+    # double range: a clean exit 1
+    code, out, err = run(capsys, "check", "--family", "hermite",
+                         "--identity", "cd", "--n", "150")
+    assert code == 1
+    assert err.startswith("orthopoly: ")
+
+
 def test_check_quadratic_rejects_hermite(capsys):
     code, _, err = run(capsys, "check", "--family", "hermite",
                        "--identity", "quadratic", "--n", "3")

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
+from orthopoly import families as F
 from orthopoly import kernels as K
 from orthopoly import measures as M
 from orthopoly import recurrence as R
@@ -218,3 +220,146 @@ def test_finite_discrete_system_size_mismatch():
     rule = K.gauss_rule(sys, norms, m, 2)
     with pytest.raises(K.KernelError):
         K.finite_discrete_system(rule, sys, norms, 3)
+
+
+# ---------------------------------------------------------------------------
+# the half-size route for zero-diagonal Jacobi matrices
+
+EPS = np.finfo(float).eps
+ROUTE_N = (1, 2, 3, 4, 5, 25, 51, 200, 1000)
+SYMMETRIC = {
+    "legendre": (F.legendre(), special.roots_legendre),
+    "hermite": (F.hermite(), special.roots_hermite),
+    "gegenbauer": (F.gegenbauer(1.5),
+                   lambda n: special.roots_gegenbauer(n, 1.5)),
+    "chebyshev_t": (F.chebyshev_t(), special.roots_chebyt),
+    "chebyshev_u": (F.chebyshev_u(), special.roots_chebyu),
+}
+
+
+def monic_rule(sys, mu0, n):
+    return K.gauss_rule(sys, R.norms_from_recurrence(sys, mu0, 1.0, 0),
+                        None, n)
+
+
+def normwise(x, ref, floor=0.0):
+    return np.max(np.abs(x - ref)) / max(np.max(np.abs(ref)), floor)
+
+
+@pytest.mark.parametrize("family", sorted(SYMMETRIC))
+def test_half_size_route_against_scipy(family):
+    spec, roots = SYMMETRIC[family]
+    sys, mu0 = F.family_monic_system(spec), F.family_mu0(spec)
+    for n in ROUTE_N:
+        x_ref, w_ref = roots(n)
+        tol = 100 * n * EPS
+        zs = K.zeros(sys, None, n)
+        # the single zero of p_1 is 0: measure node errors against scale 1
+        assert normwise(zs, x_ref, 1.0) <= tol, n
+        assert np.array_equal(zs, -zs[::-1])
+        if (family, n) == ("hermite", 1000):
+            # 276 of the 1000 weights lie below the double range
+            with pytest.raises(K.KernelError):
+                monic_rule(sys, mu0, n)
+            continue
+        rule = monic_rule(sys, mu0, n)
+        assert np.array_equal(rule.nodes, zs)
+        assert np.array_equal(rule.weights, rule.weights[::-1])
+        assert abs(rule.weights.sum() - mu0) <= tol * mu0, n
+        if (family, n) != ("legendre", 1000):
+            # scipy's own Legendre weights are 4e-11 off at n = 1000; see
+            # test_legendre_1000_weights_against_mpmath
+            assert normwise(rule.weights, w_ref) <= tol, n
+
+
+def test_legendre_1000_weights_against_mpmath():
+    """Both ends, the quarter points and the centre, where the eigenvector
+    and the Christoffel formulas meet their limits, against 30-digit
+    weights 2 / ((1 - x^2) P_n'(x)^2) at Newton-refined zeros."""
+    import mpmath
+
+    n = 1000
+    rule = monic_rule(F.family_monic_system(F.legendre()), 2.0, n)
+    with mpmath.workdps(30):
+        def p_and_dp(x):
+            p_prev, p = mpmath.mpf(0), mpmath.mpf(1)
+            for j in range(n):
+                p, p_prev = ((2 * j + 1) * x * p - j * p_prev) / (j + 1), p
+            return p, n * (x * p - p_prev) / (x * x - 1)
+
+        for k in (0, n // 4, n // 2 - 1, 3 * n // 4, n - 1):
+            x = mpmath.mpf(rule.nodes[k])
+            for _ in range(2):
+                p, dp = p_and_dp(x)
+                x -= p / dp
+            w = 2 / ((1 - x * x) * p_and_dp(x)[1] ** 2)
+            assert abs(rule.weights[k] - float(w)) <= (
+                100 * n * EPS * rule.weights.max()), k
+
+
+def test_hermite_200_keeps_every_weight():
+    # the weights fall to 2.2e-163; the full eigensolve returned 6 of them
+    # as 0 and most of the tail wrong by orders of magnitude
+    x_ref, w_ref = special.roots_hermite(200)
+    rule = monic_rule(F.family_monic_system(F.hermite()), math.sqrt(math.pi),
+                      200)
+    assert rule.weights.min() < 1e-162
+    assert np.max(np.abs(rule.weights - w_ref) / w_ref) < 1e-8
+
+
+def with_diagonal(sys, j, b):
+    """`sys` with b_j replaced by `b`."""
+    def coeff(i):
+        a, b_i, c = sys.coeffs(i)
+        return a, (b if i == j else b_i), c
+
+    return R.RecurrenceSystem(coeff, form=sys.form, p0=sys.p0)
+
+
+def full_golub_welsch(sys, mu0, n):
+    """Nodes and weights of the full n x n eigensolve."""
+    from scipy.linalg import eigh_tridiagonal
+
+    diag, off = K.jacobi_matrix(sys, n)
+    vals, vecs = eigh_tridiagonal(diag, off)
+    order = np.argsort(vals)
+    return vals[order], mu0 * vecs[0, order] ** 2
+
+
+def test_one_nonzero_diagonal_entry_takes_the_full_eigensolve(monkeypatch):
+    sys = F.family_monic_system(F.legendre())
+    n = 25
+    half_rule = monic_rule(sys, 2.0, n)
+    bumped = with_diagonal(sys, 7, 1e-300)
+
+    def refuse(off):
+        raise AssertionError("half-size route taken with b_7 != 0")
+
+    monkeypatch.setattr(K, "_half_jacobi", refuse)
+    zs = K.zeros(bumped, None, n)
+    rule = monic_rule(bumped, 2.0, n)
+    assert normwise(zs, half_rule.nodes) <= 100 * n * EPS
+    assert normwise(rule.nodes, half_rule.nodes) <= 100 * n * EPS
+    assert normwise(rule.weights, half_rule.weights) <= 100 * n * EPS
+    with pytest.raises(AssertionError, match="half-size"):
+        K.zeros(sys, None, n)
+
+
+@pytest.mark.parametrize("sys, mu0", [
+    (F.family_monic_system(F.jacobi(0.5, 1.5)),
+     F.family_mu0(F.jacobi(0.5, 1.5))),
+    (F.family_monic_system(F.laguerre(0.5)), F.family_mu0(F.laguerre(0.5))),
+    (charlier_system(1.5), 1.0),
+], ids=["jacobi", "laguerre", "charlier"])
+def test_non_symmetric_rules_unchanged(sys, mu0):
+    from scipy.linalg import eigh_tridiagonal
+
+    for n in (1, 2, 5, 50):
+        nodes, weights = full_golub_welsch(sys, mu0, n)
+        rule = monic_rule(sys, mu0, n)
+        np.testing.assert_array_equal(rule.nodes, nodes)
+        np.testing.assert_array_equal(rule.weights, weights)
+        np.testing.assert_array_equal(
+            K.zeros(sys, None, n),
+            np.sort(eigh_tridiagonal(*K.jacobi_matrix(sys, n),
+                                     eigvals_only=True)))
