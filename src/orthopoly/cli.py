@@ -245,7 +245,7 @@ def _check_battery(spec, identity: str, n: int, tol: float):
         by_degree = {n: res}
     elif identity == "quadratic":
         try:
-            alpha = F._as_jacobi(spec, 0)[0]
+            alpha = F._as_jacobi(spec)[0]
         except F.FamilyError as exc:
             raise ConfigError("quadratic transformation applies to the "
                               "Jacobi-type families") from exc
@@ -300,7 +300,7 @@ def _independent_rule(spec, size: int):
         elif spec.family == "hermite":
             nodes, weights = special.roots_hermite(size)
         else:
-            a, b, _ = F._as_jacobi(spec, 0)
+            a, b, _ = F._as_jacobi(spec)
             nodes, weights = special.roots_jacobi(size, a, b)
     # a weight that underflowed drops its node's products from the Gram
     # matrix, which then reads as a violated identity

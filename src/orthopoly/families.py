@@ -19,7 +19,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .measures import Measure, continuous_measure
 from .recurrence import (RecurrenceError, RecurrenceSystem,
-                         eval_all_derivatives, eval_poly)
+                         eval_all_derivatives, eval_poly, favard_products)
 
 _TINY = 1e-300
 
@@ -312,7 +312,8 @@ def special_case_eval(spec: FamilySpec, n: int, x: float) -> float:
         return laguerre_eval(n, spec.alpha, x)
     if f == "hermite":
         return hermite_eval(n, x)
-    a, b, scale = _as_jacobi(spec, n)
+    a, b, ratio = _as_jacobi(spec)
+    scale = math.prod(ratio(k) for k in range(n)) if ratio else 1.0
     return scale * jacobi_eval(n, a, b, x)
 
 
@@ -352,23 +353,23 @@ def hermite_coeffs(n: int) -> np.ndarray:
     return out
 
 
-@_in_double_range
-def _as_jacobi(spec: FamilySpec, n: int) -> tuple[float, float, float]:
-    """(alpha, beta, prefactor) with p_n = prefactor * P_n^{(alpha,beta)}
-    for the Jacobi family and its special cases; FamilyError otherwise."""
+def _as_jacobi(spec: FamilySpec):
+    """(alpha, beta, ratio) with p_n = prefactor_n P_n^{(alpha,beta)} for the
+    Jacobi family and its special cases, where prefactor_0 = 1 and ratio(n)
+    = prefactor_{n+1} / prefactor_n, also on index arrays (None where the
+    prefactor is 1); FamilyError for the other families."""
     f = spec.family
     if f == "jacobi":
-        return spec.alpha, spec.beta, 1.0
+        return spec.alpha, spec.beta, None
     if f == "gegenbauer":
         lam = spec.lam
-        return lam - 0.5, lam - 0.5, (pochhammer(2 * lam, n)
-                                      / pochhammer(lam + 0.5, n))
+        return lam - 0.5, lam - 0.5, lambda n: (2 * lam + n) / (lam + 0.5 + n)
     if f == "legendre":
-        return 0.0, 0.0, 1.0
+        return 0.0, 0.0, None
     if f == "chebyshev_t":
-        return -0.5, -0.5, math.factorial(n) / pochhammer(0.5, n)
+        return -0.5, -0.5, lambda n: (n + 1) / (n + 0.5)
     if f == "chebyshev_u":
-        return 0.5, 0.5, pochhammer(2.0, n) / pochhammer(1.5, n)
+        return 0.5, 0.5, lambda n: (n + 2) / (n + 1.5)
     raise FamilyError(f"{f} has no Jacobi reduction")
 
 
@@ -388,7 +389,7 @@ def pearson_pair(spec: FamilySpec):
         return (0.0, 1.0, 0.0), (a + 1, -1.0), laguerre(a + 1)
     if f == "hermite":
         return (1.0, 0.0, 0.0), (0.0, -2.0), spec
-    a, b, _ = _as_jacobi(spec, 0)
+    a, b, _ = _as_jacobi(spec)
     return (1.0, 0.0, -1.0), (b - a, -(a + b + 2)), jacobi(a + 1, b + 1)
 
 
@@ -493,14 +494,16 @@ def _jacobi_ratio_chain(m_max: int, alpha: float, beta: float,
     """
     r_prev, r, rho_prev = np.zeros_like(x), np.ones_like(x), 1.0
     rows = [r]
+    bs, cs = (v.tolist() for v in _jacobi_monic_rows(np.arange(m_max),
+                                                     alpha, beta))
     for m in range(m_max):
-        b = jacobi_monic_b(m, alpha, beta)
+        b = bs[m]
         s = 2 * m + alpha + beta
         # p_m(1) = 2^m (alpha + 1)_m / (m + alpha + beta + 1)_m
         rho = (1 - b if m == 0 else
                2 * (m + alpha + 1) * (m + alpha + beta + 1)
                / ((s + 1) * (s + 2)))
-        c_scaled = jacobi_monic_c(m, alpha, beta) / rho_prev  # c_0 = 0
+        c_scaled = cs[m] / rho_prev  # c_0 = 0
         r, r_prev = ((x - b) * r - c_scaled * r_prev) / rho, r
         rows.append(r)
         rho_prev = rho
@@ -553,32 +556,23 @@ def split_even_system(sys: RecurrenceSystem,
                       n_max: int) -> tuple[RecurrenceSystem, RecurrenceSystem]:
     """Split an even system into monic q, r with p_2n(x) = q_n(x^2),
     p_{2n+1}(x) = x r_n(x^2) (after monic rescaling of p)."""
-    for j, (_, b, _) in enumerate(sys.table(2 * n_max + 2)):
-        if b != 0.0:
-            raise RecurrenceError(f"b_{j} != 0: measure is not even")
+    b = sys.arrays(2 * n_max + 2)[1]
+    if b.any():
+        raise RecurrenceError(
+            f"b_{np.flatnonzero(b)[0]} != 0: measure is not even")
 
-    def c_monic(j: int) -> float:
-        if j == 0:
-            return 0.0
-        a_prev, _, _ = sys.coeffs(j - 1)
-        _, _, c = sys.coeffs(j)
-        return c * a_prev
+    def half(shift: int) -> RecurrenceSystem:
+        def rows(j: np.ndarray) -> tuple:
+            # the monic c_i of sys are the Favard products a_{i-1} c_i
+            c = np.concatenate(([0.0], favard_products(sys, 2 * j[-1]
+                                                       + shift + 1)))
+            i = 2 * j + shift
+            return 1.0, c[i] + c[i + 1], np.where(j > 0, c[i - 1] * c[i], 0.0)
 
-    def q_coeff(n: int) -> tuple[float, float, float]:
-        b = c_monic(2 * n) + c_monic(2 * n + 1)
-        c = c_monic(2 * n - 1) * c_monic(2 * n) if n > 0 else 0.0
-        return 1.0, b, c
+        return RecurrenceSystem(rows_fn=rows, form="monic", p0=1.0,
+                                max_index_hint=n_max)
 
-    def r_coeff(n: int) -> tuple[float, float, float]:
-        b = c_monic(2 * n + 1) + c_monic(2 * n + 2)
-        c = c_monic(2 * n) * c_monic(2 * n + 1) if n > 0 else 0.0
-        return 1.0, b, c
-
-    q_sys = RecurrenceSystem(q_coeff, form="monic", p0=1.0,
-                             max_index_hint=n_max)
-    r_sys = RecurrenceSystem(r_coeff, form="monic", p0=1.0,
-                             max_index_hint=n_max)
-    return q_sys, r_sys
+    return half(0), half(1)
 
 
 # ---------------------------------------------------------------------------
@@ -601,30 +595,33 @@ def laguerre_system(alpha: float) -> RecurrenceSystem:
         form="general", p0=1.0)
 
 
+def _jacobi_monic_rows(j: np.ndarray, alpha: float,
+                       beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Monic b_j, c_j of P^(alpha,beta) at the index array j."""
+    s = 2 * j + alpha + beta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = (beta ** 2 - alpha ** 2) / (s * (s + 2))
+        c = (4 * j * (j + alpha) * (j + beta) * (j + alpha + beta)
+             / ((s - 1) * s ** 2 * (s + 1)))
+    # j = 0, 1: the factor s of b_0 and s - 1 of c_1 cancel; finite at 0
+    b[j == 0] = (beta - alpha) / (alpha + beta + 2)
+    c[j == 0] = 0.0
+    c[j == 1] = (4 * (1 + alpha) * (1 + beta)
+                 / ((2 + alpha + beta) ** 2 * (3 + alpha + beta)))
+    return b, c
+
+
 def jacobi_monic_b(n: int, alpha: float, beta: float) -> float:
-    if n == 0:
-        return (beta - alpha) / (alpha + beta + 2)
-    s = 2 * n + alpha + beta
-    return (beta ** 2 - alpha ** 2) / (s * (s + 2))
+    return float(_jacobi_monic_rows(np.array([n]), alpha, beta)[0][0])
 
 
 def jacobi_monic_c(n: int, alpha: float, beta: float) -> float:
-    if n == 0:
-        return 0.0
-    if n == 1:
-        # the (1 + alpha + beta) factor cancels; this form stays finite
-        # for alpha + beta -> -1
-        return (4 * (1 + alpha) * (1 + beta)
-                / ((2 + alpha + beta) ** 2 * (3 + alpha + beta)))
-    s = 2 * n + alpha + beta
-    return (4 * n * (n + alpha) * (n + beta) * (n + alpha + beta)
-            / ((s - 1) * s ** 2 * (s + 1)))
+    return float(_jacobi_monic_rows(np.array([n]), alpha, beta)[1][0])
 
 
 def jacobi_monic_system(alpha: float, beta: float) -> RecurrenceSystem:
     return RecurrenceSystem(
-        lambda n: (1.0, jacobi_monic_b(n, alpha, beta),
-                   jacobi_monic_c(n, alpha, beta)),
+        rows_fn=lambda j: (1.0, *_jacobi_monic_rows(j, alpha, beta)),
         form="monic", p0=1.0)
 
 
@@ -640,27 +637,40 @@ def hermite_monic_system() -> RecurrenceSystem:
 
 
 def jacobi_leading_coeff(n: int, alpha: float, beta: float) -> float:
-    """k_n = (n+alpha+beta+1)_n / (2^n n!)."""
+    """k_n = (n+alpha+beta+1)_n / (2^n n!), from n factors: an oracle for
+    the closed-form rows of jacobi_system."""
     return pochhammer(n + alpha + beta + 1, n) / (2 ** n * math.factorial(n))
 
 
-def jacobi_system(alpha: float, beta: float) -> RecurrenceSystem:
-    def coeff(n: int) -> tuple[float, float, float]:
-        kn = jacobi_leading_coeff(n, alpha, beta)
-        a = kn / jacobi_leading_coeff(n + 1, alpha, beta)
-        b = jacobi_monic_b(n, alpha, beta)
-        if n == 0:
-            return a, b, 0.0
-        c = (jacobi_monic_c(n, alpha, beta) * kn
-             / jacobi_leading_coeff(n - 1, alpha, beta))
-        return a, b, c
+def jacobi_system(alpha: float, beta: float,
+                  ratio=None) -> RecurrenceSystem:
+    """General-form recurrence of prefactor_n P_n^(alpha,beta), with
+    ratio(n) = prefactor_{n+1} / prefactor_n (None for P itself), from
+    rational closed forms over an index block: b_n is the monic one,
+    a_n = k_n / k_{n+1} = 2(n+1)(n+s+1) / ((2n+s+1)(2n+s+2)) / ratio(n) with
+    s = alpha + beta, and c_n = c_n^monic / a_{n-1}."""
+    s = alpha + beta
 
-    return RecurrenceSystem(coeff, form="general", p0=1.0)
+    def rows(j: np.ndarray) -> tuple:
+        n = np.arange(j[0] - 1, j[-1] + 1, dtype=float)  # a_{j-1} for c_j
+        b, c = _jacobi_monic_rows(j, alpha, beta)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a = 2 * (n + 1) * (n + s + 1) / ((2 * n + s + 1) * (2 * n + s + 2))
+            a[n == 0] = 2 / (s + 2)   # the factor s + 1 cancels
+            if ratio is not None:
+                a /= ratio(n)
+            c /= a[:-1]
+        c[j == 0] = 0.0
+        return a[1:], b, c
+
+    return RecurrenceSystem(rows_fn=rows, form="general", p0=1.0)
 
 
 def family_system(spec: FamilySpec) -> RecurrenceSystem:
     """Three-term recurrence in the family's classical normalization (for
-    the discrete families p_n(0) = 1, as in discrete.discrete_eval)."""
+    the discrete families p_n(0) = 1, as in discrete.discrete_eval).  The
+    Jacobi-type rows stay within a few ulp to any degree (see
+    jacobi_system)."""
     f = spec.family
     if spec.discrete:
         from .discrete import discrete_system
@@ -671,22 +681,7 @@ def family_system(spec: FamilySpec) -> RecurrenceSystem:
         return hermite_system()
     if f == "legendre":
         return legendre_system()
-    a, b, _ = _as_jacobi(spec, 0)
-    jac = jacobi_system(a, b)
-    if f == "jacobi":
-        return jac
-
-    def scale_n(n: int) -> float:
-        return _as_jacobi(spec, n)[2]
-
-    def coeff(n: int) -> tuple[float, float, float]:
-        a, b, c = jac.coeffs(n)
-        a *= scale_n(n) / scale_n(n + 1)
-        if n > 0:
-            c *= scale_n(n) / scale_n(n - 1)
-        return a, b, c
-
-    return RecurrenceSystem(coeff, form="general", p0=1.0)
+    return jacobi_system(*_as_jacobi(spec))
 
 
 def family_monic_system(spec: FamilySpec) -> RecurrenceSystem:
@@ -698,7 +693,7 @@ def family_monic_system(spec: FamilySpec) -> RecurrenceSystem:
         return laguerre_monic_system(spec.alpha)
     if f == "hermite":
         return hermite_monic_system()
-    return jacobi_monic_system(*_as_jacobi(spec, 0)[:2])
+    return jacobi_monic_system(*_as_jacobi(spec)[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +730,7 @@ def family_measure(spec: FamilySpec, normalized: bool = False) -> Measure:
                                   alg_smooth=lambda x: 1.0,
                                   meta={"name": "chebyshev_t"})
     # jacobi-type weights (1-x)^alpha (1+x)^beta
-    a, b, _ = _as_jacobi(spec, 0)
+    a, b, _ = _as_jacobi(spec)
     return continuous_measure(lambda x: (1 - x) ** a * (1 + x) ** b,
                               (-1.0, 1.0), alg_exponents=(b, a),
                               alg_smooth=lambda x: 1.0,
@@ -753,7 +748,7 @@ def family_mu0(spec: FamilySpec, normalized: bool = False) -> float:
         return math.gamma(spec.alpha + 1)
     if f == "chebyshev_t":
         return 1.0 if normalized else math.pi
-    a, b, _ = _as_jacobi(spec, 0)
+    a, b, _ = _as_jacobi(spec)
     return (2 ** (a + b + 1) * math.gamma(a + 1) * math.gamma(b + 1)
             / math.gamma(a + b + 2))
 

@@ -63,8 +63,7 @@ def load_recurrence(doc: dict) -> RecurrenceSystem:
 
 def dump_recurrence(sys: RecurrenceSystem, n_max: int) -> dict:
     """Tabulate a system's coefficients into a document."""
-    rows = sys.table(n_max)
-    a, b, c = ([row[i] for row in rows] for i in range(3))
+    a, b, c = sys.arrays(n_max).tolist()
     return {"schema": SCHEMA_VERSION, "form": sys.form, "p0": sys.p0,
             "coefficients": {"a": a, "b": b, "c": c}}
 

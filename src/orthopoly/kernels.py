@@ -3,7 +3,8 @@ the Jacobi matrix, and Gauss quadrature with exactness checks."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,14 +15,6 @@ from .recurrence import (NormData, RecurrenceError, RecurrenceSystem,
 # below this separation the closed form of the kernel cancels; use the
 # confluent (derivative) form instead
 _CONFLUENT_SWITCH = 1e-6
-
-# an outer Gauss weight takes its eigenvector value only where it agrees
-# with the Christoffel number to this relative distance: well above the
-# Christoffel number's node-rounding error (about n^2 eps, 4e-11 at
-# n = 1000) and far below the error of an eigenvector component lost
-# beneath inverse iteration's resolution (order 1 and more, as in the tails
-# of Hermite weights from n = 120)
-_WEIGHT_AGREEMENT = 2.0 ** -26
 
 
 class KernelError(ValueError):
@@ -55,26 +48,22 @@ class QuadratureRule:
 
 def cd_kernel(sys: RecurrenceSystem, norms: NormData, n: int, x: float,
               y: float, method: str = "auto") -> float:
-    """K_n(x,y) = sum_{j<=n} p_j(x)p_j(y)/h_j, or its closed form."""
+    """K_n(x,y) = sum_{j<=n} p_j(x)p_j(y)/h_j, or its closed form; past the
+    double range inf or nan, without warnings."""
     if method not in ("auto", "sum", "closed"):
         raise KernelError(f"unknown method {method!r}")
-    if method == "sum":
-        px = eval_all(sys, n, x)
-        py = eval_all(sys, n, y)
-        return float(sum(px[j] * py[j] / norms.h[j] for j in range(n + 1)))
-    if method == "auto":
-        method = ("closed" if abs(x - y) >= _CONFLUENT_SWITCH * (1 + abs(x))
-                  else "confluent")
-    elif abs(x - y) < _CONFLUENT_SWITCH * (1 + abs(x)):
-        method = "confluent"
-    # k_n / (h_n k_{n+1}) = a_n / h_n, without the product that overflows
-    pref = sys.coeffs(n)[0] / norms.h[n]
-    if method == "closed":
-        pn_x, pn1_x = eval_all(sys, n + 1, x)[-2:]
-        pn_y, pn1_y = eval_all(sys, n + 1, y)[-2:]
-        return float(pref * (pn1_x * pn_y - pn_x * pn1_y) / (x - y))
-    ps, ds, _ = eval_all_derivatives(sys, n + 1, x)
-    return float(pref * (ds[n + 1] * ps[n] - ds[n] * ps[n + 1]))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if method == "sum":
+            py = np.array(eval_all(sys, n, y))
+            return float(np.dot(eval_all(sys, n, x), py / norms.h[:n + 1]))
+        # k_n / (h_n k_{n+1}) = a_n / h_n, without the product that overflows
+        pref = sys.coeffs(n)[0] / norms.h[n]
+        if abs(x - y) >= _CONFLUENT_SWITCH * (1 + abs(x)):
+            pn_x, pn1_x = eval_all(sys, n + 1, x)[-2:]
+            pn_y, pn1_y = eval_all(sys, n + 1, y)[-2:]
+            return float(pref * (pn1_x * pn_y - pn_x * pn1_y) / (x - y))
+        ps, ds, _ = eval_all_derivatives(sys, n + 1, x)
+        return float(pref * (ds[n + 1] * ps[n] - ds[n] * ps[n + 1]))
 
 
 def project(sys: RecurrenceSystem, norms: NormData, n: int, f,
@@ -113,7 +102,7 @@ def kernel_poly_bilinear_residual(sys: RecurrenceSystem, norms: NormData,
 def jacobi_matrix(sys: RecurrenceSystem, n: int) -> tuple[np.ndarray,
                                                           np.ndarray]:
     """Diagonal and off-diagonal of the n x n orthonormal-form Jacobi matrix."""
-    diag = np.array([b for _, b, _ in sys.table(n - 1)])
+    diag = sys.arrays(n - 1)[1]
     favard = validate_favard(sys, n - 1)
     if favard.failures:
         raise RecurrenceError(f"Favard violation at n={favard.failures[0][0]}")
@@ -121,70 +110,110 @@ def jacobi_matrix(sys: RecurrenceSystem, n: int) -> tuple[np.ndarray,
 
 
 def zeros(sys: RecurrenceSystem, norms: NormData | None, n: int) -> np.ndarray:
-    """Zeros of p_n as eigenvalues of the Jacobi matrix.
+    """Zeros of p_n as eigenvalues of the Jacobi matrix, ascending.
 
     When every diagonal entry b_j is exactly 0 (a symmetric weight) the
     half-size problem is solved instead: the zeros are 0 (n odd) and
     +-sqrt(t_k), with t_k the eigenvalues of the positive definite
     (n // 2)-square matrix C^T C described below, found to high relative
-    accuracy by LAPACK dpteqr and mirrored exactly.  At n = 1000 this is
-    over three times faster than the full eigensolve, with a normwise error
-    of 6e-16 against 1.8e-15 (Legendre).  Any other matrix is eigensolved
-    in full.
+    accuracy by LAPACK dpteqr and mirrored exactly (Legendre n = 1000:
+    normwise error 6e-16).  Other matrices take LAPACK dsterf.
     """
-    from scipy import linalg as _sp_linalg
-
     if n < 1:
         raise KernelError("need n >= 1")
-    diag, off = jacobi_matrix(sys, n)
-    if not diag.any():
-        return _mirror(np.sqrt(_half_eigvals(*_half_jacobi(off))), 0.0, n,
-                       -1.0)
-    vals = _sp_linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
-    return np.sort(vals)
+    return _eigenvalues(*jacobi_matrix(sys, n))
 
 
-def gauss_rule(sys: RecurrenceSystem, norms: NormData, m: Measure,
+def gauss_rule(sys: RecurrenceSystem, norms: NormData, m: Measure | None,
                n: int, tol: float = 1e-12) -> QuadratureRule:
-    """n-point Gauss rule: nodes from the Jacobi matrix, weights from the
-    first eigenvector components scaled by mu_0 = h_0 / p_0^2 (Golub and
-    Welsch, Math. Comp. 23, 1969).
+    """n-point Gauss rule of the Jacobi matrix, mu_0 = h_0 / p_0^2 taken
+    from `norms` (nothing is integrated; `tol` is kept for callers).
 
-    When every diagonal entry b_j is exactly 0 the rule is built from the
-    half-size problem, on the nodes of `zeros`, and mirrored exactly:
-    - every weight starts as the Christoffel number 1/sum_{j<n} p~_j(x_k)^2
-      of the orthonormal chain, from one vectorised pass over the
-      nonnegative nodes;
-    - the outer half of the nodes by index then take mu_0 u_0^2 / 2, with u_0
-      from the eigenvector of the half-size matrix at t_k (inverse iteration,
-      LAPACK dstein), wherever that value agrees with the Christoffel number
-      to `_WEIGHT_AGREEMENT`.
-    Eigenvectors lose digits at the central nodes, where the t_k crowd
-    together, and where a component falls far below the largest (the tails
-    of Hermite weights); the Christoffel number loses them at outer nodes
-    whose rounding it is sensitive to (n^2 eps relative at the ends of
-    Chebyshev T).  At n = 1000 the rule is three times faster than the full
-    eigensolve, and its weights are within 1e-14 of Legendre's where the
-    full route was 9.5e-14 off.
-
-    mu_0 is taken from `norms` (the squared norm h_0 of the constant p_0),
-    not integrated, so `m` and `tol` no longer affect the weights; they are
-    kept so that callers need not change.
+    For a continuous or unspecified measure the nodes are those of `zeros`,
+    and one vectorised pass of the orthonormal recurrence with derivatives
+    at them (the nonnegative ones, mirrored, when b = 0) gives the weights
+        w = 1 / (sum_{j<n} p~_j^2 + 2 delta sum_{j<n} p~_j p~_j'),
+    Christoffel numbers moved to the exact zeros by the Newton step delta =
+    -p~_n / p~_n' (Hale and Townsend, SISC 35, 2013), which removes the n^2
+    eps that node rounding costs them.  They keep their relative accuracy
+    into the tails; one below the double range is 0, and the rule raises.
+    On a lattice measure, where the forward recurrence is unstable, and
+    with a RuntimeWarning when those weights miss mu_0 by 100 n eps, the
+    weights are mu_0 u_0^2 from the full eigensolve (Golub and Welsch,
+    Math. Comp. 23, 1969).
     """
-    from scipy import linalg as _sp_linalg
-
     if n < 1:
         raise KernelError("need n >= 1")
     diag, off = jacobi_matrix(sys, n)
     mu0 = norms.h[0] / sys.p0 ** 2
-    if not diag.any():
-        nodes, weights = _symmetric_rule(off, mu0)
+    if m is not None and m.kind != "continuous":
+        nodes, weights = _golub_welsch(diag, off, mu0)
     else:
-        vals, vecs = _sp_linalg.eigh_tridiagonal(diag, off)
-        order = np.argsort(vals)
-        nodes, weights = vals[order], mu0 * vecs[0, order] ** 2
+        nodes = _eigenvalues(diag, off)
+        w = _recurrence_weights(diag, off, mu0,
+                                nodes if diag.any() else nodes[n // 2:])
+        weights = w if diag.any() else np.concatenate((w[::-1][:n // 2], w))
+        total = weights.sum()
+        if not abs(total - mu0) <= 100 * n * np.finfo(float).eps * mu0:
+            warnings.warn(
+                f"gauss_rule: recurrence weights sum to {float(total)!r}, not "
+                f"mu_0 = {float(mu0)!r}; using Golub-Welsch eigenvectors",
+                RuntimeWarning, stacklevel=2)
+            nodes, weights = _golub_welsch(diag, off, mu0)
     return QuadratureRule(nodes=nodes, weights=weights,
                           exactness_degree=2 * n - 1, source=sys)
+
+
+def _golub_welsch(diag: np.ndarray, off: np.ndarray,
+                  mu0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights mu_0 u_0^2 from the full eigensolve."""
+    from scipy import linalg as _sp_linalg
+
+    vals, vecs = _sp_linalg.eigh_tridiagonal(diag, off)
+    order = np.argsort(vals)
+    return vals[order], mu0 * vecs[0, order] ** 2
+
+
+def _eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Jacobi matrix (diag, off); from the
+    half-size problem, mirrored exactly, when diag is 0."""
+    from scipy.linalg import lapack
+
+    if not diag.any():
+        half = np.sqrt(_half_eigvals(*_half_jacobi(off)))
+        return np.concatenate((-half[::-1], [0.0][:len(diag) % 2], half))
+    if len(diag) < 2:   # the dsterf wrapper rejects a 1 x 1 matrix
+        return diag.copy()
+    vals, info = lapack.dsterf(diag, off)
+    if info != 0:
+        raise KernelError(f"eigensolve failed (dsterf info {info})")
+    return vals
+
+
+def _recurrence_weights(diag: np.ndarray, off: np.ndarray, mu0: float,
+                        x: np.ndarray) -> np.ndarray:
+    """Newton-corrected Christoffel numbers (see `gauss_rule`) at computed
+    zeros x of p_n, from e_j p~_{j+1} = (x - b_j) p~_j - e_{j-1} p~_{j-1}
+    scaled by sqrt(mu0) (p~_0 = 1), with p~_n unnormalised (only p~_n / p~_n'
+    enters).  A weight whose sums leave the double range is 0."""
+    n = len(diag)
+    y = np.zeros((2, len(x)))     # (p~_j, p~_j') sqrt(mu0) at x
+    y[0] = 1.0
+    y_prev, y_next, tmp = np.zeros_like(y), np.empty_like(y), np.empty_like(y)
+    sums = y * y[0]               # (sum p~_j^2, sum p~_j p~_j')
+    e = off.tolist() + [1.0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for j, b in enumerate(diag.tolist()):
+            np.multiply(y, x - b if b else x, out=y_next)
+            y_next[1] += y[0]
+            if j:
+                y_next -= np.multiply(y_prev, e[j - 1], out=tmp)
+            if j < n - 1:
+                y_next /= e[j]
+                sums += np.multiply(y_next, y_next[0], out=tmp)
+            y_prev, y, y_next = y, y_next, y_prev
+        w = mu0 / (sums[0] - 2 * y[0] / y[1] * sums[1])
+    return np.where(np.isfinite(w) & (w > 0), w, 0.0)
 
 
 # A Jacobi matrix J with zero diagonal couples even indices only to odd
@@ -215,70 +244,6 @@ def _half_eigvals(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     if info != 0:
         raise KernelError(f"half-size eigensolve failed (dpteqr info {info})")
     return t[::-1]
-
-
-def _first_components(d: np.ndarray, e: np.ndarray,
-                      t: np.ndarray) -> np.ndarray:
-    """First components of the unit eigenvectors of the tridiagonal (d, e)
-    at its eigenvalues t (ascending), by inverse iteration (LAPACK dstein)."""
-    from scipy.linalg import lapack
-
-    m = len(d)
-    if m == 1:
-        return np.ones(1)
-    # one block: every eigenvalue belongs to block 1, which ends at row m
-    z, info = lapack.dstein(d, e, t, np.ones(m, dtype=np.intc),
-                            np.full(m, m, dtype=np.intc))
-    if info != 0:
-        raise KernelError(f"half-size eigenvectors failed (dstein info {info})")
-    return z[0, :len(t)]
-
-
-def _mirror(half: np.ndarray, centre: float, n: int,
-            sign: float = 1.0) -> np.ndarray:
-    """The n values sign * half[::-1], centre (n odd only), half."""
-    return np.concatenate((sign * half[::-1], [centre][:n % 2], half))
-
-
-def _symmetric_rule(off: np.ndarray,
-                    mu0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the Gauss rule of a zero-diagonal Jacobi matrix
-    from its half-size problem (see `gauss_rule`)."""
-    n = len(off) + 1
-    d, e = _half_jacobi(off)
-    t = _half_eigvals(d, e)
-    pos = np.sqrt(t)
-    outer = len(t) // 2   # pos[outer:] are the outer nodes
-    lam = _christoffel(off, mu0, np.concatenate(([0.0][:n % 2], pos)))
-    w = lam[n % 2:]
-    if len(t):
-        # the unit eigenvector of J at +-sqrt(t_k) is (u, +-v)/sqrt(2), with
-        # v that of C^T C and u = C v / sqrt(t_k), so u_0 = e_0 v_0 / sqrt(t_k)
-        v0 = _first_components(d, e, t[outer:])
-        w_vec = mu0 / 2 * (off[0] * v0 / pos[outer:]) ** 2
-        agree = np.abs(w_vec - w[outer:]) <= _WEIGHT_AGREEMENT * w[outer:]
-        w[outer:] = np.where(agree, w_vec, w[outer:])
-    return (_mirror(pos, 0.0, n, -1.0),
-            _mirror(w, lam[0] if n % 2 else 0.0, n))
-
-
-def _christoffel(off: np.ndarray, mu0: float, x: np.ndarray) -> np.ndarray:
-    """Christoffel numbers 1/sum_{j<n} p~_j(x)^2 at the points x, for the
-    orthonormal chain x p~_j = e_j p~_{j+1} + e_{j-1} p~_{j-1}, p~_0 =
-    mu0^-1/2, of the zero-diagonal Jacobi matrix with off-diagonals e.
-    A sum that overflows gives 0, the weight having underflowed."""
-    p = np.empty((len(off) + 1, len(x)))
-    p[0] = 1.0 / np.sqrt(mu0)
-    prev, e_prev = np.zeros_like(x), 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j, e in enumerate(off.tolist()):
-            row = p[j + 1]
-            np.multiply(x, p[j], out=row)
-            row -= e_prev * prev
-            row /= e
-            prev, e_prev = p[j], e
-        total = np.einsum("ij,ij->j", p, p)
-    return np.where(np.isfinite(total), 1.0 / total, 0.0)
 
 
 def lagrange_weights(nodes: np.ndarray, m: Measure,

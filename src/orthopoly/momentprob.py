@@ -31,14 +31,14 @@ def numerator_polys(sys: RecurrenceSystem) -> RecurrenceSystem:
         raise MomentProblemError(
             "numerator polynomials need a monic or orthonormal system")
 
-    def coeff(n: int) -> tuple[float, float, float]:
-        a1, b1, c1 = sys.coeffs(n + 1)
+    def rows(j: np.ndarray) -> tuple:
+        a, b, c = sys.arrays(j[-1] + 1)
         if sys.form == "monic":
-            return 1.0, b1, c1 if n > 0 else 0.0
-        return a1, b1, sys.coeffs(n)[0] if n > 0 else 0.0
+            return 1.0, b[j + 1], np.where(j > 0, c[j + 1], 0.0)
+        return a[j + 1], b[j + 1], np.where(j > 0, a[j], 0.0)
 
     hint = sys.max_index_hint
-    return RecurrenceSystem(coeff, form=sys.form, p0=1.0,
+    return RecurrenceSystem(rows_fn=rows, form=sys.form, p0=1.0,
                             max_index_hint=None if hint is None else hint - 1)
 
 

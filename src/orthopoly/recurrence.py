@@ -22,45 +22,69 @@ class RecurrenceError(ValueError):
     """Invalid or inconsistent recurrence data."""
 
 
+def _checked_row(coeff_fn, i: int) -> tuple[float, float, float]:
+    try:
+        return coeff_fn(i)
+    except (IndexError, KeyError) as exc:
+        raise RecurrenceError(f"coefficients undefined at index {i}") from exc
+
+
 @dataclass(frozen=True)
 class RecurrenceSystem:
-    """Orthogonal polynomial system given by a coefficient function.
+    """Orthogonal polynomial system given by its coefficient rows.
 
-    coeff_fn(n) returns the triple (a_n, b_n, c_n); c_0 is ignored.  Each
-    index is computed and validated once, into a table that grows on demand.
-    """
+    rows_fn(j) returns (a_j, b_j, c_j), arrays or scalars, at an index range
+    j; a per-index coeff_fn(n) is wrapped into one.  c_0 is ignored.  Rows
+    are computed and validated once, into a table that grows on demand."""
 
-    coeff_fn: Callable[[int], tuple[float, float, float]]
+    coeff_fn: Callable[[int], tuple[float, float, float]] | None = None
     form: str = "general"
     p0: float = 1.0
     max_index_hint: int | None = None
-    _rows: list = field(default_factory=list, init=False, compare=False,
-                        repr=False)
+    rows_fn: Callable[[np.ndarray], tuple] | None = field(default=None,
+                                                          kw_only=True)
+    _cache: dict = field(default_factory=lambda: {"abc": np.empty((3, 0)),
+                                                  "rows": []},
+                         init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.form not in FORMS:
             raise RecurrenceError(f"unknown form {self.form!r}")
+        if self.rows_fn is None:
+            fn = self.coeff_fn
+            object.__setattr__(self, "rows_fn", lambda j: np.array(
+                [_checked_row(fn, i) for i in j.tolist()], dtype=float).T)
+
+    def _grow(self, n: int) -> None:
+        cache = self._cache
+        lo = len(cache["rows"])
+        if n < lo:
+            return
+        block = np.empty((3, n + 1 - lo))
+        block[0], block[1], block[2] = self.rows_fn(np.arange(lo, n + 1))
+        if not block[0].all():
+            raise RecurrenceError(f"a_{lo + np.argmin(block[0] != 0)} = 0")
+        cache["abc"] = np.concatenate((cache["abc"], block), axis=1)
+        cache["abc"].flags.writeable = False
+        cache["rows"] += zip(*block.tolist())
 
     def table(self, n: int) -> list[tuple[float, float, float]]:
         """Rows (a_j, b_j, c_j) for j = 0..n, as Python floats."""
-        rows = self._rows
-        for j in range(len(rows), n + 1):
-            try:
-                a, b, c = self.coeff_fn(j)
-            except (IndexError, KeyError) as exc:
-                raise RecurrenceError(
-                    f"coefficients undefined at index {j}") from exc
-            if a == 0:
-                raise RecurrenceError(f"a_{j} = 0")
-            rows.append((float(a), float(b), float(c)))
-        return rows[:max(n + 1, 0)]
+        self._grow(n)
+        return self._cache["rows"][:max(n + 1, 0)]
+
+    def arrays(self, n: int) -> np.ndarray:
+        """Read-only (3, n + 1) array of the rows a_j, b_j, c_j, j = 0..n."""
+        self._grow(n)
+        return self._cache["abc"][:, :max(n + 1, 0)]
 
     def coeffs(self, n: int) -> tuple[float, float, float]:
         if n < 0:
             raise RecurrenceError(f"coefficient index {n} is negative")
-        if n >= len(self._rows):
-            self.table(n)
-        return self._rows[n]
+        rows = self._cache["rows"]
+        if n >= len(rows):
+            self._grow(n)
+        return rows[n]
 
 
 @dataclass(frozen=True)
@@ -89,7 +113,12 @@ def from_tables(a: Sequence[float], b: Sequence[float], c: Sequence[float],
     def coeff(n: int) -> tuple[float, float, float]:
         return a[n], b[n], c[n] if n < len(c) else 0.0
 
-    return RecurrenceSystem(coeff, form=form, p0=p0, max_index_hint=len(a) - 1)
+    sys = RecurrenceSystem(coeff, form=form, p0=p0, max_index_hint=len(a) - 1)
+    try:  # every row is known: store them at once
+        sys.table(len(a) - 1)
+    except RecurrenceError:  # reported when a caller reaches the bad row
+        pass
+    return sys
 
 
 def eval_poly(sys: RecurrenceSystem, n: int, x, precision: int | None = None):
@@ -146,11 +175,21 @@ def eval_all_derivatives(sys: RecurrenceSystem, n: int, x):
 
 
 def eval_all(sys: RecurrenceSystem, n: int, x) -> list:
-    """Return [p_0(x), ..., p_n(x)]."""
+    """Return [p_0(x), ..., p_n(x)], each p_j formed in place for array x."""
     out = [sys.p0 + 0.0 * x]
-    p_prev, p = 0.0, out[0]
-    for a, b, c in sys.table(n - 1):
-        p, p_prev = ((x - b) * p - c * p_prev) / a, p
+    if not isinstance(x, np.ndarray):
+        p_prev, p = 0.0, out[0]
+        for a, b, c in sys.table(n - 1):
+            p, p_prev = ((x - b) * p - c * p_prev) / a, p
+            out.append(p)
+        return out
+    tmp = np.empty_like(out[0])
+    for j, (a, b, c) in enumerate(sys.table(n - 1)):
+        p = x - b
+        p *= out[j]
+        if j:
+            p -= np.multiply(out[j - 1], c, out=tmp)
+        p /= a
         out.append(p)
     return out
 
@@ -167,8 +206,8 @@ class FavardReport:
 
 def favard_products(sys: RecurrenceSystem, upto: int) -> np.ndarray:
     """a_n c_{n+1} for n < upto; Favard's theorem needs each one positive."""
-    rows = sys.table(upto)
-    return np.array([a * c for (a, _, _), (_, _, c) in zip(rows, rows[1:])])
+    a, _, c = sys.arrays(upto)
+    return a[:-1] * c[1:]
 
 
 def validate_favard(sys: RecurrenceSystem, upto: int) -> FavardReport:
@@ -180,21 +219,21 @@ def validate_favard(sys: RecurrenceSystem, upto: int) -> FavardReport:
 
 def norms_from_recurrence(sys: RecurrenceSystem, h0: float, k0: float,
                           upto: int) -> NormData:
-    """Propagate h_{n+1} = h_n c_{n+1}/a_n and k_{n+1} = k_n/a_n."""
+    """Propagate h_{n+1} = h_n c_{n+1}/a_n and k_{n+1} = k_n/a_n; past the
+    double range a chain holds inf or 0, which NormData refuses."""
     if h0 <= 0:
         raise RecurrenceError("h0 must be positive")
     if k0 == 0:
         raise RecurrenceError("k0 must be nonzero")
-    h = np.empty(upto + 1)
-    k = np.empty(upto + 1)
-    h[0], k[0] = h0, k0
-    rows = sys.table(upto)
-    for n, ((a, _, _), (_, _, c_next)) in enumerate(zip(rows, rows[1:])):
-        h[n + 1] = h[n] * c_next / a
-        if h[n + 1] <= 0:
-            raise RecurrenceError(
-                f"Favard violation at n={n}: h_{n + 1} = {h[n + 1]} <= 0")
-        k[n + 1] = k[n] / a
+    a, _, c = sys.arrays(upto)
+    with np.errstate(over="ignore", under="ignore"):
+        h = np.cumprod(np.concatenate(([h0], c[1:] / a[:-1])))
+        k = np.cumprod(np.concatenate(([k0], 1.0 / a[:-1])))
+    bad = np.flatnonzero(h[1:] <= 0)
+    if bad.size:
+        n = int(bad[0])
+        raise RecurrenceError(
+            f"Favard violation at n={n}: h_{n + 1} = {h[n + 1]} <= 0")
     return NormData(h=h, k=k)
 
 
@@ -204,7 +243,7 @@ def convert_form(sys: RecurrenceSystem, norms: NormData,
 
     `norms` must hold the h_n, k_n of `sys` itself.  Conversions rescale
     p_n -> p_n/k_n (monic), p_n -> p_n/sqrt(h_n) (orthonormal), or restore
-    the recorded k_n chain (general).
+    the recorded k_n chain (general), a block of rows at a time.
     """
     if target not in FORMS:
         raise RecurrenceError(f"unknown target form {target!r}")
@@ -212,43 +251,44 @@ def convert_form(sys: RecurrenceSystem, norms: NormData,
     if target == sys.form == "monic":
         return sys
 
-    src = sys.coeffs
+    def b_of(j: np.ndarray) -> np.ndarray:
+        return sys.arrays(j[-1])[1, j]
 
-    def monic_coeff(n: int) -> tuple[float, float, float]:
-        # the monic c_n is the Favard product a_{n-1} c_n
-        _, b, c = src(n)
-        return 1.0, b, c * src(n - 1)[0] if n > 0 else 0.0
+    def monic_c(j: np.ndarray) -> np.ndarray:
+        # the monic c_n is the Favard product a_{n-1} c_n, and c_0 = 0
+        return np.concatenate(([0.0], favard_products(sys, j[-1])))[j]
 
     if target == "monic":
-        return RecurrenceSystem(monic_coeff, form="monic", p0=1.0,
-                                max_index_hint=sys.max_index_hint)
+        return RecurrenceSystem(
+            rows_fn=lambda j: (1.0, b_of(j), monic_c(j)), form="monic",
+            p0=1.0, max_index_hint=sys.max_index_hint)
 
     if target == "orthonormal":
-        def ortho_coeff(n: int) -> tuple[float, float, float]:
-            prod = monic_coeff(n + 1)[2]
-            if prod <= 0:
-                raise RecurrenceError(f"Favard violation at n={n}")
-            _, b, c = monic_coeff(n)
-            return np.sqrt(prod), b, np.sqrt(c)
+        def ortho_rows(j: np.ndarray) -> tuple:
+            prods = favard_products(sys, j[-1] + 1)
+            bad = np.flatnonzero(prods[j] <= 0)
+            if bad.size:
+                raise RecurrenceError(f"Favard violation at n={j[bad[0]]}")
+            e = np.sqrt(prods)
+            return e[j], b_of(j), np.concatenate(([0.0], e))[j]
 
         p0 = sys.p0 / np.sqrt(norms.h[0])
-        return RecurrenceSystem(ortho_coeff, form="orthonormal", p0=p0,
-                                max_index_hint=sys.max_index_hint)
+        return RecurrenceSystem(rows_fn=ortho_rows, form="orthonormal",
+                                p0=p0, max_index_hint=sys.max_index_hint)
 
     # target == "general": restore the k_n chain recorded in norms
     k = norms.k
 
-    def general_coeff(n: int) -> tuple[float, float, float]:
-        if n + 1 >= len(k):
+    def general_rows(j: np.ndarray) -> tuple:
+        if j[-1] + 1 >= len(k):
             raise RecurrenceError(
-                f"norm data exhausted at index {n} (len {len(k)})")
-        _, b, c_monic = monic_coeff(n)
-        a = k[n] / k[n + 1]
-        c = c_monic * k[n] / k[n - 1] if n > 0 else 0.0
-        return a, b, c
+                f"norm data exhausted at index {max(j[0], len(k) - 1)} "
+                f"(len {len(k)})")
+        return (k[j] / k[j + 1], b_of(j),
+                monic_c(j) * k[j] / np.concatenate(([1.0], k))[j])
 
-    return RecurrenceSystem(general_coeff, form="general", p0=float(k[0]),
-                            max_index_hint=len(k) - 2)
+    return RecurrenceSystem(rows_fn=general_rows, form="general",
+                            p0=float(k[0]), max_index_hint=len(k) - 2)
 
 
 def _check_norm_consistency(sys: RecurrenceSystem, norms: NormData,
@@ -270,13 +310,13 @@ class SymmetryReport:
 def check_even_symmetry(sys: RecurrenceSystem, n_max: int,
                         samples: Sequence[float]) -> SymmetryReport:
     """Verify p_n(-x) = (-1)^n p_n(x) at the samples when all b_n vanish."""
-    all_b_zero = all(b == 0.0 for _, b, _ in sys.table(n_max))
+    all_b_zero = not sys.arrays(n_max)[1].any()
     worst = 0.0
     if all_b_zero:
-        for x in samples:
-            plus = eval_all(sys, n_max, float(x))
-            minus = eval_all(sys, n_max, -float(x))
-            for n in range(n_max + 1):
-                scale = max(1.0, abs(plus[n]))
-                worst = max(worst, abs(minus[n] - (-1) ** n * plus[n]) / scale)
+        x = np.asarray(samples, dtype=float)
+        plus = np.array(eval_all(sys, n_max, x))
+        minus = np.array(eval_all(sys, n_max, -x))
+        sign = (-1.0) ** np.arange(n_max + 1)[:, None]
+        worst = float(np.max(np.abs(minus - sign * plus)
+                             / np.maximum(1.0, np.abs(plus)), initial=0.0))
     return SymmetryReport(all_b_zero=all_b_zero, max_deviation=worst)

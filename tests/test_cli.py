@@ -114,7 +114,8 @@ def test_zeros_of_finite_family_at_lattice_size(capsys):
 
 
 def test_zeros_and_diagnose_past_classical_jacobi_overflow(capsys):
-    # the classical Jacobi-type chain stops at a_133 = 0; the monic one not
+    # degree 150 lies past index 133, where the classical Jacobi-type rows,
+    # once formed from Pochhammer products, overflowed into a_133 = 0
     code, out, err = run(capsys, "zeros", "--family", "gegenbauer", "--lam",
                          "1.5", "--n", "150")
     assert code == 0, err
@@ -408,13 +409,15 @@ def test_check_quadratic_takes_alpha_from_jacobi_reduction(capsys,
 @pytest.mark.parametrize("n", ("10", "133"))
 def test_check_quadratic_fails_on_a_perturbed_coefficient(n, capsys,
                                                           monkeypatch):
-    real = F.jacobi_monic_c
+    real = F._jacobi_monic_rows
 
-    def perturbed(m, alpha, beta):
-        c = real(m, alpha, beta)
-        return c * (1 + 1e-9) if (m, alpha, beta) == (5, 0.0, 0.0) else c
+    def perturbed(j, alpha, beta):
+        b, c = real(j, alpha, beta)
+        if (alpha, beta) == (0.0, 0.0):
+            c = np.where(j == 5, c * (1 + 1e-9), c)
+        return b, c
 
-    monkeypatch.setattr(F, "jacobi_monic_c", perturbed)
+    monkeypatch.setattr(F, "_jacobi_monic_rows", perturbed)
     code, out, err = run(capsys, "check", "--family", "legendre",
                          "--identity", "quadratic", "--n", n)
     assert code == 1
@@ -795,6 +798,42 @@ def _sweep_commands(family):
         if n in ("1", "133", "134"):
             yield ("diagnose", *fam, "--carleman", "--rho", "0.3",
                    "--true-interval", n)
+
+
+@pytest.mark.parametrize("family", ("legendre", "jacobi", "gegenbauer",
+                                    "chebyshev_t", "chebyshev_u"))
+def test_jacobi_type_commands_pass_to_degree_1000(family, capsys):
+    """Past index 133, where the classical rows once overflowed, every
+    command that evaluates, integrates or tabulates the classical chain
+    gives a document."""
+    fam = ("--family", family, *_CONTINUOUS[family])
+    for n in ("133", "134", "500", "1000"):
+        for argv in (("tabulate", *fam, "--n-max", n, "--grid=-0.5:0.5:3",
+                      "--format", "json"),
+                     ("quadrature", *fam, "--n", n),
+                     ("zeros", *fam, "--n", n),
+                     ("recurrence", *fam, "--n-max", n),
+                     ("check", *fam, "--identity", "cd", "--n", n)):
+            code, out, err = run(capsys, *argv)
+            assert code == 0, (argv, err)
+            json.loads(out)
+
+
+@pytest.mark.parametrize("n", ("150", "170"))
+def test_values_past_the_double_range_exit_with_one_stderr_line(n):
+    # pytest captures numpy's RuntimeWarnings, so the CLI runs in a child
+    src = os.path.dirname(os.path.dirname(orthopoly.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from orthopoly.cli import main; sys.exit(main())",
+         "check", "--family", "hermite", "--identity", "cd", "--n", n],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("orthopoly: "), lines
 
 
 def _measure_sweep_commands(path):

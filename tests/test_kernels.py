@@ -273,9 +273,9 @@ def test_half_size_route_against_scipy(family):
 
 
 def test_legendre_1000_weights_against_mpmath():
-    """Both ends, the quarter points and the centre, where the eigenvector
-    and the Christoffel formulas meet their limits, against 30-digit
-    weights 2 / ((1 - x^2) P_n'(x)^2) at Newton-refined zeros."""
+    """Both ends, where node rounding weighs most on a weight, the quarter
+    points and the centre, against 30-digit weights
+    2 / ((1 - x^2) P_n'(x)^2) at Newton-refined zeros."""
     import mpmath
 
     n = 1000
@@ -345,21 +345,68 @@ def test_one_nonzero_diagonal_entry_takes_the_full_eigensolve(monkeypatch):
         K.zeros(sys, None, n)
 
 
-@pytest.mark.parametrize("sys, mu0", [
-    (F.family_monic_system(F.jacobi(0.5, 1.5)),
-     F.family_mu0(F.jacobi(0.5, 1.5))),
-    (F.family_monic_system(F.laguerre(0.5)), F.family_mu0(F.laguerre(0.5))),
-    (charlier_system(1.5), 1.0),
-], ids=["jacobi", "laguerre", "charlier"])
-def test_non_symmetric_rules_unchanged(sys, mu0):
-    from scipy.linalg import eigh_tridiagonal
+NON_SYMMETRIC = {
+    "jacobi": (F.jacobi(0.5, 1.5),
+               lambda n: special.roots_jacobi(n, 0.5, 1.5),
+               (1, 2, 5, 50, 200, 1000)),
+    "laguerre": (F.laguerre(0.5),
+                 lambda n: special.roots_genlaguerre(n, 0.5), (1, 2, 5, 50)),
+}
 
-    for n in (1, 2, 5, 50):
-        nodes, weights = full_golub_welsch(sys, mu0, n)
+
+@pytest.mark.parametrize("family", ["jacobi", "laguerre", "charlier"])
+def test_non_symmetric_rules_against_scipy(family):
+    """Rules of continuous measures take eigenvalues and recurrence
+    weights, within 100 n eps of scipy.special normwise; the Charlier rule
+    on its lattice measure stays the full Golub-Welsch eigensolve."""
+    if family == "charlier":
+        sys = charlier_system(1.5)
+        m = discrete_family_measure(charlier(1.5), normalized=True)
+        for n in (1, 2, 5, 50):
+            rule = K.gauss_rule(sys, R.norms_from_recurrence(sys, 1.0, 1.0, 0),
+                                m, n)
+            nodes, weights = full_golub_welsch(sys, 1.0, n)
+            np.testing.assert_array_equal(rule.nodes, nodes)
+            np.testing.assert_array_equal(rule.weights, weights)
+        return
+    spec, roots, degrees = NON_SYMMETRIC[family]
+    sys, mu0 = F.family_monic_system(spec), F.family_mu0(spec)
+    for n in degrees:
+        x_ref, w_ref = roots(n)
+        tol = 100 * n * EPS
         rule = monic_rule(sys, mu0, n)
-        np.testing.assert_array_equal(rule.nodes, nodes)
-        np.testing.assert_array_equal(rule.weights, weights)
-        np.testing.assert_array_equal(
-            K.zeros(sys, None, n),
-            np.sort(eigh_tridiagonal(*K.jacobi_matrix(sys, n),
-                                     eigvals_only=True)))
+        assert np.array_equal(rule.nodes, K.zeros(sys, None, n))
+        assert normwise(rule.nodes, x_ref, 1.0) <= tol, n
+        assert normwise(rule.weights, w_ref) <= tol, n
+        assert abs(rule.weights.sum() - mu0) <= tol * mu0, n
+
+
+@pytest.mark.parametrize("n, value", [(30, 3.49156e-44), (60, 6.16852e-94)])
+def test_laguerre_tail_weight_against_mpmath(n, value):
+    """The weight of the largest node, where the full eigensolve gave
+    1.19e-44 and 6.0e-57, against its 50-digit value
+    Gamma(n+a+1) x / (n! (n+1)^2 L_{n+1}^a(x)^2) at the Newton-refined zero."""
+    import mpmath
+
+    rule = monic_rule(F.family_monic_system(F.laguerre(0.5)),
+                      math.gamma(1.5), n)
+    with mpmath.workdps(50):
+        a, x = mpmath.mpf(0.5), mpmath.mpf(rule.nodes[-1])
+        for _ in range(3):
+            x += mpmath.laguerre(n, a, x) / mpmath.laguerre(n - 1, a + 1, x)
+        w = float(mpmath.gamma(n + a + 1) * x / (
+            mpmath.factorial(n) * (n + 1) ** 2
+            * mpmath.laguerre(n + 1, a, x) ** 2))
+    assert w == pytest.approx(value, rel=1e-5)
+    assert abs(rule.weights[-1] - w) <= 1e-12 * w
+
+
+def test_recurrence_weights_that_miss_mu0_fall_back_loudly():
+    # with no measure given, Charlier's lattice nodes make the forward
+    # recurrence unstable: its weights sum to 2.6e-4 at n = 50
+    sys = charlier_system(1.5)
+    with pytest.warns(RuntimeWarning, match="Golub-Welsch"):
+        rule = monic_rule(sys, 1.0, 50)
+    nodes, weights = full_golub_welsch(sys, 1.0, 50)
+    np.testing.assert_array_equal(rule.nodes, nodes)
+    np.testing.assert_array_equal(rule.weights, weights)

@@ -305,11 +305,46 @@ def test_undefined_index_is_reported_once_and_stays_reported():
     assert sys.coeffs(1) == (1.0, 0.0, 0.5)
 
 
-def test_classical_jacobi_still_fails_at_index_133():
-    from orthopoly.families import jacobi_system
+def test_jacobi_type_rows_match_closed_forms_past_index_133():
+    """The general-form rows of the Jacobi-type families, once built from
+    Pochhammer products that overflowed into a_133 = 0, against 50-digit
+    values of their closed forms: a_n = 2(n+1)(n+s+1) / ((2n+s+1)(2n+s+2))
+    divided by the prefactor ratio, monic b_n, and c_n = c_n^monic / a_{n-1},
+    whose product a_{n-1} c_n is the monic c_n."""
+    import mpmath
 
-    with pytest.raises(R.RecurrenceError, match="a_133 = 0"):
-        R.eval_all(jacobi_system(0.5, 1.5), 200, 0.3)
+    from orthopoly import families as F
+
+    assert len(R.eval_all(F.jacobi_system(0.5, 1.5), 200, 0.3)) == 201
+    eps = np.finfo(float).eps
+    half = mpmath.mpf(1) / 2
+    ratios = {"jacobi": lambda n: 1, "gegenbauer": lambda n: (3 + n) / (2 + n),
+              "chebyshev_t": lambda n: (n + 1) / (n + half),
+              "chebyshev_u": lambda n: (n + 2) / (n + 3 * half)}
+    specs = {"jacobi": F.jacobi(0.5, 1.5), "gegenbauer": F.gegenbauer(1.5),
+             "chebyshev_t": F.chebyshev_t(), "chebyshev_u": F.chebyshev_u()}
+    with mpmath.workdps(50):
+        for family, spec in specs.items():
+            alpha, beta, _ = F._as_jacobi(spec)
+            al, be = mpmath.mpf(alpha), mpmath.mpf(beta)
+            s = al + be
+
+            def a(n):
+                return (2 * (n + 1) * (n + s + 1)
+                        / ((2 * n + s + 1) * (2 * n + s + 2))
+                        / ratios[family](mpmath.mpf(n)))
+
+            rows = F.family_system(spec).table(1000)
+            for n in (132, 133, 134, 500, 1000):
+                t = 2 * n + s
+                b = (be ** 2 - al ** 2) / (t * (t + 2))
+                c_monic = (4 * n * (n + al) * (n + be) * (n + s)
+                           / ((t - 1) * t ** 2 * (t + 1)))
+                got_a, got_b, got_c = rows[n]
+                for got, want in ((got_a, a(n)), (got_c, c_monic / a(n - 1)),
+                                  (rows[n - 1][0] * got_c, c_monic)):
+                    assert abs(got - want) <= 4 * eps * abs(want), (family, n)
+                assert abs(got_b - b) <= 4 * eps * abs(b), (family, n)
 
 
 def test_favard_products_match_the_report():
