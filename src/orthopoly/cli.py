@@ -129,7 +129,7 @@ def _bundle(spec, normalized=False):
 def _cmd_quadrature(args) -> int:
     spec = _family_spec(args)
     b = _bundle(spec)
-    norms = R.norms_from_recurrence(b.system, b.h0, b.k0, args.n + 1)
+    norms = R.norms_from_recurrence(b.system, b.h0, 1.0, args.n + 1)
     try:
         rule = K.gauss_rule(b.system, norms, b.measure, args.n, args.tol)
     except (K.KernelError, R.RecurrenceError, M.IntegrationError) as exc:
@@ -231,7 +231,7 @@ def _check_battery(spec, identity: str, n: int, tol: float):
             [F.shift_check(spec, n, d, xs) for d in ("raise", "lower")])))
     elif identity == "cd":
         b = _bundle(spec)
-        norms = R.norms_from_recurrence(b.system, b.h0, b.k0, n + 1)
+        norms = R.norms_from_recurrence(b.system, b.h0, 1.0, n + 1)
         rng = np.random.default_rng(20260823)
         lo, hi = (0.2, 8.0) if spec.family == "laguerre" else (-0.95, 0.95)
         res = []

@@ -763,7 +763,6 @@ class FamilyBundle:
     monic: RecurrenceSystem
     measure: Measure
     h0: float
-    k0: float = 1.0
 
 
 def family_bundle(spec: FamilySpec, normalized: bool = False) -> FamilyBundle:

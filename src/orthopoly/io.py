@@ -15,7 +15,7 @@ import numpy as np
 from . import families as _families
 from .kernels import QuadratureRule
 from .measures import Measure, discrete_measure
-from .recurrence import NormData, RecurrenceSystem, from_tables
+from .recurrence import RecurrenceSystem, from_tables
 
 SCHEMA_VERSION = 1
 

@@ -10,7 +10,8 @@ import numpy as np
 
 from .measures import Measure, integrate
 from .recurrence import (NormData, RecurrenceError, RecurrenceSystem,
-                         eval_all, eval_all_derivatives, validate_favard)
+                         convert_form, eval_all, eval_all_derivatives,
+                         validate_favard)
 
 # below this separation the closed form of the kernel cancels; use the
 # confluent (derivative) form instead
@@ -48,21 +49,23 @@ class QuadratureRule:
 
 def cd_kernel(sys: RecurrenceSystem, norms: NormData, n: int, x: float,
               y: float, method: str = "auto") -> float:
-    """K_n(x,y) = sum_{j<=n} p_j(x)p_j(y)/h_j, or its closed form; past the
-    double range inf or nan, without warnings."""
+    """K_n(x,y) = sum_{j<=n} p~_j(x)p~_j(y), or its closed form, on the
+    orthonormal chain p~_j = p_j/sqrt(h_j) of `sys`, so that no classical
+    normalisation has to fit in a double; past the double range inf or nan,
+    without warnings."""
     if method not in ("auto", "sum", "closed"):
         raise KernelError(f"unknown method {method!r}")
+    on = convert_form(sys, norms, "orthonormal")
+    on.table(n)   # the rows both forms read, grown in one block
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if method == "sum":
-            py = np.array(eval_all(sys, n, y))
-            return float(np.dot(eval_all(sys, n, x), py / norms.h[:n + 1]))
-        # k_n / (h_n k_{n+1}) = a_n / h_n, without the product that overflows
-        pref = sys.coeffs(n)[0] / norms.h[n]
+            return float(np.dot(eval_all(on, n, x), eval_all(on, n, y)))
+        pref = on.coeffs(n)[0]   # sqrt(beta_{n+1}) = k_n / (h_n k_{n+1})
         if abs(x - y) >= _CONFLUENT_SWITCH * (1 + abs(x)):
-            pn_x, pn1_x = eval_all(sys, n + 1, x)[-2:]
-            pn_y, pn1_y = eval_all(sys, n + 1, y)[-2:]
+            pn_x, pn1_x = eval_all(on, n + 1, x)[-2:]
+            pn_y, pn1_y = eval_all(on, n + 1, y)[-2:]
             return float(pref * (pn1_x * pn_y - pn_x * pn1_y) / (x - y))
-        ps, ds, _ = eval_all_derivatives(sys, n + 1, x)
+        ps, ds, _ = eval_all_derivatives(on, n + 1, x)
         return float(pref * (ds[n + 1] * ps[n] - ds[n] * ps[n + 1]))
 
 

@@ -10,7 +10,7 @@ from typing import Callable
 import numpy as np
 
 from .recurrence import (NormData, RecurrenceError, RecurrenceSystem,
-                         from_tables)
+                         from_tables, norms_from_recurrence)
 
 DEFAULT_TOL = 1e-12
 _MAX_DISCRETE_TERMS = 200_000
@@ -235,11 +235,9 @@ def recurrence_from_measure(m: Measure, n_max: int,
                 break
             coarse, size = rows, 2 * size
     _, h0, b, beta = rows
-    c = beta[:n_max + 1] ** 2
-    with np.errstate(over="ignore"):
-        h = h0 * np.cumprod(np.concatenate(([1.0], c[1:])))
-    sys = from_tables([1.0] * (n_max + 1), b, c, form="monic")
-    return sys, NormData(h=h, k=np.ones(n_max + 1))
+    sys = from_tables([1.0] * (n_max + 1), b, beta[:n_max + 1] ** 2,
+                      form="monic")
+    return sys, norms_from_recurrence(sys, h0, 1.0, n_max)
 
 
 def _discretize(m: Measure, size: int) -> tuple[np.ndarray, np.ndarray]:

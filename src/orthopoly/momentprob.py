@@ -14,8 +14,7 @@ import numpy as np
 
 from .kernels import zeros as _zeros
 from .measures import Measure, MomentSequence, integrate
-from .recurrence import (NormData, RecurrenceError, RecurrenceSystem,
-                         eval_all, eval_poly)
+from .recurrence import RecurrenceSystem, eval_all, eval_poly
 
 
 class MomentProblemError(RuntimeError):
@@ -185,9 +184,9 @@ def rho(sys: RecurrenceSystem, z, n_max: int, cap: float = 1e60) -> RhoReport:
     """Truncations of (sum |p_n(z)|^2)^{-1} for an orthonormal system."""
     if sys.form != "orthonormal":
         raise MomentProblemError("rho needs an orthonormal system")
-    vals = eval_all(sys, n_max, z)
-    sq = np.array([abs(v) ** 2 for v in vals])
-    partials = np.cumsum(sq)
+    with np.errstate(over="ignore"):
+        sq = np.abs(np.array(eval_all(sys, n_max, z))) ** 2
+        partials = np.cumsum(sq)
     total = partials[-1]
     if total > cap:
         return RhoReport(partials=partials, rho=0.0, verdict="diverges")

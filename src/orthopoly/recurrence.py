@@ -10,6 +10,7 @@ with p_0 constant.  Forms: "general" (arbitrary a_n), "monic" (a_n = 1),
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -89,18 +90,25 @@ class RecurrenceSystem:
 
 @dataclass(frozen=True)
 class NormData:
-    """Quadratic norms h_n = <p_n, p_n> and leading coefficients k_n."""
+    """Quadratic norms h_n = <p_n, p_n>, kept as log h_n so that no degree
+    leaves the double range."""
 
-    h: np.ndarray
-    k: np.ndarray
+    log_h: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "h", np.asarray(self.h, dtype=float))
-        object.__setattr__(self, "k", np.asarray(self.k, dtype=float))
-        if np.any(self.h <= 0):
-            raise RecurrenceError("norms h_n must be positive")
-        if np.any(self.k == 0):
-            raise RecurrenceError("leading coefficients k_n must be nonzero")
+        log_h = np.array(self.log_h, dtype=float)
+        if not np.isfinite(log_h).all():
+            raise RecurrenceError("log norms log h_n must be finite")
+        log_h.flags.writeable = False
+        object.__setattr__(self, "log_h", log_h)
+
+    @property
+    def h(self) -> np.ndarray:
+        """Read-only exp(log_h): 0 or inf past the double range."""
+        with np.errstate(over="ignore", under="ignore"):
+            h = np.exp(self.log_h)
+        h.flags.writeable = False
+        return h
 
 
 def from_tables(a: Sequence[float], b: Sequence[float], c: Sequence[float],
@@ -219,36 +227,34 @@ def validate_favard(sys: RecurrenceSystem, upto: int) -> FavardReport:
 
 def norms_from_recurrence(sys: RecurrenceSystem, h0: float, k0: float,
                           upto: int) -> NormData:
-    """Propagate h_{n+1} = h_n c_{n+1}/a_n and k_{n+1} = k_n/a_n; past the
-    double range a chain holds inf or 0, which NormData refuses."""
+    """log h_{n+1} = log h_n + log(c_{n+1}/a_n), from log h_0 = log h0.
+    k0 only has to be nonzero: no consumer needs the leading coefficients."""
     if h0 <= 0:
         raise RecurrenceError("h0 must be positive")
     if k0 == 0:
         raise RecurrenceError("k0 must be nonzero")
     a, _, c = sys.arrays(upto)
-    with np.errstate(over="ignore", under="ignore"):
-        h = np.cumprod(np.concatenate(([h0], c[1:] / a[:-1])))
-        k = np.cumprod(np.concatenate(([k0], 1.0 / a[:-1])))
-    bad = np.flatnonzero(h[1:] <= 0)
+    bad = np.flatnonzero(np.sign(a[:-1]) * np.sign(c[1:]) <= 0)
     if bad.size:
         n = int(bad[0])
-        raise RecurrenceError(
-            f"Favard violation at n={n}: h_{n + 1} = {h[n + 1]} <= 0")
-    return NormData(h=h, k=k)
+        raise RecurrenceError(f"Favard violation at n={n}: "
+                              f"a_{n} c_{n + 1} = {a[n] * c[n + 1]} <= 0")
+    return NormData(log_h=np.cumsum(np.concatenate(
+        ([math.log(h0)], np.log(c[1:] / a[:-1])))))
 
 
 def convert_form(sys: RecurrenceSystem, norms: NormData,
                  target: str) -> RecurrenceSystem:
     """Convert a system between general/monic/orthonormal normalizations.
 
-    `norms` must hold the h_n, k_n of `sys` itself.  Conversions rescale
-    p_n -> p_n/k_n (monic), p_n -> p_n/sqrt(h_n) (orthonormal), or restore
-    the recorded k_n chain (general), a block of rows at a time.
+    Only h_0 of `norms` is read.  Conversions rescale p_n -> p_n/k_n
+    (monic) or p_n -> p_n/sqrt(h_n) (orthonormal), a block of rows at a
+    time; any system is a general one, so that target is `sys` itself.
+    The orthonormal rows are computed once per `sys`.
     """
     if target not in FORMS:
         raise RecurrenceError(f"unknown target form {target!r}")
-    _check_norm_consistency(sys, norms)
-    if target == sys.form == "monic":
+    if target == "general" or target == sys.form == "monic":
         return sys
 
     def b_of(j: np.ndarray) -> np.ndarray:
@@ -263,42 +269,24 @@ def convert_form(sys: RecurrenceSystem, norms: NormData,
             rows_fn=lambda j: (1.0, b_of(j), monic_c(j)), form="monic",
             p0=1.0, max_index_hint=sys.max_index_hint)
 
-    if target == "orthonormal":
-        def ortho_rows(j: np.ndarray) -> tuple:
-            prods = favard_products(sys, j[-1] + 1)
-            bad = np.flatnonzero(prods[j] <= 0)
-            if bad.size:
-                raise RecurrenceError(f"Favard violation at n={j[bad[0]]}")
-            e = np.sqrt(prods)
-            return e[j], b_of(j), np.concatenate(([0.0], e))[j]
+    def ortho_rows(j: np.ndarray) -> tuple:
+        prods = favard_products(sys, j[-1] + 1)
+        bad = np.flatnonzero(prods[j] <= 0)
+        if bad.size:
+            raise RecurrenceError(f"Favard violation at n={j[bad[0]]}")
+        e = np.sqrt(prods)
+        return e[j], b_of(j), np.concatenate(([0.0], e))[j]
 
-        p0 = sys.p0 / np.sqrt(norms.h[0])
-        return RecurrenceSystem(rows_fn=ortho_rows, form="orthonormal",
-                                p0=p0, max_index_hint=sys.max_index_hint)
-
-    # target == "general": restore the k_n chain recorded in norms
-    k = norms.k
-
-    def general_rows(j: np.ndarray) -> tuple:
-        if j[-1] + 1 >= len(k):
-            raise RecurrenceError(
-                f"norm data exhausted at index {max(j[0], len(k) - 1)} "
-                f"(len {len(k)})")
-        return (k[j] / k[j + 1], b_of(j),
-                monic_c(j) * k[j] / np.concatenate(([1.0], k))[j])
-
-    return RecurrenceSystem(rows_fn=general_rows, form="general",
-                            p0=float(k[0]), max_index_hint=len(k) - 2)
-
-
-def _check_norm_consistency(sys: RecurrenceSystem, norms: NormData,
-                            rtol: float = 1e-9) -> None:
-    rows = sys.table(min(len(norms.h), len(norms.k)) - 1)
-    for n, ((a, _, _), (_, _, c_next)) in enumerate(zip(rows, rows[1:])):
-        if not np.isclose(norms.h[n + 1], norms.h[n] * c_next / a, rtol=rtol):
-            raise RecurrenceError(f"inconsistent norms: h chain breaks at n={n}")
-        if not np.isclose(norms.k[n + 1], norms.k[n] / a, rtol=rtol):
-            raise RecurrenceError(f"inconsistent norms: k chain breaks at n={n}")
+    ortho = RecurrenceSystem(
+        rows_fn=ortho_rows, form="orthonormal",
+        p0=float(sys.p0 / math.sqrt(math.exp(norms.log_h[0]))),
+        max_index_hint=sys.max_index_hint)
+    # the rows, which do not depend on h_0, are kept in the cache of `sys`;
+    # the system itself is not, since it refers back to `sys`, and that
+    # cycle would outlive `sys` until the garbage collector's next full pass
+    object.__setattr__(ortho, "_cache",
+                       sys._cache.setdefault("orthonormal", ortho._cache))
+    return ortho
 
 
 @dataclass(frozen=True)

@@ -119,7 +119,7 @@ def test_criterion_03_gauss_exactness():
         ]
         for spec, mu in cases:
             b = F.family_bundle(spec)
-            norms = R.norms_from_recurrence(b.system, b.h0, b.k0, 21)
+            norms = R.norms_from_recurrence(b.system, b.h0, 1.0, 21)
             monic = F.family_monic_system(spec)
             for n in (2, 5, 10, 20):
                 rule = K.gauss_rule(b.system, norms, b.measure, n)
@@ -150,7 +150,7 @@ def test_criterion_04_christoffel_darboux():
         ]
         for spec, (lo, hi) in cases:
             b = F.family_bundle(spec)
-            norms = R.norms_from_recurrence(b.system, b.h0, b.k0, 16)
+            norms = R.norms_from_recurrence(b.system, b.h0, 1.0, 16)
             for _ in range(100):
                 n = int(rng.integers(1, 16))
                 x, y = rng.uniform(lo, hi, 2)

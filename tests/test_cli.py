@@ -174,6 +174,17 @@ def _measure_file(tmp_path, family, flags):
     return str(path), spec
 
 
+def test_recurrence_measure_past_the_norm_underflow(tmp_path, capsys):
+    # h_n = 2 c_1 ... c_n, about 2 4^-n, underflows from n = 538; the rows
+    # do not need it, and the norms are kept as log h_n
+    path, spec = _measure_file(tmp_path, "legendre", ())
+    code, out, err = run(capsys, "recurrence", "--measure", path,
+                         "--n-max", "560")
+    assert code == 0, err
+    co = json.loads(out)["coefficients"]
+    assert monic_row_error(co["b"], co["c"], spec) <= 1e-12
+
+
 def _finite_file(tmp_path, size):
     # the benchmark's finite measure has 60 nodes
     doc = {"schema": 1, "kind": "discrete_finite",
@@ -310,20 +321,15 @@ def test_check_fails_with_tiny_tol(capsys):
 
 
 def test_check_cd_hermite_past_the_norm_product_overflow(capsys):
-    # h_n k_{n+1} leaves the double range at n = 134 although h_n and k_n do
-    # not; the kernel prefactor a_n / h_n never forms that product
-    code, out, _ = run(capsys, "check", "--family", "hermite",
-                       "--identity", "cd", "--n", "134")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["pass"] is True
-    assert doc["residual"] < 1e-12
-    # from n = 150 the confluent form's p_n p'_{n+1}, about n h_n, leaves the
-    # double range: a clean exit 1
-    code, out, err = run(capsys, "check", "--family", "hermite",
-                         "--identity", "cd", "--n", "150")
-    assert code == 1
-    assert err.startswith("orthopoly: ")
+    # h_n k_{n+1} leaves the double range at n = 134 and h_n at n = 151; the
+    # kernel is taken on the orthonormal chain, which forms neither
+    for n in ("134", "150", "1000"):
+        code, out, _ = run(capsys, "check", "--family", "hermite",
+                           "--identity", "cd", "--n", n)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["pass"] is True
+        assert doc["residual"] < 1e-12
 
 
 def test_check_quadratic_rejects_hermite(capsys):
@@ -819,9 +825,11 @@ def test_jacobi_type_commands_pass_to_degree_1000(family, capsys):
             json.loads(out)
 
 
-@pytest.mark.parametrize("n", ("150", "170"))
-def test_values_past_the_double_range_exit_with_one_stderr_line(n):
-    # pytest captures numpy's RuntimeWarnings, so the CLI runs in a child
+@pytest.mark.parametrize("fam", (("hermite",), ("laguerre", "--alpha", "0.5")),
+                         ids=("hermite", "laguerre"))
+def test_values_past_the_double_range_exit_with_one_stderr_line(fam):
+    # pytest captures numpy's RuntimeWarnings, so the CLI runs in a child;
+    # hundreds of the 1000 Gauss weights lie below the double range
     src = os.path.dirname(os.path.dirname(orthopoly.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -829,7 +837,7 @@ def test_values_past_the_double_range_exit_with_one_stderr_line(n):
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys; from orthopoly.cli import main; sys.exit(main())",
-         "check", "--family", "hermite", "--identity", "cd", "--n", n],
+         "quadrature", "--family", *fam, "--n", "1000"],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()

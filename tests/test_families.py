@@ -408,7 +408,7 @@ def test_split_rejects_uneven_system():
 def test_diagonal_norms_match_tables():
     # Legendre 1/(2n+1) and Hermite 2^n n! with the classical normalizers
     b = F.family_bundle(F.legendre(), normalized=True)
-    norms = R.norms_from_recurrence(b.system, b.h0, b.k0, 6)
+    norms = R.norms_from_recurrence(b.system, b.h0, 1.0, 6)
     for n in range(7):
         assert norms.h[n] == pytest.approx(1.0 / (2 * n + 1))
         got = M.inner_product(lambda x, n=n: R.eval_poly(b.system, n, x),
@@ -419,7 +419,7 @@ def test_diagonal_norms_match_tables():
 
 def test_jacobi_norm_chain_vs_integral():
     b = F.family_bundle(F.jacobi(-0.5, 0.5))
-    norms = R.norms_from_recurrence(b.system, b.h0, b.k0, 5)
+    norms = R.norms_from_recurrence(b.system, b.h0, 1.0, 5)
     for n in (1, 3, 5):
         got = M.inner_product(lambda x, n=n: R.eval_poly(b.system, n, x),
                               lambda x, n=n: R.eval_poly(b.system, n, x),
@@ -429,7 +429,7 @@ def test_jacobi_norm_chain_vs_integral():
 
 def test_orthogonality_off_diagonal():
     b = F.family_bundle(F.laguerre(0.5))
-    norms = R.norms_from_recurrence(b.system, b.h0, b.k0, 6)
+    norms = R.norms_from_recurrence(b.system, b.h0, 1.0, 6)
     for i in range(6):
         for j in range(i + 1, 6):
             val = M.inner_product(

@@ -11,7 +11,7 @@ from orthopoly import recurrence as R
 from orthopoly.discrete import charlier, charlier_system
 from orthopoly.discrete import family_measure as discrete_family_measure
 from orthopoly.families import (family_measure, hermite_system,
-                                legendre, legendre_system)
+                                laguerre_system, legendre, legendre_system)
 
 rng = np.random.default_rng(42)
 
@@ -73,6 +73,57 @@ def test_kernel_confluent_path():
     assert auto == pytest.approx(s, rel=1e-7)
     exact = K.cd_kernel(sys, norms, 8, 0.4, 0.4)
     assert exact == pytest.approx(s, rel=1e-12)
+
+
+def _mp_orthonormal_kernel(family, n, x, y):
+    """sum_{j<=n} p~_j(x) p~_j(y) at 50 digits, from the closed-form
+    orthonormal recurrence: Hermite (weight e^{-x^2}) or Laguerre(1/2)."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        x, y = mpmath.mpf(x), mpmath.mpf(y)
+        if family == "hermite":
+            p0 = mpmath.pi ** mpmath.mpf(-0.25)
+            e = [mpmath.sqrt(mpmath.mpf(j + 1) / 2) for j in range(n + 1)]
+            b = [0] * (n + 1)
+        else:
+            a = mpmath.mpf(1) / 2
+            p0 = 1 / mpmath.sqrt(mpmath.gamma(a + 1))
+            e = [mpmath.sqrt((j + 1) * (j + 1 + a)) for j in range(n + 1)]
+            b = [2 * j + a + 1 for j in range(n + 1)]
+        total, px, py, qx, qy = 0, p0, p0, 0, 0
+        for j in range(n + 1):
+            total += px * py
+            e_prev = e[j - 1] if j else 0
+            px, qx = ((x - b[j]) * px - e_prev * qx) / e[j], px
+            py, qy = ((y - b[j]) * py - e_prev * qy) / e[j], py
+        return float(total)
+
+
+@pytest.mark.parametrize("n", (200, 1000))
+@pytest.mark.parametrize("family, sys, mu0, pairs", [
+    ("hermite", hermite_system(), math.sqrt(math.pi),
+     ((0.3, -1.7), (2.5, 2.5), (-4.0, 6.5), (1.1, 1.1))),
+    ("laguerre", laguerre_system(0.5), math.gamma(1.5),
+     ((0.7, 5.0), (3.0, 3.0), (12.0, 0.2), (40.0, 40.0)))],
+    ids=("hermite", "laguerre"))
+def test_kernel_forms_agree_past_the_classical_norm_range(family, sys, mu0,
+                                                          pairs, n):
+    # Hermite's h_n overflows and Laguerre's k_n underflows before n = 200;
+    # the kernel on the orthonormal chain needs neither
+    norms = R.norms_from_recurrence(sys, mu0, 1.0, n + 1)
+    tol = n * np.finfo(float).eps
+    for x, y in pairs:
+        s = K.cd_kernel(sys, norms, n, x, y, method="sum")
+        c = K.cd_kernel(sys, norms, n, x, y)   # confluent when x == y
+        scale = math.sqrt(K.cd_kernel(sys, norms, n, x, x)
+                          * K.cd_kernel(sys, norms, n, y, y))
+        assert math.isfinite(s) and math.isfinite(scale)
+        assert abs(s - c) <= tol * scale
+        if n == 200:
+            ref = _mp_orthonormal_kernel(family, n, x, y)
+            assert abs(s - ref) <= tol * scale
+            assert abs(c - ref) <= tol * scale
 
 
 def test_kernel_rejects_bad_method():

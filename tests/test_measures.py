@@ -161,10 +161,9 @@ def test_named_measure_gives_its_closed_form_recurrence(name, n):
     a, b, c = np.array(sys.table(n)).T
     assert np.all(a == 1.0)
     assert monic_row_error(b, c, spec) <= 1e-12
-    # h_n = h_0 prod c_j
-    with np.errstate(over="ignore"):
-        assert np.array_equal(norms.h, norms.h[0] * np.cumprod(
-            np.concatenate(([1.0], c[1:]))))
+    # log h_n = log h_0 + sum log c_j
+    assert np.array_equal(norms.log_h, np.cumsum(
+        np.concatenate(([norms.log_h[0]], np.log(c[1:])))))
 
 
 def test_undeclared_endpoint_singularity_raises():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from orthopoly import recurrence as R
 from orthopoly.families import (hermite_monic_system, hermite_system,
-                                legendre_system)
+                                laguerre_system, legendre_system)
 
 
 def test_eval_legendre_at_one():
@@ -121,13 +121,15 @@ def test_norms_hermite_monic_chain():
 
 
 def test_norms_hermite_classical_chain():
-    # k_n = 2^n chain gives h_n = 2^n n! sqrt(pi)
-    norms = R.norms_from_recurrence(hermite_system(),
-                                    math.sqrt(math.pi), 1.0, 10)
+    # the classical H_n, leading coefficient k_n = 1/(a_0 ... a_{n-1}) = 2^n,
+    # have h_n = 2^n n! sqrt(pi)
+    sys = hermite_system()
+    norms = R.norms_from_recurrence(sys, math.sqrt(math.pi), 1.0, 10)
+    a = np.array([sys.coeffs(j)[0] for j in range(10)])
+    assert np.cumprod(1.0 / a) == pytest.approx(2.0 ** np.arange(1, 11))
     for n in range(11):
         want = 2.0 ** n * math.factorial(n) * math.sqrt(math.pi)
         assert norms.h[n] == pytest.approx(want, rel=1e-14)
-        assert norms.k[n] == pytest.approx(2.0 ** n)
 
 
 def test_norms_constant_quarter_chain():
@@ -137,9 +139,27 @@ def test_norms_constant_quarter_chain():
     assert np.allclose(norms.h, 4.0 ** -np.arange(9))
 
 
+@pytest.mark.parametrize("sys, h0, log_h", [
+    (laguerre_system(0.5), math.gamma(1.5),
+     lambda n: math.lgamma(n + 1.5) - math.lgamma(n + 1)),
+    (hermite_system(), math.sqrt(math.pi),
+     lambda n: 0.5 * math.log(math.pi) + n * math.log(2) + math.lgamma(n + 1))],
+    ids=("laguerre", "hermite"))
+def test_log_norms_to_degree_1000_match_lgamma(sys, h0, log_h):
+    # Laguerre's k_n = (-1)^n/n! underflows from n = 178 and Hermite's
+    # h_n = 2^n n! sqrt(pi) overflows from n = 151; log h_n stays in range
+    eps = np.finfo(float).eps
+    norms = R.norms_from_recurrence(sys, h0, 1.0, 1000)
+    for n in range(1001):
+        assert abs(norms.log_h[n] - log_h(n)) <= 100 * max(n, 1) * eps
+    assert not norms.h.flags.writeable
+
+
 def test_norms_base_case():
     norms = R.norms_from_recurrence(legendre_system(), 2.0, 1.0, 0)
-    assert norms.h[0] == 2.0 and norms.k[0] == 1.0
+    assert norms.h[0] == 2.0 and norms.log_h[0] == math.log(2.0)
+    with pytest.raises(R.RecurrenceError):
+        R.norms_from_recurrence(legendre_system(), 2.0, 0.0, 0)
 
 
 def test_norms_favard_violation_raises():
@@ -188,12 +208,14 @@ def test_convert_round_trip_general():
     sys = legendre_system()
     norms = R.norms_from_recurrence(sys, 2.0, 1.0, 12)
     monic = R.convert_form(sys, norms, "monic")
-    # the recorded k_n chain restores the original normalization
+    # every system is a general one
     back = R.convert_form(sys, norms, "general")
+    assert back is sys
+    k = np.cumprod([1.0] + [1.0 / sys.coeffs(j)[0] for j in range(9)])
     for x in (-0.7, 0.1, 0.9):
         for n in range(10):
             assert R.eval_poly(monic, n, x) == pytest.approx(
-                R.eval_poly(sys, n, x) / norms.k[n], rel=1e-12)
+                R.eval_poly(sys, n, x) / k[n], rel=1e-12)
     for x in (-0.7, 0.1, 0.9):
         for n in range(10):
             assert R.eval_poly(back, n, x) == pytest.approx(
@@ -206,21 +228,13 @@ def test_convert_monic_values_are_scaled():
     monic = R.convert_form(sys, norms, "monic")
     for n in range(8):
         assert R.eval_poly(monic, n, 0.6) == pytest.approx(
-            R.eval_poly(sys, n, 0.6) / norms.k[n], rel=1e-12)
-
-
-def test_convert_inconsistent_norms_rejected():
-    sys = legendre_system()
-    bad = R.NormData(h=np.array([2.0, 1.0, 7.0]), k=np.array([1.0, 1.5, 2.5]))
-    with pytest.raises(R.RecurrenceError):
-        R.convert_form(sys, bad, "monic")
+            R.eval_poly(sys, n, 0.6) / 2.0 ** n, rel=1e-12)
 
 
 def test_norm_data_validation():
-    with pytest.raises(R.RecurrenceError):
-        R.NormData(h=np.array([1.0, -1.0]), k=np.array([1.0, 1.0]))
-    with pytest.raises(R.RecurrenceError):
-        R.NormData(h=np.array([1.0, 1.0]), k=np.array([1.0, 0.0]))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(R.RecurrenceError):
+            R.NormData(log_h=np.array([1.0, bad]))
 
 
 def test_even_symmetry_hermite():
