@@ -152,10 +152,7 @@ def gauss_rule(sys: RecurrenceSystem, norms: NormData, m: Measure | None,
     if m is not None and m.kind != "continuous":
         nodes, weights = _golub_welsch(diag, off, mu0)
     else:
-        nodes = _eigenvalues(diag, off)
-        w = _recurrence_weights(diag, off, mu0,
-                                nodes if diag.any() else nodes[n // 2:])
-        weights = w if diag.any() else np.concatenate((w[::-1][:n // 2], w))
+        nodes, weights = _gauss_nodes_weights(diag, off, mu0)
         total = weights.sum()
         if not abs(total - mu0) <= 100 * n * np.finfo(float).eps * mu0:
             warnings.warn(
@@ -165,6 +162,19 @@ def gauss_rule(sys: RecurrenceSystem, norms: NormData, m: Measure | None,
             nodes, weights = _golub_welsch(diag, off, mu0)
     return QuadratureRule(nodes=nodes, weights=weights,
                           exactness_degree=2 * n - 1, source=sys)
+
+
+def _gauss_nodes_weights(diag: np.ndarray, off: np.ndarray,
+                         mu0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of the Jacobi matrix (diag, off) and their
+    Newton-corrected Christoffel weights for the mass mu0 (see
+    `gauss_rule`); a weight below the double range is 0."""
+    nodes = _eigenvalues(diag, off)
+    if diag.any():
+        return nodes, _recurrence_weights(diag, off, mu0, nodes)
+    half = len(diag) // 2
+    w = _recurrence_weights(diag, off, mu0, nodes[half:])
+    return nodes, np.concatenate((w[::-1][:half], w))
 
 
 def _golub_welsch(diag: np.ndarray, off: np.ndarray,

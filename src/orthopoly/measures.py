@@ -1,5 +1,6 @@
 """Orthogonality measures: inner products, moments, Hankel minors, and the
-recurrence of a measure by discretized Lanczos."""
+recurrence of a measure by discretized Lanczos, all on one discretization
+of the measure."""
 
 from __future__ import annotations
 
@@ -13,13 +14,14 @@ from .recurrence import (NormData, RecurrenceError, RecurrenceSystem,
                          from_tables, norms_from_recurrence)
 
 DEFAULT_TOL = 1e-12
-_MAX_DISCRETE_TERMS = 200_000
-# Largest discretization recurrence_from_measure tries before it gives up.
-_MAX_POINTS = 2048
+# Sizes of the discretizations that integrate sums over, and the largest
+# one of a continuous measure that recurrence_from_measure tries.
+_FIRST_POINTS, _MAX_POINTS, _MAX_DISCRETE_TERMS = 16, 2048, 2 ** 18
 
 
 class IntegrationError(RuntimeError):
-    """Integral or infinite sum did not converge within budget."""
+    """Integral or lattice sum did not settle within its largest
+    discretization, as for an integrand singular inside the support."""
 
 
 @dataclass(frozen=True)
@@ -28,9 +30,11 @@ class Measure:
 
     kind is one of "continuous", "discrete_finite", "discrete_infinite".
     For continuous measures with an endpoint-singular algebraic factor,
-    `alg_exponents` holds (left, right) exponents so integration can use
-    quadrature with the singular part absorbed into the rule; `weight` is
-    always the full weight, `alg_smooth` its regular part.
+    `alg_exponents` holds (left, right) exponents, which the Gauss rule of
+    the discretization absorbs; `weight` is always the full weight,
+    `alg_smooth` its regular part.  Every integral is a sum over a
+    discretization (`_discretize`), built once per size and kept in
+    `_cache`.
     """
 
     kind: str
@@ -45,6 +49,8 @@ class Measure:
     alg_exponents: tuple[float, float] | None = None
     alg_smooth: Callable[[float], float] | None = None
     meta: dict = field(default_factory=dict)
+    _cache: dict = field(default_factory=dict, init=False, compare=False,
+                         repr=False)
 
     @property
     def n_points(self) -> int | None:
@@ -84,65 +90,34 @@ def discrete_infinite_measure(node_fn, weight_fn, tail_bound, normalizer=1.0,
 
 def integrate(m: Measure, f: Callable[[float], float],
               tol: float = DEFAULT_TOL) -> float:
-    """Integrate f against the measure to absolute accuracy ~tol."""
-    if m.kind == "continuous":
-        return m.normalizer * _integrate_continuous(m, f, tol)
+    """Integrate f against the measure as a sum of f over `_discretize(m,
+    K)`; a finite measure is summed as it is.
+
+    K starts at _FIRST_POINTS and doubles.  On a continuous measure the sum
+    stops when two successive sums agree to `tol` relative to the sum of
+    w_k |f(x_k)|; the rule is Gauss, so exact for a polynomial of degree
+    < 2K.  On an infinite lattice it stops once `tail_bound` times the
+    largest |f| at the last four points is below tol / 10.  IntegrationError
+    when K would pass _MAX_POINTS (lattice: _MAX_DISCRETE_TERMS).
+    """
     if m.kind == "discrete_finite":
         return m.normalizer * float(np.dot(m.node_weights,
                                            [f(x) for x in m.nodes]))
-    if m.kind == "discrete_infinite":
-        return m.normalizer * _sum_infinite(m, f, tol)
-    raise ValueError(f"unknown measure kind {m.kind!r}")
-
-
-def _integrate_continuous(m: Measure, f, tol: float) -> float:
-    from scipy import integrate as _sp_integrate
-
-    a, b = m.support
-    if m.alg_exponents is not None:
-        smooth = m.alg_smooth or (lambda x: 1.0)
-        if math.isinf(b):
-            mid = a + 1.0
-            v1, e1 = _sp_integrate.quad(lambda x: f(x) * smooth(x), a, mid,
-                                        weight="alg", wvar=m.alg_exponents,
-                                        epsabs=tol, epsrel=tol, limit=500)
-            # beyond the split point the weight itself is regular
-            v2, e2 = _sp_integrate.quad(lambda x: f(x) * m.weight(x), mid, b,
-                                        epsabs=tol, epsrel=tol, limit=500)
-            _check_quad_error(v1 + v2, e1 + e2, tol)
-            return v1 + v2
-        val, err = _sp_integrate.quad(lambda x: f(x) * smooth(x), a, b,
-                                      weight="alg", wvar=m.alg_exponents,
-                                      epsabs=tol, epsrel=tol, limit=500)
-        _check_quad_error(val, err, tol)
-        return val
-    val, err = _sp_integrate.quad(lambda x: f(x) * m.weight(x), a, b,
-                                  epsabs=tol, epsrel=tol, limit=500)
-    _check_quad_error(val, err, tol)
-    return val
-
-
-def _check_quad_error(val: float, err: float, tol: float) -> None:
-    if err > max(tol, 1e-8 * abs(val)) * 1e3:
-        raise IntegrationError(
-            f"quadrature error estimate {err:.3e} too large for value {val:.6e}")
-
-
-def _sum_infinite(m: Measure, f, tol: float) -> float:
-    total = 0.0
-    recent = []
-    for k in range(_MAX_DISCRETE_TERMS):
-        x = m.node_fn(k)
-        fx = f(x)
-        total += m.weight_fn(k) * fx
-        recent.append(abs(fx))
-        if len(recent) > 4:
-            recent.pop(0)
-        if k >= 8:
-            tail = m.tail_bound(k)
-            if tail * (1.0 + 10.0 * max(recent)) < 0.1 * tol:
+    lattice = m.kind == "discrete_infinite"
+    size, last = _FIRST_POINTS, None
+    while size <= (_MAX_DISCRETE_TERMS if lattice else _MAX_POINTS):
+        x, w = _discretize(m, size)
+        fx = _values(f, x)
+        total = float(w @ fx)
+        if lattice:
+            if (m.tail_bound(size - 1) * (1.0 + 10.0 * np.abs(fx[-4:]).max())
+                    < 0.1 * tol):
                 return total
-    raise IntegrationError("infinite discrete sum did not converge in budget")
+        elif last is not None and abs(total - last) <= tol * (w @ np.abs(fx)):
+            return total
+        last, size = total, 2 * size
+    raise IntegrationError(f"integral did not settle to tolerance {tol} "
+                           f"within {size // 2} points")
 
 
 def inner_product(f, g, m: Measure, tol: float = DEFAULT_TOL) -> float:
@@ -192,15 +167,10 @@ def recurrence_from_measure(m: Measure, n_max: int,
                             ) -> tuple[RecurrenceSystem, NormData]:
     """Monic recurrence coefficients by discretized Lanczos.
 
-    The measure is replaced by a K-point discrete one: on a finite interval
-    a Gauss-Jacobi rule with the declared `alg_exponents` (Gauss-Legendre
-    when none are declared), on a half line a generalized Gauss-Laguerre
-    rule with the exponent at the finite end, on the whole line a
-    Gauss-Hermite rule, each times the rest of the weight; on an infinite
-    lattice its first K points.  Lanczos with full reorthogonalisation on
-    diag(nodes) gives b_n and c_n = beta_n^2 (Gautschi, Orthogonal
-    Polynomials: Computation and Approximation, 2004, section 2.2; Gragg &
-    Harrod 1984).  K starts at n_max + 1 and doubles until every b_n and
+    The measure is replaced by the K-point discretization that `integrate`
+    sums over.  Lanczos with full reorthogonalisation on diag(nodes) gives
+    b_n and c_n = beta_n^2 (Gautschi, Orthogonal Polynomials: Computation
+    and Approximation, 2004, section 2.2; Gragg & Harrod 1984).  K starts at n_max + 1 and doubles until every b_n and
     sqrt(c_n) changes by at most `tol` relative to |b_n| + sqrt(c_n) +
     sqrt(c_{n+1}).  A finite measure is used as it is.
 
@@ -241,38 +211,56 @@ def recurrence_from_measure(m: Measure, n_max: int,
 
 
 def _discretize(m: Measure, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of a size-point discrete stand-in for the measure."""
-    from scipy import special
-
+    """Read-only nodes and weights of a size-point discrete stand-in for the
+    measure, built once per size and kept in `m._cache`: the first `size`
+    points of a lattice, or the Gauss rule of a reference weight times the
+    rest of the weight.  The reference weight is Jacobi with the declared
+    `alg_exponents` on an interval, generalized Laguerre with the exponent
+    at the finite end on a half line, Hermite on the line; its rule comes
+    from its closed-form monic recurrence through `kernels.gauss_rule`'s
+    eigenvalues and Christoffel weights (0 below the double range)."""
+    if size in m._cache:
+        return m._cache[size]
     if m.kind == "discrete_infinite":
         x = np.array([m.node_fn(k) for k in range(size)], dtype=float)
         w = np.array([m.weight_fn(k) for k in range(size)], dtype=float)
-        return x, m.normalizer * w
-    a, b = m.support
-    if m.alg_exponents is None:
-        exponents, rest = (0.0, 0.0), m.weight
     else:
-        exponents, rest = m.alg_exponents, m.alg_smooth or (lambda x: 1.0)
-    if math.isinf(a) and math.isinf(b):
-        x, rule = special.roots_hermite(size)
-        ratio = _times_exp(_values(m.weight, x), x * x)
-    elif math.isinf(a) or math.isinf(b):
-        # x = end + sign t, t >= 0, with the exponent at the finite end
-        sign, end, expo = ((1.0, a, exponents[0]) if math.isinf(b)
-                           else (-1.0, b, exponents[1]))
-        t, rule = special.roots_genlaguerre(size, expo)
-        x = end + sign * t
-        ratio = _times_exp(_values(rest, x), t)
-    else:
-        # (x - a)^l (b - x)^r is ((b - a)/2)^(l + r) (1 + t)^l (1 - t)^r
-        left, right = exponents
-        half = (b - a) / 2
-        t, rule = special.roots_jacobi(size, right, left)
-        x = a + half * (1.0 + t)
-        ratio = half ** (left + right + 1) * _values(rest, x)
-    w = rule * ratio
-    w[rule == 0] = 0.0
-    return x, m.normalizer * w
+        from .families import (hermite_monic_system, jacobi_monic_system,
+                               laguerre_monic_system)
+        from .kernels import _gauss_nodes_weights, jacobi_matrix
+
+        def rule(sys: RecurrenceSystem, mass: float):
+            return _gauss_nodes_weights(*jacobi_matrix(sys, size), mass)
+
+        a, b = m.support
+        if m.alg_exponents is None:
+            (left, right), rest = (0.0, 0.0), m.weight
+        else:
+            (left, right), rest = (m.alg_exponents,
+                                   m.alg_smooth or (lambda x: 1.0))
+        if math.isinf(a) and math.isinf(b):
+            x, w = rule(hermite_monic_system(), math.sqrt(math.pi))
+            ratio = _times_exp(_values(m.weight, x), x * x)
+        elif math.isinf(a) or math.isinf(b):
+            # x = end + sign t, t >= 0, with the exponent at the finite end
+            sign, end, expo = ((1.0, a, left) if math.isinf(b)
+                               else (-1.0, b, right))
+            t, w = rule(laguerre_monic_system(expo), math.gamma(expo + 1))
+            x = end + sign * t
+            ratio = _times_exp(_values(rest, x), t)
+        else:
+            # (x - a)^l (b - x)^r is ((b - a)/2)^(l + r) (1 + t)^l (1 - t)^r
+            half = (b - a) / 2
+            t, w = rule(jacobi_monic_system(right, left),
+                        2 ** (left + right + 1) * math.gamma(left + 1)
+                        * math.gamma(right + 1) / math.gamma(left + right + 2))
+            x = a + half * (1.0 + t)
+            ratio = half ** (left + right + 1) * _values(rest, x)
+        w = np.where(w == 0, 0.0, w * ratio)
+    w *= m.normalizer
+    x.flags.writeable = w.flags.writeable = False
+    m._cache[size] = x, w
+    return x, w
 
 
 def _values(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:

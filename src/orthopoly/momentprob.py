@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import zeros as _zeros
-from .measures import Measure, MomentSequence, integrate
+from .measures import (Measure, MomentSequence, continuous_measure,
+                       integrate)
 from .recurrence import RecurrenceSystem, eval_all, eval_poly
 
 
@@ -364,23 +365,18 @@ def lognormal_moment(n: int, C: float, tol: float = 1e-12) -> float:
     """Numeric n-th moment of the oscillating log-normal density, as a ratio
     to e^{n(n+2)/4} (so the exact answer is 1 for every C in (-1,1)).
 
-    The substitution u = log x - (n+1)/2 turns the integral into a centered
-    Gaussian against 1 + C sin(2 pi u + phase), which quadrature handles well.
+    The substitution u = log x - (n+1)/2 turns the integral into one of
+    1 + C sin(2 pi u + phase) against the Hermite weight e^{-u^2}, which
+    `integrate` sums on Gauss-Hermite rules; IntegrationError when the sums
+    do not settle.
     """
-    from scipy import integrate as _sp_integrate
-
     if not -1.0 < C < 1.0:
         raise MomentProblemError("need C in (-1, 1)")
     phase = math.pi * (n + 1)
-
-    def f(u: float) -> float:
-        return math.exp(-u * u) * (1.0 + C * math.sin(2 * math.pi * u + phase))
-
-    val, err = _sp_integrate.quad(f, -math.inf, math.inf,
-                                  epsabs=tol, epsrel=tol, limit=300)
-    if err > 1e-8:
-        raise MomentProblemError(f"quadrature error {err:.2e} too large")
-    return val / math.sqrt(math.pi)
+    gauss = continuous_measure(lambda u: math.exp(-u * u),
+                               (-math.inf, math.inf))
+    return integrate(gauss, lambda u: math.sin(2 * math.pi * u + phase) * C
+                     + 1.0, tol) / math.sqrt(math.pi)
 
 
 def lognormal_discrete_moment(n: int, k_halfwidth: int = 60) -> float:

@@ -672,6 +672,7 @@ _IMPORT_PROBE = textwrap.dedent("""
     main(["zeros", "--measure", finite, "--n", "5"])
     main(["recurrence", "--measure", named, "--n-max", "5"])
     main(["zeros", "--measure", named, "--n", "5"])
+    main(["diagnose", "--carleman", "--measure", named])
     measure = heavy()
     main(["check", "--family", "hermite", "--identity", "orthogonality",
           "--n", "30"])
@@ -695,8 +696,8 @@ def test_cli_imports_scipy_and_mpmath_on_first_use(tmp_path):
     # the quadratic check runs on the monic recurrence, with no series sums
     assert mods["lean"] == []
     assert "scipy.linalg" in mods["quadrature"]
-    # the discretized Lanczos of --measure takes its rules from scipy.special
-    assert "scipy.special" in mods["measure"]
+    # the --measure commands integrate on the package's own Gauss rules
+    assert not any(m.startswith("scipy.special") for m in mods["measure"])
     # orthogonality integrates on a scipy.special Gauss rule
     assert "scipy.special" in mods["orthogonality"]
     for key in ("quadrature", "measure", "orthogonality"):
@@ -842,6 +843,24 @@ def test_values_past_the_double_range_exit_with_one_stderr_line(fam):
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("orthopoly: "), lines
+
+
+def test_measure_that_does_not_settle_exits_with_one_stderr_line(tmp_path):
+    # in a child, so that a warning printed on the way shows on stderr
+    path, _ = _measure_file(tmp_path, "laguerre", ("--alpha", "0.5"))
+    src = os.path.dirname(os.path.dirname(orthopoly.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from orthopoly.cli import main; sys.exit(main())",
+         "recurrence", "--measure", path, "--n-max", "300"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("orthopoly: "), lines
+    assert "did not settle" in lines[0]
 
 
 def _measure_sweep_commands(path):

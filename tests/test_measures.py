@@ -1,10 +1,13 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from conftest import monic_row_error
 
 from orthopoly import discrete as D
+from orthopoly import kernels as K
 from orthopoly import measures as M
 from orthopoly import recurrence as R
 from orthopoly.discrete import charlier, family_measure as charlier_measure
@@ -136,6 +139,68 @@ def test_infinite_sum_truncates_by_tail_bound():
     assert M.integrate(m, lambda x: 1.0) == pytest.approx(2.0)
 
 
+def _jacobi_moment(k, a=0.5, b=1.5):
+    """int (1 - x)^a (1 + x)^b x^k dx on [-1, 1], through x = 2t - 1, in
+    50 digits."""
+    with mpmath.workdps(50):
+        return float(2 ** (a + b + 1) * mpmath.fsum(
+            mpmath.binomial(k, j) * 2 ** j * (-1) ** (k - j)
+            * mpmath.beta(b + j + 1, a + 1) for j in range(k + 1)))
+
+
+def _touchard(k, a):
+    """sum_x x^k a^x / x! / e^a, from T_{j+1} = a sum_i C(j, i) T_i."""
+    t = [1]
+    for j in range(k):
+        t.append(a * sum(math.comb(j, i) * t[i] for i in range(j + 1)))
+    return t[k]
+
+
+MOMENTS = {
+    "legendre": (legendre(), lambda k: 2 / (k + 1) * (k % 2 == 0)),
+    "jacobi": (jacobi(0.5, 1.5), _jacobi_moment),
+    "chebyshev_t": (chebyshev_t(), lambda k: math.pi * math.comb(k, k // 2)
+                    / 2 ** k * (k % 2 == 0)),
+    "laguerre": (laguerre(0.5), lambda k: math.gamma(k + 1.5)),
+    "hermite": (hermite(), lambda k: math.gamma(k / 2 + 0.5) * (k % 2 == 0)),
+    "charlier": (D.charlier(2.0), lambda k: math.exp(2) * _touchard(k, 2)),
+}
+
+
+@pytest.mark.parametrize("name", MOMENTS)
+def test_moments_match_their_closed_forms(name):
+    spec, moment = MOMENTS[name]
+    mu = M.moments(family_measure(spec), 32).mu
+    ref = np.array([moment(k) for k in range(33)], dtype=float)
+    # odd moments can vanish: measure them on their even neighbours' scale
+    scale = ref.copy()
+    scale[1::2] = np.sqrt(ref[0:-1:2] * ref[2::2])
+    assert np.max(np.abs(mu - ref) / scale) <= 1e-14
+
+
+def test_integrand_singular_inside_the_support_does_not_settle():
+    with pytest.raises(M.IntegrationError, match="did not settle"):
+        M.integrate(family_measure(legendre()),
+                    lambda x: abs(x - 0.3) ** -0.5)
+
+
+def test_second_moments_call_builds_no_new_discretization(monkeypatch):
+    built = []
+    real = K._gauss_nodes_weights
+
+    def counting(diag, off, mu0):
+        built.append(len(diag))
+        return real(diag, off, mu0)
+
+    monkeypatch.setattr(K, "_gauss_nodes_weights", counting)
+    m = family_measure(laguerre(0.5))
+    first = M.moments(m, 32).mu
+    assert built
+    count = len(built)
+    np.testing.assert_array_equal(M.moments(m, 32).mu, first)
+    assert len(built) == count
+
+
 def test_continuous_support_validation():
     with pytest.raises(ValueError):
         M.continuous_measure(lambda x: 1.0, (1.0, 1.0))
@@ -186,6 +251,23 @@ def test_declared_endpoint_singularity_is_shifted_jacobi():
         if n:
             assert c == pytest.approx(jacobi_monic_c(n, 0.0, -0.9) / 4,
                                       rel=1e-12)
+
+
+@pytest.mark.parametrize("n", (40, 200))
+def test_jacobi_exponent_near_minus_one_gives_its_closed_form_recurrence(n):
+    spec = jacobi(0.0, -0.9)
+    sys, _ = M.recurrence_from_measure(family_measure(spec), n)
+    _, b, c = np.array(sys.table(n)).T
+    assert monic_row_error(b, c, spec) <= 1e-13
+
+
+def test_laguerre_at_degree_300_does_not_settle_and_does_not_warn():
+    # the Gauss-Laguerre weights of the large nodes lie below the double
+    # range and are dropped, which leaves too few points for degree 300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(R.RecurrenceError, match="did not settle"):
+            M.recurrence_from_measure(family_measure(laguerre(0.5)), 300)
 
 
 def test_weight_that_does_not_evaluate_raises():
