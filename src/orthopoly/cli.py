@@ -148,7 +148,24 @@ def _cmd_quadrature(args) -> int:
     return 0
 
 
-def _load_system(args) -> R.RecurrenceSystem:
+def _load_measure(args) -> M.Measure:
+    try:
+        return OPIO.load_measure(OPIO.read_json(args.measure))
+    except (OSError, json.JSONDecodeError, OPIO.SchemaError) as exc:
+        raise ConfigError(f"--measure {args.measure}: {exc}") from exc
+
+
+def _recurrence_from_measure(m: M.Measure, n_max: int, tol: float):
+    try:
+        return M.recurrence_from_measure(m, n_max, tol)
+    except (M.IntegrationError, R.RecurrenceError) as exc:
+        raise NumericalFailure("recurrence_from_measure failed at tolerance "
+                               f"{tol}: {exc}") from exc
+
+
+def _load_system(args) -> tuple[R.RecurrenceSystem, M.Measure | None]:
+    """The system of --family, --recurrence or --measure, and the measure
+    of --measure (None for the other two sources)."""
     sources = [s for s in ("family", "recurrence", "measure")
                if getattr(args, s, None) is not None]
     if len(sources) != 1:
@@ -156,17 +173,15 @@ def _load_system(args) -> R.RecurrenceSystem:
                           f"is required (got {sources or 'none'})")
     if args.family is not None:
         # zeros and moment diagnostics do not depend on the normalisation
-        return F.family_monic_system(_family_spec(args))
+        return F.family_monic_system(_family_spec(args)), None
     if getattr(args, "recurrence", None) is not None:
         try:
-            return OPIO.load_recurrence(OPIO.read_json(args.recurrence))
+            doc = OPIO.read_json(args.recurrence)
+            return OPIO.load_recurrence(doc), None
         except (OSError, json.JSONDecodeError, OPIO.SchemaError) as exc:
             raise ConfigError(f"--recurrence {args.recurrence}: {exc}") \
                 from exc
-    try:
-        m = OPIO.load_measure(OPIO.read_json(args.measure))
-    except (OSError, json.JSONDecodeError, OPIO.SchemaError) as exc:
-        raise ConfigError(f"--measure {args.measure}: {exc}") from exc
+    m = _load_measure(args)
     degree = max(getattr(args, "n", 0) or 0,
                  getattr(args, "true_interval", 0) or 0)
     n_max = max(degree, 16)
@@ -174,16 +189,11 @@ def _load_system(args) -> R.RecurrenceSystem:
         # the zeros of p_N on N points are the points: rows to N - 1 do,
         # and the floor must not ask for a degree the measure does not have
         n_max = min(n_max, m.n_points - 1)
-    try:
-        sys_, _ = M.recurrence_from_measure(m, n_max, args.tol)
-    except (M.IntegrationError, R.RecurrenceError) as exc:
-        raise NumericalFailure("recurrence_from_measure failed at tolerance "
-                               f"{args.tol}: {exc}") from exc
-    return sys_
+    return _recurrence_from_measure(m, n_max, args.tol)[0], m
 
 
 def _cmd_zeros(args) -> int:
-    sys_ = _load_system(args)
+    sys_, _ = _load_system(args)
     try:
         zs = K.zeros(sys_, None, args.n)
     except (K.KernelError, R.RecurrenceError) as exc:
@@ -195,15 +205,8 @@ def _cmd_zeros(args) -> int:
 
 def _cmd_recurrence(args) -> int:
     if getattr(args, "measure", None) is not None:
-        try:
-            m = OPIO.load_measure(OPIO.read_json(args.measure))
-        except (OSError, json.JSONDecodeError, OPIO.SchemaError) as exc:
-            raise ConfigError(f"--measure {args.measure}: {exc}") from exc
-        try:
-            sys_, norms = M.recurrence_from_measure(m, args.n, args.tol)
-        except (M.IntegrationError, R.RecurrenceError) as exc:
-            raise NumericalFailure("recurrence_from_measure failed at "
-                                   f"tolerance {args.tol}: {exc}") from exc
+        sys_, _ = _recurrence_from_measure(_load_measure(args), args.n,
+                                           args.tol)
     else:
         spec = _family_spec(args)
         sys_ = (F.family_monic_system(spec) if args.form == "monic"
@@ -336,15 +339,14 @@ def _orthonormal_from(sys_: R.RecurrenceSystem, h0: float):
 
 def _cmd_diagnose(args) -> int:
     doc = {"schema": OPIO.SCHEMA_VERSION, "tolerance": args.tol}
-    sys_ = _load_system(args)
+    sys_, m = _load_system(args)
     if sys_.form != "monic":
         norms = R.norms_from_recurrence(sys_, 1.0, 1.0, 4)
         monic = R.convert_form(sys_, norms, "monic")
     else:
         monic = sys_
     if args.carleman:
-        if getattr(args, "measure", None) is not None:
-            m = OPIO.load_measure(OPIO.read_json(args.measure))
+        if m is not None:
             ms = M.moments(m, 32, args.tol)
             report = P.carleman(P.carleman_moment_terms(ms), 16)
             mode = "moments"

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .measures import Measure, continuous_measure
-from .recurrence import (RecurrenceError, RecurrenceSystem,
+from .recurrence import (RecurrenceError, RecurrenceSystem, eval_all,
                          eval_all_derivatives, eval_poly, favard_products)
 
 _TINY = 1e-300
@@ -38,16 +38,6 @@ def pochhammer(a: float, k: int, num=float):
     for i in range(k):
         out *= av + i
     return out
-
-
-@dataclass(frozen=True)
-class HypergeometricTerm:
-    """A terminating hypergeometric sum: upper/lower parameters and argument."""
-
-    upper: tuple[float, ...]
-    lower: tuple[float, ...]
-    argument: float
-    terms: int | None = None  # termination index; derived from upper if None
 
 
 def _termination_index(upper) -> int:
@@ -109,43 +99,39 @@ def _guarded_sum(term_fn, n_terms: int, ratio) -> float:
     return val
 
 
-def hyp_terminating(spec: HypergeometricTerm) -> float:
-    """Evaluate a terminating (generalized) hypergeometric series exactly.
+def hyp(upper, lower, z, terms=None) -> float:
+    """Evaluate a terminating (generalized) hypergeometric series exactly,
+    through the index `terms`, by default the one where the series ends.
 
     Double-precision terms are formed directly from shifted factorials; an
     escalated sum multiplies by the term ratio, in which a vanishing upper
     factor a + k zeroes every later term, as it does in (a)_k.
     """
-    n = spec.terms if spec.terms is not None else _termination_index(spec.upper)
-    for b in spec.lower:
+    upper, lower, z = tuple(upper), tuple(lower), float(z)
+    n = terms if terms is not None else _termination_index(upper)
+    for b in lower:
         if b <= 0 and abs(b - round(b)) < 1e-12 and int(round(-b)) < n:
             raise FamilyError(
                 f"lower parameter {b} hits a pole before termination at {n}")
 
     def term(k, num):
-        t = num(spec.argument) ** k
-        for a in spec.upper:
+        t = num(z) ** k
+        for a in upper:
             t *= pochhammer(a, k, num)
-        for b in spec.lower:
+        for b in lower:
             t /= pochhammer(b, k, num)
         return t / math.factorial(k)
 
     def ratio(k, num):
-        r = num(spec.argument) / (k + 1)
-        for a in spec.upper:
+        r = num(z) / (k + 1)
+        for a in upper:
             r *= num(a) + k
-        for b in spec.lower:
+        for b in lower:
             # b + k != 0 for k < n: such a pole is refused above
             r /= num(b) + k
         return r
 
     return _guarded_sum(term, n + 1, ratio)
-
-
-def hyp(upper, lower, z, terms=None) -> float:
-    """Convenience wrapper around hyp_terminating."""
-    return hyp_terminating(HypergeometricTerm(tuple(upper), tuple(lower),
-                                              float(z), terms))
 
 
 # ---------------------------------------------------------------------------
@@ -440,74 +426,63 @@ def shift_check(spec: FamilySpec, n: int, direction: str, x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Rodrigues formulas by exact polynomial recursion
+# Rodrigues formulas by exact polynomial recursion over the Pearson pair
+
+# K_n of p_n = K_n w^-1 (d/dx)^n (sigma^n w), by family
+_RODRIGUES_CONSTANT = {
+    "jacobi": lambda n: (-1) ** n / (2 ** n * math.factorial(n)),
+    "laguerre": lambda n: 1 / math.factorial(n),
+    "hermite": lambda n: (-1) ** n,
+}
+
 
 def rodrigues_eval(spec: FamilySpec, n: int, x: float) -> float:
-    """Evaluate via the Rodrigues formula, with (d/dx)^k (X^n w)/w kept
-    as an explicitly recursed polynomial."""
-    f = spec.family
-    if f == "jacobi":
-        a, b = spec.alpha, spec.beta
-        r = np.array([1.0])
-        one_minus_x2 = np.array([1.0, 0.0, -1.0])
-        for k in range(n):
-            lin = np.array([b - a, -(a + b + 2 * (n - k))])
-            r = (npoly.polymul(npoly.polyder(r), one_minus_x2)
-                 + npoly.polymul(r, lin))
-        return ((-1) ** n / (2 ** n * math.factorial(n))
-                * npoly.polyval(x, r))
-    if f == "laguerre":
-        a = spec.alpha
-        s = np.array([1.0])
-        x_poly = np.array([0.0, 1.0])
-        for k in range(n):
-            s = npoly.polysub(
-                npoly.polyadd(npoly.polymul(npoly.polyder(s), x_poly),
-                              (n + a - k) * s),
-                npoly.polymul(s, x_poly))
-        return npoly.polyval(x, s) / math.factorial(n)
-    if f == "hermite":
-        q = np.array([1.0])
-        for _ in range(n):
-            qd = npoly.polyder(q) if len(q) > 1 else np.array([0.0])
-            q = npoly.polysub(qd, npoly.polymul(np.array([0.0, 2.0]), q))
-        return (-1) ** n * npoly.polyval(x, q)
-    raise FamilyError(f"Rodrigues formula implemented for jacobi, laguerre, "
-                      f"hermite; got {f!r}")
+    """Evaluate via the Rodrigues formula.  With the Pearson pair,
+    (d/dx)^k (sigma^n w) = sigma^(n-k) w r_k for the polynomials r_0 = 1,
+    r_{k+1} = sigma r_k' + (tau + (n - k - 1) sigma') r_k, recursed
+    explicitly."""
+    constant = _RODRIGUES_CONSTANT.get(spec.family)
+    if constant is None:
+        raise FamilyError("Rodrigues formula implemented for jacobi, "
+                          f"laguerre, hermite; got {spec.family!r}")
+    sigma, tau, _ = pearson_pair(spec)
+    dsigma = npoly.polyder(sigma)
+    r = np.array([1.0])
+    for k in range(n):
+        r = npoly.polyadd(
+            npoly.polymul(sigma, npoly.polyder(r)),
+            npoly.polymul(npoly.polyadd(tau, (n - k - 1) * dsigma), r))
+    return constant(n) * npoly.polyval(x, r)
 
 
 # ---------------------------------------------------------------------------
 # quadratic transformations and even-weight splitting
 
-def _jacobi_ratio_chain(m_max: int, alpha: float, beta: float,
-                        x: np.ndarray) -> np.ndarray:
-    """P_m^{(alpha,beta)}(x) / P_m^{(alpha,beta)}(1) for m = 0..m_max (rows),
-    from the monic recurrence.
+def _jacobi_ratio_system(alpha: float, beta: float) -> RecurrenceSystem:
+    """The recurrence of r_m = p_m(x)/p_m(1) = P_m^{(alpha,beta)}(x) /
+    P_m^{(alpha,beta)}(1) for the monic Jacobi p_m.
 
-    With r_m = p_m(x)/p_m(1) and rho_m = p_{m+1}(1)/p_m(1) for the monic p_m,
-    r_{m+1} = ((x - b_m) r_m - (c_m/rho_{m-1}) r_{m-1}) / rho_m, so p_m(1)
-    itself, about 2^-m and below the normal range from m ~ 1030, is never
-    formed.  rho_m is taken in closed form: its own recurrence
+    With rho_m = p_{m+1}(1)/p_m(1), its rows are (rho_m, b_m, c_m/rho_{m-1}),
+    so p_m(1) itself, about 2^-m and below the normal range from m ~ 1030,
+    is never formed.  rho_m is taken in closed form: its own recurrence
     rho_m = 1 - b_m - c_m/rho_{m-1} follows the subdominant solution at
     x = 1 when alpha < 0 and loses digits (for alpha = -0.9 the residuals
-    to degree 21 came out 9e-12 that way, 8e-14 this way).
+    to degree 21 came out 3e-12 to 9e-12 that way, 1.8e-14 this way).
     """
-    r_prev, r, rho_prev = np.zeros_like(x), np.ones_like(x), 1.0
-    rows = [r]
-    bs, cs = (v.tolist() for v in _jacobi_monic_rows(np.arange(m_max),
-                                                     alpha, beta))
-    for m in range(m_max):
-        b = bs[m]
+    def rows(j: np.ndarray) -> tuple:
+        m = np.arange(j[0] - 1, j[-1] + 1)  # rho_{j-1} divides c_j
         s = 2 * m + alpha + beta
-        # p_m(1) = 2^m (alpha + 1)_m / (m + alpha + beta + 1)_m
-        rho = (1 - b if m == 0 else
-               2 * (m + alpha + 1) * (m + alpha + beta + 1)
-               / ((s + 1) * (s + 2)))
-        c_scaled = cs[m] / rho_prev  # c_0 = 0
-        r, r_prev = ((x - b) * r - c_scaled * r_prev) / rho, r
-        rows.append(r)
-        rho_prev = rho
-    return np.array(rows)
+        # p_m(1) = 2^m (alpha + 1)_m / (m + alpha + beta + 1)_m; at m = 0
+        # the factor s + 1 cancels, and it is 0 when alpha + beta = -1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rho = (2 * (m + alpha + 1) * (m + alpha + beta + 1)
+                   / ((s + 1) * (s + 2)))
+        rho[m == 0] = 1 - (beta - alpha) / (alpha + beta + 2)
+        rho[m == -1] = 1.0  # divides c_0 = 0: any finite nonzero value
+        b, c = _jacobi_monic_rows(j, alpha, beta)
+        return rho[1:], b, c / rho[:-1]
+
+    return RecurrenceSystem(rows_fn=rows, form="general", p0=1.0)
 
 
 def quadratic_transform_residuals(n: int, alpha: float,
@@ -517,8 +492,7 @@ def quadratic_transform_residuals(n: int, alpha: float,
     P_2k+1^{(a,a)}(x) ~ x P_k^{(a,1/2)}(2x^2 - 1), each side normalised by
     its value at 1, for k = 0..n (rows) at the points xs (columns).
 
-    All three chains come from the monic Jacobi recurrence in one pass
-    each; quadratic_transform_check is the series form of the same
+    Each of the three chains is one eval_all pass of a ratio system; quadratic_transform_check is the series form of the same
     residuals at one degree and point.  For alpha < -1/2 the normalised
     values grow like k^(-1/2 - alpha), and a residual is taken relative to
     the largest value of its degree where that exceeds 1.
@@ -527,11 +501,14 @@ def quadratic_transform_residuals(n: int, alpha: float,
         scale = np.maximum(abs(lhs), abs(rhs)).max(axis=1, keepdims=True)
         return (lhs - rhs) / np.maximum(1.0, scale)
 
+    def chain(m_max, beta, at):
+        return np.array(eval_all(_jacobi_ratio_system(alpha, beta), m_max, at))
+
     x = np.asarray(xs, dtype=float)
     y = 2 * x * x - 1
-    sym = _jacobi_ratio_chain(2 * n + 1, alpha, alpha, x)
-    return (residual(sym[0::2], _jacobi_ratio_chain(n, alpha, -0.5, y)),
-            residual(sym[1::2], x * _jacobi_ratio_chain(n, alpha, 0.5, y)))
+    sym = chain(2 * n + 1, alpha, x)
+    return (residual(sym[0::2], chain(n, -0.5, y)),
+            residual(sym[1::2], x * chain(n, 0.5, y)))
 
 
 def quadratic_transform_check(n: int, alpha: float,
@@ -760,7 +737,6 @@ class FamilyBundle:
 
     spec: FamilySpec
     system: RecurrenceSystem
-    monic: RecurrenceSystem
     measure: Measure
     h0: float
 
@@ -768,7 +744,6 @@ class FamilyBundle:
 def family_bundle(spec: FamilySpec, normalized: bool = False) -> FamilyBundle:
     return FamilyBundle(spec=spec,
                         system=family_system(spec),
-                        monic=family_monic_system(spec),
                         measure=family_measure(spec, normalized),
                         h0=family_mu0(spec, normalized))
 

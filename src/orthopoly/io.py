@@ -33,13 +33,13 @@ def _check_schema(doc: dict) -> None:
 
 
 def _family_spec(name: str, params: dict) -> _families.FamilySpec:
-    if name not in _families.PARAMETERS:
-        raise SchemaError(f"unknown family {name!r}")
     try:
         return _families.family_spec(name, params)
     except KeyError as exc:
         raise SchemaError(f"family {name!r} needs parameter "
                           f"{exc.args[0]!r}") from exc
+    except _families.FamilyError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -130,7 +130,7 @@ def from_tables(a: Sequence[float], b: Sequence[float], c: Sequence[float],
 
 
 def eval_poly(sys: RecurrenceSystem, n: int, x, precision: int | None = None):
-    """Evaluate p_n(x) by the forward recurrence.
+    """Evaluate p_n(x) by the forward recurrence, as the last of eval_all.
 
     `precision` switches to mpmath arithmetic with that many decimal digits
     (useful outside the support interval where the recurrence loses accuracy);
@@ -138,27 +138,13 @@ def eval_poly(sys: RecurrenceSystem, n: int, x, precision: int | None = None):
     """
     if n < 0:
         raise RecurrenceError("degree must be non-negative")
-    if precision is not None:
-        return _eval_poly_mp(sys, n, x, precision)
-    p_prev = 0.0
-    p = sys.p0 + 0.0 * x  # promotes to complex when x is complex
-    for a, b, c in sys.table(n - 1):
-        p, p_prev = ((x - b) * p - c * p_prev) / a, p
-    return p
-
-
-def _eval_poly_mp(sys: RecurrenceSystem, n: int, x, digits: int):
+    if precision is None:
+        return eval_all(sys, n, x)[-1]
     import mpmath
 
-    with mpmath.workdps(digits):
-        xm = mpmath.mpmathify(x)
-        p_prev = mpmath.mpf(0)
-        p = mpmath.mpmathify(sys.p0)
-        for a, b, c in sys.table(n - 1):
-            p, p_prev = ((xm - b) * p - c * p_prev) / a, p
-        if isinstance(p, mpmath.mpc):
-            return complex(p)
-        return float(p)
+    with mpmath.workdps(precision):
+        p = eval_all(sys, n, mpmath.mpmathify(x))[-1]
+        return complex(p) if isinstance(p, mpmath.mpc) else float(p)
 
 
 def eval_all_derivatives(sys: RecurrenceSystem, n: int, x):

@@ -567,6 +567,25 @@ def test_bad_family_params_exit_2(capsys):
     assert "beta" in err
 
 
+@pytest.mark.parametrize("argv,doc", [
+    (("zeros", "--n", "3", "--recurrence"),
+     {"schema": 1, "family": "jacobi",
+      "parameters": {"alpha": -2, "beta": 0}}),
+    (("zeros", "--n", "3", "--measure"),
+     {"schema": 1, "kind": "continuous", "name": "laguerre",
+      "parameters": {"alpha": -3}}),
+    (("recurrence", "--n-max", "3", "--measure"),
+     {"schema": 1, "kind": "continuous", "name": "laguerre",
+      "parameters": {"alpha": -3}}),
+])
+def test_bad_family_params_in_a_document_exit_2(argv, doc, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert "invalid configuration" in err and "alpha > -1" in err
+
+
 def test_bad_env_tol_exit_2(capsys, monkeypatch):
     monkeypatch.setenv("ORTHOPOLY_TOL", "banana")
     code, _, err = run(capsys, "zeros", "--family", "legendre", "--n", "2")

@@ -369,6 +369,13 @@ def test_quadratic_transform_residuals_reach_degree_1000():
         assert max(np.abs(even).max(), np.abs(odd).max()) <= 1e-12
 
 
+def test_quadratic_transform_residuals_below_minus_one_half():
+    # the normalised values grow like k^(-1/2 - alpha) here; rho_m by its
+    # own recurrence instead of the closed form left residuals of 3e-12
+    even, odd = F.quadratic_transform_residuals(21, -0.9, _CLI_POINTS)
+    assert max(np.abs(even).max(), np.abs(odd).max()) <= 1e-13
+
+
 def test_split_hermite_gives_laguerre_half():
     # q_n from Hermite are the monic Laguerre(-1/2) polynomials
     q_sys, r_sys = F.split_even_system(F.hermite_monic_system(), 5)
