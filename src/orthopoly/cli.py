@@ -237,15 +237,12 @@ def _check_battery(spec, identity: str, n: int, tol: float):
         norms = R.norms_from_recurrence(b.system, b.h0, 1.0, n + 1)
         rng = np.random.default_rng(20260823)
         lo, hi = (0.2, 8.0) if spec.family == "laguerre" else (-0.95, 0.95)
-        res = []
-        for _ in range(50):
-            x, y = rng.uniform(lo, hi, 2)
-            for u, v in ((x, y), (x, x)):
-                s = K.cd_kernel(b.system, norms, n, float(u), float(v),
-                                method="sum")
-                c = K.cd_kernel(b.system, norms, n, float(u), float(v))
-                res.append((s - c) / max(abs(s), 1.0))
-        by_degree = {n: res}
+        x, y = rng.uniform(lo, hi, (50, 2)).T
+        # 50 distinct pairs (x, y) and their 50 confluent pairs (x, x)
+        u, v = np.concatenate((x, x)), np.concatenate((y, x))
+        s = K.cd_kernel(b.system, norms, n, u, v, method="sum")
+        c = K.cd_kernel(b.system, norms, n, u, v)
+        by_degree = {n: (s - c) / np.maximum(np.abs(s), 1.0)}
     elif identity == "quadratic":
         try:
             alpha = F._as_jacobi(spec)[0]

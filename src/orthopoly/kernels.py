@@ -17,6 +17,12 @@ from .recurrence import (NormData, RecurrenceError, RecurrenceSystem,
 # confluent (derivative) form instead
 _CONFLUENT_SWITCH = 1e-6
 
+# Eigenproblems of order k up to this one go to numpy's LAPACK on the dense
+# matrix, which costs at most ~0.05 ms more than scipy's tridiagonal drivers
+# there and spares a cold process the ~250 ms import of scipy.linalg; its
+# O(k^3) reduction dominates beyond (0.62 vs 0.33 ms at k = 128)
+_DENSE_MAX_ORDER = 48
+
 
 class KernelError(ValueError):
     """Invalid kernel or quadrature construction."""
@@ -47,26 +53,51 @@ class QuadratureRule:
         return float(np.dot(self.weights, [f(x) for x in self.nodes]))
 
 
-def cd_kernel(sys: RecurrenceSystem, norms: NormData, n: int, x: float,
-              y: float, method: str = "auto") -> float:
+def cd_kernel(sys: RecurrenceSystem, norms: NormData, n: int, x, y,
+              method: str = "auto") -> float | np.ndarray:
     """K_n(x,y) = sum_{j<=n} p~_j(x)p~_j(y), or its closed form, on the
     orthonormal chain p~_j = p_j/sqrt(h_j) of `sys`, so that no classical
     normalisation has to fit in a double; past the double range inf or nan,
-    without warnings."""
+    without warnings.  A float for float x and y; for arrays x and y of one
+    shape, an array of the kernel at the pairs (x_i, y_i), each recurrence
+    run once over all of them."""
     if method not in ("auto", "sum", "closed"):
         raise KernelError(f"unknown method {method!r}")
     on = convert_form(sys, norms, "orthonormal")
     on.table(n)   # the rows both forms read, grown in one block
+    scalar = np.ndim(x) == 0 and np.ndim(y) == 0
+    if not scalar:
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                                   np.asarray(y, dtype=float))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if method == "sum":
-            return float(np.dot(eval_all(on, n, x), eval_all(on, n, y)))
+            p, q = eval_all(on, n, x), eval_all(on, n, y)
+            if scalar:
+                return float(np.dot(p, q))
+            return (np.array(p) * np.array(q)).sum(0)
         pref = on.coeffs(n)[0]   # sqrt(beta_{n+1}) = k_n / (h_n k_{n+1})
-        if abs(x - y) >= _CONFLUENT_SWITCH * (1 + abs(x)):
-            pn_x, pn1_x = eval_all(on, n + 1, x)[-2:]
-            pn_y, pn1_y = eval_all(on, n + 1, y)[-2:]
-            return float(pref * (pn1_x * pn_y - pn_x * pn1_y) / (x - y))
-        ps, ds, _ = eval_all_derivatives(on, n + 1, x)
-        return float(pref * (ds[n + 1] * ps[n] - ds[n] * ps[n + 1]))
+        if scalar:
+            if abs(x - y) >= _CONFLUENT_SWITCH * (1 + abs(x)):
+                return float(_cd_closed(on, n, pref, x, y))
+            return float(_cd_confluent(on, n, pref, x))
+        far = np.abs(x - y) >= _CONFLUENT_SWITCH * (1 + np.abs(x))
+        out = np.empty(x.shape)
+        out[far] = _cd_closed(on, n, pref, x[far], y[far])
+        out[~far] = _cd_confluent(on, n, pref, x[~far])
+        return out
+
+
+def _cd_closed(on: RecurrenceSystem, n: int, pref: float, x, y):
+    """Christoffel-Darboux closed form of K_n(x, y), x != y."""
+    pn_x, pn1_x = eval_all(on, n + 1, x)[-2:]
+    pn_y, pn1_y = eval_all(on, n + 1, y)[-2:]
+    return pref * (pn1_x * pn_y - pn_x * pn1_y) / (x - y)
+
+
+def _cd_confluent(on: RecurrenceSystem, n: int, pref: float, x):
+    """Its confluent limit K_n(x, x)."""
+    ps, ds, _ = eval_all_derivatives(on, n + 1, x)
+    return pref * (ds[n + 1] * ps[n] - ds[n] * ps[n + 1])
 
 
 def project(sys: RecurrenceSystem, norms: NormData, n: int, f,
@@ -119,8 +150,11 @@ def zeros(sys: RecurrenceSystem, norms: NormData | None, n: int) -> np.ndarray:
     half-size problem is solved instead: the zeros are 0 (n odd) and
     +-sqrt(t_k), with t_k the eigenvalues of the positive definite
     (n // 2)-square matrix C^T C described below, found to high relative
-    accuracy by LAPACK dpteqr and mirrored exactly (Legendre n = 1000:
-    normwise error 6e-16).  Other matrices take LAPACK dsterf.
+    accuracy by LAPACK's dqds as in dpteqr and mirrored exactly (Legendre
+    n = 1000: normwise error 6e-16).  Other matrices take LAPACK dsterf.
+    Problems of order up to `_DENSE_MAX_ORDER` (n, or n // 2 for the
+    half-size one) run these steps through numpy's LAPACK, without
+    importing scipy, and give the same bits as scipy's dpteqr and dsterf.
     """
     if n < 1:
         raise KernelError("need n >= 1")
@@ -143,7 +177,8 @@ def gauss_rule(sys: RecurrenceSystem, norms: NormData, m: Measure | None,
     On a lattice measure, where the forward recurrence is unstable, and
     with a RuntimeWarning when those weights miss mu_0 by 100 n eps, the
     weights are mu_0 u_0^2 from the full eigensolve (Golub and Welsch,
-    Math. Comp. 23, 1969).
+    Math. Comp. 23, 1969): numpy's dense `eigh` up to n = `_DENSE_MAX_ORDER`,
+    scipy's `eigh_tridiagonal` beyond.
     """
     if n < 1:
         raise KernelError("need n >= 1")
@@ -179,24 +214,47 @@ def _gauss_nodes_weights(diag: np.ndarray, off: np.ndarray,
 
 def _golub_welsch(diag: np.ndarray, off: np.ndarray,
                   mu0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights mu_0 u_0^2 from the full eigensolve."""
-    from scipy import linalg as _sp_linalg
+    """Nodes and weights mu_0 u_0^2 from the full eigensolve: LAPACK dsyevd
+    on the dense matrix (numpy) up to order `_DENSE_MAX_ORDER`, dstevd
+    (scipy's `eigh_tridiagonal`) beyond; both end in the same dstedc."""
+    if len(diag) <= _DENSE_MAX_ORDER:
+        vals, vecs = _dense_solve(np.linalg.eigh, diag, off, off)
+    else:
+        from scipy import linalg as _sp_linalg
 
-    vals, vecs = _sp_linalg.eigh_tridiagonal(diag, off)
+        vals, vecs = _sp_linalg.eigh_tridiagonal(diag, off)
     order = np.argsort(vals)
     return vals[order], mu0 * vecs[0, order] ** 2
 
 
+def _dense_solve(solver, diag: np.ndarray, lower, upper, **kwargs):
+    """`solver`, a numpy.linalg LAPACK driver, on the dense matrix with the
+    diagonal `diag` and the sub- and superdiagonals `lower` and `upper`.
+    The reduction that the driver starts with (dsytrd, dgebrd) leaves a
+    tridiagonal or upper bidiagonal matrix as it is, so the tridiagonal or
+    bidiagonal solver behind it gets the entries as given."""
+    k = len(diag)
+    a = np.zeros((k, k))
+    flat = a.reshape(-1)
+    flat[::k + 1], flat[k::k + 1], flat[1::k + 1] = diag, lower, upper
+    try:
+        return solver(a, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise KernelError(f"eigensolve failed ({exc})") from exc
+
+
 def _eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the Jacobi matrix (diag, off); from the
-    half-size problem, mirrored exactly, when diag is 0."""
-    from scipy.linalg import lapack
-
+    half-size problem, mirrored exactly, when diag is 0.  Otherwise LAPACK
+    dsterf: through numpy's dsyevd up to order `_DENSE_MAX_ORDER`, directly
+    (scipy) beyond, with the same result."""
     if not diag.any():
         half = np.sqrt(_half_eigvals(*_half_jacobi(off)))
         return np.concatenate((-half[::-1], [0.0][:len(diag) % 2], half))
-    if len(diag) < 2:   # the dsterf wrapper rejects a 1 x 1 matrix
-        return diag.copy()
+    if len(diag) <= _DENSE_MAX_ORDER:
+        return _dense_solve(np.linalg.eigvalsh, diag, off, off)
+    from scipy.linalg import lapack
+
     vals, info = lapack.dsterf(diag, off)
     if info != 0:
         raise KernelError(f"eigensolve failed (dsterf info {info})")
@@ -248,11 +306,30 @@ def _half_jacobi(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _half_eigvals(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Eigenvalues of the positive definite tridiagonal (d, e) in ascending
-    order, to high relative accuracy (LAPACK dpteqr)."""
-    from scipy.linalg import lapack
-
+    order, to high relative accuracy: the squared singular values, by dqds
+    (LAPACK dlasq1), of its bidiagonal Cholesky factor.  Up to order
+    `_DENSE_MAX_ORDER` the factor is formed here as LAPACK dpttrf and dpteqr
+    form it, and numpy's dgesdd takes it to the same dlasq1 call; beyond,
+    scipy's dpteqr does all of it."""
     if len(d) < 2:   # the dpteqr wrapper rejects a 1 x 1 matrix
         return d.copy()
+    if len(d) <= _DENSE_MAX_ORDER:
+        # L D L^T (dpttrf), then the upper bidiagonal sqrt(D) (I + L^T)
+        piv, mult = d.tolist(), e.tolist()
+        for i, ei in enumerate(mult):
+            if not piv[i] > 0:
+                break
+            mult[i] = ei / piv[i]
+            piv[i + 1] -= mult[i] * ei
+        if not all(p > 0 for p in piv):
+            raise KernelError("half-size eigensolve failed (the matrix is "
+                              "not positive definite)")
+        root = np.sqrt(piv)
+        s = _dense_solve(np.linalg.svd, root, 0.0,
+                         np.array(mult) * root[:-1], compute_uv=False)
+        return (s * s)[::-1]
+    from scipy.linalg import lapack
+
     t, _, _, info = lapack.dpteqr(d, e, np.zeros((1, 1)), compute_z=0)
     if info != 0:
         raise KernelError(f"half-size eigensolve failed (dpteqr info {info})")

@@ -683,7 +683,7 @@ _IMPORT_PROBE = textwrap.dedent("""
           "--n", "30"])
     main(["check", "--family", "legendre", "--identity", "quadratic",
           "--n", "30"])
-    named, finite = sys.argv[1:]
+    named, symmetric, finite = sys.argv[1:]
     main(["recurrence", "--measure", finite, "--n-max", "5"])
     lean = heavy()
     main(["quadrature", "--family", "legendre", "--n", "5"])
@@ -691,12 +691,18 @@ _IMPORT_PROBE = textwrap.dedent("""
     main(["zeros", "--measure", finite, "--n", "5"])
     main(["recurrence", "--measure", named, "--n-max", "5"])
     main(["zeros", "--measure", named, "--n", "5"])
-    main(["diagnose", "--carleman", "--measure", named])
+    main(["diagnose", "--carleman", "--measure", symmetric])
+    main(["diagnose", "--family", "hermite", "--true-interval", "40"])
     measure = heavy()
+    main(["quadrature", "--family", "legendre", "--n", "200"])
+    large = heavy()
+    main(["diagnose", "--carleman", "--measure", named])
+    moments = heavy()
     main(["check", "--family", "hermite", "--identity", "orthogonality",
           "--n", "30"])
     print(json.dumps({"lean": lean, "quadrature": quadrature,
-                      "measure": measure, "orthogonality": heavy()}))
+                      "measure": measure, "large": large,
+                      "moments": moments, "orthogonality": heavy()}))
 """)
 
 
@@ -706,20 +712,28 @@ def test_cli_imports_scipy_and_mpmath_on_first_use(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     named, _ = _measure_file(tmp_path, "jacobi", _CONTINUOUS["jacobi"])
+    symmetric, _ = _measure_file(tmp_path, "legendre", ())
     finite, _ = _finite_file(tmp_path, 10)
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, named, finite],
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, named,
+                           symmetric, finite],
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     mods = json.loads(proc.stdout.splitlines()[-1])
     # the quadratic check runs on the monic recurrence, with no series sums
     assert mods["lean"] == []
-    assert "scipy.linalg" in mods["quadrature"]
-    # the --measure commands integrate on the package's own Gauss rules
-    assert not any(m.startswith("scipy.special") for m in mods["measure"])
+    # eigenproblems of order <= 48 are solved by numpy's LAPACK, and the
+    # --measure commands integrate on the package's own Gauss rules
+    assert mods["quadrature"] == []
+    assert mods["measure"] == []
+    # larger ones by scipy's tridiagonal drivers: the half-size order is
+    # 100 here, and 32 moments of a Jacobi measure are confirmed on its
+    # 64-point rule
+    assert "scipy.linalg" in mods["large"]
+    assert not any(m.startswith("scipy.special") for m in mods["moments"])
     # orthogonality integrates on a scipy.special Gauss rule
     assert "scipy.special" in mods["orthogonality"]
-    for key in ("quadrature", "measure", "orthogonality"):
+    for key in ("large", "moments", "orthogonality"):
         assert not any(m.startswith("scipy.integrate") for m in mods[key])
         assert not any(m.split(".")[0] == "mpmath" for m in mods[key])
 

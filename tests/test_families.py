@@ -258,6 +258,21 @@ def test_rodrigues_matches_series():
                 assert a == pytest.approx(b, rel=1e-11, abs=1e-11)
 
 
+@pytest.mark.parametrize("alpha, beta", [(2.35, 1.23), (0.3, 0.7)])
+def test_rodrigues_jacobi_against_mpmath(alpha, beta):
+    # in doubles the monomial recursion lost up to 4.6e-9 here by n = 24
+    import mpmath
+
+    spec = F.jacobi(alpha, beta)
+    for n in range(25):
+        for x in (-0.7, 0.2, 0.33, 0.9):
+            with mpmath.workdps(50):
+                ref = mpmath.jacobi(n, mpmath.mpf(alpha), mpmath.mpf(beta),
+                                    mpmath.mpf(x))
+            err = abs(F.rodrigues_eval(spec, n, x) - ref) / max(1, abs(ref))
+            assert err <= 1e-14, (n, x)
+
+
 def test_rodrigues_hermite_h2():
     assert F.rodrigues_eval(F.hermite(), 2, 1.0) == pytest.approx(2.0)
 

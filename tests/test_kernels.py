@@ -461,3 +461,78 @@ def test_recurrence_weights_that_miss_mu0_fall_back_loudly():
     nodes, weights = full_golub_welsch(sys, 1.0, 50)
     np.testing.assert_array_equal(rule.nodes, nodes)
     np.testing.assert_array_equal(rule.weights, weights)
+
+
+# Up to order K._DENSE_MAX_ORDER the eigensolves run through numpy's LAPACK;
+# the scipy drivers they replace there give the same bits.
+
+def scipy_eigenvalues(diag, off):
+    """Eigenvalues by scipy's dsterf, or by its dpteqr on the half-size
+    problem when diag is 0 (mirrored, as `zeros` mirrors them)."""
+    from scipy.linalg import lapack
+
+    if not diag.any():
+        d, e = K._half_jacobi(off)
+        t = d.copy() if len(d) < 2 else lapack.dpteqr(
+            d, e, np.zeros((1, 1)), compute_z=0)[0][::-1]
+        half = np.sqrt(t)
+        return np.concatenate((-half[::-1], [0.0][:len(diag) % 2], half))
+    return diag.copy() if len(diag) < 2 else lapack.dsterf(diag, off)[0]
+
+
+def test_dense_eigenvalues_equal_dsterf():
+    gen = np.random.default_rng(1969)
+    systems = [F.family_monic_system(F.jacobi(0.5, 1.5)),
+               F.family_monic_system(F.laguerre(0.5)), charlier_system(2.0)]
+    for n in range(1, 61):
+        for sys in systems:
+            diag, off = K.jacobi_matrix(sys, n)
+            assert np.array_equal(K.zeros(sys, None, n),
+                                  scipy_eigenvalues(diag, off)), n
+        diag, off = gen.uniform(-1, 1, n), gen.uniform(0.5, 2, n - 1)
+        assert np.array_equal(K._eigenvalues(diag, off),
+                              scipy_eigenvalues(diag, off)), n
+
+
+@pytest.mark.parametrize("spec", [F.legendre(), F.hermite(),
+                                  F.gegenbauer(1.5), F.gegenbauer(-0.4),
+                                  F.chebyshev_t(), F.chebyshev_u()],
+                         ids=["legendre", "hermite", "gegenbauer(1.5)",
+                              "gegenbauer(-0.4)", "chebyshev_t",
+                              "chebyshev_u"])
+def test_dense_half_size_route_equals_dpteqr(spec):
+    # n // 2 crosses the limit at n = 98
+    sys = F.family_monic_system(spec)
+    for n in range(1, 111):
+        diag, off = K.jacobi_matrix(sys, n)
+        assert np.array_equal(K.zeros(sys, None, n),
+                              scipy_eigenvalues(diag, off)), n
+
+
+def test_dense_golub_welsch_against_eigh_tridiagonal():
+    sys = charlier_system(2.0)
+    for n in range(1, K._DENSE_MAX_ORDER + 1):
+        nodes, weights = K._golub_welsch(*K.jacobi_matrix(sys, n), 1.0)
+        ref_nodes, ref_weights = full_golub_welsch(sys, 1.0, n)
+        assert normwise(nodes, ref_nodes, 1.0) <= 100 * n * EPS, n
+        assert normwise(weights, ref_weights) <= 100 * n * EPS, n
+
+
+def test_half_size_route_refuses_an_indefinite_matrix():
+    # C^T C is positive definite; a matrix that is not fails loudly
+    with pytest.raises(K.KernelError, match="positive definite"):
+        K._half_eigvals(np.array([1.0, 1.0, 1.0]), np.array([2.0, 0.5]))
+
+
+@pytest.mark.parametrize("method", ["auto", "sum", "closed"])
+def test_kernel_on_arrays_matches_scalar_calls(method):
+    # distinct pairs take the closed form, near-equal ones the confluent one
+    sys, norms = legendre_setup()
+    x = np.array([-0.9, 0.3, 0.5, 0.7, 0.25])
+    y = np.array([0.4, 0.3, 0.5 + 1e-9, -0.7, 0.8])
+    for n in (0, 1, 7, 30):
+        got = K.cd_kernel(sys, norms, n, x, y, method=method)
+        ref = [K.cd_kernel(sys, norms, n, float(u), float(v), method=method)
+               for u, v in zip(x, y)]
+        assert got.shape == x.shape
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=1e-14)
