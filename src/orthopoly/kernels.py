@@ -177,8 +177,7 @@ def gauss_rule(sys: RecurrenceSystem, norms: NormData, m: Measure | None,
     On a lattice measure, where the forward recurrence is unstable, and
     with a RuntimeWarning when those weights miss mu_0 by 100 n eps, the
     weights are mu_0 u_0^2 from the full eigensolve (Golub and Welsch,
-    Math. Comp. 23, 1969): numpy's dense `eigh` up to n = `_DENSE_MAX_ORDER`,
-    scipy's `eigh_tridiagonal` beyond.
+    Math. Comp. 23, 1969), by scipy's `eigh_tridiagonal` at every order.
     """
     if n < 1:
         raise KernelError("need n >= 1")
@@ -214,15 +213,13 @@ def _gauss_nodes_weights(diag: np.ndarray, off: np.ndarray,
 
 def _golub_welsch(diag: np.ndarray, off: np.ndarray,
                   mu0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights mu_0 u_0^2 from the full eigensolve: LAPACK dsyevd
-    on the dense matrix (numpy) up to order `_DENSE_MAX_ORDER`, dstevd
-    (scipy's `eigh_tridiagonal`) beyond; both end in the same dstedc."""
-    if len(diag) <= _DENSE_MAX_ORDER:
-        vals, vecs = _dense_solve(np.linalg.eigh, diag, off, off)
-    else:
-        from scipy import linalg as _sp_linalg
+    """Nodes and weights mu_0 u_0^2 from the full eigensolve, by scipy's
+    `eigh_tridiagonal` (whose default driver for all eigenpairs is LAPACK
+    dstevd) at every order: only lattice measures and the mu_0 fallback of
+    `gauss_rule` need it."""
+    from scipy import linalg as _sp_linalg
 
-        vals, vecs = _sp_linalg.eigh_tridiagonal(diag, off)
+    vals, vecs = _sp_linalg.eigh_tridiagonal(diag, off)
     order = np.argsort(vals)
     return vals[order], mu0 * vecs[0, order] ** 2
 

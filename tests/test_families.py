@@ -273,6 +273,17 @@ def test_rodrigues_jacobi_against_mpmath(alpha, beta):
             assert err <= 1e-14, (n, x)
 
 
+def test_rodrigues_outside_the_double_range():
+    # the exact route rounds like double arithmetic: +-inf past the range,
+    # the polynomial's limit at +-inf, nan at nan
+    assert F.rodrigues_eval(F.hermite(), 120, 1e4) == math.inf
+    assert F.rodrigues_eval(F.hermite(), 121, -1e4) == -math.inf
+    assert F.rodrigues_eval(F.laguerre(0.5), 3, math.inf) == -math.inf
+    assert F.rodrigues_eval(F.jacobi(0.5, 1.5), 3, -math.inf) == -math.inf
+    assert F.rodrigues_eval(F.hermite(), 0, math.inf) == 1.0
+    assert math.isnan(F.rodrigues_eval(F.hermite(), 2, math.nan))
+
+
 def test_rodrigues_hermite_h2():
     assert F.rodrigues_eval(F.hermite(), 2, 1.0) == pytest.approx(2.0)
 

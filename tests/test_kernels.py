@@ -464,7 +464,11 @@ def test_recurrence_weights_that_miss_mu0_fall_back_loudly():
 
 
 # Up to order K._DENSE_MAX_ORDER the eigensolves run through numpy's LAPACK;
-# the scipy drivers they replace there give the same bits.
+# the scipy drivers they replace there give the same bits.  The two are
+# separately built LAPACKs (checked with the numpy 2.4 wheel on OpenBLAS
+# 0.3.31 and the scipy 1.17 wheel on OpenBLAS 0.3.30), so bit equality is a
+# property of those builds: another build (MKL, Accelerate, other FMA
+# contraction) may differ in the last bits.
 
 def scipy_eigenvalues(diag, off):
     """Eigenvalues by scipy's dsterf, or by its dpteqr on the half-size
@@ -507,15 +511,6 @@ def test_dense_half_size_route_equals_dpteqr(spec):
         diag, off = K.jacobi_matrix(sys, n)
         assert np.array_equal(K.zeros(sys, None, n),
                               scipy_eigenvalues(diag, off)), n
-
-
-def test_dense_golub_welsch_against_eigh_tridiagonal():
-    sys = charlier_system(2.0)
-    for n in range(1, K._DENSE_MAX_ORDER + 1):
-        nodes, weights = K._golub_welsch(*K.jacobi_matrix(sys, n), 1.0)
-        ref_nodes, ref_weights = full_golub_welsch(sys, 1.0, n)
-        assert normwise(nodes, ref_nodes, 1.0) <= 100 * n * EPS, n
-        assert normwise(weights, ref_weights) <= 100 * n * EPS, n
 
 
 def test_half_size_route_refuses_an_indefinite_matrix():
