@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io as _stdio
 import json
 import math
@@ -221,11 +222,9 @@ def _check_battery(spec, identity: str, n: int, tol: float):
     """Run one identity over degrees <= n; return (max residual, details)."""
     if spec.discrete:
         raise ConfigError("check supports the continuous families")
-    xs = np.linspace(-0.9, 0.9, 7)
-    if spec.family == "laguerre":
-        xs = np.linspace(0.2, 8.0, 7)
-    elif spec.family == "hermite":
-        xs = np.linspace(-2.0, 2.0, 7)
+    kind, alpha, _, _ = F.classical(spec)
+    xs = np.linspace(*{F.LAGUERRE: (0.2, 8.0), F.HERMITE: (-2.0, 2.0)}.get(
+        kind, (-0.9, 0.9)), 7)
     # residuals by degree
     if identity == "ode":
         by_degree = dict(enumerate(F.ode_residual(spec, n, xs)))
@@ -236,7 +235,7 @@ def _check_battery(spec, identity: str, n: int, tol: float):
         b = _bundle(spec)
         norms = R.norms_from_recurrence(b.system, b.h0, 1.0, n + 1)
         rng = np.random.default_rng(20260823)
-        lo, hi = (0.2, 8.0) if spec.family == "laguerre" else (-0.95, 0.95)
+        lo, hi = (0.2, 8.0) if kind == F.LAGUERRE else (-0.95, 0.95)
         x, y = rng.uniform(lo, hi, (50, 2)).T
         # 50 distinct pairs (x, y) and their 50 confluent pairs (x, x)
         u, v = np.concatenate((x, x)), np.concatenate((y, x))
@@ -244,11 +243,9 @@ def _check_battery(spec, identity: str, n: int, tol: float):
         c = K.cd_kernel(b.system, norms, n, u, v)
         by_degree = {n: (s - c) / np.maximum(np.abs(s), 1.0)}
     elif identity == "quadratic":
-        try:
-            alpha = F._as_jacobi(spec)[0]
-        except F.FamilyError as exc:
+        if kind != F.JACOBI:
             raise ConfigError("quadratic transformation applies to the "
-                              "Jacobi-type families") from exc
+                              "Jacobi-type families")
         by_degree = dict(enumerate(np.hstack(
             F.quadratic_transform_residuals(n, alpha, xs))))
     elif identity == "orthogonality":
@@ -264,7 +261,7 @@ def _check_battery(spec, identity: str, n: int, tol: float):
         by_degree = {j: gram[j, :j] for j in range(n + 1)}
     elif identity == "limit":
         # every Jacobi-type family is a source of relation 26
-        which = {"laguerre": 28, "hermite": None}.get(spec.family, 26)
+        which = {F.LAGUERRE: 28, F.HERMITE: None}.get(kind, 26)
         if which is None:
             raise ConfigError(
                 f"{spec.family} is a limit target, not a source; use "
@@ -294,13 +291,13 @@ def _independent_rule(spec, size: int):
     from scipy.special, which does not use the recurrence under check."""
     from scipy import special
 
+    kind, a, b, _ = F.classical(spec)
     with np.errstate(over="ignore", invalid="ignore"):
-        if spec.family == "laguerre":
-            nodes, weights = special.roots_genlaguerre(size, spec.alpha)
-        elif spec.family == "hermite":
+        if kind == F.LAGUERRE:
+            nodes, weights = special.roots_genlaguerre(size, a)
+        elif kind == F.HERMITE:
             nodes, weights = special.roots_hermite(size)
         else:
-            a, b, _ = F._as_jacobi(spec)
             nodes, weights = special.roots_jacobi(size, a, b)
     # a weight that underflowed drops its node's products from the Gram
     # matrix, which then reads as a violated identity
@@ -398,7 +395,9 @@ def _add_family_args(sp, required=False):
         sp.add_argument(f"--{name}", type=int if name == "N" else float)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="orthopoly",
         description="orthogonal polynomial workbench")

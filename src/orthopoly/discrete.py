@@ -126,8 +126,7 @@ def family_measure(fam: FamilySpec, normalized: bool = False) -> Measure:
             k = int(np.flatnonzero(~(weights > 0))[0])
             raise FamilyError(f"{f} weight w_{k} underflows to 0: the "
                               f"measure on 0..{fam.N} leaves the double range")
-        return discrete_measure(nodes, weights, meta={"name": f,
-                                                      **fam.parameters})
+        return discrete_measure(nodes, weights)
 
     def w(k: int) -> float:
         return discrete_weight(fam, k)
@@ -142,8 +141,7 @@ def family_measure(fam: FamilySpec, normalized: bool = False) -> Measure:
             return w(k + 1) / (1 - a / (k + 2))
 
         norm = math.exp(-a) if normalized else 1.0
-        return discrete_infinite_measure(float, w, tail, normalizer=norm,
-                                         meta={"name": "charlier", "a": a})
+        return discrete_infinite_measure(w, tail, normalizer=norm)
     beta, c = fam.beta, fam.c
 
     def tail(k: int) -> float:
@@ -153,9 +151,7 @@ def family_measure(fam: FamilySpec, normalized: bool = False) -> Measure:
             return math.inf
         return w(k + 1) / (1 - r)
 
-    return discrete_infinite_measure(float, w, tail,
-                                     meta={"name": "meixner",
-                                           "beta": beta, "c": c})
+    return discrete_infinite_measure(w, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -205,35 +201,34 @@ def hahn_to_jacobi_limit(n: int, alpha: float, beta: float, N: int,
 # ---------------------------------------------------------------------------
 # three-term recurrences
 
-def _recurrence_terms(fam: FamilySpec):
-    """n -> (A_n, C_n) of x p_n = -A_n p_{n+1} + (A_n + C_n) p_n - C_n p_{n-1}
-    with p_n(0) = 1 (Koekoek, Lesky & Swarttouw 2010, (9.5.3), (9.10.3),
-    (9.11.3), (9.14.3))."""
+def _recurrence_terms(fam: FamilySpec,
+                      n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A_n, C_n) at the index array n, of x p_n = -A_n p_{n+1}
+    + (A_n + C_n) p_n - C_n p_{n-1} with p_n(0) = 1 (Koekoek, Lesky &
+    Swarttouw 2010, (9.5.3), (9.10.3), (9.11.3), (9.14.3))."""
     f = fam.family
+    n = np.asarray(n, dtype=float)
     if f == "charlier":
-        a = fam.a
-        return lambda n: (a, float(n))
+        return np.full_like(n, fam.a), n
     if f == "krawtchouk":
         p, N = fam.p, fam.N
-        return lambda n: (p * (N - n), n * (1 - p))
+        return p * (N - n), n * (1 - p)
     if f == "meixner":
         beta, c = fam.beta, fam.c
-        return lambda n: (c * (n + beta) / (1 - c), n / (1 - c))
+        return c * (n + beta) / (1 - c), n / (1 - c)
     if f != "hahn":
         raise FamilyError(f"{f} is not a discrete family")
     al, be, N = fam.alpha, fam.beta, fam.N
-
-    def hahn_terms(n: int) -> tuple[float, float]:
-        if n == 0:
-            # the (alpha + beta + 1) factor cancels; this form stays finite
-            # for alpha + beta = -1
-            return (al + 1) * N / (al + be + 2), 0.0
-        s = 2 * n + al + be
-        return ((n + al + be + 1) * (n + al + 1) * (N - n)
-                / ((s + 1) * (s + 2)),
-                n * (n + al + be + N + 1) * (n + be) / (s * (s + 1)))
-
-    return hahn_terms
+    s = 2 * n + al + be
+    with np.errstate(divide="ignore", invalid="ignore"):
+        A = ((n + al + be + 1) * (n + al + 1) * (N - n)
+             / ((s + 1) * (s + 2)))
+        C = n * (n + al + be + N + 1) * (n + be) / (s * (s + 1))
+    # at n = 0 the (alpha + beta + 1) factor of A cancels, which keeps it
+    # finite for alpha + beta = -1
+    A[n == 0] = (al + 1) * N / (al + be + 2)
+    C[n == 0] = 0.0
+    return A, C
 
 
 def discrete_system(fam: FamilySpec, monic: bool = False) -> RecurrenceSystem:
@@ -243,19 +238,21 @@ def discrete_system(fam: FamilySpec, monic: bool = False) -> RecurrenceSystem:
     A family on a finite lattice stops at N: coefficients past index N raise
     RecurrenceError, and so does a_N = 0 in the general form.
     """
-    terms = _recurrence_terms(fam)
     bound = fam.parameters.get("N")
 
-    def coeff(n: int) -> tuple[float, float, float]:
-        if bound is not None and n > bound:
+    def rows(j: np.ndarray) -> tuple:
+        if bound is not None and j[-1] > bound:
             raise RecurrenceError(f"{fam.family} stops at degree N={bound}; "
-                                  f"no coefficients at index {n}")
-        A, C = terms(n)
+                                  f"no coefficients at index {bound + 1}")
+        # A_{j-1} for the monic c_j; c_0 = 0 needs no A_{-1}
+        A, C = _recurrence_terms(fam, np.arange(j[0] - 1, j[-1] + 1).clip(0))
         if monic:
-            return 1.0, A + C, terms(n - 1)[0] * C if n else 0.0
-        return -A, A + C, -C
+            c = A[:-1] * C[1:]
+            c[j == 0] = 0.0
+            return 1.0, A[1:] + C[1:], c
+        return -A[1:], A[1:] + C[1:], -C[1:]
 
-    return RecurrenceSystem(coeff, form="monic" if monic else "general",
+    return RecurrenceSystem(rows_fn=rows, form="monic" if monic else "general",
                             p0=1.0, max_index_hint=bound)
 
 

@@ -294,12 +294,11 @@ def hermite_eval(n: int, x: float) -> float:
 
 def special_case_eval(spec: FamilySpec, n: int, x: float) -> float:
     """Evaluate a family member, routing special cases through Jacobi."""
-    f = spec.family
-    if f == "laguerre":
-        return laguerre_eval(n, spec.alpha, x)
-    if f == "hermite":
+    kind, a, b, ratio = classical(spec)
+    if kind == LAGUERRE:
+        return laguerre_eval(n, a, x)
+    if kind == HERMITE:
         return hermite_eval(n, x)
-    a, b, ratio = _as_jacobi(spec)
     scale = math.prod(ratio(k) for k in range(n)) if ratio else 1.0
     return scale * jacobi_eval(n, a, b, x)
 
@@ -340,24 +339,39 @@ def hermite_coeffs(n: int) -> np.ndarray:
     return out
 
 
-def _as_jacobi(spec: FamilySpec):
-    """(alpha, beta, ratio) with p_n = prefactor_n P_n^{(alpha,beta)} for the
-    Jacobi family and its special cases, where prefactor_0 = 1 and ratio(n)
-    = prefactor_{n+1} / prefactor_n, also on index arrays (None where the
-    prefactor is 1); FamilyError for the other families."""
+# the three classical types of a continuous family
+JACOBI, LAGUERRE, HERMITE = "jacobi", "laguerre", "hermite"
+
+# Total masses of the families whose `normalized` measure is a probability
+# measure, in closed form (Gamma(1/2)^2 is pi - 1 ulp, 1/sqrt(pi) is pi^-1/2)
+_PROBABILITY_MASS = {"legendre": 2.0, "hermite": math.sqrt(math.pi),
+                     "chebyshev_t": math.pi}
+
+
+def classical(spec: FamilySpec):
+    """(kind, alpha, beta, ratio): the classical type of a continuous family
+    and its parameters.  For kind JACOBI, p_n = prefactor_n P_n^{(alpha,beta)}
+    with prefactor_0 = 1 and ratio(n) = prefactor_{n+1} / prefactor_n, also
+    on index arrays (None where the prefactor is 1); LAGUERRE carries alpha
+    and HERMITE nothing.  FamilyError for the lattice families."""
     f = spec.family
     if f == "jacobi":
-        return spec.alpha, spec.beta, None
+        return JACOBI, spec.alpha, spec.beta, None
+    if f == "laguerre":
+        return LAGUERRE, spec.alpha, None, None
+    if f == "hermite":
+        return HERMITE, None, None, None
     if f == "gegenbauer":
         lam = spec.lam
-        return lam - 0.5, lam - 0.5, lambda n: (2 * lam + n) / (lam + 0.5 + n)
+        return (JACOBI, lam - 0.5, lam - 0.5,
+                lambda n: (2 * lam + n) / (lam + 0.5 + n))
     if f == "legendre":
-        return 0.0, 0.0, None
+        return JACOBI, 0.0, 0.0, None
     if f == "chebyshev_t":
-        return -0.5, -0.5, lambda n: (n + 1) / (n + 0.5)
+        return JACOBI, -0.5, -0.5, lambda n: (n + 1) / (n + 0.5)
     if f == "chebyshev_u":
-        return 0.5, 0.5, lambda n: (n + 2) / (n + 1.5)
-    raise FamilyError(f"{f} has no Jacobi reduction")
+        return JACOBI, 0.5, 0.5, lambda n: (n + 2) / (n + 1.5)
+    raise FamilyError(f"{f} has no classical type")
 
 
 # ---------------------------------------------------------------------------
@@ -370,13 +384,11 @@ def pearson_pair(spec: FamilySpec):
     tuples; `shifted` is the family with weight sigma w, whose monic members
     are the derivatives of the monic p_n divided by n.
     """
-    f = spec.family
-    if f == "laguerre":
-        a = spec.alpha
+    kind, a, b, _ = classical(spec)
+    if kind == LAGUERRE:
         return (0.0, 1.0, 0.0), (a + 1, -1.0), laguerre(a + 1)
-    if f == "hermite":
+    if kind == HERMITE:
         return (1.0, 0.0, 0.0), (0.0, -2.0), spec
-    a, b, _ = _as_jacobi(spec)
     return (1.0, 0.0, -1.0), (b - a, -(a + b + 2)), jacobi(a + 1, b + 1)
 
 
@@ -506,10 +518,11 @@ def quadratic_transform_residuals(n: int, alpha: float,
     P_2k+1^{(a,a)}(x) ~ x P_k^{(a,1/2)}(2x^2 - 1), each side normalised by
     its value at 1, for k = 0..n (rows) at the points xs (columns).
 
-    Each of the three chains is one eval_all pass of a ratio system; quadratic_transform_check is the series form of the same
-    residuals at one degree and point.  For alpha < -1/2 the normalised
-    values grow like k^(-1/2 - alpha), and a residual is taken relative to
-    the largest value of its degree where that exceeds 1.
+    Each of the three chains is one eval_all pass of a ratio system;
+    quadratic_transform_check is the series form of the same residuals at
+    one degree and point.  For alpha < -1/2 the normalised values grow like
+    k^(-1/2 - alpha), and a residual is taken relative to the largest value
+    of its degree where that exceeds 1.
     """
     def residual(lhs, rhs):
         scale = np.maximum(abs(lhs), abs(rhs)).max(axis=1, keepdims=True)
@@ -571,18 +584,18 @@ def split_even_system(sys: RecurrenceSystem,
 
 def legendre_system() -> RecurrenceSystem:
     return RecurrenceSystem(
-        lambda n: ((n + 1) / (2 * n + 1), 0.0, n / (2 * n + 1)),
+        rows_fn=lambda j: ((j + 1) / (2 * j + 1), 0.0, j / (2 * j + 1)),
         form="general", p0=1.0)
 
 
 def hermite_system() -> RecurrenceSystem:
-    return RecurrenceSystem(lambda n: (0.5, 0.0, float(n)),
+    return RecurrenceSystem(rows_fn=lambda j: (0.5, 0.0, j),
                             form="general", p0=1.0)
 
 
 def laguerre_system(alpha: float) -> RecurrenceSystem:
     return RecurrenceSystem(
-        lambda n: (-(n + 1.0), 2 * n + alpha + 1, -(n + alpha)),
+        rows_fn=lambda j: (-(j + 1.0), 2 * j + alpha + 1, -(j + alpha)),
         form="general", p0=1.0)
 
 
@@ -618,12 +631,12 @@ def jacobi_monic_system(alpha: float, beta: float) -> RecurrenceSystem:
 
 def laguerre_monic_system(alpha: float) -> RecurrenceSystem:
     return RecurrenceSystem(
-        lambda n: (1.0, 2 * n + alpha + 1, n * (n + alpha)),
+        rows_fn=lambda j: (1.0, 2 * j + alpha + 1, j * (j + alpha)),
         form="monic", p0=1.0)
 
 
 def hermite_monic_system() -> RecurrenceSystem:
-    return RecurrenceSystem(lambda n: (1.0, 0.0, n / 2.0),
+    return RecurrenceSystem(rows_fn=lambda j: (1.0, 0.0, j / 2.0),
                             form="monic", p0=1.0)
 
 
@@ -662,84 +675,68 @@ def family_system(spec: FamilySpec) -> RecurrenceSystem:
     the discrete families p_n(0) = 1, as in discrete.discrete_eval).  The
     Jacobi-type rows stay within a few ulp to any degree (see
     jacobi_system)."""
-    f = spec.family
     if spec.discrete:
         from .discrete import discrete_system
         return discrete_system(spec)
-    if f == "laguerre":
-        return laguerre_system(spec.alpha)
-    if f == "hermite":
+    kind, a, b, ratio = classical(spec)
+    if kind == LAGUERRE:
+        return laguerre_system(a)
+    if kind == HERMITE:
         return hermite_system()
-    if f == "legendre":
+    if spec.family == "legendre":
+        # its c_n = n/(2n+1) is rounded once; jacobi_system's c_n^monic /
+        # a_{n-1} is rounded twice, and 1 ulp away at 541 of n <= 1000
         return legendre_system()
-    return jacobi_system(*_as_jacobi(spec))
+    return jacobi_system(a, b, ratio)
 
 
 def family_monic_system(spec: FamilySpec) -> RecurrenceSystem:
-    f = spec.family
     if spec.discrete:
         from .discrete import discrete_system
         return discrete_system(spec, monic=True)
-    if f == "laguerre":
-        return laguerre_monic_system(spec.alpha)
-    if f == "hermite":
+    kind, a, b, _ = classical(spec)
+    if kind == LAGUERRE:
+        return laguerre_monic_system(a)
+    if kind == HERMITE:
         return hermite_monic_system()
-    return jacobi_monic_system(*_as_jacobi(spec)[:2])
+    return jacobi_monic_system(a, b)
 
 
 # ---------------------------------------------------------------------------
 # measures and norm seeds
 
 def family_measure(spec: FamilySpec, normalized: bool = False) -> Measure:
-    """Orthogonality measure; `normalized` applies the classical prefactor
-    (1/2 for Legendre, pi^{-1/2} for Hermite, 1/pi for Chebyshev-T, e^{-a}
+    """Orthogonality measure; `normalized` divides by the total mass where
+    that makes a probability measure (Legendre, Hermite, Chebyshev-T; e^{-a}
     for Charlier)."""
-    f = spec.family
     if spec.discrete:
         from .discrete import family_measure as lattice_measure
         return lattice_measure(spec, normalized)
-    if f == "hermite":
-        norm = math.pi ** -0.5 if normalized else 1.0
+    kind, a, b, _ = classical(spec)
+    mass = _PROBABILITY_MASS.get(spec.family) if normalized else None
+    norm = 1.0 / mass if mass else 1.0
+    if kind == HERMITE:
         return continuous_measure(lambda x: math.exp(-x * x),
-                                  (-math.inf, math.inf), normalizer=norm,
-                                  meta={"name": "hermite"})
-    if f == "legendre":
-        norm = 0.5 if normalized else 1.0
-        return continuous_measure(lambda x: 1.0, (-1.0, 1.0), normalizer=norm,
-                                  meta={"name": "legendre"})
-    if f == "laguerre":
-        a = spec.alpha
+                                  (-math.inf, math.inf), normalizer=norm)
+    if kind == LAGUERRE:
         alg = (a, 0.0) if a != 0.0 else None
         return continuous_measure(lambda x: x ** a * math.exp(-x),
                                   (0.0, math.inf), alg_exponents=alg,
-                                  alg_smooth=(lambda x: math.exp(-x)) if alg else None,
-                                  meta={"name": "laguerre", "alpha": a})
-    if f == "chebyshev_t":
-        norm = 1.0 / math.pi if normalized else 1.0
-        return continuous_measure(lambda x: (1 - x * x) ** -0.5, (-1.0, 1.0),
-                                  normalizer=norm, alg_exponents=(-0.5, -0.5),
-                                  alg_smooth=lambda x: 1.0,
-                                  meta={"name": "chebyshev_t"})
-    # jacobi-type weights (1-x)^alpha (1+x)^beta
-    a, b, _ = _as_jacobi(spec)
+                                  alg_smooth=(lambda x: math.exp(-x))
+                                  if alg else None)
     return continuous_measure(lambda x: (1 - x) ** a * (1 + x) ** b,
-                              (-1.0, 1.0), alg_exponents=(b, a),
-                              alg_smooth=lambda x: 1.0,
-                              meta={"name": "jacobi", "alpha": a, "beta": b})
+                              (-1.0, 1.0), normalizer=norm,
+                              alg_exponents=(b, a), alg_smooth=lambda x: 1.0)
 
 
 def family_mu0(spec: FamilySpec, normalized: bool = False) -> float:
     """Total mass of family_measure, in closed form."""
-    f = spec.family
-    if f == "hermite":
-        return 1.0 if normalized else math.sqrt(math.pi)
-    if f == "legendre":
-        return 1.0 if normalized else 2.0
-    if f == "laguerre":
-        return math.gamma(spec.alpha + 1)
-    if f == "chebyshev_t":
-        return 1.0 if normalized else math.pi
-    a, b, _ = _as_jacobi(spec)
+    mass = _PROBABILITY_MASS.get(spec.family)
+    if mass is not None:
+        return 1.0 if normalized else mass
+    kind, a, b, _ = classical(spec)
+    if kind == LAGUERRE:
+        return math.gamma(a + 1)
     return (2 ** (a + b + 1) * math.gamma(a + 1) * math.gamma(b + 1)
             / math.gamma(a + b + 2))
 

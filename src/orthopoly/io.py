@@ -1,16 +1,15 @@
-"""JSON serialization for recurrence systems, measures and quadrature rules.
+"""JSON documents of recurrence systems, measures and quadrature rules.
 
-Documents carry a versioned `schema: 1` field.  Continuous weights are not
-serialized as code: measures are referenced by name plus parameters, drawn
-from the family registry (families.PARAMETERS).
+Documents carry a versioned `schema: 1` field.  Measures are only read,
+never written: a document names a family of the registry
+(families.PARAMETERS) with its parameters, or lists finite nodes and
+weights.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import replace
-
-import numpy as np
 
 from . import families as _families
 from .kernels import QuadratureRule
@@ -87,24 +86,6 @@ def load_measure(doc: dict) -> Measure:
         return discrete_measure(doc["nodes"], doc["weights"],
                                 normalizer=float(doc.get("normalizer", 1.0)))
     raise SchemaError(f"unknown measure kind {kind!r}")
-
-
-def dump_measure(m: Measure) -> dict:
-    name = m.meta.get("name")
-    params = {k: v for k, v in m.meta.items() if k != "name"}
-    doc = {"schema": SCHEMA_VERSION, "kind": m.kind,
-           "normalizer": m.normalizer}
-    if m.kind == "discrete_finite":
-        doc["nodes"] = list(map(float, m.nodes))
-        doc["weights"] = list(map(float, m.node_weights))
-        return doc
-    if name is None:
-        raise SchemaError("only named or finite measures are serializable")
-    doc["name"] = name
-    doc["parameters"] = params
-    if m.kind == "continuous":
-        doc["support"] = list(m.support)
-    return doc
 
 
 # ---------------------------------------------------------------------------

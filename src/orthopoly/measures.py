@@ -42,13 +42,11 @@ class Measure:
     support: tuple[float, float] | None = None
     nodes: np.ndarray | None = None
     node_weights: np.ndarray | None = None
-    node_fn: Callable[[int], float] | None = None
     weight_fn: Callable[[int], float] | None = None
     tail_bound: Callable[[int], float] | None = None
     normalizer: float = 1.0
     alg_exponents: tuple[float, float] | None = None
     alg_smooth: Callable[[float], float] | None = None
-    meta: dict = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, init=False, compare=False,
                          repr=False)
 
@@ -61,16 +59,16 @@ class Measure:
 
 
 def continuous_measure(weight, support, normalizer=1.0, alg_exponents=None,
-                       alg_smooth=None, meta=None) -> Measure:
+                       alg_smooth=None) -> Measure:
     a, b = float(support[0]), float(support[1])
     if not a < b:
         raise ValueError("support interval must be nondegenerate")
     return Measure(kind="continuous", weight=weight, support=(a, b),
                    normalizer=float(normalizer), alg_exponents=alg_exponents,
-                   alg_smooth=alg_smooth, meta=meta or {})
+                   alg_smooth=alg_smooth)
 
 
-def discrete_measure(nodes, weights, normalizer=1.0, meta=None) -> Measure:
+def discrete_measure(nodes, weights, normalizer=1.0) -> Measure:
     nodes = np.asarray(nodes, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if nodes.shape != weights.shape:
@@ -78,14 +76,15 @@ def discrete_measure(nodes, weights, normalizer=1.0, meta=None) -> Measure:
     if np.any(weights <= 0):
         raise ValueError("discrete weights must be positive")
     return Measure(kind="discrete_finite", nodes=nodes, node_weights=weights,
-                   normalizer=float(normalizer), meta=meta or {})
+                   normalizer=float(normalizer))
 
 
-def discrete_infinite_measure(node_fn, weight_fn, tail_bound, normalizer=1.0,
-                              meta=None) -> Measure:
-    return Measure(kind="discrete_infinite", node_fn=node_fn,
-                   weight_fn=weight_fn, tail_bound=tail_bound,
-                   normalizer=float(normalizer), meta=meta or {})
+def discrete_infinite_measure(weight_fn, tail_bound,
+                              normalizer=1.0) -> Measure:
+    """Weights weight_fn(k) on the lattice 0, 1, 2, ...; tail_bound(k)
+    bounds the sum of the weights past k."""
+    return Measure(kind="discrete_infinite", weight_fn=weight_fn,
+                   tail_bound=tail_bound, normalizer=float(normalizer))
 
 
 def integrate(m: Measure, f: Callable[[float], float],
@@ -128,7 +127,6 @@ def inner_product(f, g, m: Measure, tol: float = DEFAULT_TOL) -> float:
 @dataclass(frozen=True)
 class MomentSequence:
     mu: np.ndarray
-    source: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "mu", np.asarray(self.mu, dtype=float))
@@ -140,7 +138,7 @@ def moments(m: Measure, n_max: int, tol: float = DEFAULT_TOL) -> MomentSequence:
     """Moments mu_k = <x^k, 1> for k = 0..n_max."""
     mu = np.array([integrate(m, lambda x, k=k: x ** k, tol)
                    for k in range(n_max + 1)])
-    return MomentSequence(mu=mu, source=m.meta.get("name", "measure"))
+    return MomentSequence(mu=mu)
 
 
 @dataclass(frozen=True)
@@ -170,9 +168,10 @@ def recurrence_from_measure(m: Measure, n_max: int,
     The measure is replaced by the K-point discretization that `integrate`
     sums over.  Lanczos with full reorthogonalisation on diag(nodes) gives
     b_n and c_n = beta_n^2 (Gautschi, Orthogonal Polynomials: Computation
-    and Approximation, 2004, section 2.2; Gragg & Harrod 1984).  K starts at n_max + 1 and doubles until every b_n and
-    sqrt(c_n) changes by at most `tol` relative to |b_n| + sqrt(c_n) +
-    sqrt(c_{n+1}).  A finite measure is used as it is.
+    and Approximation, 2004, section 2.2; Gragg & Harrod 1984).  K starts
+    at n_max + 1 and doubles until every b_n and sqrt(c_n) changes by at
+    most `tol` relative to |b_n| + sqrt(c_n) + sqrt(c_{n+1}).  A finite
+    measure is used as it is.
 
     Raises RecurrenceError when K would exceed _MAX_POINTS.  So a weight
     with an endpoint singularity that `alg_exponents` does not declare, or
@@ -222,7 +221,7 @@ def _discretize(m: Measure, size: int) -> tuple[np.ndarray, np.ndarray]:
     if size in m._cache:
         return m._cache[size]
     if m.kind == "discrete_infinite":
-        x = np.array([m.node_fn(k) for k in range(size)], dtype=float)
+        x = np.arange(size, dtype=float)
         w = np.array([m.weight_fn(k) for k in range(size)], dtype=float)
     else:
         from .families import (hermite_monic_system, jacobi_monic_system,

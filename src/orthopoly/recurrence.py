@@ -10,6 +10,7 @@ with p_0 constant.  Forms: "general" (arbitrary a_n), "monic" (a_n = 1),
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -30,13 +31,21 @@ def _checked_row(coeff_fn, i: int) -> tuple[float, float, float]:
         raise RecurrenceError(f"coefficients undefined at index {i}") from exc
 
 
+def _row_at(rows_fn, n: int) -> tuple[float, float, float]:
+    row = np.empty((3, 1))
+    row[0], row[1], row[2] = rows_fn(np.array([n]))
+    return tuple(row[:, 0].tolist())
+
+
 @dataclass(frozen=True)
 class RecurrenceSystem:
     """Orthogonal polynomial system given by its coefficient rows.
 
     rows_fn(j) returns (a_j, b_j, c_j), arrays or scalars, at an index range
-    j; a per-index coeff_fn(n) is wrapped into one.  c_0 is ignored.  Rows
-    are computed and validated once, into a table that grows on demand."""
+    j.  coeff_fn(n), the row at one index, is the adapter for per-index
+    callers: given alone it is wrapped into a rows_fn, and otherwise it reads
+    rows_fn at [n].  c_0 is ignored.  Rows are computed and validated once,
+    into a table that grows on demand."""
 
     coeff_fn: Callable[[int], tuple[float, float, float]] | None = None
     form: str = "general"
@@ -55,6 +64,9 @@ class RecurrenceSystem:
             fn = self.coeff_fn
             object.__setattr__(self, "rows_fn", lambda j: np.array(
                 [_checked_row(fn, i) for i in j.tolist()], dtype=float).T)
+        elif self.coeff_fn is None:
+            object.__setattr__(self, "coeff_fn",
+                               functools.partial(_row_at, self.rows_fn))
 
     def _grow(self, n: int) -> None:
         cache = self._cache
@@ -113,20 +125,19 @@ class NormData:
 
 def from_tables(a: Sequence[float], b: Sequence[float], c: Sequence[float],
                 form: str = "general", p0: float = 1.0) -> RecurrenceSystem:
-    """Build a system from stored coefficient arrays."""
-    a = list(map(float, a))
-    b = list(map(float, b))
-    c = list(map(float, c))
+    """Build a system from stored coefficient arrays (c padded with 0);
+    an index past them raises."""
+    a, b, c = (np.array([float(v) for v in t]) for t in (a, b, c))
+    size = min(len(a), len(b))
+    c = np.concatenate((c, np.zeros(max(size - len(c), 0))))
 
-    def coeff(n: int) -> tuple[float, float, float]:
-        return a[n], b[n], c[n] if n < len(c) else 0.0
+    def rows(j: np.ndarray) -> tuple:
+        if j[-1] >= size:
+            raise RecurrenceError(f"coefficients undefined at index {size}")
+        return a[j], b[j], c[j]
 
-    sys = RecurrenceSystem(coeff, form=form, p0=p0, max_index_hint=len(a) - 1)
-    try:  # every row is known: store them at once
-        sys.table(len(a) - 1)
-    except RecurrenceError:  # reported when a caller reaches the bad row
-        pass
-    return sys
+    return RecurrenceSystem(rows_fn=rows, form=form, p0=p0,
+                            max_index_hint=len(a) - 1)
 
 
 def eval_poly(sys: RecurrenceSystem, n: int, x, precision: int | None = None):

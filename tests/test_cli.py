@@ -320,6 +320,23 @@ def test_check_fails_with_tiny_tol(capsys):
     assert json.loads(out)["pass"] is False
 
 
+def test_parser_built_once_keeps_no_state_between_calls(capsys):
+    from orthopoly.cli import build_parser
+
+    assert build_parser() is build_parser()
+    check = ("check", "--family", "jacobi", "--alpha", "0.5", "--beta", "1.5",
+             "--identity", "ode", "--n", "10")
+    code, out, _ = run(capsys, "--tol", "1e-6", *check)
+    assert code == 0
+    assert json.loads(out)["tolerance"] == 1e-6
+    code, out, _ = run(capsys, *check)
+    assert code == 0
+    assert json.loads(out)["tolerance"] == 1e-10  # the ode default
+    code, out, _ = run(capsys, "zeros", "--family", "legendre", "--n", "3")
+    assert code == 0
+    assert len(json.loads(out)["zeros"]) == 3
+
+
 def test_check_cd_hermite_past_the_norm_product_overflow(capsys):
     # h_n k_{n+1} leaves the double range at n = 134 and h_n at n = 151; the
     # kernel is taken on the orthonormal chain, which forms neither

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
+from orthopoly import discrete as D
 from orthopoly import families as F
 from orthopoly import measures as M
 from orthopoly import recurrence as R
@@ -523,3 +524,72 @@ def test_gegenbauer_generating_function():
     resid, tail = F.gegenbauer_genfn_check(1.0, 0.3, 0.2, 20)
     assert resid <= tail
     assert resid < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# closed-form rows, evaluated one index at a time
+
+def _lattice_terms(spec):
+    """n -> (A_n, C_n) of the lattice recurrence with p_n(0) = 1 (Koekoek,
+    Lesky & Swarttouw 2010, (9.5.3), (9.10.3), (9.11.3), (9.14.3))."""
+    p = spec.parameters
+    if spec.family == "charlier":
+        return lambda n: (p["a"], float(n))
+    if spec.family == "krawtchouk":
+        return lambda n: (p["p"] * (p["N"] - n), n * (1 - p["p"]))
+    if spec.family == "meixner":
+        c, beta = p["c"], p["beta"]
+        return lambda n: (c * (n + beta) / (1 - c), n / (1 - c))
+    al, be, N = p["alpha"], p["beta"], p["N"]
+
+    def hahn(n):
+        if n == 0:
+            return (al + 1) * N / (al + be + 2), 0.0
+        s = 2 * n + al + be
+        return ((n + al + be + 1) * (n + al + 1) * (N - n)
+                / ((s + 1) * (s + 2)),
+                n * (n + al + be + N + 1) * (n + be) / (s * (s + 1)))
+
+    return hahn
+
+
+def _row_oracle(spec, monic):
+    """The row at index n, as a tuple of Python floats."""
+    if spec.family == "legendre":
+        return ((lambda n: (1.0, 0.0, n * n / (4 * n * n - 1) if n else 0.0))
+                if monic
+                else lambda n: ((n + 1) / (2 * n + 1), 0.0, n / (2 * n + 1)))
+    if spec.family == "hermite":
+        return ((lambda n: (1.0, 0.0, n / 2.0)) if monic
+                else lambda n: (0.5, 0.0, float(n)))
+    if spec.family == "laguerre":
+        a = spec.alpha
+        return ((lambda n: (1.0, 2 * n + a + 1, n * (n + a))) if monic
+                else lambda n: (-(n + 1.0), 2 * n + a + 1, -(n + a)))
+    terms = _lattice_terms(spec)
+
+    def row(n):
+        A, C = terms(n)
+        if monic:
+            return 1.0, A + C, terms(n - 1)[0] * C if n else 0.0
+        return -A, A + C, -C
+
+    return row
+
+
+@pytest.mark.parametrize("monic", [False, True])
+@pytest.mark.parametrize("spec", [
+    F.legendre(), F.hermite(), F.laguerre(0.5), D.charlier(2.0),
+    D.meixner(1.5, 0.4), D.krawtchouk(0.3, 40), D.hahn(0.5, 1.5, 40)],
+    ids=lambda s: s.family)
+def test_family_rows_equal_their_per_index_closed_forms(spec, monic):
+    build = F.family_monic_system if monic else F.family_system
+    N = spec.parameters.get("N")
+    # the general form of a finite lattice ends with a_N = 0
+    top = 1000 if N is None else N if monic else N - 1
+    row = _row_oracle(spec, monic)
+    want = np.array([row(n) for n in range(top + 1)]).T
+    assert build(spec).arrays(top).tobytes() == want.tobytes()
+    if N is not None:
+        with pytest.raises(R.RecurrenceError, match=f"stops at degree N={N}"):
+            build(spec).arrays(N + 1)

@@ -134,7 +134,7 @@ def test_discrete_finite_integrate():
 
 def test_infinite_sum_truncates_by_tail_bound():
     # geometric weights 2^{-k}
-    m = M.discrete_infinite_measure(float, lambda k: 2.0 ** -k,
+    m = M.discrete_infinite_measure(lambda k: 2.0 ** -k,
                                     lambda k: 2.0 ** -k)
     assert M.integrate(m, lambda x: 1.0) == pytest.approx(2.0)
 

@@ -339,7 +339,7 @@ def test_jacobi_type_rows_match_closed_forms_past_index_133():
              "chebyshev_t": F.chebyshev_t(), "chebyshev_u": F.chebyshev_u()}
     with mpmath.workdps(50):
         for family, spec in specs.items():
-            alpha, beta, _ = F._as_jacobi(spec)
+            _, alpha, beta, _ = F.classical(spec)
             al, be = mpmath.mpf(alpha), mpmath.mpf(beta)
             s = al + be
 
