@@ -18,15 +18,19 @@ import sys as _sys
 
 import numpy as np
 
-from . import discrete as D
+# the other package modules are imported by the subcommands that use them,
+# so a cold run loads only what its subcommand needs
 from . import families as F
-from . import io as OPIO
-from . import kernels as K
 from . import measures as M
-from . import momentprob as P
 from . import recurrence as R
 
 DEFAULT_TOL = 1e-12
+
+# (module, class) of the package errors that exit 1
+_NUMERICAL_ERRORS = (("measures", "IntegrationError"),
+                     ("recurrence", "RecurrenceError"),
+                     ("kernels", "KernelError"), ("families", "FamilyError"),
+                     ("momentprob", "MomentProblemError"))
 
 _CHECK_TOLS = {"ode": 1e-10, "shift": 1e-10, "cd": 1e-10,
                "quadratic": 1e-11, "orthogonality": 1e-10, "limit": 0.0}
@@ -98,6 +102,7 @@ def _cmd_tabulate(args) -> int:
     grid = _parse_grid(args.grid)
     n_max = args.n
     if spec.discrete:
+        from . import discrete as D
         rows = [[x] + [D.discrete_eval(spec, n, float(x))
                        for n in range(n_max + 1)] for x in grid]
     else:
@@ -107,6 +112,7 @@ def _cmd_tabulate(args) -> int:
                 [grid] + R.eval_all(F.family_system(spec), n_max, grid))
     header = ["x"] + [f"p{n}" for n in range(n_max + 1)]
     if args.format == "json":
+        from . import io as OPIO
         _emit_json(args, {"schema": OPIO.SCHEMA_VERSION, "columns": header,
                           "rows": [[float(v) for v in row] for row in rows],
                           "tolerance": args.tol})
@@ -128,6 +134,9 @@ def _bundle(spec, normalized=False):
 
 
 def _cmd_quadrature(args) -> int:
+    from . import io as OPIO
+    from . import kernels as K
+
     spec = _family_spec(args)
     b = _bundle(spec)
     norms = R.norms_from_recurrence(b.system, b.h0, 1.0, args.n + 1)
@@ -150,6 +159,8 @@ def _cmd_quadrature(args) -> int:
 
 
 def _load_measure(args) -> M.Measure:
+    from . import io as OPIO
+
     try:
         return OPIO.load_measure(OPIO.read_json(args.measure))
     except (OSError, json.JSONDecodeError, OPIO.SchemaError) as exc:
@@ -176,6 +187,7 @@ def _load_system(args) -> tuple[R.RecurrenceSystem, M.Measure | None]:
         # zeros and moment diagnostics do not depend on the normalisation
         return F.family_monic_system(_family_spec(args)), None
     if getattr(args, "recurrence", None) is not None:
+        from . import io as OPIO
         try:
             doc = OPIO.read_json(args.recurrence)
             return OPIO.load_recurrence(doc), None
@@ -194,6 +206,9 @@ def _load_system(args) -> tuple[R.RecurrenceSystem, M.Measure | None]:
 
 
 def _cmd_zeros(args) -> int:
+    from . import io as OPIO
+    from . import kernels as K
+
     sys_, _ = _load_system(args)
     try:
         zs = K.zeros(sys_, None, args.n)
@@ -205,6 +220,8 @@ def _cmd_zeros(args) -> int:
 
 
 def _cmd_recurrence(args) -> int:
+    from . import io as OPIO
+
     if getattr(args, "measure", None) is not None:
         sys_, _ = _recurrence_from_measure(_load_measure(args), args.n,
                                            args.tol)
@@ -232,6 +249,7 @@ def _check_battery(spec, identity: str, n: int, tol: float):
         by_degree = dict(enumerate(np.hstack(
             [F.shift_check(spec, n, d, xs) for d in ("raise", "lower")])))
     elif identity == "cd":
+        from . import kernels as K
         b = _bundle(spec)
         norms = R.norms_from_recurrence(b.system, b.h0, 1.0, n + 1)
         rng = np.random.default_rng(20260823)
@@ -310,6 +328,8 @@ def _independent_rule(spec, size: int):
 
 
 def _cmd_check(args) -> int:
+    from . import io as OPIO
+
     spec = _family_spec(args)
     tol = args.tol if args.tol_given else _CHECK_TOLS[args.identity]
     worst, details = _check_battery(spec, args.identity, args.n, tol)
@@ -332,6 +352,9 @@ def _orthonormal_from(sys_: R.RecurrenceSystem, h0: float):
 
 
 def _cmd_diagnose(args) -> int:
+    from . import io as OPIO
+    from . import momentprob as P
+
     doc = {"schema": OPIO.SCHEMA_VERSION, "tolerance": args.tol}
     sys_, m = _load_system(args)
     if sys_.form != "monic":
@@ -455,6 +478,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _numerical_errors() -> tuple[type, ...]:
+    """The numerical error classes of the package modules loaded so far: a
+    class whose module never loaded cannot have been raised."""
+    loaded = ((_sys.modules.get(f"{__package__}.{mod}"), name)
+              for mod, name in _NUMERICAL_ERRORS)
+    return tuple(getattr(mod, name) for mod, name in loaded if mod)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -471,8 +502,7 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"orthopoly: numerical failure: {exc}", file=_sys.stderr)
         return 1
-    except (M.IntegrationError, R.RecurrenceError, K.KernelError,
-            F.FamilyError, P.MomentProblemError) as exc:
+    except _numerical_errors() as exc:
         print(f"orthopoly: numerical failure at tolerance {args.tol}: {exc}",
               file=_sys.stderr)
         return 1

@@ -13,10 +13,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .measures import Measure, continuous_measure
 from .recurrence import (RecurrenceError, RecurrenceSystem, eval_all,
@@ -183,6 +181,10 @@ class FamilySpec:
         _validate(self.family, self.parameters)
 
     def __getattr__(self, name):
+        # copy and pickle probe dunders on a bare instance, whose
+        # `parameters` is not set yet and would recurse into this method
+        if name == "parameters" or name.startswith("__"):
+            raise AttributeError(name)
         try:
             return self.parameters[name]
         except KeyError:
@@ -441,14 +443,6 @@ def shift_check(spec: FamilySpec, n: int, direction: str, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Rodrigues formulas by exact polynomial recursion over the Pearson pair
 
-# K_n of p_n = K_n w^-1 (d/dx)^n (sigma^n w), by family
-_RODRIGUES_CONSTANT = {
-    "jacobi": lambda n: Fraction((-1) ** n, 2 ** n * math.factorial(n)),
-    "laguerre": lambda n: Fraction(1, math.factorial(n)),
-    "hermite": lambda n: (-1) ** n,
-}
-
-
 def rodrigues_eval(spec: FamilySpec, n: int, x: float) -> float:
     """Evaluate via the Rodrigues formula.  With the Pearson pair,
     (d/dx)^k (sigma^n w) = sigma^(n-k) w r_k for the polynomials r_0 = 1,
@@ -459,8 +453,17 @@ def rodrigues_eval(spec: FamilySpec, n: int, x: float) -> float:
     to 4.6e-9 by n = 24.  The price is time (about 1.3 s at n = 100), so
     it suits small n.  As in double arithmetic, a value past the double
     range is +-inf, and a non-finite x gives the limit of the polynomial
-    (nan for nan)."""
-    constant = _RODRIGUES_CONSTANT.get(spec.family)
+    (nan for nan).  A test oracle: its imports load on the first call."""
+    from fractions import Fraction
+
+    from numpy.polynomial import polynomial as npoly
+
+    # K_n of p_n = K_n w^-1 (d/dx)^n (sigma^n w), by family
+    constant = {
+        "jacobi": lambda n: Fraction((-1) ** n, 2 ** n * math.factorial(n)),
+        "laguerre": lambda n: Fraction(1, math.factorial(n)),
+        "hermite": lambda n: (-1) ** n,
+    }.get(spec.family)
     if constant is None:
         raise FamilyError("Rodrigues formula implemented for jacobi, "
                           f"laguerre, hermite; got {spec.family!r}")

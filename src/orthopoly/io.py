@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from typing import TYPE_CHECKING
 
 from . import families as _families
-from .kernels import QuadratureRule
 from .measures import Measure, discrete_measure
-from .recurrence import RecurrenceSystem, from_tables
+from .recurrence import FORMS, RecurrenceSystem, from_tables
+
+if TYPE_CHECKING:  # an annotation only: the kernels load with their users
+    from .kernels import QuadratureRule
 
 SCHEMA_VERSION = 1
 
@@ -31,7 +34,40 @@ def _check_schema(doc: dict) -> None:
                           f"got {doc.get('schema')!r}")
 
 
+def _required(doc: dict, key: str, what: str):
+    if key not in doc:
+        raise SchemaError(f"missing {key!r} in {what}")
+    return doc[key]
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _number(doc: dict, key: str, default: float) -> float:
+    value = doc.get(key, default)
+    if not _is_number(value):
+        raise SchemaError(f"{key!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def _tables(doc, keys: tuple[str, ...], what: str) -> list[list]:
+    """doc[key] for each key: lists of numbers, all of one length."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{what} must be an object")
+    tables = [_required(doc, key, what) for key in keys]
+    for key, table in zip(keys, tables):
+        if not (isinstance(table, list) and all(map(_is_number, table))):
+            raise SchemaError(f"{what}: {key!r} must be a list of numbers")
+    if len({len(table) for table in tables}) > 1:
+        raise SchemaError(f"{what}: {', '.join(map(repr, keys))} must be of "
+                          "equal length")
+    return tables
+
+
 def _family_spec(name: str, params: dict) -> _families.FamilySpec:
+    if not isinstance(name, str) or not isinstance(params, dict):
+        raise SchemaError("a family is a name and an object of parameters")
     try:
         return _families.family_spec(name, params)
     except KeyError as exc:
@@ -39,6 +75,9 @@ def _family_spec(name: str, params: dict) -> _families.FamilySpec:
                           f"{exc.args[0]!r}") from exc
     except _families.FamilyError as exc:
         raise SchemaError(str(exc)) from exc
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"family {name!r}: parameters must be numbers") \
+            from exc
 
 
 # ---------------------------------------------------------------------------
@@ -47,17 +86,18 @@ def _family_spec(name: str, params: dict) -> _families.FamilySpec:
 def load_recurrence(doc: dict) -> RecurrenceSystem:
     """Read a recurrence document: coefficient tables or a named family."""
     _check_schema(doc)
+    form = doc.get("form", "general")
+    if form not in FORMS:
+        raise SchemaError(f"unknown form {form!r}")
     if "family" in doc:
         spec = _family_spec(doc["family"], doc.get("parameters", {}))
-        if doc.get("form", "general") == "monic":
+        if form == "monic":
             return _families.family_monic_system(spec)
         return _families.family_system(spec)
-    tables = doc.get("coefficients")
-    if tables is None:
+    if "coefficients" not in doc:
         raise SchemaError("document needs 'family' or 'coefficients'")
-    return from_tables(tables["a"], tables["b"], tables["c"],
-                       form=doc.get("form", "general"),
-                       p0=float(doc.get("p0", 1.0)))
+    a, b, c = _tables(doc["coefficients"], ("a", "b", "c"), "coefficients")
+    return from_tables(a, b, c, form=form, p0=_number(doc, "p0", 1.0))
 
 
 def dump_recurrence(sys: RecurrenceSystem, n_max: int) -> dict:
@@ -75,16 +115,22 @@ def load_measure(doc: dict) -> Measure:
     _check_schema(doc)
     kind = doc.get("kind")
     if kind in ("continuous", "discrete_infinite"):
-        spec = _family_spec(doc["name"], doc.get("parameters", {}))
+        spec = _family_spec(_required(doc, "name", f"a {kind} measure"),
+                            doc.get("parameters", {}))
         if spec.discrete != (kind == "discrete_infinite"):
             raise SchemaError(f"{spec.family} has no {kind} measure")
         m = _families.family_measure(spec)
         if "normalizer" in doc:
-            m = replace(m, normalizer=float(doc["normalizer"]))
+            m = replace(m, normalizer=_number(doc, "normalizer", 1.0))
         return m
     if kind == "discrete_finite":
-        return discrete_measure(doc["nodes"], doc["weights"],
-                                normalizer=float(doc.get("normalizer", 1.0)))
+        nodes, weights = _tables(doc, ("nodes", "weights"),
+                                 "a discrete_finite measure")
+        normalizer = _number(doc, "normalizer", 1.0)
+        try:
+            return discrete_measure(nodes, weights, normalizer=normalizer)
+        except ValueError as exc:  # a weight that is not positive
+            raise SchemaError(str(exc)) from exc
     raise SchemaError(f"unknown measure kind {kind!r}")
 
 

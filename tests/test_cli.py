@@ -577,6 +577,41 @@ def test_unknown_family_document_exits_2(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+_TABLES = {"a": [1.0] * 3, "b": [0.0] * 3, "c": [0.0, 0.5, 0.25]}
+
+
+@pytest.mark.parametrize("flag,doc", [
+    ("--recurrence", {"coefficients": {**_TABLES, "b": [0.0, None, 0.0]}}),
+    ("--recurrence", {"coefficients": {**_TABLES, "b": "abc"}}),
+    ("--recurrence", {"coefficients": {"a": [1.0] * 3, "c": [0.0] * 3}}),
+    ("--recurrence", {"coefficients": {**_TABLES, "c": [0.0, 0.5]}}),
+    ("--recurrence", {"coefficients": [1.0, 0.0]}),
+    ("--recurrence", {"coefficients": _TABLES, "p0": "one"}),
+    ("--recurrence", {"coefficients": _TABLES, "form": "upper"}),
+    ("--recurrence", {"family": "jacobi",
+                      "parameters": {"alpha": "abc", "beta": 0.0}}),
+    ("--measure", {"kind": "continuous"}),
+    ("--measure", {"kind": "continuous", "name": "legendre",
+                   "normalizer": None}),
+    ("--measure", {"kind": "discrete_finite", "nodes": [0.0, 1.0]}),
+    ("--measure", {"kind": "discrete_finite", "nodes": [0.0, 1.0],
+                   "weights": [1.0]}),
+    ("--measure", {"kind": "discrete_finite", "nodes": [0.0, 1.0],
+                   "weights": [1.0, -1.0]}),
+], ids=["null-in-b", "b-not-a-list", "no-b", "unequal-tables",
+        "tables-not-an-object", "p0-not-a-number", "unknown-form",
+        "parameter-not-a-number", "no-name", "normalizer-null",
+        "no-weights", "unequal-nodes-weights", "negative-weight"])
+def test_malformed_document_exits_2(flag, doc, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"schema": 1, **doc}))
+    code, out, err = run(capsys, "zeros", flag, str(path), "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"orthopoly: invalid configuration: {flag} ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_bad_family_params_exit_2(capsys):
     code, _, err = run(capsys, "tabulate", "--family", "jacobi",
                        "--alpha", "0.5", "--n-max", "2", "--grid", "0:1:2")
@@ -782,6 +817,28 @@ def test_diagnose_carleman_on_non_favard_recurrence_exits_1(c2, tmp_path,
     assert code == 1
     assert out == ""
     assert "Favard violation at n=1" in err
+
+
+@pytest.mark.parametrize("error", ("KernelError", "MomentProblemError"))
+def test_errors_of_lazily_imported_modules_exit_1(error, monkeypatch,
+                                                  capsys):
+    # cli.py imports kernels and momentprob inside the subcommands, and its
+    # error handler still knows their errors
+    from orthopoly import kernels as K
+    from orthopoly import momentprob as P
+
+    exc = getattr(K if error == "KernelError" else P, error)
+
+    def fail(*args, **kwargs):
+        raise exc("no interval")
+
+    monkeypatch.setattr(P, "true_interval", fail)
+    code, out, err = run(capsys, "diagnose", "--family", "hermite",
+                         "--true-interval", "10")
+    assert code == 1
+    assert out == ""
+    assert err == ("orthopoly: numerical failure at tolerance 1e-12: "
+                   "no interval\n")
 
 
 @pytest.mark.parametrize("n", ("500", "1000"))

@@ -1,6 +1,9 @@
-"""Design guard: a family's description lives in families.py and
-discrete.py.  The other layers ask it for a classical type
-(families.classical) or a system, and never dispatch on a family's name."""
+"""Design guards.  A family's description lives in families.py and
+discrete.py: the other layers ask it for a classical type
+(families.classical) or a system, and never dispatch on a family's name.
+A cold command line run loads only what its subcommand uses: cli.py imports
+the kernels, moment diagnostics, lattice families and documents inside the
+subcommands, and io.py needs the kernels for an annotation only."""
 
 import ast
 from pathlib import Path
@@ -48,3 +51,59 @@ def test_guard_sees_comparisons_and_dict_keys():
               'which = {"hermite": 1}.get(f)\n'
               'fine = kind == F.LAGUERRE or f == "family"\n')
     assert family_name_uses(source) == [1, 2, 3]
+
+
+def import_time_modules(source: str) -> set[str]:
+    """The package modules a module imports while it is loaded: its package
+    imports outside function bodies and `if TYPE_CHECKING:` blocks."""
+    def walk(nodes):
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if (isinstance(node, ast.If)
+                    and ast.unparse(node.test).endswith("TYPE_CHECKING")):
+                yield from walk(node.orelse)
+                continue
+            names = []
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # the package modules do only single-dot relative imports
+                base = ".".join(filter(None, (
+                    "orthopoly" if node.level else None, node.module)))
+                names = ([f"{base}.{a.name}" for a in node.names]
+                         if base == "orthopoly" else [base])
+            yield from (name.split(".")[1] for name in names
+                        if name.startswith("orthopoly."))
+            yield from walk(ast.iter_child_nodes(node))
+
+    return set(walk(ast.parse(source).body))
+
+
+def _source(module: str) -> str:
+    return (Path(orthopoly.__file__).parent / module).read_text(
+        encoding="utf-8")
+
+
+def test_cli_imports_only_the_modules_every_subcommand_needs():
+    assert import_time_modules(_source("cli.py")) == {
+        "families", "measures", "recurrence"}
+
+
+def test_io_does_not_import_the_kernels():
+    assert "kernels" not in import_time_modules(_source("io.py"))
+
+
+def test_import_guard_skips_functions_and_type_checking_blocks():
+    source = ("from . import families as F\n"
+              "from .measures import Measure\n"
+              "import orthopoly.qseries\n"
+              "from orthopoly import discrete\n"
+              "try:\n    from .io import SchemaError\nexcept ImportError:\n"
+              "    pass\n"
+              "if TYPE_CHECKING:\n    from .kernels import QuadratureRule\n"
+              "def run():\n    from . import momentprob\n"
+              "class Lazy:\n    def load(self):\n"
+              "        from .recurrence import eval_all\n")
+    assert import_time_modules(source) == {
+        "families", "measures", "qseries", "discrete", "io"}

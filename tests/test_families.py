@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -593,3 +595,17 @@ def test_family_rows_equal_their_per_index_closed_forms(spec, monic):
     if N is not None:
         with pytest.raises(R.RecurrenceError, match=f"stops at degree N={N}"):
             build(spec).arrays(N + 1)
+
+
+@pytest.mark.parametrize("spec", [F.jacobi(0.5, 1.5), D.krawtchouk(0.3, 40)])
+def test_family_spec_copies_and_pickles(spec):
+    # copy and pickle build a bare instance first, whose attribute lookups
+    # must not recurse through the parameter fallback
+    for twin in (copy.copy(spec), copy.deepcopy(spec),
+                 pickle.loads(pickle.dumps(spec))):
+        assert twin == spec
+        assert twin.discrete == spec.discrete
+        for name, value in spec.parameters.items():
+            assert getattr(twin, name) == value
+    with pytest.raises(AttributeError):
+        spec.missing

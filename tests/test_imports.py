@@ -1,0 +1,101 @@
+"""What a cold process loads: `import orthopoly` loads no submodule, and each
+subcommand loads only the package modules it runs.  Every case starts a
+fresh interpreter, since the test process has loaded everything."""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+import orthopoly
+
+# every subcommand loads these: the parser is built from the family registry
+BASE = {"cli", "families", "measures", "recurrence"}
+
+_LOADED_PROBE = textwrap.dedent("""
+    import json, sys
+    from orthopoly.cli import main
+
+    code = main(sys.argv[1:])
+    print(json.dumps({
+        "code": code,
+        "package": sorted(m.split(".", 1)[1] for m in sys.modules
+                          if m.startswith("orthopoly.")),
+        "other": [m for m in ("fractions", "numpy.polynomial")
+                  if m in sys.modules]}))
+""")
+
+_NAMESPACE_PROBE = textwrap.dedent("""
+    import json, sys
+    import orthopoly
+
+    loaded = sorted(m for m in sys.modules
+                    if m.startswith("orthopoly.") or m.split(".")[0] == "numpy")
+    from orthopoly import QuadratureRule
+    try:
+        orthopoly.no_such_name
+        unknown = "resolved"
+    except AttributeError as exc:
+        unknown = str(exc)
+    print(json.dumps({
+        "loaded": loaded,
+        "rule": QuadratureRule.__module__,
+        "kernels": orthopoly.kernels.__name__,
+        "dir": dir(orthopoly),
+        "unknown": unknown}))
+""")
+
+
+def _probe(source: str, *argv: str) -> dict:
+    src = os.path.dirname(os.path.dirname(orthopoly.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", source, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_submodule_and_no_numpy():
+    got = _probe(_NAMESPACE_PROBE)
+    assert got["loaded"] == []
+    assert got["rule"] == "orthopoly.kernels"
+    assert got["kernels"] == "orthopoly.kernels"
+    assert set(orthopoly.__all__) <= set(got["dir"])
+    assert "__version__" in got["dir"]
+    assert got["unknown"] == ("module 'orthopoly' has no attribute "
+                              "'no_such_name'")
+
+
+@pytest.mark.parametrize("argv,extra", [
+    (("tabulate", "--family", "legendre", "--n-max", "3", "--grid=-1:1:3"),
+     set()),
+    (("tabulate", "--family", "hermite", "--n-max", "3", "--grid=-1:1:3",
+      "--format", "json"), {"io"}),
+    (("tabulate", "--family", "charlier", "--a", "2", "--n-max", "3",
+      "--grid=0:3:4"), {"discrete"}),
+    (("recurrence", "--family", "jacobi", "--alpha", "0.5", "--beta", "1.5",
+      "--n-max", "5"), {"io"}),
+    (("check", "--family", "hermite", "--identity", "ode", "--n", "10"),
+     {"io"}),
+    (("check", "--family", "laguerre", "--alpha", "0.5", "--identity",
+      "shift", "--n", "10"), {"io"}),
+    (("quadrature", "--family", "legendre", "--n", "5"), {"kernels", "io"}),
+    (("zeros", "--family", "hermite", "--n", "5"), {"kernels", "io"}),
+    (("check", "--family", "legendre", "--identity", "cd", "--n", "10"),
+     {"kernels", "io"}),
+    (("diagnose", "--family", "hermite", "--carleman", "--true-interval",
+      "10"), {"kernels", "io", "momentprob"}),
+], ids=["tabulate-csv", "tabulate-json", "tabulate-lattice", "recurrence",
+        "check-ode", "check-shift", "quadrature", "zeros", "check-cd",
+        "diagnose"])
+def test_subcommand_loads_only_its_modules(argv, extra):
+    got = _probe(_LOADED_PROBE, *argv)
+    assert got["code"] == 0
+    # qseries is never loaded, momentprob only by diagnose
+    assert set(got["package"]) == BASE | extra
+    assert got["other"] == []
