@@ -1,11 +1,10 @@
 """The family registry, and the Jacobi, Laguerre and Hermite families with
 their special cases.
 
-Series evaluation, differential equations, shift operators, Rodrigues
-formulas, quadratic transformations, even-weight splitting, limit relations
-and the electrostatic zero characterization.  Series sums carry a
-cancellation guard that retries in higher precision when double arithmetic
-loses too many digits.
+Series evaluation, differential equations, shift operators, quadratic
+transformations, even-weight splitting, limit relations and the
+electrostatic zero characterization.  A terminating series at double
+arguments is an exact rational: it is summed in integers and rounded once.
 """
 
 from __future__ import annotations
@@ -20,9 +19,6 @@ from .measures import Measure, continuous_measure
 from .recurrence import (RecurrenceError, RecurrenceSystem, eval_all,
                          eval_all_derivatives, eval_poly, favard_products)
 
-_TINY = 1e-300
-
-
 class FamilyError(ValueError):
     """Invalid family parameters."""
 
@@ -30,12 +26,11 @@ class FamilyError(ValueError):
 # ---------------------------------------------------------------------------
 # shifted factorials and terminating hypergeometric series
 
-def pochhammer(a: float, k: int, num=float):
+def pochhammer(a: float, k: int) -> float:
     """Shifted factorial (a)_k = a (a+1) ... (a+k-1)."""
-    out = num(1)
-    av = num(a)
+    out = 1.0
     for i in range(k):
-        out *= av + i
+        out *= a + i
     return out
 
 
@@ -62,75 +57,82 @@ def _in_double_range(fn):
     return checked
 
 
-@_in_double_range
-def _guarded_sum(term_fn, n_terms: int, ratio) -> float:
-    """Sum term_fn(k, num) for k < n_terms, escalating precision on
-    cancellation.
+def _dyadic(*values) -> tuple[list[int], int]:
+    """The doubles `values` as integers over one power of two `one`, the
+    largest of their denominators: every finite double is a dyadic
+    rational.  FamilyError for a non-finite value."""
+    for v in values:
+        if not math.isfinite(v):
+            raise FamilyError(f"series argument {v} is not finite")
+    pairs = [float(v).as_integer_ratio() for v in values]
+    one = max(q for _, q in pairs)
+    return [p * (one // q) for p, q in pairs], one
 
-    The escalated pass forms each term from the one before it,
-    t_{k+1} = t_k * ratio(k, num), so a term costs O(1) there where
-    term_fn(k, num) costs O(n).
+
+def _shed(num: int, den: int) -> tuple[int, int]:
+    """num/den without the power of two that both carry (num != 0)."""
+    s = min((num & -num).bit_length(), (den & -den).bit_length()) - 1
+    return num >> s, den >> s
+
+
+def _horner(ratio, n_terms: int, head=()) -> float:
+    """prod(head) * sum_{k < n_terms} t_k with t_0 = 1 and t_{k+1}/t_k =
+    ratio(k); ratio(k) and the factors of head are (numerator, denominator)
+    pairs of ints.
+
+    Horner's rule from the top term down, s = 1 + ratio(k) s, carries s as
+    P/Q in integers with no gcd (a ratio only sheds the power of two that
+    its terms share), so no digit is lost to cancellation; the one division
+    P/Q rounds the exact sum correctly, and gives +-inf past the double
+    range.
     """
-    total, max_abs = 0.0, 0.0
-    for k in range(n_terms):
-        t = term_fn(k, float)
-        total += t
-        max_abs = max(max_abs, abs(t))
-    if not (math.isfinite(total) and math.isfinite(max_abs)):
-        raise FamilyError(f"terms of a {n_terms}-term series leave the "
-                          "double range")
-    if max_abs <= 1e3 * max(abs(total), _TINY):
-        return total
-    import mpmath
-
-    dps = 30 + int(math.log10(max_abs / max(abs(total), max_abs * 1e-200)))
-    for _ in range(4):
-        with mpmath.workdps(dps):
-            terms = [term_fn(0, mpmath.mpf)]
-            for k in range(n_terms - 1):
-                terms.append(terms[-1] * ratio(k, mpmath.mpf))
-            mp_total = mpmath.fsum(terms)
-            ok = abs(mp_total) > max_abs * mpmath.mpf(10) ** (18 - dps)
-            val = float(mp_total)
-        if ok or val == 0.0:
-            return val
-        dps += 20
-    return val
+    p = q = 1
+    for k in range(n_terms - 2, -1, -1):
+        rn, rd = ratio(k)
+        if rd == 0:
+            raise FamilyError(f"a lower parameter hits a pole at term {k}")
+        if rn == 0:  # t_{k+1} = 0 ends the series here
+            p = q = 1
+            continue
+        rn, rd = _shed(rn, rd)
+        qd = q * rd
+        p, q = qd + rn * p, qd
+    num = den = 1
+    for hn, hd in head:
+        hn, hd = _shed(hn, hd) if hn else (0, 1)
+        num, den = num * hn, den * hd
+    p, q = num * p, den * q
+    try:
+        return p / q
+    except OverflowError:
+        return math.inf if (p > 0) == (q > 0) else -math.inf
 
 
 def hyp(upper, lower, z, terms=None) -> float:
-    """Evaluate a terminating (generalized) hypergeometric series exactly,
-    through the index `terms`, by default the one where the series ends.
-
-    Double-precision terms are formed directly from shifted factorials; an
-    escalated sum multiplies by the term ratio, in which a vanishing upper
-    factor a + k zeroes every later term, as it does in (a)_k.
-    """
-    upper, lower, z = tuple(upper), tuple(lower), float(z)
+    """A terminating (generalized) hypergeometric series, correctly rounded,
+    through the index `terms`, by default the one where the series ends."""
+    upper, lower = tuple(upper), tuple(lower)
+    (*params, zn), one = _dyadic(*upper, *lower, z)
     n = terms if terms is not None else _termination_index(upper)
     for b in lower:
         if b <= 0 and abs(b - round(b)) < 1e-12 and int(round(-b)) < n:
             raise FamilyError(
                 f"lower parameter {b} hits a pole before termination at {n}")
+    a, b = params[:len(upper)], params[len(upper):]
+    # t_{k+1}/t_k = z prod (a_i + k) / ((k + 1) prod (b_j + k)), each
+    # parameter and z over `one`
+    e = len(upper) + 1 - len(lower)
+    lift, drop = zn * one ** max(-e, 0), one ** max(e, 0)
 
-    def term(k, num):
-        t = num(z) ** k
-        for a in upper:
-            t *= pochhammer(a, k, num)
-        for b in lower:
-            t /= pochhammer(b, k, num)
-        return t / math.factorial(k)
+    def ratio(k):
+        num, den = lift, (k + 1) * drop
+        for ai in a:
+            num *= ai + k * one
+        for bi in b:
+            den *= bi + k * one
+        return num, den
 
-    def ratio(k, num):
-        r = num(z) / (k + 1)
-        for a in upper:
-            r *= num(a) + k
-        for b in lower:
-            # b + k != 0 for k < n: such a pole is refused above
-            r /= num(b) + k
-        return r
-
-    return _guarded_sum(term, n + 1, ratio)
+    return _horner(ratio, n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -235,74 +237,64 @@ def chebyshev_u() -> FamilySpec:
 # ---------------------------------------------------------------------------
 # series evaluation
 
-def jacobi_eval(n: int, alpha: float, beta: float, x: float) -> float:
-    """P_n^{(alpha,beta)}(x) as a terminating Gauss hypergeometric sum."""
+def _jacobi_sum(n: int, alpha: float, beta: float, x: float,
+                prefactor=None) -> float:
+    """(c)_n/(d)_n P_n^{(alpha,beta)}(x) for prefactor (c, d), P itself for
+    None, with P_n^{(alpha,beta)}(x) = (alpha+1)_n/n!
+    2F1(-n, n+alpha+beta+1; alpha+1; (1-x)/2)."""
     if n < 0:
         raise FamilyError("degree must be non-negative")
-    if x < 0:
-        # reflection keeps the expansion point x=1 nearby, which conditions
-        # the sum much better deep inside the interval
-        return (-1) ** n * jacobi_eval(n, beta, alpha, -x)
+    (a, b, x, c, d), one = _dyadic(alpha, beta, x, *(prefactor or (1, 1)))
+    return _horner(lambda k: ((a + b + (n + 1 + k) * one) * (k - n)
+                              * (one - x),
+                              (a + (k + 1) * one) * (k + 1) * 2 * one),
+                   n + 1, (((c + i * one) * (a + (i + 1) * one),
+                            (d + i * one) * (i + 1) * one)
+                           for i in range(n)))
 
-    def term(k, num):
-        # parameter sums are formed in `num` arithmetic: double rounding of
-        # e.g. alpha+k+1 is amplified by the cancellation the guard fights
-        return (pochhammer(num(alpha) + num(beta) + (n + 1), k, num)
-                * pochhammer(num(alpha) + (k + 1), n - k, num)
-                / (math.factorial(k) * math.factorial(n - k))
-                * ((num(x) - 1) / 2) ** k)
 
-    def ratio(k, num):
-        return ((num(alpha) + num(beta) + (n + 1 + k)) * (n - k)
-                / ((num(alpha) + (k + 1)) * (k + 1)) * ((num(x) - 1) / 2))
-
-    return _guarded_sum(term, n + 1, ratio)
+def jacobi_eval(n: int, alpha: float, beta: float, x: float) -> float:
+    """P_n^{(alpha,beta)}(x) as a terminating Gauss hypergeometric sum,
+    correctly rounded."""
+    return _jacobi_sum(n, alpha, beta, x)
 
 
 def laguerre_eval(n: int, alpha: float, x: float) -> float:
-    """L_n^{alpha}(x) as a terminating confluent hypergeometric sum."""
+    """L_n^{alpha}(x) = (alpha+1)_n/n! 1F1(-n; alpha+1; x), correctly
+    rounded."""
     if n < 0:
         raise FamilyError("degree must be non-negative")
-
-    def term(k, num):
-        return (pochhammer(num(alpha) + (k + 1), n - k, num)
-                / (math.factorial(k) * math.factorial(n - k))
-                * (-num(x)) ** k)
-
-    def ratio(k, num):
-        return (n - k) * -num(x) / ((num(alpha) + (k + 1)) * (k + 1))
-
-    return _guarded_sum(term, n + 1, ratio)
+    (a, x), one = _dyadic(alpha, x)
+    return _horner(lambda k: ((k - n) * x, (a + (k + 1) * one) * (k + 1)),
+                   n + 1, ((a + i * one, i * one) for i in range(1, n + 1)))
 
 
 def hermite_eval(n: int, x: float) -> float:
-    """H_n(x) with leading coefficient 2^n."""
+    """H_n(x) with leading coefficient 2^n, correctly rounded."""
     if n < 0:
         raise FamilyError("degree must be non-negative")
-
-    def term(j, num):
-        return ((-1) ** j * (2 * num(x)) ** (n - 2 * j)
-                * math.factorial(n) / (math.factorial(j)
-                                       * math.factorial(n - 2 * j)))
-
-    def ratio(j, num):
-        # never called at x = 0: every term but j = n/2 vanishes there, so
-        # the sum has no cancellation and does not escalate
-        return (-(n - 2 * j) * (n - 2 * j - 1)
-                / ((j + 1) * (2 * num(x)) ** 2))
-
-    return _guarded_sum(term, n // 2 + 1, ratio)
+    (x,), one = _dyadic(x)
+    # H_n = sum_{i <= m} c_i (2x)^(e + 2i), n = 2m + e, with c_i =
+    # (-1)^(m-i) n!/((m-i)! (e+2i)!): a series in (2x)^2 from c_0, so x = 0
+    # leaves the first term alone
+    m, e = divmod(n, 2)
+    return _horner(lambda i: (-(m - i) * 4 * x * x,
+                              (e + 2 * i + 1) * (e + 2 * i + 2) * one * one),
+                   m + 1, [((-1) ** m * math.prod(range(m + 1, n + 1))
+                            * (2 * x) ** e, one ** e)])
 
 
 def special_case_eval(spec: FamilySpec, n: int, x: float) -> float:
-    """Evaluate a family member, routing special cases through Jacobi."""
-    kind, a, b, ratio = classical(spec)
+    """Evaluate a family member, routing special cases through Jacobi.  The
+    value is correctly rounded for the doubles of classical(spec); for
+    Gegenbauer these are lam +- 1/2, rounded where lam has bits below their
+    last place."""
+    kind, a, b, prefactor = classical(spec)
     if kind == LAGUERRE:
         return laguerre_eval(n, a, x)
     if kind == HERMITE:
         return hermite_eval(n, x)
-    scale = math.prod(ratio(k) for k in range(n)) if ratio else 1.0
-    return scale * jacobi_eval(n, a, b, x)
+    return _jacobi_sum(n, a, b, x, prefactor)
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +343,11 @@ _PROBABILITY_MASS = {"legendre": 2.0, "hermite": math.sqrt(math.pi),
 
 
 def classical(spec: FamilySpec):
-    """(kind, alpha, beta, ratio): the classical type of a continuous family
-    and its parameters.  For kind JACOBI, p_n = prefactor_n P_n^{(alpha,beta)}
-    with prefactor_0 = 1 and ratio(n) = prefactor_{n+1} / prefactor_n, also
-    on index arrays (None where the prefactor is 1); LAGUERRE carries alpha
-    and HERMITE nothing.  FamilyError for the lattice families."""
+    """(kind, alpha, beta, prefactor): the classical type of a continuous
+    family and its parameters.  For kind JACOBI, p_n = (c)_n/(d)_n
+    P_n^{(alpha,beta)} for prefactor (c, d), so prefactor_{n+1}/prefactor_n
+    = (c + n)/(d + n) (None where the prefactor is 1); LAGUERRE carries
+    alpha and HERMITE nothing.  FamilyError for the lattice families."""
     f = spec.family
     if f == "jacobi":
         return JACOBI, spec.alpha, spec.beta, None
@@ -365,14 +357,13 @@ def classical(spec: FamilySpec):
         return HERMITE, None, None, None
     if f == "gegenbauer":
         lam = spec.lam
-        return (JACOBI, lam - 0.5, lam - 0.5,
-                lambda n: (2 * lam + n) / (lam + 0.5 + n))
+        return JACOBI, lam - 0.5, lam - 0.5, (2 * lam, lam + 0.5)
     if f == "legendre":
         return JACOBI, 0.0, 0.0, None
     if f == "chebyshev_t":
-        return JACOBI, -0.5, -0.5, lambda n: (n + 1) / (n + 0.5)
+        return JACOBI, -0.5, -0.5, (1.0, 0.5)
     if f == "chebyshev_u":
-        return JACOBI, 0.5, 0.5, lambda n: (n + 2) / (n + 1.5)
+        return JACOBI, 0.5, 0.5, (2.0, 1.5)
     raise FamilyError(f"{f} has no classical type")
 
 
@@ -438,50 +429,6 @@ def shift_check(spec: FamilySpec, n: int, direction: str, x) -> np.ndarray:
         else:
             out = _scaled(sigma * dq, tau * q, -mu[1:] * p[1:])
     return np.concatenate([np.zeros_like(p[:1]), out])
-
-
-# ---------------------------------------------------------------------------
-# Rodrigues formulas by exact polynomial recursion over the Pearson pair
-
-def rodrigues_eval(spec: FamilySpec, n: int, x: float) -> float:
-    """Evaluate via the Rodrigues formula.  With the Pearson pair,
-    (d/dx)^k (sigma^n w) = sigma^(n-k) w r_k for the polynomials r_0 = 1,
-    r_{k+1} = sigma r_k' + (tau + (n - k - 1) sigma') r_k, recursed
-    explicitly.  The recursion and the value at x run in exact rational
-    arithmetic (every double is a binary fraction), so the monomial basis
-    cancels nothing and the result is rounded once; in doubles it lost up
-    to 4.6e-9 by n = 24.  The price is time (about 1.3 s at n = 100), so
-    it suits small n.  As in double arithmetic, a value past the double
-    range is +-inf, and a non-finite x gives the limit of the polynomial
-    (nan for nan).  A test oracle: its imports load on the first call."""
-    from fractions import Fraction
-
-    from numpy.polynomial import polynomial as npoly
-
-    # K_n of p_n = K_n w^-1 (d/dx)^n (sigma^n w), by family
-    constant = {
-        "jacobi": lambda n: Fraction((-1) ** n, 2 ** n * math.factorial(n)),
-        "laguerre": lambda n: Fraction(1, math.factorial(n)),
-        "hermite": lambda n: (-1) ** n,
-    }.get(spec.family)
-    if constant is None:
-        raise FamilyError("Rodrigues formula implemented for jacobi, "
-                          f"laguerre, hermite; got {spec.family!r}")
-    sigma, tau = (np.array([Fraction(v) for v in poly], dtype=object)
-                  for poly in pearson_pair(spec)[:2])
-    dsigma = npoly.polyder(sigma)
-    r = np.array([Fraction(1)], dtype=object)
-    for k in range(n):
-        r = npoly.polyadd(
-            npoly.polymul(sigma, npoly.polyder(r)),
-            npoly.polymul(npoly.polyadd(tau, (n - k - 1) * dsigma), r))
-    if not math.isfinite(x):
-        return float(constant(n) * r[-1]) * x ** (len(r) - 1)
-    value = constant(n) * npoly.polyval(Fraction(x), r)
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -650,12 +597,12 @@ def jacobi_leading_coeff(n: int, alpha: float, beta: float) -> float:
 
 
 def jacobi_system(alpha: float, beta: float,
-                  ratio=None) -> RecurrenceSystem:
-    """General-form recurrence of prefactor_n P_n^(alpha,beta), with
-    ratio(n) = prefactor_{n+1} / prefactor_n (None for P itself), from
-    rational closed forms over an index block: b_n is the monic one,
-    a_n = k_n / k_{n+1} = 2(n+1)(n+s+1) / ((2n+s+1)(2n+s+2)) / ratio(n) with
-    s = alpha + beta, and c_n = c_n^monic / a_{n-1}."""
+                  prefactor=None) -> RecurrenceSystem:
+    """General-form recurrence of (c)_n/(d)_n P_n^(alpha,beta) for prefactor
+    (c, d) (None for P itself), from rational closed forms over an index
+    block: b_n is the monic one, a_n = k_n / k_{n+1} = 2(n+1)(n+s+1) /
+    ((2n+s+1)(2n+s+2)) (d + n)/(c + n) with s = alpha + beta, and c_n =
+    c_n^monic / a_{n-1}."""
     s = alpha + beta
 
     def rows(j: np.ndarray) -> tuple:
@@ -664,8 +611,8 @@ def jacobi_system(alpha: float, beta: float,
         with np.errstate(divide="ignore", invalid="ignore"):
             a = 2 * (n + 1) * (n + s + 1) / ((2 * n + s + 1) * (2 * n + s + 2))
             a[n == 0] = 2 / (s + 2)   # the factor s + 1 cancels
-            if ratio is not None:
-                a /= ratio(n)
+            if prefactor is not None:
+                a /= (prefactor[0] + n) / (prefactor[1] + n)
             c /= a[:-1]
         c[j == 0] = 0.0
         return a[1:], b, c
@@ -681,7 +628,7 @@ def family_system(spec: FamilySpec) -> RecurrenceSystem:
     if spec.discrete:
         from .discrete import discrete_system
         return discrete_system(spec)
-    kind, a, b, ratio = classical(spec)
+    kind, a, b, prefactor = classical(spec)
     if kind == LAGUERRE:
         return laguerre_system(a)
     if kind == HERMITE:
@@ -690,7 +637,7 @@ def family_system(spec: FamilySpec) -> RecurrenceSystem:
         # its c_n = n/(2n+1) is rounded once; jacobi_system's c_n^monic /
         # a_{n-1} is rounded twice, and 1 ulp away at 541 of n <= 1000
         return legendre_system()
-    return jacobi_system(a, b, ratio)
+    return jacobi_system(a, b, prefactor)
 
 
 def family_monic_system(spec: FamilySpec) -> RecurrenceSystem:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -53,6 +54,39 @@ def test_tabulate_discrete_family(capsys):
     lines = out.strip().splitlines()
     row0 = [float(v) for v in lines[1].split(",")]
     assert row0[1] == 1.0
+
+
+def test_tabulate_charlier_past_degree_170_is_exact(capsys):
+    # the Charlier series is summed exactly and rounded once, so every value
+    # equals the exact rational sum c_n(x; a) = sum_k (-n)_k (-x)_k / k!
+    # (-1/a)^k; at a lattice point x it ends at k = x
+    code, out, err = run(capsys, "tabulate", "--family", "charlier", "--a",
+                         "2", "--n-max", "200", "--grid=0:3:4")
+    assert code == 0, err
+    rows = [[float(v) for v in line.split(",")]
+            for line in out.strip().splitlines()[1:]]
+    assert [row[0] for row in rows] == [0.0, 1.0, 2.0, 3.0]
+
+    def exact(n, x):
+        total, term = Fraction(0), Fraction(1)
+        for k in range(n + 1):
+            total += term
+            term *= Fraction((k - n) * (k - x), (k + 1) * -2)
+        return total
+
+    for row in rows:
+        x = int(row[0])
+        assert row[1:] == [float(exact(n, x)) for n in range(201)], x
+
+
+@pytest.mark.parametrize("a, grid", (("2", "nan:nan:1"), ("nan", "0:3:4")),
+                         ids=("x", "parameter"))
+def test_tabulate_lattice_at_a_non_finite_value_exits_1(a, grid, capsys):
+    code, out, err = run(capsys, "tabulate", "--family", "charlier", "--a",
+                         a, "--n-max", "3", f"--grid={grid}")
+    assert (code, out) == (1, "")
+    assert err.startswith("orthopoly: ") and err.count("\n") == 1, err
+    assert "not finite" in err
 
 
 def test_quadrature_legendre_two_point(capsys):
@@ -729,6 +763,8 @@ _IMPORT_PROBE = textwrap.dedent("""
 
     main(["tabulate", "--family", "legendre", "--n-max", "3",
           "--grid=-1:1:3"])
+    main(["tabulate", "--family", "charlier", "--a", "2", "--n-max", "30",
+          "--grid=-0.5:4.5:3"])
     main(["recurrence", "--family", "jacobi", "--alpha", "0.5",
           "--beta", "1.5", "--n-max", "5"])
     main(["check", "--family", "legendre", "--identity", "shift",
@@ -772,7 +808,8 @@ def test_cli_imports_scipy_and_mpmath_on_first_use(tmp_path):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     mods = json.loads(proc.stdout.splitlines()[-1])
-    # the quadratic check runs on the monic recurrence, with no series sums
+    # the quadratic check runs on the monic recurrence, and the lattice
+    # series are summed in integers
     assert mods["lean"] == []
     # eigenproblems of order <= 48 are solved by numpy's LAPACK, and the
     # --measure commands integrate on the package's own Gauss rules

@@ -3,7 +3,9 @@ discrete.py: the other layers ask it for a classical type
 (families.classical) or a system, and never dispatch on a family's name.
 A cold command line run loads only what its subcommand uses: cli.py imports
 the kernels, moment diagnostics, lattice families and documents inside the
-subcommands, and io.py needs the kernels for an annotation only."""
+subcommands, and io.py needs the kernels for an annotation only.  The series
+sums of families.py and discrete.py run in exact integer arithmetic and
+import no mpmath."""
 
 import ast
 from pathlib import Path
@@ -107,3 +109,25 @@ def test_import_guard_skips_functions_and_type_checking_blocks():
               "        from .recurrence import eval_all\n")
     assert import_time_modules(source) == {
         "families", "measures", "qseries", "discrete", "io"}
+
+
+def imported_modules(source: str) -> set[str]:
+    """Every module a source imports, also inside functions."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+    return names
+
+
+@pytest.mark.parametrize("module", ("families.py", "discrete.py"))
+def test_series_modules_do_not_import_mpmath(module):
+    assert not any(name.split(".")[0] == "mpmath"
+                   for name in imported_modules(_source(module)))
+
+
+def test_mpmath_guard_sees_imports_inside_functions():
+    source = "def f():\n    import mpmath.libmp\n    from mpmath import mpf\n"
+    assert imported_modules(source) == {"mpmath.libmp", "mpmath"}

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,8 +37,11 @@ def test_hyp_requires_termination():
 
 
 def test_hyp_lower_pole_rejected():
-    with pytest.raises(F.FamilyError):
+    with pytest.raises(F.FamilyError, match="pole"):
         F.hyp([-4.0], [-2.0], 1.0)
+    # P_3^(-2, 0.5): its lower parameter alpha + 1 = -1 vanishes at k = 1
+    with pytest.raises(F.FamilyError, match="pole"):
+        F.jacobi_eval(3, -2.0, 0.5, 0.3)
 
 
 def test_pochhammer():
@@ -76,7 +80,30 @@ def test_laguerre_linear():
 def test_hermite_values():
     assert F.hermite_eval(2, 1.0) == pytest.approx(2.0)
     assert F.hermite_eval(0, 5.0) == 1.0
-    assert F.hermite_eval(3, 0.0) == 0.0
+    # exact at 0: H_n(0) = (-1)^m n!/m! for n = 2m, and 0 for odd n
+    assert [F.hermite_eval(n, 0.0) for n in range(4)] == [1.0, 0.0, -2.0, 0.0]
+    assert F.hermite_eval(10, 0.0) == -30240.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: F.jacobi_eval(5, 0.5, 1.5, v),
+    lambda v: F.jacobi_eval(5, v, 1.5, 0.3),
+    lambda v: F.laguerre_eval(5, 0.5, v),
+    lambda v: F.laguerre_eval(5, v, 1.0),
+    lambda v: F.hermite_eval(5, v),
+    lambda v: F.special_case_eval(F.chebyshev_t(), 5, v),
+    lambda v: F.hyp([-3.0, 1.5], [2.0], v),
+    lambda v: F.hyp([-3.0, v], [2.0], 0.5),
+    lambda v: F.hyp([-3.0, 1.5], [v], 0.5),
+    lambda v: D.discrete_eval(D.charlier(2.0), 5, v),
+], ids=["jacobi-x", "jacobi-alpha", "laguerre-x", "laguerre-alpha",
+        "hermite-x", "chebyshev-x", "hyp-z", "hyp-upper", "hyp-lower",
+        "charlier-x"])
+@pytest.mark.parametrize("value", (math.inf, -math.inf, math.nan))
+def test_series_at_a_non_finite_argument_raise_family_error(call, value):
+    # never the OverflowError or ValueError of float.as_integer_ratio
+    with pytest.raises(F.FamilyError, match="not finite"):
+        call(value)
 
 
 def test_chebyshev_t_is_cosine():
@@ -140,73 +167,68 @@ def test_coeff_vectors_match_series():
                 F.special_case_eval(spec, n, x), rel=1e-11)
 
 
-def _direct_mp_sum(term, n_terms):
-    """A direct sum of mpmath terms at 150 digits, which keeps 50 past the
-    largest cancellation here (about 10^53 at n = 100), rounded to double."""
+def _direct_mp_sum(term, n_terms, dps):
+    """A direct sum of mpmath terms at dps digits, rounded to double."""
     import mpmath
 
-    with mpmath.workdps(150):
+    with mpmath.workdps(dps):
         return float(mpmath.fsum(term(mpmath.mpf, k) for k in range(n_terms)))
 
 
-@pytest.mark.parametrize("n", (30, 60, 100))
-def test_escalated_series_equal_a_direct_mp_sum(n, monkeypatch):
-    # the escalated pass forms each term from the one before it by the term
-    # ratio; it must agree with the sum of directly formed terms
+def _jacobi_term(n, a, b, x):
     import mpmath
 
-    ratio_calls = []
-    real = F._guarded_sum
+    return lambda mp, k: (mpmath.rf(mp(a) + mp(b) + n + 1, k)
+                          * mpmath.rf(mp(a) + k + 1, n - k)
+                          / (mpmath.factorial(k) * mpmath.factorial(n - k))
+                          * ((mp(x) - 1) / 2) ** k)
 
-    def spy(term_fn, n_terms, ratio):
-        def counted(k, num):
-            ratio_calls.append(k)
-            return ratio(k, num)
 
-        return real(term_fn, n_terms, counted)
+def _laguerre_term(n, a, x):
+    import mpmath
 
-    monkeypatch.setattr(F, "_guarded_sum", spy)
+    return lambda mp, k: (mpmath.rf(mp(a) + k + 1, n - k)
+                          / (mpmath.factorial(k) * mpmath.factorial(n - k))
+                          * (-mp(x)) ** k)
 
-    def jacobi_term(a, b, x):
-        return lambda mp, k: (mpmath.rf(mp(a) + mp(b) + n + 1, k)
-                              * mpmath.rf(mp(a) + k + 1, n - k)
-                              / (mpmath.factorial(k) * mpmath.factorial(n - k))
-                              * ((mp(x) - 1) / 2) ** k)
 
-    # Jacobi(0.5, 1.5), Gegenbauer(1.5) through its Jacobi(1, 1) reduction,
-    # Laguerre(0.5), at the points of the series benchmark
-    cases = [(lambda x: F.jacobi_eval(n, 0.5, 1.5, x),
-              jacobi_term(0.5, 1.5, x), x) for x in (-0.7, -0.2, 0.3, 0.8)]
-    cases += [(lambda x: F.jacobi_eval(n, 1.0, 1.0, x),
-               jacobi_term(1.0, 1.0, x), x) for x in (-0.7, -0.2, 0.3, 0.8)]
-    cases += [(lambda x: F.laguerre_eval(n, 0.5, x),
-               lambda mp, k, x=x: (mpmath.rf(mp(0.5) + k + 1, n - k)
-                                   / (mpmath.factorial(k)
-                                      * mpmath.factorial(n - k))
-                                   * (-mp(x)) ** k), x)
+@pytest.mark.parametrize("n", (30, 60, 100, 171, 200))
+def test_escalated_series_equal_a_direct_mp_sum(n):
+    # the cases whose float sums cancelled and once escalated to mpmath: the
+    # exact sums must equal a direct sum of mpmath terms rounded to double.
+    # The cancellation grows like 10^(n/2) here (about 10^53 at n = 100),
+    # so the direct sum runs at 60 + n digits.
+    cases = [(F.jacobi_eval(n, 0.5, 1.5, x), _jacobi_term(n, 0.5, 1.5, x))
+             for x in (-0.7, -0.2, 0.3, 0.8)]
+    # Gegenbauer(1.5) through its Jacobi(1, 1) reduction
+    cases += [(F.jacobi_eval(n, 1.0, 1.0, x), _jacobi_term(n, 1.0, 1.0, x))
+              for x in (-0.7, -0.2, 0.3, 0.8)]
+    cases += [(F.laguerre_eval(n, 0.5, x), _laguerre_term(n, 0.5, x))
               for x in (0.5, 3.0, 7.0, 15.0)]
-    escalated = 0
-    for fn, term, x in cases:
-        ratio_calls.clear()
-        got = fn(x)
-        if ratio_calls:
-            assert got == _direct_mp_sum(term, n + 1), (n, x)
-            escalated += 1
-    assert escalated >= 9
+    for got, term in cases:
+        assert got == _direct_mp_sum(term, n + 1, 60 + n), n
 
 
 def test_degree_171_raises_family_error():
-    # 171! is the first factorial beyond the double range
-    calls = (lambda n: F.jacobi_eval(n, 0.5, 1.5, 0.3),
-             lambda n: F.laguerre_eval(n, 0.5, 1.0),
-             lambda n: F.hermite_eval(n, 0.5),
-             lambda n: F.jacobi_coeffs(n, 0.5, 1.5),
-             lambda n: F.laguerre_coeffs(n, 0.5),
-             lambda n: F.special_case_eval(F.chebyshev_t(), n, 0.3))
-    for call in calls:
+    # 171! is the first factorial beyond the double range: the coefficient
+    # vectors, formed from float factorials, raise there, while the exact
+    # series give the correctly rounded value
+    import mpmath
+
+    n = 171
+    for call in (lambda n: F.jacobi_coeffs(n, 0.5, 1.5),
+                 lambda n: F.laguerre_coeffs(n, 0.5)):
         with pytest.raises(F.FamilyError, match="double range"):
-            call(171)
+            call(n)
     assert F.laguerre_coeffs(170, 0.5)[-1] == 1 / math.factorial(170)
+    assert F.jacobi_eval(n, 0.5, 1.5, 0.3) == _direct_mp_sum(
+        _jacobi_term(n, 0.5, 1.5, 0.3), n + 1, 60 + n)
+    assert F.laguerre_eval(n, 0.5, 1.0) == _direct_mp_sum(
+        _laguerre_term(n, 0.5, 1.0), n + 1, 60 + n)
+    with mpmath.workdps(60 + n):
+        assert F.hermite_eval(n, 0.5) == float(mpmath.hermite(n, 0.5))
+        assert F.special_case_eval(F.chebyshev_t(), n, 0.3) == float(
+            mpmath.chebyt(n, 0.3))
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +272,50 @@ def test_shift_unknown_direction():
         F.shift_check(F.hermite(), 1, "sideways", 0.0)
 
 
+def rodrigues_eval(spec, n: int, x: float) -> float:
+    """Evaluate via the Rodrigues formula.  With the Pearson pair,
+    (d/dx)^k (sigma^n w) = sigma^(n-k) w r_k for the polynomials r_0 = 1,
+    r_{k+1} = sigma r_k' + (tau + (n - k - 1) sigma') r_k, recursed
+    explicitly.  The recursion and the value at x run in exact rational
+    arithmetic (every double is a binary fraction), so the monomial basis
+    cancels nothing and the result is rounded once; in doubles it lost up
+    to 4.6e-9 by n = 24.  The price is time (about 1.3 s at n = 100), so
+    it suits small n.  As in double arithmetic, a value past the double
+    range is +-inf, and a non-finite x gives the limit of the polynomial
+    (nan for nan).  A test oracle, independent of the series sums."""
+    # K_n of p_n = K_n w^-1 (d/dx)^n (sigma^n w), by family
+    constant = {
+        "jacobi": lambda n: Fraction((-1) ** n, 2 ** n * math.factorial(n)),
+        "laguerre": lambda n: Fraction(1, math.factorial(n)),
+        "hermite": lambda n: (-1) ** n,
+    }.get(spec.family)
+    if constant is None:
+        raise F.FamilyError("Rodrigues formula implemented for jacobi, "
+                          f"laguerre, hermite; got {spec.family!r}")
+    sigma, tau = (np.array([Fraction(v) for v in poly], dtype=object)
+                  for poly in F.pearson_pair(spec)[:2])
+    dsigma = npoly.polyder(sigma)
+    r = np.array([Fraction(1)], dtype=object)
+    for k in range(n):
+        r = npoly.polyadd(
+            npoly.polymul(sigma, npoly.polyder(r)),
+            npoly.polymul(npoly.polyadd(tau, (n - k - 1) * dsigma), r))
+    if not math.isfinite(x):
+        return float(constant(n) * r[-1]) * x ** (len(r) - 1)
+    value = constant(n) * npoly.polyval(Fraction(x), r)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def test_rodrigues_matches_series():
     for spec in (F.jacobi(0.5, 1.5), F.laguerre(0.3), F.hermite()):
         for n in (0, 1, 2, 5, 9):
             for x in (-0.7, 0.2, 0.9):
                 if spec.family == "laguerre":
                     x = abs(x) * 4
-                a = F.rodrigues_eval(spec, n, x)
+                a = rodrigues_eval(spec, n, x)
                 b = F.special_case_eval(spec, n, x)
                 assert a == pytest.approx(b, rel=1e-11, abs=1e-11)
 
@@ -272,32 +331,32 @@ def test_rodrigues_jacobi_against_mpmath(alpha, beta):
             with mpmath.workdps(50):
                 ref = mpmath.jacobi(n, mpmath.mpf(alpha), mpmath.mpf(beta),
                                     mpmath.mpf(x))
-            err = abs(F.rodrigues_eval(spec, n, x) - ref) / max(1, abs(ref))
+            err = abs(rodrigues_eval(spec, n, x) - ref) / max(1, abs(ref))
             assert err <= 1e-14, (n, x)
 
 
 def test_rodrigues_outside_the_double_range():
     # the exact route rounds like double arithmetic: +-inf past the range,
     # the polynomial's limit at +-inf, nan at nan
-    assert F.rodrigues_eval(F.hermite(), 120, 1e4) == math.inf
-    assert F.rodrigues_eval(F.hermite(), 121, -1e4) == -math.inf
-    assert F.rodrigues_eval(F.laguerre(0.5), 3, math.inf) == -math.inf
-    assert F.rodrigues_eval(F.jacobi(0.5, 1.5), 3, -math.inf) == -math.inf
-    assert F.rodrigues_eval(F.hermite(), 0, math.inf) == 1.0
-    assert math.isnan(F.rodrigues_eval(F.hermite(), 2, math.nan))
+    assert rodrigues_eval(F.hermite(), 120, 1e4) == math.inf
+    assert rodrigues_eval(F.hermite(), 121, -1e4) == -math.inf
+    assert rodrigues_eval(F.laguerre(0.5), 3, math.inf) == -math.inf
+    assert rodrigues_eval(F.jacobi(0.5, 1.5), 3, -math.inf) == -math.inf
+    assert rodrigues_eval(F.hermite(), 0, math.inf) == 1.0
+    assert math.isnan(rodrigues_eval(F.hermite(), 2, math.nan))
 
 
 def test_rodrigues_hermite_h2():
-    assert F.rodrigues_eval(F.hermite(), 2, 1.0) == pytest.approx(2.0)
+    assert rodrigues_eval(F.hermite(), 2, 1.0) == pytest.approx(2.0)
 
 
 def test_rodrigues_jacobi_linear():
-    assert F.rodrigues_eval(F.jacobi(0.0, 0.0), 1, 0.5) == pytest.approx(0.5)
+    assert rodrigues_eval(F.jacobi(0.0, 0.0), 1, 0.5) == pytest.approx(0.5)
 
 
 def test_rodrigues_unsupported_family():
     with pytest.raises(F.FamilyError):
-        F.rodrigues_eval(F.chebyshev_t(), 2, 0.0)
+        rodrigues_eval(F.chebyshev_t(), 2, 0.0)
 
 
 # ---------------------------------------------------------------------------

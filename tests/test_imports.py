@@ -24,7 +24,7 @@ _LOADED_PROBE = textwrap.dedent("""
         "code": code,
         "package": sorted(m.split(".", 1)[1] for m in sys.modules
                           if m.startswith("orthopoly.")),
-        "other": [m for m in ("fractions", "numpy.polynomial")
+        "other": [m for m in ("fractions", "numpy.polynomial", "mpmath")
                   if m in sys.modules]}))
 """)
 
@@ -96,6 +96,7 @@ def test_import_loads_no_submodule_and_no_numpy():
 def test_subcommand_loads_only_its_modules(argv, extra):
     got = _probe(_LOADED_PROBE, *argv)
     assert got["code"] == 0
-    # qseries is never loaded, momentprob only by diagnose
+    # qseries is never loaded, momentprob only by diagnose, and mpmath by
+    # none: the series sums are exact integer arithmetic
     assert set(got["package"]) == BASE | extra
     assert got["other"] == []
