@@ -79,11 +79,9 @@ def test_tabulate_charlier_past_degree_170_is_exact(capsys):
         assert row[1:] == [float(exact(n, x)) for n in range(201)], x
 
 
-@pytest.mark.parametrize("a, grid", (("2", "nan:nan:1"), ("nan", "0:3:4")),
-                         ids=("x", "parameter"))
-def test_tabulate_lattice_at_a_non_finite_value_exits_1(a, grid, capsys):
+def test_tabulate_lattice_at_a_non_finite_point_exits_1(capsys):
     code, out, err = run(capsys, "tabulate", "--family", "charlier", "--a",
-                         a, "--n-max", "3", f"--grid={grid}")
+                         "2", "--n-max", "3", "--grid=nan:nan:1")
     assert (code, out) == (1, "")
     assert err.startswith("orthopoly: ") and err.count("\n") == 1, err
     assert "not finite" in err
