@@ -79,6 +79,8 @@ def _parse_grid(spec: str) -> np.ndarray:
             from exc
     if steps < 1:
         raise ConfigError("--grid needs at least one step")
+    if not math.isfinite(b - a):
+        raise ConfigError(f"--grid {spec!r} needs finite a, b and b - a")
     return np.linspace(a, b, steps)
 
 
@@ -365,7 +367,7 @@ def _cmd_diagnose(args) -> int:
     if args.carleman:
         if m is not None:
             ms = M.moments(m, 32, args.tol)
-            report = P.carleman(P.carleman_moment_terms(ms), 16)
+            report = P.carleman(P.carleman_moment_terms(ms, 16))
             mode = "moments"
         else:
             # the terms are 1/sqrt(a_n c_{n+1}) for n = 1..2000
@@ -374,8 +376,7 @@ def _cmd_diagnose(args) -> int:
             if bad:
                 raise NumericalFailure("Carleman terms need a_n c_(n+1) > 0: "
                                        f"Favard violation at n={bad[0]}")
-            products = favard.products.tolist()
-            report = P.carleman(lambda k: 1.0 / math.sqrt(products[k]), 2000)
+            report = P.carleman(1.0 / np.sqrt(favard.products[1:]))
             mode = "recurrence"
         doc["carleman"] = {"verdict": report.verdict,
                            "exponent": report.exponent, "terms": mode}

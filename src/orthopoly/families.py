@@ -156,6 +156,8 @@ def _validate(f: str, p: dict) -> None:
     """Raise FamilyError unless p is a valid parameter record of family f."""
     if f not in PARAMETERS:
         raise FamilyError(f"unknown family {f!r}")
+    if not all(math.isfinite(p[k]) for k in PARAMETERS[f]):
+        raise FamilyError(f"{f} requires finite parameters, got {p}")
     if f in ("jacobi", "hahn") and (p["alpha"] <= -1 or p["beta"] <= -1):
         raise FamilyError(f"{f} requires alpha > -1 and beta > -1")
     if f == "laguerre" and p["alpha"] <= -1:
@@ -201,7 +203,8 @@ class FamilySpec:
 def family_spec(name: str, params: dict) -> FamilySpec:
     """Build a spec from a flat parameter dict; extra keys are ignored and a
     missing parameter raises KeyError with its name."""
-    return FamilySpec(name, {k: int(params[k]) if k == "N"
+    return FamilySpec(name, {k: int(params[k])
+                             if k == "N" and math.isfinite(params[k])
                              else float(params[k])
                              for k in PARAMETERS.get(name, ())})
 

@@ -161,6 +161,32 @@ def zeros(sys: RecurrenceSystem, norms: NormData | None, n: int) -> np.ndarray:
     return _eigenvalues(*jacobi_matrix(sys, n))
 
 
+def extreme_zeros(sys: RecurrenceSystem, n_max: int) -> tuple:
+    """Smallest and largest zeros of p_1..p_{n_max} from the leading blocks of
+    one Jacobi matrix: the ends of `_eigenvalues` to its dense order (see
+    `zeros`), Sturm bisection (LAPACK dstebz, abstol 2 tiny) beyond."""
+    if n_max < 1:
+        raise KernelError("need n >= 1")
+    diag, off = jacobi_matrix(sys, n_max)
+    mirrored = not diag.any()
+    if (n_max // 2 if mirrored else n_max) <= _DENSE_MAX_ORDER:
+        return tuple(np.array([_eigenvalues(diag[:k], off[:k - 1])[[0, -1]]
+                               for k in range(1, n_max + 1)]).T)
+    from scipy.linalg import lapack
+
+    def bisect(k: int, i: int) -> float:   # range 2 = 'I': eigenvalue i
+        _, w, _, _, info = lapack.dstebz(diag[:k], off[:k - 1], 2, 0.0, 0.0,
+                                         i, i, 2 * np.finfo(float).tiny, "E")
+        if info != 0:
+            raise KernelError(f"eigensolve failed (dstebz info {info})")
+        return w[0]
+
+    # order 1 is b_0: the f2py wrapper rejects an empty off-diagonal
+    hi = np.array([diag[0]] + [bisect(k, k) for k in range(2, n_max + 1)])
+    lo = [-h if mirrored else bisect(k, 1) for k, h in enumerate(hi[1:], 2)]
+    return np.array([diag[0]] + lo), hi
+
+
 def gauss_rule(sys: RecurrenceSystem, norms: NormData, m: Measure | None,
                n: int, tol: float = 1e-12) -> QuadratureRule:
     """n-point Gauss rule of the Jacobi matrix, mu_0 = h_0 / p_0^2 taken

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import zeros as _zeros
+from .kernels import extreme_zeros as _extreme_zeros
 from .measures import (Measure, MomentSequence, continuous_measure,
                        integrate)
 from .recurrence import RecurrenceSystem, eval_all, eval_poly
@@ -124,24 +124,20 @@ class CarlemanReport:
     verdict: str  # diverges | converges | inconclusive
 
 
-def carleman(term_fn, n_max: int) -> CarlemanReport:
-    """Partial sums S_N of term_fn(1..N) with a fitted log-log growth
-    exponent; exponent > 0.05 reads as divergence, a flat Cauchy tail as
-    convergence, anything else as inconclusive."""
-    if n_max < 10:
-        raise MomentProblemError("need n_max >= 10")
-    marks = np.unique(np.round(np.logspace(0, math.log10(n_max), 80))
+def carleman(terms) -> CarlemanReport:
+    """Partial sums S_N of the array t_1..t_N, summed in order by np.cumsum,
+    with a fitted log-log growth exponent; exponent > 0.05 reads as
+    divergence, a flat Cauchy tail as convergence, else inconclusive."""
+    terms = np.asarray(terms, dtype=float)
+    if len(terms) < 10:
+        raise MomentProblemError("need at least 10 terms")
+    negative = np.flatnonzero(terms < 0)
+    if negative.size:
+        raise MomentProblemError(f"negative term at n={negative[0] + 1}")
+    marks = np.unique(np.round(np.logspace(0, math.log10(len(terms)), 80))
                       ).astype(int)
-    sums = np.empty(len(marks))
-    total, mi = 0.0, 0
-    for n in range(1, n_max + 1):
-        t = term_fn(n)
-        if t < 0:
-            raise MomentProblemError(f"negative term at n={n}")
-        total += t
-        while mi < len(marks) and marks[mi] == n:
-            sums[mi] = total
-            mi += 1
+    partial = np.cumsum(terms)
+    sums, total = partial[marks - 1], partial[-1]
     window = marks >= max(marks[-1] / 100.0, 1.0)
     logn = np.log(marks[window].astype(float))
     logs = np.log(np.maximum(sums[window], 1e-300))
@@ -157,18 +153,16 @@ def carleman(term_fn, n_max: int) -> CarlemanReport:
                           exponent=exponent, verdict=verdict)
 
 
-def carleman_moment_terms(ms: MomentSequence):
-    """Terms mu_{2n}^{-1/(2n)} from a stored moment sequence."""
+def carleman_moment_terms(ms: MomentSequence, n_max: int) -> np.ndarray:
+    """Terms mu_{2n}^{-1/(2n)}, n = 1..n_max, of a stored moment sequence."""
     mu = ms.mu
-
-    def term(n: int) -> float:
+    for n in range(1, n_max + 1):
         if 2 * n >= len(mu):
             raise MomentProblemError(f"moment index {2 * n} unavailable")
         if mu[2 * n] <= 0:
             raise MomentProblemError("even moment must be positive")
-        return mu[2 * n] ** (-1.0 / (2 * n))
-
-    return term
+    return np.array([mu[2 * n] ** (-1.0 / (2 * n))
+                     for n in range(1, n_max + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -280,18 +274,13 @@ def _extrapolate_edge(seq: np.ndarray, direction: float) -> float:
 
 
 def true_interval(sys: RecurrenceSystem, n_max: int) -> TrueIntervalEstimate:
-    """Extreme-zero chains per degree with extrapolated limits."""
-    degrees = np.arange(1, n_max + 1)
-    lo = np.empty(n_max)
-    hi = np.empty(n_max)
-    for i, n in enumerate(degrees):
-        zs = _zeros(sys, None, int(n))
-        lo[i], hi[i] = zs[0], zs[-1]
+    """`kernels.extreme_zeros` chains per degree, extrapolated to limits."""
+    lo, hi = _extreme_zeros(sys, n_max)
     mono = bool(np.all(np.diff(lo) <= 1e-13) and np.all(np.diff(hi) >= -1e-13))
     limits = (_extrapolate_edge(lo, -1.0), _extrapolate_edge(hi, +1.0))
-    return TrueIntervalEstimate(degrees=degrees, xi1_sequence=lo,
-                                eta1_sequence=hi, limits=limits,
-                                chains_monotone=mono)
+    return TrueIntervalEstimate(degrees=np.arange(1, n_max + 1),
+                                xi1_sequence=lo, eta1_sequence=hi,
+                                limits=limits, chains_monotone=mono)
 
 
 @dataclass(frozen=True)

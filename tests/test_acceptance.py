@@ -220,11 +220,11 @@ def test_criterion_07_markov_theorem():
 
 def test_criterion_08_carleman_verdicts():
     with criterion(8, "carleman verdicts", 10.0):
-        rep = MP.carleman(lambda n: 1.0 / math.sqrt(n / 2.0), 2000)
+        ns = range(1, 2001)
+        rep = MP.carleman([1.0 / math.sqrt(n / 2.0) for n in ns])
         assert rep.verdict == "diverges"
         for alpha in (-0.5, 0.0, 2.0):
-            rep = MP.carleman(
-                lambda n, a=alpha: 1.0 / math.sqrt(n * (n + a)), 2000)
+            rep = MP.carleman([1.0 / math.sqrt(n * (n + alpha)) for n in ns])
             assert rep.verdict == "diverges", alpha
         sw = MP.stieltjes_wigert_monic()
 
@@ -237,7 +237,7 @@ def test_criterion_08_carleman_verdicts():
         for k in (1, 5, 50):
             assert sw_term(k - 1) == pytest.approx(
                 1.0 / math.sqrt(sw.coeffs(k)[2]), rel=1e-13)
-        rep = MP.carleman(sw_term, 2000)
+        rep = MP.carleman([sw_term(n) for n in ns])
         assert rep.verdict == "converges"
 
 

@@ -79,12 +79,17 @@ def test_tabulate_charlier_past_degree_170_is_exact(capsys):
         assert row[1:] == [float(exact(n, x)) for n in range(201)], x
 
 
-def test_tabulate_lattice_at_a_non_finite_point_exits_1(capsys):
-    code, out, err = run(capsys, "tabulate", "--family", "charlier", "--a",
-                         "2", "--n-max", "3", "--grid=nan:nan:1")
-    assert (code, out) == (1, "")
-    assert err.startswith("orthopoly: ") and err.count("\n") == 1, err
-    assert "not finite" in err
+@pytest.mark.parametrize("family, grid", [
+    (("legendre",), "inf:inf:1"), (("legendre",), "0:nan:3"),
+    (("charlier", "--a", "2"), "nan:nan:1")],
+    ids=["legendre-inf", "legendre-nan", "charlier-nan"])
+def test_tabulate_non_finite_grid_exits_2(family, grid, capsys, recwarn):
+    code, out, err = run(capsys, "tabulate", "--family", *family, "--n-max",
+                         "3", f"--grid={grid}")
+    assert (code, out) == (2, "")
+    assert err == (f"orthopoly: invalid configuration: --grid {grid!r} "
+                   "needs finite a, b and b - a\n")
+    assert not recwarn.list
 
 
 def test_quadrature_legendre_two_point(capsys):
@@ -595,6 +600,39 @@ def test_registry_missing_flag_exits_2(family, capsys):
                        "--n-max", "3")
     assert code == 2
     assert f"--{names[0]}" in err
+
+
+@pytest.mark.parametrize("value", (math.inf, -math.inf, math.nan))
+@pytest.mark.parametrize("family",
+                         [f for f, ps in F.PARAMETERS.items() if ps])
+def test_non_finite_family_parameter_exits_2(family, value, tmp_path,
+                                             capsys):
+    kind = "discrete_infinite" if family in F.LATTICE else "continuous"
+    path = tmp_path / "doc.json"
+    for name in F.PARAMETERS[family]:
+        params = {**{k: _VALUES[k] for k in F.PARAMETERS[family]},
+                  name: value}
+        with pytest.raises(F.FamilyError, match="requires finite param"):
+            F.FamilySpec(family, params)
+        runs = [(("zeros", "--n", "2", "--recurrence"),
+                 {"schema": 1, "family": family, "parameters": params}),
+                (("recurrence", "--n-max", "3", "--measure"),
+                 {"schema": 1, "kind": kind, "name": family,
+                  "parameters": params})]
+        for argv, doc in runs:
+            path.write_text(json.dumps(doc))
+            code, out, err = run(capsys, *argv, str(path))
+            assert (code, out) == (2, ""), err
+            assert f"requires finite parameters, got {{" in err
+            assert err.count("\n") == 1
+        if name == "N":   # --N is an integer flag: argparse refuses inf
+            continue
+        flags = [f"--{k}={v}" for k, v in params.items()]
+        code, out, err = run(capsys, "tabulate", "--family", family, *flags,
+                             "--n-max", "3", "--grid=0.5:1.5:2")
+        assert (code, out) == (2, ""), err
+        assert err == ("orthopoly: invalid configuration: "
+                       f"{family} requires finite parameters, got {params}\n")
 
 
 def test_unknown_family_document_exits_2(tmp_path, capsys):

@@ -24,8 +24,8 @@ _LOADED_PROBE = textwrap.dedent("""
         "code": code,
         "package": sorted(m.split(".", 1)[1] for m in sys.modules
                           if m.startswith("orthopoly.")),
-        "other": [m for m in ("fractions", "numpy.polynomial", "mpmath")
-                  if m in sys.modules]}))
+        "other": [m for m in ("fractions", "numpy.polynomial", "mpmath",
+                              "scipy") if m in sys.modules]}))
 """)
 
 _NAMESPACE_PROBE = textwrap.dedent("""
@@ -90,13 +90,19 @@ def test_import_loads_no_submodule_and_no_numpy():
      {"kernels", "io"}),
     (("diagnose", "--family", "hermite", "--carleman", "--true-interval",
       "10"), {"kernels", "io", "momentprob"}),
+    # the largest true-interval orders of numpy's dense route
+    (("diagnose", "--family", "legendre", "--true-interval", "97"),
+     {"kernels", "io", "momentprob"}),
+    (("diagnose", "--family", "jacobi", "--alpha", "0.5", "--beta", "1.5",
+      "--true-interval", "48"), {"kernels", "io", "momentprob"}),
 ], ids=["tabulate-csv", "tabulate-json", "tabulate-lattice", "recurrence",
         "check-ode", "check-shift", "quadrature", "zeros", "check-cd",
-        "diagnose"])
+        "diagnose", "diagnose-interval-97", "diagnose-interval-48"])
 def test_subcommand_loads_only_its_modules(argv, extra):
     got = _probe(_LOADED_PROBE, *argv)
     assert got["code"] == 0
-    # qseries is never loaded, momentprob only by diagnose, and mpmath by
-    # none: the series sums are exact integer arithmetic
+    # qseries is never loaded, momentprob only by diagnose, mpmath by none
+    # (the series sums are exact integer arithmetic), and scipy by none:
+    # these eigenproblems are small enough for numpy's LAPACK
     assert set(got["package"]) == BASE | extra
     assert got["other"] == []

@@ -531,3 +531,94 @@ def test_kernel_on_arrays_matches_scalar_calls(method):
                for u, v in zip(x, y)]
         assert got.shape == x.shape
         np.testing.assert_allclose(got, ref, rtol=1e-14, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# extreme-zero chains
+
+CHAINS = {
+    "legendre": F.legendre(), "jacobi": F.jacobi(0.5, 1.5),
+    "laguerre": F.laguerre(0.5), "hermite": F.hermite(),
+    "charlier": F.family_spec("charlier", {"a": 2.0}),
+    "gegenbauer": F.gegenbauer(-0.4),
+}
+
+
+def sturm_extremes(b, c, k, dps=60):
+    """Smallest and largest eigenvalue of the k x k Jacobi matrix of monic
+    rows (b_j, c_j), by Sturm-count bisection in `dps`-digit arithmetic
+    from the Gershgorin interval to a width of 2^-80 of it."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        bs = [mpmath.mpf(v) for v in b[:k]]
+        cs = [mpmath.mpf(v) for v in c[:k]]
+        tiny = mpmath.mpf(2) ** (-4 * dps)
+
+        def below(x):   # eigenvalues < x: negative pivots of J - x
+            count, q = 0, mpmath.mpf(1)
+            for j in range(k):
+                q = bs[j] - x - (cs[j] / q if j else 0)
+                q = q or tiny
+                count += q < 0
+            return count
+
+        r = max(map(abs, bs)) + 2 * max(map(mpmath.sqrt, cs[1:]))
+
+        def bisect(i):   # the i-th smallest eigenvalue
+            lo, hi = -r - 1, r + 1
+            for _ in range(80):
+                mid = (lo + hi) / 2
+                lo, hi = (lo, mid) if below(mid) >= i else (mid, hi)
+            return (lo + hi) / 2
+
+        return float(bisect(1)), float(bisect(k))
+
+
+@pytest.mark.parametrize("family", sorted(CHAINS))
+def test_bisection_chains_against_mp_sturm_counts(family):
+    # n_max = 120 takes the bisection route for every family, b = 0 or not
+    sys = F.family_monic_system(CHAINS[family])
+    lo, hi = K.extreme_zeros(sys, 120)
+    _, b, c = sys.arrays(120)
+    assert lo[0] == hi[0] == b[0]
+    for k in (2, 7, 49, 60, 97, 98, 120):
+        # the normwise bound of the bisection: ||J_k|| = max|b| + 2 max e
+        norm = np.max(np.abs(b[:k])) + 2 * np.sqrt(np.max(c[1:k]))
+        ref = sturm_extremes(b, c, k)
+        err = max(abs(lo[k - 1] - ref[0]), abs(hi[k - 1] - ref[1]))
+        assert err <= 2 * EPS * norm, (k, err / (EPS * norm))
+        if family == "laguerre":
+            # abstol 2 tiny also keeps Laguerre's smallest zero (0.020 at
+            # k = 120) relatively accurate: 2.3e-14, and 1.3e-12 at the
+            # default abstol
+            assert abs(lo[k - 1] - ref[0]) <= 1e-13 * ref[0], k
+    if not b.any():
+        assert np.array_equal(lo, -hi)
+
+
+@pytest.mark.parametrize("family, n_max", [
+    ("legendre", 97), ("hermite", 97), ("gegenbauer", 97), ("jacobi", 48),
+    ("laguerre", 48), ("charlier", 48)])
+def test_dense_chains_are_the_ends_of_zeros(family, n_max):
+    # the largest orders that keep the dense numpy route: n // 2 <= 48
+    # when b = 0, n <= 48 otherwise
+    sys = F.family_monic_system(CHAINS[family])
+    lo, hi = K.extreme_zeros(sys, n_max)
+    ends = np.array([K.zeros(sys, None, k)[[0, -1]]
+                     for k in range(1, n_max + 1)])
+    assert lo.tobytes() == ends[:, 0].tobytes()
+    assert hi.tobytes() == ends[:, 1].tobytes()
+
+
+def test_bisection_failure_raises_kernel_error(monkeypatch):
+    from scipy.linalg import lapack
+
+    def failing(d, e, *args):
+        return 0, np.zeros(len(d)), None, None, 1
+
+    monkeypatch.setattr(lapack, "dstebz", failing)
+    with pytest.raises(K.KernelError, match="dstebz info 1"):
+        K.extreme_zeros(F.family_monic_system(F.jacobi(0.5, 1.5)), 49)
+    with pytest.raises(K.KernelError, match="need n >= 1"):
+        K.extreme_zeros(F.family_monic_system(F.jacobi(0.5, 1.5)), 0)

@@ -124,38 +124,99 @@ def test_markov_complex_oracle():
 
 def test_carleman_hermite_diverges():
     # monic c_n = n/2, terms 1/sqrt(n/2) give a divergent series
-    rep = MP.carleman(lambda n: 1.0 / math.sqrt(n / 2.0), 2000)
+    rep = MP.carleman([1.0 / math.sqrt(n / 2.0) for n in range(1, 2001)])
     assert rep.verdict == "diverges"
     assert rep.exponent == pytest.approx(0.5, abs=0.1)
 
 
 def test_carleman_laguerre_diverges():
     for alpha in (-0.5, 0.0, 2.0):
-        rep = MP.carleman(
-            lambda n, a=alpha: 1.0 / math.sqrt(n * (n + a)), 2000)
+        rep = MP.carleman([1.0 / math.sqrt(n * (n + alpha))
+                           for n in range(1, 2001)])
         assert rep.verdict == "diverges"
 
 
 def test_carleman_geometric_converges():
-    rep = MP.carleman(lambda n: 0.5 ** n, 2000)
+    rep = MP.carleman([0.5 ** n for n in range(1, 2001)])
     assert rep.verdict == "converges"
 
 
 def test_carleman_guards():
     with pytest.raises(MP.MomentProblemError):
-        MP.carleman(lambda n: 1.0, 5)
+        MP.carleman([1.0] * 5)
     with pytest.raises(MP.MomentProblemError):
-        MP.carleman(lambda n: -1.0, 100)
+        MP.carleman([-1.0] * 100)
 
 
 def test_carleman_moment_terms():
     from orthopoly.measures import MomentSequence
     mu = np.array([1.0, 0.0, 4.0, 0.0, 16.0])
-    term = MP.carleman_moment_terms(MomentSequence(mu=mu))
-    assert term(1) == pytest.approx(0.5)
-    assert term(2) == pytest.approx(0.5)
+    ms = MomentSequence(mu=mu)
+    assert MP.carleman_moment_terms(ms, 2) == pytest.approx([0.5, 0.5])
     with pytest.raises(MP.MomentProblemError):
-        term(3)
+        MP.carleman_moment_terms(ms, 3)
+
+
+def carleman_loop(term_fn, n_max):
+    """The partial sums of `carleman` by a sequential Python loop over
+    term_fn(1..n_max), with its exponent and verdict: the reference the
+    array form must equal bit for bit."""
+    marks = np.unique(np.round(np.logspace(0, math.log10(n_max), 80))
+                      ).astype(int)
+    sums = np.empty(len(marks))
+    total, mi = 0.0, 0
+    for n in range(1, n_max + 1):
+        total += term_fn(n)
+        while mi < len(marks) and marks[mi] == n:
+            sums[mi] = total
+            mi += 1
+    window = marks >= max(marks[-1] / 100.0, 1.0)
+    exponent = float(np.polyfit(np.log(marks[window].astype(float)),
+                                np.log(np.maximum(sums[window], 1e-300)),
+                                1)[0])
+    half = sums[np.searchsorted(marks, marks[-1] // 2)]
+    verdict = ("diverges" if exponent > 0.05 else "converges"
+               if total - half <= 1e-6 * max(total, 1e-300)
+               else "inconclusive")
+    return marks, sums, exponent, verdict
+
+
+def test_carleman_sums_equal_a_sequential_loop():
+    from orthopoly.families import family_measure
+    from orthopoly.measures import moments
+
+    products = R.validate_favard(jacobi_monic_system(0.5, 1.5),
+                                 2001).products
+    ms = moments(family_measure(legendre()), 32, 1e-12)
+    mu = ms.mu
+    cases = [
+        (1.0 / np.sqrt(products[1:]),
+         lambda n: 1.0 / math.sqrt(products.tolist()[n]), 2000),
+        ([1.0 / math.sqrt(n / 2.0) for n in range(1, 2001)],
+         lambda n: 1.0 / math.sqrt(n / 2.0), 2000),
+        ([0.5 ** n for n in range(1, 2001)], lambda n: 0.5 ** n, 2000),
+        (MP.carleman_moment_terms(ms, 16),
+         lambda n: mu[2 * n] ** (-1.0 / (2 * n)), 16),
+    ]
+    for terms, term_fn, n_max in cases:
+        rep = MP.carleman(terms)
+        marks, sums, exponent, verdict = carleman_loop(term_fn, n_max)
+        assert np.array_equal(rep.n_marks, marks)
+        assert rep.partial_sums.tobytes() == sums.tobytes()
+        assert (rep.exponent, rep.verdict) == (exponent, verdict)
+
+
+def test_carleman_error_messages():
+    from orthopoly.measures import MomentSequence
+    with pytest.raises(MP.MomentProblemError, match="negative term at n=3$"):
+        MP.carleman([1.0, 1.0, -1.0] + [1.0] * 10)
+    ms = MomentSequence(mu=np.array([1.0, 0.0, 4.0, 0.0, -16.0]))
+    with pytest.raises(MP.MomentProblemError,
+                       match="^even moment must be positive$"):
+        MP.carleman_moment_terms(ms, 2)
+    with pytest.raises(MP.MomentProblemError,
+                       match="^moment index 4 unavailable$"):
+        MP.carleman_moment_terms(MomentSequence(mu=np.ones(4)), 2)
 
 
 def test_rho_hermite_zero_inside_support():
