@@ -274,7 +274,8 @@ def _extrapolate_edge(seq: np.ndarray, direction: float) -> float:
 
 
 def true_interval(sys: RecurrenceSystem, n_max: int) -> TrueIntervalEstimate:
-    """`kernels.extreme_zeros` chains per degree, extrapolated to limits."""
+    """Extreme-zero chains of degrees 1..n_max, read from one Jacobi matrix by
+    `kernels.extreme_zeros`, and their extrapolated limits."""
     lo, hi = _extreme_zeros(sys, n_max)
     mono = bool(np.all(np.diff(lo) <= 1e-13) and np.all(np.diff(hi) >= -1e-13))
     limits = (_extrapolate_edge(lo, -1.0), _extrapolate_edge(hi, +1.0))

@@ -623,7 +623,7 @@ def test_non_finite_family_parameter_exits_2(family, value, tmp_path,
             path.write_text(json.dumps(doc))
             code, out, err = run(capsys, *argv, str(path))
             assert (code, out) == (2, ""), err
-            assert f"requires finite parameters, got {{" in err
+            assert "requires finite parameters, got {" in err
             assert err.count("\n") == 1
         if name == "N":   # --N is an integer flag: argparse refuses inf
             continue
