@@ -32,6 +32,7 @@ _NUMERICAL_ERRORS = (("measures", "IntegrationError"),
                      ("kernels", "KernelError"), ("families", "FamilyError"),
                      ("momentprob", "MomentProblemError"))
 
+# the identities of `check` (identities.IDENTITIES) and their tolerances
 _CHECK_TOLS = {"ode": 1e-10, "shift": 1e-10, "cd": 1e-10,
                "quadratic": 1e-11, "orthogonality": 1e-10, "limit": 0.0}
 
@@ -96,6 +97,15 @@ def _emit_json(args, doc: dict) -> None:
     _emit(args, json.dumps(doc, indent=2) + "\n")
 
 
+def _emit_csv(args, header: list, rows) -> None:
+    """A header line, then one line of reprs of doubles per row."""
+    buf = _stdio.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([repr(float(v)) for v in row] for row in rows)
+    _emit(args, buf.getvalue())
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -118,21 +128,9 @@ def _cmd_tabulate(args) -> int:
         _emit_json(args, {"schema": OPIO.SCHEMA_VERSION, "columns": header,
                           "rows": [[float(v) for v in row] for row in rows],
                           "tolerance": args.tol})
-        return 0
-    buf = _stdio.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(float(v)) for v in row])
-    _emit(args, buf.getvalue())
+    else:
+        _emit_csv(args, header, rows)
     return 0
-
-
-def _bundle(spec, normalized=False):
-    if spec.discrete:
-        raise ConfigError(f"{spec.family} is not supported by this "
-                          "subcommand; use a continuous family")
-    return F.family_bundle(spec, normalized)
 
 
 def _cmd_quadrature(args) -> int:
@@ -140,7 +138,10 @@ def _cmd_quadrature(args) -> int:
     from . import kernels as K
 
     spec = _family_spec(args)
-    b = _bundle(spec)
+    if spec.discrete:
+        raise ConfigError(f"{spec.family} is not supported by this "
+                          "subcommand; use a continuous family")
+    b = F.family_bundle(spec)
     norms = R.norms_from_recurrence(b.system, b.h0, 1.0, args.n + 1)
     try:
         rule = K.gauss_rule(b.system, norms, b.measure, args.n, args.tol)
@@ -149,12 +150,7 @@ def _cmd_quadrature(args) -> int:
                                f"{exc}") from exc
     doc = OPIO.dump_rule(rule, args.tol)
     if args.format == "csv":
-        buf = _stdio.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["node", "weight"])
-        for x, w in zip(rule.nodes, rule.weights):
-            writer.writerow([repr(float(x)), repr(float(w))])
-        _emit(args, buf.getvalue())
+        _emit_csv(args, ["node", "weight"], zip(rule.nodes, rule.weights))
     else:
         _emit_json(args, doc)
     return 0
@@ -237,106 +233,14 @@ def _cmd_recurrence(args) -> int:
     return 0
 
 
-def _check_battery(spec, identity: str, n: int, tol: float):
-    """Run one identity over degrees <= n; return (max residual, details)."""
-    if spec.discrete:
-        raise ConfigError("check supports the continuous families")
-    kind, alpha, _, _ = F.classical(spec)
-    xs = np.linspace(*{F.LAGUERRE: (0.2, 8.0), F.HERMITE: (-2.0, 2.0)}.get(
-        kind, (-0.9, 0.9)), 7)
-    # residuals by degree
-    if identity == "ode":
-        by_degree = dict(enumerate(F.ode_residual(spec, n, xs)))
-    elif identity == "shift":
-        by_degree = dict(enumerate(np.hstack(
-            [F.shift_check(spec, n, d, xs) for d in ("raise", "lower")])))
-    elif identity == "cd":
-        from . import kernels as K
-        b = _bundle(spec)
-        norms = R.norms_from_recurrence(b.system, b.h0, 1.0, n + 1)
-        rng = np.random.default_rng(20260823)
-        lo, hi = (0.2, 8.0) if kind == F.LAGUERRE else (-0.95, 0.95)
-        x, y = rng.uniform(lo, hi, (50, 2)).T
-        # 50 distinct pairs (x, y) and their 50 confluent pairs (x, x)
-        u, v = np.concatenate((x, x)), np.concatenate((y, x))
-        s = K.cd_kernel(b.system, norms, n, u, v, method="sum")
-        c = K.cd_kernel(b.system, norms, n, u, v)
-        by_degree = {n: (s - c) / np.maximum(np.abs(s), 1.0)}
-    elif identity == "quadratic":
-        if kind != F.JACOBI:
-            raise ConfigError("quadratic transformation applies to the "
-                              "Jacobi-type families")
-        by_degree = dict(enumerate(np.hstack(
-            F.quadratic_transform_residuals(n, alpha, xs))))
-    elif identity == "orthogonality":
-        # the Gram matrix of the orthonormal chain on a Gauss rule of n + 2
-        # points, which integrates every product of degrees <= n exactly;
-        # its residuals are the rule's own rounding, 1e-15 to 1e-14 at n = 10
-        b = _bundle(spec)
-        nodes, weights = _independent_rule(spec, n + 2)
-        with np.errstate(over="ignore", invalid="ignore"):
-            p = np.array(R.eval_all(_orthonormal_from(b.system, b.h0), n,
-                                    nodes))
-            gram = (p * weights) @ p.T
-        by_degree = {j: gram[j, :j] for j in range(n + 1)}
-    elif identity == "limit":
-        # every Jacobi-type family is a source of relation 26
-        which = {F.LAGUERRE: 28, F.HERMITE: None}.get(kind, 26)
-        if which is None:
-            raise ConfigError(
-                f"{spec.family} is a limit target, not a source; use "
-                "jacobi or laguerre")
-        errors = [F.limit_check(which, n, param, 0.5)
-                  for param in (1e2, 2e2, 4e2, 8e2)]
-        # exact agreement (error 0, as at n <= 1) counts as converging
-        monotone = all(e1 < e0 or e1 == 0
-                       for e0, e1 in zip(errors, errors[1:]))
-        return (0.0 if monotone else 1.0), {"errors": errors,
-                                            "monotone": monotone}
-    else:
-        raise ConfigError(f"unknown identity {identity!r}")
-    worst = 0.0
-    for k, res in by_degree.items():
-        res = np.abs(np.asarray(res, dtype=float))
-        if not np.all(np.isfinite(res)):
-            raise NumericalFailure(
-                f"{identity} residual at degree {k} is not finite: the "
-                "values leave the double range")
-        worst = max(worst, float(res.max(initial=0.0)))
-    return worst, {}
-
-
-def _independent_rule(spec, size: int):
-    """Nodes and weights of the size-point Gauss rule of the family's weight,
-    from scipy.special, which does not use the recurrence under check."""
-    from scipy import special
-
-    kind, a, b, _ = F.classical(spec)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if kind == F.LAGUERRE:
-            nodes, weights = special.roots_genlaguerre(size, a)
-        elif kind == F.HERMITE:
-            nodes, weights = special.roots_hermite(size)
-        else:
-            nodes, weights = special.roots_jacobi(size, a, b)
-    # a weight that underflowed drops its node's products from the Gram
-    # matrix, which then reads as a violated identity
-    if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))
-            and np.all(weights > 0)):
-        raise NumericalFailure(
-            f"orthogonality to degree {size - 2}: the {size}-point Gauss "
-            "rule has weights that underflow or are not finite")
-    return nodes, weights
-
-
 def _cmd_check(args) -> int:
+    from . import identities
     from . import io as OPIO
 
     spec = _family_spec(args)
     tol = args.tol if args.tol_given else _CHECK_TOLS[args.identity]
-    worst, details = _check_battery(spec, args.identity, args.n, tol)
-    passed = worst <= tol if args.identity != "limit" \
-        else details.get("monotone", False)
+    worst, details = identities.check_battery(spec, args.identity, args.n)
+    passed = details.get("monotone", worst <= tol)
     doc = {"schema": OPIO.SCHEMA_VERSION, "family": args.family,
            "identity": args.identity, "n": args.n,
            "residual": float(worst), "tolerance": tol,
@@ -462,9 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check", help="verify an identity")
     _add_family_args(sp, required=True)
-    sp.add_argument("--identity", required=True,
-                    choices=("ode", "shift", "cd", "quadratic",
-                             "orthogonality", "limit"))
+    sp.add_argument("--identity", required=True, choices=_CHECK_TOLS)
     sp.add_argument("--n", type=_degree(0), required=True)
     sp.set_defaults(func=_cmd_check)
 

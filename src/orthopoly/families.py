@@ -1,10 +1,10 @@
 """The family registry, and the Jacobi, Laguerre and Hermite families with
 their special cases.
 
-Series evaluation, differential equations, shift operators, quadratic
-transformations, even-weight splitting, limit relations and the
-electrostatic zero characterization.  A terminating series at double
-arguments is an exact rational: it is summed in integers and rounded once.
+Series evaluation, even-weight splitting and the electrostatic zero
+characterization; the identities that `check` verifies are in identities.py.
+A terminating series at double arguments is an exact rational: it is summed
+in integers and rounded once.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import Measure, continuous_measure
-from .recurrence import (RecurrenceError, RecurrenceSystem, eval_all,
-                         eval_all_derivatives, eval_poly, favard_products)
+from .recurrence import RecurrenceError, RecurrenceSystem, favard_products
 
 class FamilyError(ValueError):
     """Invalid family parameters."""
@@ -203,8 +202,10 @@ class FamilySpec:
 def family_spec(name: str, params: dict) -> FamilySpec:
     """Build a spec from a flat parameter dict; extra keys are ignored and a
     missing parameter raises KeyError with its name."""
+    # a non-integral N stays a float, which _validate refuses
     return FamilySpec(name, {k: int(params[k])
                              if k == "N" and math.isfinite(params[k])
+                             and params[k] == int(params[k])
                              else float(params[k])
                              for k in PARAMETERS.get(name, ())})
 
@@ -371,143 +372,7 @@ def classical(spec: FamilySpec):
 
 
 # ---------------------------------------------------------------------------
-# differential equations and shift operators on the monic chain
-
-def pearson_pair(spec: FamilySpec):
-    """(sigma, tau, shifted) with (sigma w)' = tau w for the weight w.
-
-    sigma = s0 + s1 x + s2 x^2 and tau = t0 + t1 x are ascending coefficient
-    tuples; `shifted` is the family with weight sigma w, whose monic members
-    are the derivatives of the monic p_n divided by n.
-    """
-    kind, a, b, _ = classical(spec)
-    if kind == LAGUERRE:
-        return (0.0, 1.0, 0.0), (a + 1, -1.0), laguerre(a + 1)
-    if kind == HERMITE:
-        return (1.0, 0.0, 0.0), (0.0, -2.0), spec
-    return (1.0, 0.0, -1.0), (b - a, -(a + b + 2)), jacobi(a + 1, b + 1)
-
-
-def _scaled(*terms) -> np.ndarray:
-    """Sum of the terms over the largest of them, 0 where all vanish."""
-    terms = np.array(terms)
-    scale = np.max(np.abs(terms), axis=0)
-    return np.where(scale == 0, 0.0, np.sum(terms, axis=0) / scale)
-
-
-def _pearson_chains(spec: FamilySpec, n: int, x):
-    """Monic p_k, k <= n, and q_k, k < n, of the shifted family, with their
-    derivatives, plus sigma(x), tau(x) and mu_k = tau' + (k - 1) sigma''/2."""
-    (s0, s1, s2), (t0, t1), shifted = pearson_pair(spec)
-    x = np.asarray(x, dtype=float)
-    p = np.array(eval_all_derivatives(family_monic_system(spec), n, x))
-    q = np.array(eval_all_derivatives(family_monic_system(shifted),
-                                      max(n - 1, 0), x))[:, :n]
-    k = np.arange(n + 1).reshape((-1,) + (1,) * x.ndim)
-    return p, q, s0 + (s1 + s2 * x) * x, t0 + t1 * x, t1 + (k - 1) * s2, k
-
-
-def ode_residual(spec: FamilySpec, n: int, x) -> np.ndarray:
-    """Scaled residuals of sigma p'' + tau p' - k mu_k p = 0 for the monic
-    p_k, k = 0..n, at the points x (rows are degrees)."""
-    with np.errstate(all="ignore"):
-        (p, dp, ddp), _, sigma, tau, mu, k = _pearson_chains(spec, n, x)
-        return _scaled(sigma * ddp, tau * dp, -k * mu * p)
-
-
-def shift_check(spec: FamilySpec, n: int, direction: str, x) -> np.ndarray:
-    """Scaled residuals of a shift relation for the monic p_k, k = 0..n, at
-    the points x (rows are degrees; row 0 is 0).
-
-    direction "raise": p_k' = k q_{k-1}, the derivative lowers the degree and
-    moves to the shifted family; "lower": sigma q_{k-1}' + tau q_{k-1}
-    = mu_k p_k, the weighted derivative back to the family.
-    """
-    if direction not in ("raise", "lower"):
-        raise FamilyError(f"unknown direction {direction!r}")
-    with np.errstate(all="ignore"):
-        (p, dp, _), (q, dq, _), sigma, tau, mu, k = _pearson_chains(spec, n, x)
-        if direction == "raise":
-            out = _scaled(dp[1:], -k[1:] * q)
-        else:
-            out = _scaled(sigma * dq, tau * q, -mu[1:] * p[1:])
-    return np.concatenate([np.zeros_like(p[:1]), out])
-
-
-# ---------------------------------------------------------------------------
-# quadratic transformations and even-weight splitting
-
-def _jacobi_ratio_system(alpha: float, beta: float) -> RecurrenceSystem:
-    """The recurrence of r_m = p_m(x)/p_m(1) = P_m^{(alpha,beta)}(x) /
-    P_m^{(alpha,beta)}(1) for the monic Jacobi p_m.
-
-    With rho_m = p_{m+1}(1)/p_m(1), its rows are (rho_m, b_m, c_m/rho_{m-1}),
-    so p_m(1) itself, about 2^-m and below the normal range from m ~ 1030,
-    is never formed.  rho_m is taken in closed form: its own recurrence
-    rho_m = 1 - b_m - c_m/rho_{m-1} follows the subdominant solution at
-    x = 1 when alpha < 0 and loses digits (for alpha = -0.9 the residuals
-    to degree 21 came out 3e-12 to 9e-12 that way, 1.8e-14 this way).
-    """
-    def rows(j: np.ndarray) -> tuple:
-        m = np.arange(j[0] - 1, j[-1] + 1)  # rho_{j-1} divides c_j
-        s = 2 * m + alpha + beta
-        # p_m(1) = 2^m (alpha + 1)_m / (m + alpha + beta + 1)_m; at m = 0
-        # the factor s + 1 cancels, and it is 0 when alpha + beta = -1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rho = (2 * (m + alpha + 1) * (m + alpha + beta + 1)
-                   / ((s + 1) * (s + 2)))
-        rho[m == 0] = 1 - (beta - alpha) / (alpha + beta + 2)
-        rho[m == -1] = 1.0  # divides c_0 = 0: any finite nonzero value
-        b, c = _jacobi_monic_rows(j, alpha, beta)
-        return rho[1:], b, c / rho[:-1]
-
-    return RecurrenceSystem(rows_fn=rows, form="general", p0=1.0)
-
-
-def quadratic_transform_residuals(n: int, alpha: float,
-                                  xs) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals of the even and odd quadratic transformations
-    P_2k^{(a,a)}(x) ~ P_k^{(a,-1/2)}(2x^2 - 1) and
-    P_2k+1^{(a,a)}(x) ~ x P_k^{(a,1/2)}(2x^2 - 1), each side normalised by
-    its value at 1, for k = 0..n (rows) at the points xs (columns).
-
-    Each of the three chains is one eval_all pass of a ratio system;
-    quadratic_transform_check is the series form of the same residuals at
-    one degree and point.  For alpha < -1/2 the normalised values grow like
-    k^(-1/2 - alpha), and a residual is taken relative to the largest value
-    of its degree where that exceeds 1.
-    """
-    def residual(lhs, rhs):
-        scale = np.maximum(abs(lhs), abs(rhs)).max(axis=1, keepdims=True)
-        return (lhs - rhs) / np.maximum(1.0, scale)
-
-    def chain(m_max, beta, at):
-        return np.array(eval_all(_jacobi_ratio_system(alpha, beta), m_max, at))
-
-    x = np.asarray(xs, dtype=float)
-    y = 2 * x * x - 1
-    sym = chain(2 * n + 1, alpha, x)
-    return (residual(sym[0::2], chain(n, -0.5, y)),
-            residual(sym[1::2], x * chain(n, 0.5, y)))
-
-
-def quadratic_transform_check(n: int, alpha: float,
-                              x: float) -> tuple[float, float]:
-    """Residuals of the even/odd quadratic transformation identities at one
-    degree and point, from the hypergeometric series: the test oracle of
-    quadratic_transform_residuals."""
-    y = 2 * x * x - 1
-
-    def norm1(m, a, b):
-        return pochhammer(a + 1, m) / math.factorial(m)
-
-    even = (jacobi_eval(2 * n, alpha, alpha, x) / norm1(2 * n, alpha, alpha)
-            - jacobi_eval(n, alpha, -0.5, y) / norm1(n, alpha, -0.5))
-    odd = (jacobi_eval(2 * n + 1, alpha, alpha, x)
-           / norm1(2 * n + 1, alpha, alpha)
-           - x * jacobi_eval(n, alpha, 0.5, y) / norm1(n, alpha, 0.5))
-    return even, odd
-
+# even-weight splitting
 
 def split_even_system(sys: RecurrenceSystem,
                       n_max: int) -> tuple[RecurrenceSystem, RecurrenceSystem]:
@@ -710,37 +575,6 @@ def family_bundle(spec: FamilySpec, normalized: bool = False) -> FamilyBundle:
                         system=family_system(spec),
                         measure=family_measure(spec, normalized),
                         h0=family_mu0(spec, normalized))
-
-
-# ---------------------------------------------------------------------------
-# limit relations
-
-@_in_double_range
-def limit_check(which: int, n: int, parameter: float, x: float,
-                alpha: float = 0.0) -> float:
-    """Error of one of the three classical limit relations at x.
-
-    which=26: Jacobi(a,a) -> Hermite; which=27: Jacobi(alpha,b) -> Laguerre
-    (parameter is b); which=28: Laguerre(a) -> Hermite.  Monic variants.
-    """
-    herm = hermite_monic_system()
-    if which == 26:
-        a = parameter
-        lhs = a ** (n / 2.0) * eval_poly(jacobi_monic_system(a, a), n,
-                                         x / math.sqrt(a))
-        return abs(lhs - eval_poly(herm, n, x))
-    if which == 27:
-        b = parameter
-        lhs = (-b / 2.0) ** n * eval_poly(jacobi_monic_system(alpha, b), n,
-                                          1 - 2 * x / b)
-        return abs(lhs - eval_poly(laguerre_monic_system(alpha), n, x))
-    if which == 28:
-        a = parameter
-        lhs = ((2 * a) ** (-n / 2.0)
-               * eval_poly(laguerre_monic_system(a), n,
-                           math.sqrt(2 * a) * x + a))
-        return abs(lhs - eval_poly(herm, n, x))
-    raise FamilyError(f"unknown limit relation {which}")
 
 
 # ---------------------------------------------------------------------------

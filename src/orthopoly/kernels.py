@@ -18,10 +18,16 @@ from .recurrence import (NormData, RecurrenceError, RecurrenceSystem,
 _CONFLUENT_SWITCH = 1e-6
 
 # Eigenproblems of order k up to this one go to numpy's LAPACK on the dense
-# matrix, which costs at most ~0.05 ms more than scipy's tridiagonal drivers
-# there and spares a cold process the ~250 ms import of scipy.linalg; its
-# O(k^3) reduction dominates beyond (0.62 vs 0.33 ms at k = 128)
-_DENSE_MAX_ORDER = 48
+# matrix, which spares a cold process the ~200 ms import of scipy.linalg but
+# is slower at every order, and its O(k^3) reduction grows fast beyond; ms
+# per warm call for dsterf (dpteqr), median of 21, one core of a Xeon VM:
+#   k       48           64           96           128          200
+#   dense   0.16 (0.16)  0.25 (0.24)  0.55 (0.49)  1.0 (0.81)   2.6 (4.1)
+#   scipy   0.08 (0.09)  0.14 (0.15)  0.28 (0.32)  0.48 (0.54)  1.1 (1.3)
+_DENSE_MAX_ORDER = 96
+# extreme_zeros solves n_max problems, not one, so its dense chains stop
+# earlier: at n_max = 100, 17 ms dense against 6.7 ms of dstebz bisection
+_CHAIN_DENSE_MAX_ORDER = 48
 
 
 class KernelError(ValueError):
@@ -152,7 +158,7 @@ def zeros(sys: RecurrenceSystem, norms: NormData | None, n: int) -> np.ndarray:
     (n // 2)-square matrix C^T C described below, found to high relative
     accuracy by LAPACK's dqds as in dpteqr and mirrored exactly (Legendre
     n = 1000: normwise error 6e-16).  Other matrices take LAPACK dsterf.
-    Problems of order up to `_DENSE_MAX_ORDER` (n, or n // 2 for the
+    Problems of order up to `_DENSE_MAX_ORDER` = 96 (n, or n // 2 for the
     half-size one) run these steps through numpy's LAPACK, without
     importing scipy, and give the same bits as scipy's dpteqr and dsterf.
     """
@@ -163,13 +169,14 @@ def zeros(sys: RecurrenceSystem, norms: NormData | None, n: int) -> np.ndarray:
 
 def extreme_zeros(sys: RecurrenceSystem, n_max: int) -> tuple:
     """Smallest and largest zeros of p_1..p_{n_max} from the leading blocks of
-    one Jacobi matrix: the ends of `_eigenvalues` to its dense order (see
-    `zeros`), Sturm bisection (LAPACK dstebz, abstol 2 tiny) beyond."""
+    one Jacobi matrix: the ends of `zeros` while n_max (n_max // 2 when b =
+    0) is at most `_CHAIN_DENSE_MAX_ORDER` = 48, Sturm bisection (LAPACK
+    dstebz, abstol 2 tiny) beyond."""
     if n_max < 1:
         raise KernelError("need n >= 1")
     diag, off = jacobi_matrix(sys, n_max)
     mirrored = not diag.any()
-    if (n_max // 2 if mirrored else n_max) <= _DENSE_MAX_ORDER:
+    if (n_max // 2 if mirrored else n_max) <= _CHAIN_DENSE_MAX_ORDER:
         return tuple(np.array([_eigenvalues(diag[:k], off[:k - 1])[[0, -1]]
                                for k in range(1, n_max + 1)]).T)
     from scipy.linalg import lapack
@@ -269,8 +276,8 @@ def _dense_solve(solver, diag: np.ndarray, lower, upper, **kwargs):
 def _eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the Jacobi matrix (diag, off); from the
     half-size problem, mirrored exactly, when diag is 0.  Otherwise LAPACK
-    dsterf: through numpy's dsyevd up to order `_DENSE_MAX_ORDER`, directly
-    (scipy) beyond, with the same result."""
+    dsterf: through numpy's dsyevd up to order `_DENSE_MAX_ORDER` = 96,
+    directly (scipy) beyond, with the same result."""
     if not diag.any():
         half = np.sqrt(_half_eigvals(*_half_jacobi(off)))
         return np.concatenate((-half[::-1], [0.0][:len(diag) % 2], half))
@@ -331,9 +338,9 @@ def _half_eigvals(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Eigenvalues of the positive definite tridiagonal (d, e) in ascending
     order, to high relative accuracy: the squared singular values, by dqds
     (LAPACK dlasq1), of its bidiagonal Cholesky factor.  Up to order
-    `_DENSE_MAX_ORDER` the factor is formed here as LAPACK dpttrf and dpteqr
-    form it, and numpy's dgesdd takes it to the same dlasq1 call; beyond,
-    scipy's dpteqr does all of it."""
+    `_DENSE_MAX_ORDER` = 96 the factor is formed here as LAPACK dpttrf and
+    dpteqr form it, and numpy's dgesdd takes it to the same dlasq1 call;
+    beyond, scipy's dpteqr does all of it."""
     if len(d) < 2:   # the dpteqr wrapper rejects a 1 x 1 matrix
         return d.copy()
     if len(d) <= _DENSE_MAX_ORDER:

@@ -13,6 +13,7 @@ from scipy import integrate as sp_integrate
 from conftest import record_criterion
 from orthopoly import discrete as D
 from orthopoly import families as F
+from orthopoly import identities as I
 from orthopoly import kernels as K
 from orthopoly import measures as M
 from orthopoly import momentprob as MP
@@ -262,7 +263,7 @@ def test_criterion_10_limit_relations():
         schedule = (1e2, 2e2, 4e2, 8e2)
         for which in (26, 27, 28):
             for n in range(5):
-                errs = [F.limit_check(which, n, s, 0.5, alpha=0.5)
+                errs = [I.limit_check(which, n, s, 0.5, alpha=0.5)
                         for s in schedule]
                 assert _monotone(errs), (which, n, errs)
         for n in range(5):

@@ -13,6 +13,7 @@ from conftest import monic_row_error
 import orthopoly
 from orthopoly import discrete as D
 from orthopoly import families as F
+from orthopoly import identities as I
 from orthopoly import io as opio
 from orthopoly.cli import main
 from orthopoly.recurrence import RecurrenceSystem
@@ -430,14 +431,14 @@ def test_check_shift_at_degree_200(capsys):
 
 
 def test_check_non_finite_residual_exits_1(capsys, monkeypatch):
-    real = F.quadratic_transform_residuals
+    real = I.quadratic_transform_residuals
 
     def one_nan(n, alpha, xs):
         even, odd = real(n, alpha, xs)
         even[2, np.abs(xs) < 0.1] = math.nan
         return even, odd
 
-    monkeypatch.setattr(F, "quadratic_transform_residuals", one_nan)
+    monkeypatch.setattr(I, "quadratic_transform_residuals", one_nan)
     code, out, err = run(capsys, "check", "--family", "legendre",
                          "--identity", "quadratic", "--n", "3")
     assert code == 1
@@ -448,13 +449,13 @@ def test_check_non_finite_residual_exits_1(capsys, monkeypatch):
 def test_check_quadratic_takes_alpha_from_jacobi_reduction(capsys,
                                                           monkeypatch):
     seen = []
-    real = F.quadratic_transform_residuals
+    real = I.quadratic_transform_residuals
 
     def spy(n, alpha, xs):
         seen.append(alpha)
         return real(n, alpha, xs)
 
-    monkeypatch.setattr(F, "quadratic_transform_residuals", spy)
+    monkeypatch.setattr(I, "quadratic_transform_residuals", spy)
     for args, alpha in ((("--family", "gegenbauer", "--lam", "1.5"), 1.0),
                         (("--family", "chebyshev_t"), -0.5),
                         (("--family", "chebyshev_u"), 0.5)):
@@ -708,6 +709,24 @@ def test_bad_family_params_in_a_document_exit_2(argv, doc, tmp_path, capsys):
     assert "invalid configuration" in err and "alpha > -1" in err
 
 
+@pytest.mark.parametrize("N", (5.5, 6.0))
+def test_lattice_size_in_a_document_must_be_an_integer(N, tmp_path, capsys):
+    # a non-integral N is refused, not truncated to the lattice 0..5
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"schema": 1, "family": "krawtchouk",
+                                "parameters": {"p": 0.3, "N": N}}))
+    code, out, err = run(capsys, "zeros", "--recurrence", str(path),
+                         "--n", "6")
+    if N == 5.5:
+        assert (code, out) == (2, "")
+        assert err == (f"orthopoly: invalid configuration: --recurrence "
+                       f"{path}: krawtchouk requires integer N >= 1\n")
+    else:
+        assert code == 0, err
+        assert out == run(capsys, "zeros", "--family", "krawtchouk", "--p",
+                          "0.3", "--N", "6", "--n", "6")[1]
+
+
 def test_bad_env_tol_exit_2(capsys, monkeypatch):
     monkeypatch.setenv("ORTHOPOLY_TOL", "banana")
     code, _, err = run(capsys, "zeros", "--family", "legendre", "--n", "2")
@@ -847,7 +866,7 @@ def test_cli_imports_scipy_and_mpmath_on_first_use(tmp_path):
     # the quadratic check runs on the monic recurrence, and the lattice
     # series are summed in integers
     assert mods["lean"] == []
-    # eigenproblems of order <= 48 are solved by numpy's LAPACK, and the
+    # eigenproblems of order <= 96 are solved by numpy's LAPACK, and the
     # --measure commands integrate on the package's own Gauss rules
     assert mods["quadrature"] == []
     assert mods["measure"] == []

@@ -2,8 +2,9 @@
 discrete.py: the other layers ask it for a classical type
 (families.classical) or a system, and never dispatch on a family's name.
 A cold command line run loads only what its subcommand uses: cli.py imports
-the kernels, moment diagnostics, lattice families and documents inside the
-subcommands, and io.py needs the kernels for an annotation only.  The series
+the kernels, moment diagnostics, lattice families, documents and identity
+checks inside the subcommands, no other module imports the identity checks,
+and io.py needs the kernels for an annotation only.  The series
 sums of families.py and discrete.py run in exact integer arithmetic and
 import no mpmath."""
 
@@ -15,8 +16,8 @@ import pytest
 import orthopoly
 from orthopoly import families as F
 
-NAME_FREE = ("cli.py", "io.py", "kernels.py", "measures.py", "momentprob.py",
-             "recurrence.py")
+NAME_FREE = ("cli.py", "identities.py", "io.py", "kernels.py", "measures.py",
+             "momentprob.py", "recurrence.py")
 
 
 def family_name_uses(source: str) -> list[int]:
@@ -112,22 +113,42 @@ def test_import_guard_skips_functions_and_type_checking_blocks():
 
 
 def imported_modules(source: str) -> set[str]:
-    """Every module a source imports, also inside functions."""
+    """Every module a source imports, also inside functions; a relative
+    import of the package's own module m as orthopoly.m."""
     names = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names.update(a.name for a in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module:
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            names.update(f"orthopoly.{node.module or a.name}"
+                         for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
             names.add(node.module)
     return names
 
 
-@pytest.mark.parametrize("module", ("families.py", "discrete.py"))
+@pytest.mark.parametrize("module", ("families.py", "discrete.py",
+                                    "identities.py"))
 def test_series_modules_do_not_import_mpmath(module):
     assert not any(name.split(".")[0] == "mpmath"
                    for name in imported_modules(_source(module)))
 
 
 def test_mpmath_guard_sees_imports_inside_functions():
-    source = "def f():\n    import mpmath.libmp\n    from mpmath import mpf\n"
-    assert imported_modules(source) == {"mpmath.libmp", "mpmath"}
+    source = ("def f():\n    import mpmath.libmp\n    from mpmath import mpf\n"
+              "    from . import identities\n    from .io import dump_rule\n")
+    assert imported_modules(source) == {"mpmath.libmp", "mpmath",
+                                        "orthopoly.identities", "orthopoly.io"}
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in Path(orthopoly.__file__).parent.glob("*.py")
+    if p.name not in ("cli.py", "identities.py")))
+def test_only_check_loads_the_identity_checks(module):
+    assert "orthopoly.identities" not in imported_modules(_source(module))
+
+
+def test_check_offers_the_identities_of_the_battery():
+    from orthopoly import cli, identities
+
+    assert list(cli._CHECK_TOLS) == list(identities.IDENTITIES)

@@ -11,6 +11,7 @@ from numpy.polynomial import polynomial as npoly
 
 from orthopoly import discrete as D
 from orthopoly import families as F
+from orthopoly import identities as I
 from orthopoly import measures as M
 from orthopoly import recurrence as R
 
@@ -235,41 +236,41 @@ def test_degree_171_raises_family_error():
 # differential equations, shifts, Rodrigues
 
 def test_ode_residuals():
-    assert F.ode_residual(F.jacobi(0.5, 1.5), 4, 0.3)[4] == pytest.approx(
+    assert I.ode_residual(F.jacobi(0.5, 1.5), 4, 0.3)[4] == pytest.approx(
         0.0, abs=1e-12)
-    assert F.ode_residual(F.hermite(), 3, -0.8)[3] == pytest.approx(
+    assert I.ode_residual(F.hermite(), 3, -0.8)[3] == pytest.approx(
         0.0, abs=1e-12)
-    assert F.ode_residual(F.laguerre(0.5), 6, 2.5)[6] == pytest.approx(
+    assert I.ode_residual(F.laguerre(0.5), 6, 2.5)[6] == pytest.approx(
         0.0, abs=1e-12)
-    assert F.ode_residual(F.gegenbauer(1.25), 5, 0.4)[5] == pytest.approx(
+    assert I.ode_residual(F.gegenbauer(1.25), 5, 0.4)[5] == pytest.approx(
         0.0, abs=1e-12)
-    assert F.ode_residual(F.legendre(), 0, 0.9)[0] == 0.0
+    assert I.ode_residual(F.legendre(), 0, 0.9)[0] == 0.0
 
 
 def test_shift_hermite_raise():
     # H_4'(0.2) = 8 H_3(0.2)
-    assert F.shift_check(F.hermite(), 4, "raise", 0.2)[4] == pytest.approx(
+    assert I.shift_check(F.hermite(), 4, "raise", 0.2)[4] == pytest.approx(
         0.0, abs=1e-12)
 
 
 def test_shift_jacobi_both_directions():
     for d in ("raise", "lower"):
         for n in (1, 3, 7):
-            assert abs(F.shift_check(F.jacobi(0.5, 1.5), n, d, 0.3)[n]) \
+            assert abs(I.shift_check(F.jacobi(0.5, 1.5), n, d, 0.3)[n]) \
                 < 1e-12
 
 
 def test_shift_laguerre_lower():
-    assert abs(F.shift_check(F.laguerre(0.5), 4, "lower", 1.7)[4]) < 1e-12
+    assert abs(I.shift_check(F.laguerre(0.5), 4, "lower", 1.7)[4]) < 1e-12
 
 
 def test_shift_degree_zero():
-    assert F.shift_check(F.hermite(), 0, "raise", 0.4)[0] == 0.0
+    assert I.shift_check(F.hermite(), 0, "raise", 0.4)[0] == 0.0
 
 
 def test_shift_unknown_direction():
     with pytest.raises(F.FamilyError):
-        F.shift_check(F.hermite(), 1, "sideways", 0.0)
+        I.shift_check(F.hermite(), 1, "sideways", 0.0)
 
 
 def rodrigues_eval(spec, n: int, x: float) -> float:
@@ -293,7 +294,7 @@ def rodrigues_eval(spec, n: int, x: float) -> float:
         raise F.FamilyError("Rodrigues formula implemented for jacobi, "
                           f"laguerre, hermite; got {spec.family!r}")
     sigma, tau = (np.array([Fraction(v) for v in poly], dtype=object)
-                  for poly in F.pearson_pair(spec)[:2])
+                  for poly in I.pearson_pair(spec)[:2])
     dsigma = npoly.polyder(sigma)
     r = np.array([Fraction(1)], dtype=object)
     for k in range(n):
@@ -416,20 +417,37 @@ def test_monic_value_at_one():
 # ---------------------------------------------------------------------------
 # quadratic transformation and even-weight splitting
 
+def quadratic_transform_check(n: int, alpha: float,
+                              x: float) -> tuple[float, float]:
+    """Residuals of the even/odd quadratic transformation identities at one
+    degree and point, from the hypergeometric series: the test oracle of
+    identities.quadratic_transform_residuals."""
+    y = 2 * x * x - 1
+
+    def norm1(m):   # P_m^{(alpha, beta)}(1), for every beta
+        return F.pochhammer(alpha + 1, m) / math.factorial(m)
+
+    even = (F.jacobi_eval(2 * n, alpha, alpha, x) / norm1(2 * n)
+            - F.jacobi_eval(n, alpha, -0.5, y) / norm1(n))
+    odd = (F.jacobi_eval(2 * n + 1, alpha, alpha, x) / norm1(2 * n + 1)
+           - x * F.jacobi_eval(n, alpha, 0.5, y) / norm1(n))
+    return even, odd
+
+
 def test_quadratic_transform_example():
-    even, odd = F.quadratic_transform_check(1, 0.0, 0.6)
+    even, odd = quadratic_transform_check(1, 0.0, 0.6)
     assert abs(even) < 1e-12 and abs(odd) < 1e-12
 
 
 def test_quadratic_transform_at_one():
-    even, odd = F.quadratic_transform_check(3, 0.7, 1.0)
+    even, odd = quadratic_transform_check(3, 0.7, 1.0)
     assert abs(even) < 1e-12 and abs(odd) < 1e-12
 
 
 def test_quadratic_transform_sweep():
     for n in range(5):
         for x in (-1.0, -0.3, 0.2, 0.9):
-            even, odd = F.quadratic_transform_check(n, 0.5, x)
+            even, odd = quadratic_transform_check(n, 0.5, x)
             assert abs(even) < 1e-11 and abs(odd) < 1e-11
 
 
@@ -439,11 +457,11 @@ _CLI_POINTS = np.linspace(-0.9, 0.9, 7)
 # alpha of Legendre, Jacobi(0.5, 1.5), Gegenbauer(1.5), Chebyshev T and U
 @pytest.mark.parametrize("alpha", (0.0, 0.5, 1.0, -0.5))
 def test_quadratic_transform_residuals_match_the_series(alpha):
-    even, odd = F.quadratic_transform_residuals(10, alpha, _CLI_POINTS)
+    even, odd = I.quadratic_transform_residuals(10, alpha, _CLI_POINTS)
     assert even.shape == odd.shape == (11, 7)
     for k in range(11):
         for i, x in enumerate(_CLI_POINTS):
-            e, o = F.quadratic_transform_check(k, alpha, float(x))
+            e, o = quadratic_transform_check(k, alpha, float(x))
             assert abs(even[k, i] - e) <= 1e-12
             assert abs(odd[k, i] - o) <= 1e-12
 
@@ -452,7 +470,7 @@ def test_quadratic_transform_residuals_reach_degree_1000():
     # the monic p_m(1) leaves the normal range from m ~ 1030, which degree
     # 2n + 1 reaches at n ~ 515; the chain carries p_m(x)/p_m(1) instead
     for alpha in (0.0, -0.5, 1.0):
-        even, odd = F.quadratic_transform_residuals(1000, alpha, _CLI_POINTS)
+        even, odd = I.quadratic_transform_residuals(1000, alpha, _CLI_POINTS)
         assert np.all(np.isfinite(even)) and np.all(np.isfinite(odd))
         assert max(np.abs(even).max(), np.abs(odd).max()) <= 1e-12
 
@@ -460,7 +478,7 @@ def test_quadratic_transform_residuals_reach_degree_1000():
 def test_quadratic_transform_residuals_below_minus_one_half():
     # the normalised values grow like k^(-1/2 - alpha) here; rho_m by its
     # own recurrence instead of the closed form left residuals of 3e-12
-    even, odd = F.quadratic_transform_residuals(21, -0.9, _CLI_POINTS)
+    even, odd = I.quadratic_transform_residuals(21, -0.9, _CLI_POINTS)
     assert max(np.abs(even).max(), np.abs(odd).max()) <= 1e-13
 
 
@@ -546,21 +564,21 @@ def test_family_mu0_closed_forms():
 
 def test_limit_26_example():
     # alpha = 1e4, n = 2: error below 1e-3
-    assert F.limit_check(26, 2, 1e4, 0.5) < 1e-3
+    assert I.limit_check(26, 2, 1e4, 0.5) < 1e-3
 
 
 def test_limit_27_example():
-    assert F.limit_check(27, 1, 1e6, 1.0, alpha=0.0) < 1e-5
+    assert I.limit_check(27, 1, 1e6, 1.0, alpha=0.0) < 1e-5
 
 
 def test_limit_degree_zero_exact():
     for which in (26, 27, 28):
-        assert F.limit_check(which, 0, 100.0, 0.7) == 0.0
+        assert I.limit_check(which, 0, 100.0, 0.7) == 0.0
 
 
 def test_limit_unknown_relation():
     with pytest.raises(F.FamilyError):
-        F.limit_check(25, 1, 10.0, 0.0)
+        I.limit_check(25, 1, 10.0, 0.0)
 
 
 def test_electrostatic_gradient_legendre():

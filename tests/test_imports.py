@@ -81,13 +81,13 @@ def test_import_loads_no_submodule_and_no_numpy():
     (("recurrence", "--family", "jacobi", "--alpha", "0.5", "--beta", "1.5",
       "--n-max", "5"), {"io"}),
     (("check", "--family", "hermite", "--identity", "ode", "--n", "10"),
-     {"io"}),
+     {"identities", "io"}),
     (("check", "--family", "laguerre", "--alpha", "0.5", "--identity",
-      "shift", "--n", "10"), {"io"}),
+      "shift", "--n", "10"), {"identities", "io"}),
     (("quadrature", "--family", "legendre", "--n", "5"), {"kernels", "io"}),
     (("zeros", "--family", "hermite", "--n", "5"), {"kernels", "io"}),
     (("check", "--family", "legendre", "--identity", "cd", "--n", "10"),
-     {"kernels", "io"}),
+     {"identities", "kernels", "io"}),
     (("diagnose", "--family", "hermite", "--carleman", "--true-interval",
       "10"), {"kernels", "io", "momentprob"}),
     # the largest true-interval orders of numpy's dense route
@@ -95,9 +95,16 @@ def test_import_loads_no_submodule_and_no_numpy():
      {"kernels", "io", "momentprob"}),
     (("diagnose", "--family", "jacobi", "--alpha", "0.5", "--beta", "1.5",
       "--true-interval", "48"), {"kernels", "io", "momentprob"}),
+    # numpy's dense route up to order 96: the half-size order 75 of a
+    # symmetric 150-point rule, and the full order 96 of a non-symmetric one
+    (("quadrature", "--family", "gegenbauer", "--lam", "1.5", "--n", "150"),
+     {"kernels", "io"}),
+    (("zeros", "--family", "jacobi", "--alpha", "0.5", "--beta", "1.5",
+      "--n", "96"), {"kernels", "io"}),
 ], ids=["tabulate-csv", "tabulate-json", "tabulate-lattice", "recurrence",
         "check-ode", "check-shift", "quadrature", "zeros", "check-cd",
-        "diagnose", "diagnose-interval-97", "diagnose-interval-48"])
+        "diagnose", "diagnose-interval-97", "diagnose-interval-48",
+        "quadrature-150", "zeros-96"])
 def test_subcommand_loads_only_its_modules(argv, extra):
     got = _probe(_LOADED_PROBE, *argv)
     assert got["code"] == 0

@@ -488,7 +488,7 @@ def test_dense_eigenvalues_equal_dsterf():
     gen = np.random.default_rng(1969)
     systems = [F.family_monic_system(F.jacobi(0.5, 1.5)),
                F.family_monic_system(F.laguerre(0.5)), charlier_system(2.0)]
-    for n in range(1, 61):
+    for n in range(1, 111):
         for sys in systems:
             diag, off = K.jacobi_matrix(sys, n)
             assert np.array_equal(K.zeros(sys, None, n),
@@ -505,9 +505,9 @@ def test_dense_eigenvalues_equal_dsterf():
                               "gegenbauer(-0.4)", "chebyshev_t",
                               "chebyshev_u"])
 def test_dense_half_size_route_equals_dpteqr(spec):
-    # n // 2 crosses the limit at n = 98
+    # n // 2 crosses the limit of 96 at n = 194
     sys = F.family_monic_system(spec)
-    for n in range(1, 111):
+    for n in range(1, 201):
         diag, off = K.jacobi_matrix(sys, n)
         assert np.array_equal(K.zeros(sys, None, n),
                               scipy_eigenvalues(diag, off)), n
@@ -601,8 +601,8 @@ def test_bisection_chains_against_mp_sturm_counts(family):
     ("legendre", 97), ("hermite", 97), ("gegenbauer", 97), ("jacobi", 48),
     ("laguerre", 48), ("charlier", 48)])
 def test_dense_chains_are_the_ends_of_zeros(family, n_max):
-    # the largest orders that keep the dense numpy route: n // 2 <= 48
-    # when b = 0, n <= 48 otherwise
+    # the largest orders of the dense chains: n // 2 <= 48 when b = 0,
+    # n <= 48 otherwise
     sys = F.family_monic_system(CHAINS[family])
     lo, hi = K.extreme_zeros(sys, n_max)
     ends = np.array([K.zeros(sys, None, k)[[0, -1]]
@@ -618,7 +618,9 @@ def test_bisection_failure_raises_kernel_error(monkeypatch):
         return 0, np.zeros(len(d)), None, None, 1
 
     monkeypatch.setattr(lapack, "dstebz", failing)
-    with pytest.raises(K.KernelError, match="dstebz info 1"):
-        K.extreme_zeros(F.family_monic_system(F.jacobi(0.5, 1.5)), 49)
+    # the chains bisect from n_max = 49 on, also where zeros stays dense
+    for n_max in (49, 96):
+        with pytest.raises(K.KernelError, match="dstebz info 1"):
+            K.extreme_zeros(F.family_monic_system(F.jacobi(0.5, 1.5)), n_max)
     with pytest.raises(K.KernelError, match="need n >= 1"):
         K.extreme_zeros(F.family_monic_system(F.jacobi(0.5, 1.5)), 0)
