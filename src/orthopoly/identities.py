@@ -109,9 +109,9 @@ def quadratic_transform_residuals(n: int, alpha: float,
     its value at 1, for k = 0..n (rows) at the points xs (columns).
 
     Each of the three chains is one eval_all pass of a ratio system; the
-    tests hold the series form of the same residuals.  For alpha < -1/2 the normalised values grow like
-    k^(-1/2 - alpha), and a residual is taken relative to the largest value
-    of its degree where that exceeds 1.
+    tests hold the series form of the same residuals.  For alpha < -1/2
+    the normalised values grow like k^(-1/2 - alpha), and a residual is
+    taken relative to the largest value of its degree where that exceeds 1.
     """
     def residual(lhs, rhs):
         scale = np.maximum(abs(lhs), abs(rhs)).max(axis=1, keepdims=True)
