@@ -12,6 +12,7 @@ from . import families as F
 from . import recurrence as R
 from .cli import ConfigError, NumericalFailure, _orthonormal_from
 
+
 def pearson_pair(spec: F.FamilySpec):
     """(sigma, tau, shifted) with (sigma w)' = tau w for the weight w.
 

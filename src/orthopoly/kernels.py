@@ -18,9 +18,9 @@ from .recurrence import (NormData, RecurrenceError, RecurrenceSystem,
 _CONFLUENT_SWITCH = 1e-6
 
 # Eigenproblems of order k up to this one go to numpy's LAPACK on the dense
-# matrix, which spares a cold process the ~200 ms import of scipy.linalg but
-# is slower at every order, and its O(k^3) reduction grows fast beyond; ms
-# per warm call for dsterf (dpteqr), median of 21, one core of a Xeon VM:
+# matrix, which spares a cold process the 200-250 ms import of scipy.linalg
+# but is slower at every order, and its O(k^3) reduction grows fast beyond;
+# ms per warm call for dsterf (dpteqr), median of 21, one Xeon VM core:
 #   k       48           64           96           128          200
 #   dense   0.16 (0.16)  0.25 (0.24)  0.55 (0.49)  1.0 (0.81)   2.6 (4.1)
 #   scipy   0.08 (0.09)  0.14 (0.15)  0.28 (0.32)  0.48 (0.54)  1.1 (1.3)
