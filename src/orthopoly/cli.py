@@ -45,16 +45,17 @@ class NumericalFailure(RuntimeError):
     """Computation failed or exceeded tolerance; exits with status 1."""
 
 
-def _default_tol() -> float:
-    raw = os.environ.get("ORTHOPOLY_TOL")
-    if raw is None:
-        return DEFAULT_TOL
+def _tolerance(tol: float | None) -> float:
+    """--tol, else ORTHOPOLY_TOL, else DEFAULT_TOL; positive and finite, as
+    the documents' schemas require."""
+    name, raw = ("--tol", tol) if tol is not None else (
+        "ORTHOPOLY_TOL", os.environ.get("ORTHOPOLY_TOL", DEFAULT_TOL))
     try:
         tol = float(raw)
     except ValueError as exc:
-        raise ConfigError(f"ORTHOPOLY_TOL={raw!r} is not a number") from exc
-    if tol <= 0:
-        raise ConfigError("ORTHOPOLY_TOL must be positive")
+        raise ConfigError(f"{name}={raw!r} is not a number") from exc
+    if not 0 < tol < math.inf:
+        raise ConfigError(f"{name} must be positive and finite")
     return tol
 
 
@@ -285,12 +286,11 @@ def _cmd_diagnose(args) -> int:
         doc["carleman"] = {"verdict": report.verdict,
                            "exponent": report.exponent, "terms": mode}
     if args.rho is not None:
-        z = complex(args.rho) if "j" in args.rho else float(args.rho)
         ortho = _orthonormal_from(monic, 1.0)
         hint = monic.max_index_hint
         n_eval = min(200, hint - 1) if hint is not None else 200
-        report = P.rho(ortho, z, n_eval)
-        doc["rho"] = {"z": args.rho, "value": report.rho,
+        report = P.rho(ortho, args.rho[1], n_eval)
+        doc["rho"] = {"z": args.rho[0], "value": report.rho,
                       "verdict": report.verdict, "n_terms": n_eval}
     if args.true_interval is not None:
         est = P.true_interval(monic, args.true_interval)
@@ -315,6 +315,18 @@ def _degree(minimum: int):
         return int(text)
 
     return degree
+
+
+def _point(text: str) -> tuple[str, float | complex]:
+    """argparse type of --rho: the text and its value, a finite real or
+    complex ("2+1j") number."""
+    try:
+        z = complex(text) if "j" in text else float(text)
+    except ValueError:
+        z = math.nan
+    if not np.isfinite(z):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text}")
+    return text, z
 
 
 def _add_family_args(sp, required=False):
@@ -375,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--recurrence", help="recurrence JSON file")
     sp.add_argument("--measure", help="measure JSON file")
     sp.add_argument("--carleman", action="store_true")
-    sp.add_argument("--rho", help="evaluation point (real or complex)")
+    sp.add_argument("--rho", type=_point, help="real or complex point")
     sp.add_argument("--true-interval", dest="true_interval", type=_degree(1))
     sp.set_defaults(func=_cmd_diagnose)
     return parser
@@ -393,11 +405,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.tol is not None and args.tol <= 0:
-            raise ConfigError("--tol must be positive")
         args.tol_given = args.tol is not None
-        if args.tol is None:
-            args.tol = _default_tol()
+        args.tol = _tolerance(args.tol)
         return args.func(args)
     except ConfigError as exc:
         print(f"orthopoly: invalid configuration: {exc}", file=_sys.stderr)

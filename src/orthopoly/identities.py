@@ -40,9 +40,9 @@ def _pearson_chains(spec: F.FamilySpec, n: int, x):
     derivatives, plus sigma(x), tau(x) and mu_k = tau' + (k - 1) sigma''/2."""
     (s0, s1, s2), (t0, t1), shifted = pearson_pair(spec)
     x = np.asarray(x, dtype=float)
-    p = np.array(R.eval_all_derivatives(F.family_monic_system(spec), n, x))
-    q = np.array(R.eval_all_derivatives(F.family_monic_system(shifted),
-                                        max(n - 1, 0), x))[:, :n]
+    p = R.eval_all_derivatives(F.family_monic_system(spec), n, x)
+    q = R.eval_all_derivatives(F.family_monic_system(shifted), max(n - 1, 0),
+                               x)[:, :n]
     k = np.arange(n + 1).reshape((-1,) + (1,) * x.ndim)
     return p, q, s0 + (s1 + s2 * x) * x, t0 + t1 * x, t1 + (k - 1) * s2, k
 

@@ -10,8 +10,8 @@ import numpy as np
 
 from .measures import Measure, integrate
 from .recurrence import (NormData, RecurrenceError, RecurrenceSystem,
-                         convert_form, eval_all, eval_all_derivatives,
-                         validate_favard)
+                         _derivative_pass, convert_form, eval_all,
+                         eval_all_derivatives, validate_favard)
 
 # below this separation the closed form of the kernel cancels; use the
 # confluent (derivative) form instead
@@ -102,7 +102,7 @@ def _cd_closed(on: RecurrenceSystem, n: int, pref: float, x, y):
 
 def _cd_confluent(on: RecurrenceSystem, n: int, pref: float, x):
     """Its confluent limit K_n(x, x)."""
-    ps, ds, _ = eval_all_derivatives(on, n + 1, x)
+    ps, ds = eval_all_derivatives(on, n + 1, x, order=1)
     return pref * (ds[n + 1] * ps[n] - ds[n] * ps[n + 1])
 
 
@@ -200,8 +200,8 @@ def gauss_rule(sys: RecurrenceSystem, norms: NormData, m: Measure | None,
     from `norms` (nothing is integrated; `tol` is kept for callers).
 
     For a continuous or unspecified measure the nodes are those of `zeros`,
-    and one vectorised pass of the orthonormal recurrence with derivatives
-    at them (the nonnegative ones, mirrored, when b = 0) gives the weights
+    and the derivative pass of `recurrence` on the orthonormal rows, streamed
+    at them (the nonnegative ones, mirrored, when b = 0), gives the weights
         w = 1 / (sum_{j<n} p~_j^2 + 2 delta sum_{j<n} p~_j p~_j'),
     Christoffel numbers moved to the exact zeros by the Newton step delta =
     -p~_n / p~_n' (Hale and Townsend, SISC 35, 2013), which removes the n^2
@@ -235,12 +235,21 @@ def _gauss_nodes_weights(diag: np.ndarray, off: np.ndarray,
                          mu0: float) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues of the Jacobi matrix (diag, off) and their
     Newton-corrected Christoffel weights for the mass mu0 (see
-    `gauss_rule`); a weight below the double range is 0."""
+    `gauss_rule`), summed as the derivative pass of e_j p~_{j+1} = (x - b_j)
+    p~_j - e_{j-1} p~_{j-1}, p~_0 = 1, goes (p~_n unnormalised: only p~_n /
+    p~_n' enters); 0 where the sums leave the double range."""
     nodes = _eigenvalues(diag, off)
-    if diag.any():
-        return nodes, _recurrence_weights(diag, off, mu0, nodes)
-    half = len(diag) // 2
-    w = _recurrence_weights(diag, off, mu0, nodes[half:])
+    n, e = len(diag), off.tolist()
+    half = 0 if diag.any() else n // 2
+    sums = np.zeros((2, n - half))   # (sum p~_j^2, sum p~_j p~_j'), j < n
+    tmp = np.empty_like(sums)
+    rows = zip(e + [1.0], diag.tolist(), [0.0] + e)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for j, y in enumerate(_derivative_pass(rows, 1.0, nodes[half:], 1)):
+            if j < n:
+                sums += np.multiply(y, y[0], out=tmp)
+        w = mu0 / (sums[0] - 2 * y[0] / y[1] * sums[1])
+    w = np.where(np.isfinite(w) & (w > 0), w, 0.0)
     return nodes, np.concatenate((w[::-1][:half], w))
 
 
@@ -289,32 +298,6 @@ def _eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     if info != 0:
         raise KernelError(f"eigensolve failed (dsterf info {info})")
     return vals
-
-
-def _recurrence_weights(diag: np.ndarray, off: np.ndarray, mu0: float,
-                        x: np.ndarray) -> np.ndarray:
-    """Newton-corrected Christoffel numbers (see `gauss_rule`) at computed
-    zeros x of p_n, from e_j p~_{j+1} = (x - b_j) p~_j - e_{j-1} p~_{j-1}
-    scaled by sqrt(mu0) (p~_0 = 1), with p~_n unnormalised (only p~_n / p~_n'
-    enters).  A weight whose sums leave the double range is 0."""
-    n = len(diag)
-    y = np.zeros((2, len(x)))     # (p~_j, p~_j') sqrt(mu0) at x
-    y[0] = 1.0
-    y_prev, y_next, tmp = np.zeros_like(y), np.empty_like(y), np.empty_like(y)
-    sums = y * y[0]               # (sum p~_j^2, sum p~_j p~_j')
-    e = off.tolist() + [1.0]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for j, b in enumerate(diag.tolist()):
-            np.multiply(y, x - b if b else x, out=y_next)
-            y_next[1] += y[0]
-            if j:
-                y_next -= np.multiply(y_prev, e[j - 1], out=tmp)
-            if j < n - 1:
-                y_next /= e[j]
-                sums += np.multiply(y_next, y_next[0], out=tmp)
-            y_prev, y, y_next = y, y_next, y_prev
-        w = mu0 / (sums[0] - 2 * y[0] / y[1] * sums[1])
-    return np.where(np.isfinite(w) & (w > 0), w, 0.0)
 
 
 # A Jacobi matrix J with zero diagonal couples even indices only to odd
@@ -398,7 +381,7 @@ def finite_discrete_system(rule: QuadratureRule, sys: RecurrenceSystem,
     recover the weights from the homogeneous system sum_k w_k p_j(x_k) = 0."""
     if len(rule.nodes) != n:
         raise KernelError(f"rule has {len(rule.nodes)} nodes, expected {n}")
-    P = np.array([eval_all(sys, n - 1, x) for x in rule.nodes]).T  # (n, n)
+    P = np.array(eval_all(sys, n - 1, rule.nodes))   # (n, n)
     G = P @ np.diag(rule.weights) @ P.T
     diag_err = np.abs(np.diag(G) - norms.h[:n])
     off = G - np.diag(np.diag(G))

@@ -299,7 +299,7 @@ def support_bound_criteria(sys: RecurrenceSystem,
     if sys.form != "monic":
         raise MomentProblemError("support criteria stated for monic systems")
     ns = np.arange(1, n_max + 1)
-    _, b, c = np.array(sys.table(n_max)[1:]).reshape(-1, 3).T
+    _, b, c = sys.arrays(n_max)[:, 1:]
     tail = ns >= max(3 * n_max // 4, 2)
 
     def settled(seq):

@@ -10,7 +10,6 @@ with p_0 constant.  Forms: "general" (arbitrary a_n), "monic" (a_n = 1),
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -31,21 +30,15 @@ def _checked_row(coeff_fn, i: int) -> tuple[float, float, float]:
         raise RecurrenceError(f"coefficients undefined at index {i}") from exc
 
 
-def _row_at(rows_fn, n: int) -> tuple[float, float, float]:
-    row = np.empty((3, 1))
-    row[0], row[1], row[2] = rows_fn(np.array([n]))
-    return tuple(row[:, 0].tolist())
-
-
 @dataclass(frozen=True)
 class RecurrenceSystem:
     """Orthogonal polynomial system given by its coefficient rows.
 
     rows_fn(j) returns (a_j, b_j, c_j), arrays or scalars, at an index range
     j.  coeff_fn(n), the row at one index, is the adapter for per-index
-    callers: given alone it is wrapped into a rows_fn, and otherwise it reads
-    rows_fn at [n].  c_0 is ignored.  Rows are computed and validated once,
-    into a table that grows on demand."""
+    callers; given instead of rows_fn, it is wrapped into one.  c_0 is
+    ignored.  Rows are computed and validated once, into a table that grows
+    on demand."""
 
     coeff_fn: Callable[[int], tuple[float, float, float]] | None = None
     form: str = "general"
@@ -64,9 +57,6 @@ class RecurrenceSystem:
             fn = self.coeff_fn
             object.__setattr__(self, "rows_fn", lambda j: np.array(
                 [_checked_row(fn, i) for i in j.tolist()], dtype=float).T)
-        elif self.coeff_fn is None:
-            object.__setattr__(self, "coeff_fn",
-                               functools.partial(_row_at, self.rows_fn))
 
     def _grow(self, n: int) -> None:
         cache = self._cache
@@ -147,8 +137,6 @@ def eval_poly(sys: RecurrenceSystem, n: int, x, precision: int | None = None):
     (useful outside the support interval where the recurrence loses accuracy);
     the result is still returned as float/complex.
     """
-    if n < 0:
-        raise RecurrenceError("degree must be non-negative")
     if precision is None:
         return eval_all(sys, n, x)[-1]
     import mpmath
@@ -158,38 +146,57 @@ def eval_poly(sys: RecurrenceSystem, n: int, x, precision: int | None = None):
         return complex(p) if isinstance(p, mpmath.mpc) else float(p)
 
 
-def eval_all_derivatives(sys: RecurrenceSystem, n: int, x):
-    """Return ([p_0..p_n], [p_0'..p_n'], [p_0''..p_n'']) at x, from one pass
-    of the recurrence differentiated once and twice."""
-    p_prev, d_prev, s_prev = 0.0, 0.0, 0.0
-    p = sys.p0 + 0.0 * x
-    d = 0.0 * x
-    s = 0.0 * x
-    ps, ds, ss = [p], [d], [s]
-    for a, b, c in sys.table(n - 1):
-        p_next = ((x - b) * p - c * p_prev) / a
-        d_next = ((x - b) * d + p - c * d_prev) / a
-        s_next = ((x - b) * s + 2 * d - c * s_prev) / a
-        p, p_prev = p_next, p
-        d, d_prev = d_next, d
-        s, s_prev = s_next, s
-        ps.append(p)
-        ds.append(d)
-        ss.append(s)
-    return ps, ds, ss
+def _rows_to(sys: RecurrenceSystem, n: int) -> list:
+    """The rows that carry p_0 up to p_n; a negative degree raises."""
+    if n < 0:
+        raise RecurrenceError("degree must be non-negative")
+    return sys.table(n - 1)
+
+
+def _derivative_pass(rows, p0: float, x: np.ndarray, order: int):
+    """Yield (p_j, p_j'[, p_j'']) at x, stacked on a new first axis, for
+    j = 0, 1, ..., one step of the recurrence differentiated `order` (1 or
+    2) times per row (a_j, b_j, c_j) of `rows`, c_0 unread.  Three buffers
+    take turns: the state yielded for j is overwritten by that for j + 2."""
+    y = np.stack([p0 + 0.0 * x] + [0.0 * x] * order)
+    y_prev, y_next, tmp, xb = (np.empty_like(v) for v in (y, y, y, x))
+    yield y
+    for j, (a, b, c) in enumerate(rows):
+        np.multiply(y, np.subtract(x, b, out=xb) if b else x, out=y_next)
+        y_next[1] += y[0]
+        if order == 2:
+            y_next[2:] += np.multiply(y[1:2], 2.0, out=tmp[2:])
+        if j:
+            y_next -= np.multiply(y_prev, c, out=tmp)
+        y_next /= a
+        y_prev, y, y_next = y, y_next, y_prev
+        yield y
+
+
+def eval_all_derivatives(sys: RecurrenceSystem, n: int, x,
+                         order: int = 2) -> np.ndarray:
+    """(order + 1, n + 1, *x.shape) array of p_0..p_n at x and their first
+    (and, for order 2, second) derivatives."""
+    rows = _rows_to(sys, n)
+    x = np.asarray(x) * 1.0   # a float or complex copy, exact
+    out = np.empty((order + 1, n + 1) + x.shape, x.dtype)
+    for j, y in enumerate(_derivative_pass(rows, sys.p0, x, order)):
+        out[:, j] = y
+    return out
 
 
 def eval_all(sys: RecurrenceSystem, n: int, x) -> list:
     """Return [p_0(x), ..., p_n(x)], each p_j formed in place for array x."""
+    rows = _rows_to(sys, n)
     out = [sys.p0 + 0.0 * x]
     if not isinstance(x, np.ndarray):
         p_prev, p = 0.0, out[0]
-        for a, b, c in sys.table(n - 1):
+        for a, b, c in rows:
             p, p_prev = ((x - b) * p - c * p_prev) / a, p
             out.append(p)
         return out
     tmp = np.empty_like(out[0])
-    for j, (a, b, c) in enumerate(sys.table(n - 1)):
+    for j, (a, b, c) in enumerate(rows):
         p = x - b
         p *= out[j]
         if j:

@@ -728,12 +728,12 @@ def test_lattice_size_in_a_document_must_be_an_integer(N, tmp_path, capsys):
 
 
 def test_bad_env_tol_exit_2(capsys, monkeypatch):
-    monkeypatch.setenv("ORTHOPOLY_TOL", "banana")
-    code, _, err = run(capsys, "zeros", "--family", "legendre", "--n", "2")
-    assert code == 2
-    monkeypatch.setenv("ORTHOPOLY_TOL", "-1")
-    code, _, _ = run(capsys, "zeros", "--family", "legendre", "--n", "2")
-    assert code == 2
+    for raw in ("banana", "-1", "nan", "inf"):
+        monkeypatch.setenv("ORTHOPOLY_TOL", raw)
+        code, out, err = run(capsys, "zeros", "--family", "legendre", "--n",
+                             "2")
+        assert code == 2, raw
+        assert out == "" and len(err.splitlines()) == 1, raw
 
 
 def test_env_tol_threads_through(capsys, monkeypatch):
@@ -744,9 +744,12 @@ def test_env_tol_threads_through(capsys, monkeypatch):
 
 
 def test_negative_cli_tol_exit_2(capsys):
-    code, _, _ = run(capsys, "--tol", "-1", "zeros", "--family", "legendre",
-                     "--n", "2")
-    assert code == 2
+    # a non-finite tolerance would be written as NaN or Infinity, not JSON
+    for raw in ("-1", "nan", "inf"):
+        code, out, err = run(capsys, "--tol", raw, "zeros", "--family",
+                             "legendre", "--n", "2")
+        assert code == 2, raw
+        assert out == "" and len(err.splitlines()) == 1, raw
 
 
 def test_bad_grid_exit_2(capsys):
@@ -806,6 +809,17 @@ def test_diagnose_complex_rho(capsys):
     doc = json.loads(out)
     assert doc["rho"]["verdict"] == "diverges"
     assert doc["rho"]["value"] == 0.0
+    assert doc["rho"]["z"] == "2+1j"
+
+
+@pytest.mark.parametrize("rho", ["abc", "nan", "inf", "-inf", "1e400",
+                                 "nanj", "1+infj"])
+def test_diagnose_rho_must_be_a_finite_number(rho, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["diagnose", "--family", "legendre", "--rho", rho])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "argument --rho" in out.err
 
 
 _IMPORT_PROBE = textwrap.dedent("""

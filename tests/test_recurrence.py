@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orthopoly import families as F
 from orthopoly import recurrence as R
 from orthopoly.families import (hermite_monic_system, hermite_system,
                                 laguerre_system, legendre_system)
@@ -44,8 +45,10 @@ def test_eval_mpmath_precision_path_matches_double():
 
 
 def test_eval_negative_degree_rejected():
-    with pytest.raises(R.RecurrenceError):
-        R.eval_poly(legendre_system(), -1, 0.0)
+    for evaluate in (R.eval_poly, R.eval_all, R.eval_all_derivatives):
+        for x in (0.0, np.array([0.0, 0.5])):
+            with pytest.raises(R.RecurrenceError, match="non-negative"):
+                evaluate(legendre_system(), -1, x)
 
 
 def test_zero_a_coefficient_rejected():
@@ -68,6 +71,39 @@ def test_eval_with_derivative():
     assert p == pytest.approx((5 * 0.064 - 1.2) / 2)
     assert d == pytest.approx((15 * 0.16 - 3) / 2)
     assert s == pytest.approx(15 * 0.4)
+
+
+CONTINUOUS = {"legendre": F.legendre(), "hermite": F.hermite(),
+              "jacobi": F.jacobi(0.5, 1.5), "laguerre": F.laguerre(0.5),
+              "gegenbauer": F.gegenbauer(1.5), "chebyshev_t": F.chebyshev_t(),
+              "chebyshev_u": F.chebyshev_u()}
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("family", CONTINUOUS)
+def test_evaluation_paths_agree_bit_for_bit(family):
+    """The scalar loop, the array loop and the values row of the derivative
+    pass form the same p_j, and the derivative rows at an array of points
+    are those at each point alone (past the double range too)."""
+    sys = F.family_system(CONTINUOUS[family])
+    lo, hi = {"laguerre": (0.0, 30.0), "hermite": (-6.0, 6.0)}.get(
+        family, (-1.0, 1.0))
+    x = np.linspace(lo, hi, 9)
+    for n in (10, 200, 1000):
+        with np.errstate(over="ignore", invalid="ignore"):
+            array = np.array(R.eval_all(sys, n, x))
+            scalar = np.array([R.eval_all(sys, n, t) for t in x.tolist()]).T
+            deriv = R.eval_all_derivatives(sys, n, x)
+            single = np.stack([R.eval_all_derivatives(sys, n, t)
+                               for t in x.tolist()], axis=-1)
+        assert np.isfinite(array[:, 1:-1]).any()
+        assert _bits(scalar) == _bits(array), n
+        assert _bits(deriv[0]) == _bits(array), n
+        assert deriv.shape == single.shape == (3, n + 1, len(x))
+        assert _bits(single) == _bits(deriv), n
 
 
 def test_eval_all_consistent_with_eval_poly():
@@ -262,13 +298,14 @@ def test_even_symmetry_skips_asymmetric():
 
 def _counting_legendre():
     calls = {}
-    base = legendre_system().coeff_fn
+    base = legendre_system().rows_fn
 
-    def coeff(n):
-        calls[n] = calls.get(n, 0) + 1
-        return base(n)
+    def rows(j):
+        for n in j.tolist():
+            calls[n] = calls.get(n, 0) + 1
+        return base(j)
 
-    return R.RecurrenceSystem(coeff, form="general", p0=1.0), calls
+    return R.RecurrenceSystem(rows_fn=rows, form="general", p0=1.0), calls
 
 
 def test_table_rows_are_python_floats_and_match_coeffs():
