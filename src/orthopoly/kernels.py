@@ -235,9 +235,10 @@ def _gauss_nodes_weights(diag: np.ndarray, off: np.ndarray,
                          mu0: float) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues of the Jacobi matrix (diag, off) and their
     Newton-corrected Christoffel weights for the mass mu0 (see
-    `gauss_rule`), summed as the derivative pass of e_j p~_{j+1} = (x - b_j)
-    p~_j - e_{j-1} p~_{j-1}, p~_0 = 1, goes (p~_n unnormalised: only p~_n /
-    p~_n' enters); 0 where the sums leave the double range."""
+    `gauss_rule`), summed over the states of the derivative pass of
+    e_j p~_{j+1} = (x - b_j) p~_j - e_{j-1} p~_{j-1} scaled by sqrt(mu0)
+    (p~_0 = 1) as they come, with p~_n unnormalised (only p~_n / p~_n'
+    enters).  A weight whose sums leave the double range is 0."""
     nodes = _eigenvalues(diag, off)
     n, e = len(diag), off.tolist()
     half = 0 if diag.any() else n // 2
