@@ -118,11 +118,9 @@ def _cmd_tabulate(args) -> int:
         from . import discrete as D
         rows = [[x] + [D.discrete_eval(spec, n, float(x))
                        for n in range(n_max + 1)] for x in grid]
-    else:
-        # values beyond the double range print as inf/nan, without warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            rows = np.column_stack(
-                [grid] + R.eval_all(F.family_system(spec), n_max, grid))
+    else:   # values beyond the double range print as inf/nan
+        rows = np.column_stack(
+            (grid, R.eval_all(F.family_system(spec), n_max, grid).T))
     header = ["x"] + [f"p{n}" for n in range(n_max + 1)]
     if args.format == "json":
         from . import io as OPIO
@@ -254,7 +252,7 @@ def _cmd_check(args) -> int:
 
 
 def _orthonormal_from(sys_: R.RecurrenceSystem, h0: float):
-    norms = R.norms_from_recurrence(sys_, h0, 1.0, 4)
+    norms = R.norms_from_recurrence(sys_, h0, 1.0, 0)
     return R.convert_form(sys_, norms, "orthonormal")
 
 
@@ -264,11 +262,8 @@ def _cmd_diagnose(args) -> int:
 
     doc = {"schema": OPIO.SCHEMA_VERSION, "tolerance": args.tol}
     sys_, m = _load_system(args)
-    if sys_.form != "monic":
-        norms = R.norms_from_recurrence(sys_, 1.0, 1.0, 4)
-        monic = R.convert_form(sys_, norms, "monic")
-    else:
-        monic = sys_
+    monic = sys_ if sys_.form == "monic" else R.convert_form(
+        sys_, R.norms_from_recurrence(sys_, 1.0, 1.0, 0), "monic")
     if args.carleman:
         if m is not None:
             ms = M.moments(m, 32, args.tol)

@@ -119,8 +119,7 @@ def quadratic_transform_residuals(n: int, alpha: float,
         return (lhs - rhs) / np.maximum(1.0, scale)
 
     def chain(m_max, beta, at):
-        return np.array(R.eval_all(_jacobi_ratio_system(alpha, beta), m_max,
-                                   at))
+        return R.eval_all(_jacobi_ratio_system(alpha, beta), m_max, at)
 
     x = np.asarray(xs, dtype=float)
     y = 2 * x * x - 1
@@ -205,7 +204,7 @@ def _orthogonality(spec, n: int, xs):
             "has weights that underflow or are not finite")
     ortho = _orthonormal_from(F.family_system(spec), F.family_mu0(spec))
     with np.errstate(over="ignore", invalid="ignore"):
-        p = np.array(R.eval_all(ortho, n, nodes))
+        p = R.eval_all(ortho, n, nodes)
         gram = (p * weights) @ p.T
     return {j: gram[j, :j] for j in range(n + 1)}, {}
 

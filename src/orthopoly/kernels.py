@@ -9,9 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import Measure, integrate
-from .recurrence import (NormData, RecurrenceError, RecurrenceSystem,
-                         _derivative_pass, convert_form, eval_all,
-                         eval_all_derivatives, validate_favard)
+from .recurrence import (NormData, RecurrenceError, RecurrenceSystem, _pass,
+                         convert_form, eval_all, eval_all_derivatives,
+                         validate_favard)
 
 # below this separation the closed form of the kernel cancels; use the
 # confluent (derivative) form instead
@@ -42,7 +42,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
     exactness_degree: int
-    source: RecurrenceSystem | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
@@ -78,9 +77,7 @@ def cd_kernel(sys: RecurrenceSystem, norms: NormData, n: int, x, y,
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if method == "sum":
             p, q = eval_all(on, n, x), eval_all(on, n, y)
-            if scalar:
-                return float(np.dot(p, q))
-            return (np.array(p) * np.array(q)).sum(0)
+            return float(np.dot(p, q)) if scalar else (p * q).sum(0)
         pref = on.coeffs(n)[0]   # sqrt(beta_{n+1}) = k_n / (h_n k_{n+1})
         if scalar:
             if abs(x - y) >= _CONFLUENT_SWITCH * (1 + abs(x)):
@@ -200,7 +197,7 @@ def gauss_rule(sys: RecurrenceSystem, norms: NormData, m: Measure | None,
     from `norms` (nothing is integrated; `tol` is kept for callers).
 
     For a continuous or unspecified measure the nodes are those of `zeros`,
-    and the derivative pass of `recurrence` on the orthonormal rows, streamed
+    and the recurrence pass of `recurrence` on the orthonormal rows, streamed
     at them (the nonnegative ones, mirrored, when b = 0), gives the weights
         w = 1 / (sum_{j<n} p~_j^2 + 2 delta sum_{j<n} p~_j p~_j'),
     Christoffel numbers moved to the exact zeros by the Newton step delta =
@@ -228,25 +225,26 @@ def gauss_rule(sys: RecurrenceSystem, norms: NormData, m: Measure | None,
                 RuntimeWarning, stacklevel=2)
             nodes, weights = _golub_welsch(diag, off, mu0)
     return QuadratureRule(nodes=nodes, weights=weights,
-                          exactness_degree=2 * n - 1, source=sys)
+                          exactness_degree=2 * n - 1)
 
 
 def _gauss_nodes_weights(diag: np.ndarray, off: np.ndarray,
                          mu0: float) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues of the Jacobi matrix (diag, off) and their
     Newton-corrected Christoffel weights for the mass mu0 (see
-    `gauss_rule`), summed over the states of the derivative pass of
-    e_j p~_{j+1} = (x - b_j) p~_j - e_{j-1} p~_{j-1} scaled by sqrt(mu0)
-    (p~_0 = 1) as they come, with p~_n unnormalised (only p~_n / p~_n'
+    `gauss_rule`), summed over the states (p~_j, p~_j') of e_j p~_{j+1} =
+    (x - b_j) p~_j - e_{j-1} p~_{j-1} scaled by sqrt(mu0) (p~_0 = 1) as they
+    come through three slots, with p~_n unnormalised (only p~_n / p~_n'
     enters).  A weight whose sums leave the double range is 0."""
     nodes = _eigenvalues(diag, off)
     n, e = len(diag), off.tolist()
     half = 0 if diag.any() else n // 2
     sums = np.zeros((2, n - half))   # (sum p~_j^2, sum p~_j p~_j'), j < n
-    tmp = np.empty_like(sums)
+    tmp, states = np.empty_like(sums), np.empty((3,) + sums.shape)
     rows = zip(e + [1.0], diag.tolist(), [0.0] + e)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for j, y in enumerate(_derivative_pass(rows, 1.0, nodes[half:], 1)):
+        for j in _pass(rows, 1.0, nodes[half:], states):
+            y = states[j % 3]
             if j < n:
                 sums += np.multiply(y, y[0], out=tmp)
         w = mu0 / (sums[0] - 2 * y[0] / y[1] * sums[1])
@@ -382,13 +380,12 @@ def finite_discrete_system(rule: QuadratureRule, sys: RecurrenceSystem,
     recover the weights from the homogeneous system sum_k w_k p_j(x_k) = 0."""
     if len(rule.nodes) != n:
         raise KernelError(f"rule has {len(rule.nodes)} nodes, expected {n}")
-    P = np.array(eval_all(sys, n - 1, rule.nodes))   # (n, n)
+    P = eval_all(sys, n - 1, rule.nodes)   # (n, n)
     G = P @ np.diag(rule.weights) @ P.T
     diag_err = np.abs(np.diag(G) - norms.h[:n])
     off = G - np.diag(np.diag(G))
     # weights up to scale: nullspace of the rows j = 1..n-1
-    A = P[1:, :]
-    _, _, vt = np.linalg.svd(A)
+    _, _, vt = np.linalg.svd(P[1:])
     w = vt[-1]
     if np.all(w <= 0):
         w = -w

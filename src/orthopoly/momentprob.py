@@ -17,6 +17,10 @@ from .measures import (Measure, MomentSequence, continuous_measure,
 from .recurrence import RecurrenceSystem, eval_all, eval_poly
 
 
+# rho's cap on sum |p_n(z)|^2; lognormal_discrete_moment's terms per side
+_RHO_CAP, _K_HALFWIDTH = 1e60, 60
+
+
 class MomentProblemError(RuntimeError):
     """Diagnostic could not be computed."""
 
@@ -174,22 +178,23 @@ class RhoReport:
     verdict: str
 
 
-def rho(sys: RecurrenceSystem, z, n_max: int, cap: float = 1e60) -> RhoReport:
+def rho(sys: RecurrenceSystem, z, n_max: int) -> RhoReport:
     """Truncations of (sum |p_n(z)|^2)^{-1} for an orthonormal system."""
     if sys.form != "orthonormal":
         raise MomentProblemError("rho needs an orthonormal system")
+    if n_max < 1:
+        raise MomentProblemError(f"rho needs n_max >= 1, got {n_max}")
     with np.errstate(over="ignore"):
         sq = np.abs(np.array(eval_all(sys, n_max, z))) ** 2
         partials = np.cumsum(sq)
     total = partials[-1]
-    if total > cap:
+    if total > _RHO_CAP:
         return RhoReport(partials=partials, rho=0.0, verdict="diverges")
     # geometric-tail estimate from block sums of the last increments; blocks
     # smooth over the sign-pattern oscillation of p_n(z) at real z
     block = max(min(10, (n_max + 1) // 4), 1)
     tail_inc = float(sq[-block:].sum())
-    prev_inc = (float(sq[-2 * block:-block].sum())
-                if len(sq) >= 2 * block else tail_inc)
+    prev_inc = float(sq[-2 * block:-block].sum())   # 2 block <= n_max + 1
     if prev_inc > 0 and tail_inc / prev_inc < 0.95:
         r = tail_inc / prev_inc
         est = total + tail_inc * r / (1 - r)
@@ -223,10 +228,8 @@ def nevanlinna_ABCD(sys: RecurrenceSystem, z, N: int) -> NevanlinnaReport:
         raise MomentProblemError("Nevanlinna functions need an orthonormal "
                                  "system")
     assoc = numerator_polys(sys)
-    p0_vals = eval_all(sys, N, 0.0)
-    pz_vals = eval_all(sys, N, z)
-    q0_vals = eval_all(assoc, N, 0.0)
-    qz_vals = eval_all(assoc, N, z)
+    p0_vals, pz_vals, q0_vals, qz_vals = (
+        eval_all(s, N, t) for s in (sys, assoc) for t in (0.0, z))
     A = z * sum(q0_vals[n] * qz_vals[n] for n in range(N + 1))
     B = -1.0 + z * sum(q0_vals[n - 1] * pz_vals[n] for n in range(1, N + 1))
     C = 1.0 + z * sum(p0_vals[n] * qz_vals[n - 1] for n in range(1, N + 1))
@@ -368,16 +371,16 @@ def lognormal_moment(n: int, C: float, tol: float = 1e-12) -> float:
                      + 1.0, tol) / math.sqrt(math.pi)
 
 
-def lognormal_discrete_moment(n: int, k_halfwidth: int = 60) -> float:
+def lognormal_discrete_moment(n: int) -> float:
     """The lattice-measure moment of the same problem, again normalized so
     the exact value is 1: sums e^{-kn/2} e^{-(k+1)^2/4} over k, peak-centered."""
     center = -(n + 1)
     num = 0.0
-    for k in range(center - k_halfwidth, center + k_halfwidth + 1):
+    for k in range(center - _K_HALFWIDTH, center + _K_HALFWIDTH + 1):
         num += math.exp(-0.5 * k * n - 0.25 * (k + 1) ** 2
                         - 0.25 * n * (n + 2))
     den = sum(math.exp(-0.25 * k * k)
-              for k in range(-k_halfwidth, k_halfwidth + 1))
+              for k in range(-_K_HALFWIDTH, _K_HALFWIDTH + 1))
     return num / den
 
 

@@ -15,19 +15,21 @@ class QSeriesError(RuntimeError):
     """q-series evaluation failed (pole or non-convergence)."""
 
 
+# infinite products and series stop below _SERIES_TOL, or raise after
+# _MAX_TERMS steps
+_SERIES_TOL = 1e-15
+_MAX_TERMS = 10_000
+
+
 @dataclass(frozen=True)
 class QContext:
-    """Base q with truncation controls for infinite products and series."""
+    """Base q of the products and series."""
 
     q: float
-    series_tol: float = 1e-15
-    max_terms: int = 10_000
 
     def __post_init__(self):
         if not 0.0 < self.q < 1.0:
             raise QSeriesError("q must lie in (0, 1)")
-        if self.series_tol <= 0 or self.max_terms < 1:
-            raise QSeriesError("series_tol must be positive, max_terms >= 1")
 
 
 def q_number(ctx: QContext, a: float) -> float:
@@ -37,23 +39,22 @@ def q_number(ctx: QContext, a: float) -> float:
 
 def q_pochhammer(ctx: QContext, a, n: int | None = None):
     """(a; q)_n, with n=None meaning the infinite product (truncated when the
-    remaining factors differ from 1 by less than series_tol)."""
+    remaining factors differ from 1 by less than _SERIES_TOL)."""
     q = ctx.q
+    out = 1.0 + 0.0j if isinstance(a, complex) else 1.0
     if n is not None:
         if n < 0:
             raise QSeriesError("q-shifted factorial order must be >= 0")
-        out = 1.0 + 0.0j if isinstance(a, complex) else 1.0
         for k in range(n):
             out *= 1 - a * q ** k
         return out
-    out = 1.0 + 0.0j if isinstance(a, complex) else 1.0
-    for k in range(ctx.max_terms):
+    for k in range(_MAX_TERMS):
         factor = a * q ** k
-        if abs(factor) < ctx.series_tol:
+        if abs(factor) < _SERIES_TOL:
             return out
         out *= 1 - factor
     raise QSeriesError("infinite q-shifted factorial did not converge "
-                       "within max_terms")
+                       f"within {_MAX_TERMS} terms")
 
 
 def q_derivative(ctx: QContext, f, x: float) -> float:
@@ -67,12 +68,13 @@ def q_integral(ctx: QContext, f) -> float:
     """Jackson integral of f over [0, 1]: (1-q) sum f(q^k) q^k."""
     q = ctx.q
     total = 0.0
-    for k in range(ctx.max_terms):
+    for k in range(_MAX_TERMS):
         node = q ** k
         total += f(node) * node
-        if node < ctx.series_tol:
+        if node < _SERIES_TOL:
             return (1.0 - q) * total
-    raise QSeriesError("q-integral did not converge within max_terms")
+    raise QSeriesError(
+        f"q-integral did not converge within {_MAX_TERMS} terms")
 
 
 def _is_q_power(ctx: QContext, a, tol: float = 1e-9) -> int | None:
@@ -95,7 +97,7 @@ def basic_hyp(ctx: QContext, upper, lower, z):
     extra factor), summed by running term ratios.
 
     Terminates when some upper parameter is q^{-n}; otherwise sums until the
-    running tail is below series_tol within the max_terms budget.
+    running tail is below _SERIES_TOL within _MAX_TERMS terms.
     """
     upper = list(upper)
     lower = list(lower)
@@ -115,7 +117,7 @@ def basic_hyp(ctx: QContext, upper, lower, z):
         isinstance(v, complex) for v in upper + lower)
     term = 1.0 + 0.0j if is_complex else 1.0
     total = term
-    limit = n_stop if n_stop is not None else ctx.max_terms
+    limit = n_stop if n_stop is not None else _MAX_TERMS
     for k in range(limit):
         ratio = z
         for a in upper:
@@ -130,12 +132,12 @@ def basic_hyp(ctx: QContext, upper, lower, z):
             ratio *= (-(q ** k)) ** extra_power
         term = term * ratio
         total += term
-        if n_stop is None and abs(term) < ctx.series_tol * max(1.0, abs(total)):
+        if n_stop is None and abs(term) < _SERIES_TOL * max(1.0, abs(total)):
             # geometric tail: the ratio shrinks like z q^k from here on
             return total
     if n_stop is None:
         raise QSeriesError("basic hypergeometric series did not converge "
-                           "within max_terms")
+                           f"within {_MAX_TERMS} terms")
     return total
 
 
@@ -168,8 +170,7 @@ def askey_wilson_eval(ctx: QContext, n: int, a: float, b: float, c: float,
                 raise QSeriesError(
                     f"lower parameter {float(bp)} hits q^(-{m}) before "
                     f"termination at {n}")
-        term = mpmath.mpc(1)
-        total = mpmath.mpc(1)
+        term = total = mpmath.mpc(1)
         for k in range(n):
             ratio = qm
             for u in upper:
@@ -209,8 +210,7 @@ def cq_from_askey_wilson(ctx: QContext, n: int, beta: float,
     b=-d=(q beta)^{1/2}, with the degree constant computed, not assumed."""
     if beta <= 0:
         raise QSeriesError("specialization needs beta > 0")
-    sb = math.sqrt(beta)
-    sqb = math.sqrt(ctx.q * beta)
+    sb, sqb = math.sqrt(beta), math.sqrt(ctx.q * beta)
 
     def aw(th):
         return askey_wilson_eval(ctx, n, sb, sqb, -sb, -sqb, th)
@@ -245,8 +245,7 @@ def gen_fn_check(ctx: QContext, beta: float, theta: float, t: float,
     # |C_n| <= (n+1) K with K = ((-|beta|; q)_inf / (q; q)_inf)^2
     K = (abs(q_pochhammer(ctx, -abs(beta)))
          / q_pochhammer(ctx, ctx.q)) ** 2
-    N = n_terms
-    at = abs(t)
+    N, at = n_terms, abs(t)
     tail = K * at ** (N + 1) * ((N + 2) - (N + 1) * at) / (1 - at) ** 2
     return abs(partial - closed.real) + abs(closed.imag), tail
 

@@ -131,14 +131,13 @@ def from_tables(a: Sequence[float], b: Sequence[float], c: Sequence[float],
 
 
 def eval_poly(sys: RecurrenceSystem, n: int, x, precision: int | None = None):
-    """Evaluate p_n(x) by the forward recurrence, as the last of eval_all.
-
-    `precision` switches to mpmath arithmetic with that many decimal digits
-    (useful outside the support interval where the recurrence loses accuracy);
-    the result is still returned as float/complex.
-    """
+    """p_n(x) by the forward recurrence: the last of eval_all, copied for
+    array x so that it does not hold the other degrees.  `precision` runs it
+    in mpmath with that many decimal digits (outside the support, where the
+    recurrence loses accuracy) and returns a float or complex."""
     if precision is None:
-        return eval_all(sys, n, x)[-1]
+        p = eval_all(sys, n, x)[-1]
+        return p.copy() if isinstance(x, np.ndarray) else p
     import mpmath
 
     with mpmath.workdps(precision):
@@ -153,55 +152,63 @@ def _rows_to(sys: RecurrenceSystem, n: int) -> list:
     return sys.table(n - 1)
 
 
-def _derivative_pass(rows, p0: float, x: np.ndarray, order: int):
-    """Yield (p_j, p_j'[, p_j'']) at x, stacked on a new first axis, for
-    j = 0, 1, ..., one step of the recurrence differentiated `order` (1 or
-    2) times per row (a_j, b_j, c_j) of `rows`, c_0 unread.  Three buffers
-    take turns: the state yielded for j is overwritten by that for j + 2."""
-    y = np.stack([p0 + 0.0 * x] + [0.0 * x] * order)
-    y_prev, y_next, tmp, xb = (np.empty_like(v) for v in (y, y, y, x))
-    yield y
+def _pass(rows, p0: float, x: np.ndarray, out: np.ndarray):
+    """Form the state of degree j at the points x (1-D) in out[j % len(out)],
+    then yield j, for j = 0, 1, ..., a step per row (a_j, b_j, c_j), c_0
+    unread: p_j for out of shape (slots, m), (p_j, p_j'[, p_j'']) for
+    (slots, order + 1, m), by a_j p_{j+1}^(k) = (x - b_j) p_j^(k) + k
+    p_j^(k-1) - c_j p_{j-1}^(k).  Overflow is left to the caller's errstate."""
+    order = out.shape[1] - 1 if out.ndim == 3 else 0
+    slots, tmp, k = list(out), np.empty_like(out[0]), len(out)
+    cur = np.multiply(x, 0.0, slots[0])   # p_0 = p0 + 0 x, p_0^(k) = 0 x
+    cur[0 if order else ...] += p0
+    yield 0
     for j, (a, b, c) in enumerate(rows):
-        np.multiply(y, np.subtract(x, b, out=xb) if b else x, out=y_next)
-        y_next[1] += y[0]
-        if order == 2:
-            y_next[2:] += np.multiply(y[1:2], 2.0, out=tmp[2:])
+        nxt = slots[(j + 1) % k]
+        # complex products round by operand order: p^(k) (x - b) and, as in
+        # the Python-float loop, (x - b) p keep the bits of the earlier loops
+        if order:
+            np.multiply(cur, np.subtract(x, b, nxt) if b else x, nxt)
+            nxt[1] += cur[0]
+            if order == 2:
+                nxt[2] += np.multiply(cur[1], 2.0, tmp[2])
+        else:
+            np.multiply(np.subtract(x, b, nxt) if b else x, cur, nxt)
         if j:
-            y_next -= np.multiply(y_prev, c, out=tmp)
-        y_next /= a
-        y_prev, y, y_next = y, y_next, y_prev
-        yield y
+            nxt -= np.multiply(prev, c, tmp)
+        nxt /= a
+        prev, cur = cur, nxt
+        yield j + 1
+
+
+def _kept(sys: RecurrenceSystem, n: int, x, order: int) -> np.ndarray:
+    """The (n + 1[, order + 1], *x.shape) states of `_pass`: inf or nan
+    past the double range, without warnings, as in the Python-float loop."""
+    rows, x = _rows_to(sys, n), np.asarray(x)
+    out = np.empty((n + 1,) + (order + 1,) * (order > 0) + (x.size,),
+                   np.result_type(sys.p0, x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in _pass(rows, sys.p0, x.reshape(-1), out):
+            pass
+    return out.reshape(out.shape[:-1] + x.shape)
 
 
 def eval_all_derivatives(sys: RecurrenceSystem, n: int, x,
                          order: int = 2) -> np.ndarray:
     """(order + 1, n + 1, *x.shape) array of p_0..p_n at x and their first
-    (and, for order 2, second) derivatives."""
-    rows = _rows_to(sys, n)
-    x = np.asarray(x) * 1.0   # a float or complex copy, exact
-    out = np.empty((order + 1, n + 1) + x.shape, x.dtype)
-    for j, y in enumerate(_derivative_pass(rows, sys.p0, x, order)):
-        out[:, j] = y
-    return out
+    (and, for order 2, second) derivatives, a view of contiguous states."""
+    return _kept(sys, n, x, order).swapaxes(0, 1)
 
 
-def eval_all(sys: RecurrenceSystem, n: int, x) -> list:
-    """Return [p_0(x), ..., p_n(x)], each p_j formed in place for array x."""
-    rows = _rows_to(sys, n)
+def eval_all(sys: RecurrenceSystem, n: int, x):
+    """[p_0(x), ..., p_n(x)] by a Python-float loop for scalar x (mpmath
+    numbers too), an (n + 1, *x.shape) array by `_pass` for array x."""
+    if isinstance(x, np.ndarray):
+        return _kept(sys, n, x, 0)
     out = [sys.p0 + 0.0 * x]
-    if not isinstance(x, np.ndarray):
-        p_prev, p = 0.0, out[0]
-        for a, b, c in rows:
-            p, p_prev = ((x - b) * p - c * p_prev) / a, p
-            out.append(p)
-        return out
-    tmp = np.empty_like(out[0])
-    for j, (a, b, c) in enumerate(rows):
-        p = x - b
-        p *= out[j]
-        if j:
-            p -= np.multiply(out[j - 1], c, out=tmp)
-        p /= a
+    p_prev, p = 0.0, out[0]
+    for a, b, c in _rows_to(sys, n):
+        p, p_prev = ((x - b) * p - c * p_prev) / a, p
         out.append(p)
     return out
 
@@ -306,8 +313,7 @@ def check_even_symmetry(sys: RecurrenceSystem, n_max: int,
     worst = 0.0
     if all_b_zero:
         x = np.asarray(samples, dtype=float)
-        plus = np.array(eval_all(sys, n_max, x))
-        minus = np.array(eval_all(sys, n_max, -x))
+        plus, minus = eval_all(sys, n_max, x), eval_all(sys, n_max, -x)
         sign = (-1.0) ** np.arange(n_max + 1)[:, None]
         worst = float(np.max(np.abs(minus - sign * plus)
                              / np.maximum(1.0, np.abs(plus)), initial=0.0))

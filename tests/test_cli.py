@@ -1102,3 +1102,57 @@ def test_sweep_gives_a_document_or_a_clean_exit(family, tmp_path, capsys):
             assert err.startswith("orthopoly: "), (argv, err)
         else:
             json.loads(out)
+
+
+def _child_cli(*argv):
+    """The command line in a child process, whose stderr shows what numpy
+    and LAPACK print there."""
+    src = os.path.dirname(os.path.dirname(orthopoly.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from orthopoly.cli import main; sys.exit(main())",
+         *argv], env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("flags", [("--true-interval", "3"),
+                                   ("--rho", "0.3")])
+def test_diagnose_reads_only_the_rows_it_uses(tmp_path, capsys, flags):
+    # three rows of a general form and of its monic form: diagnose needs
+    # only h_0 to change the normalisation, not rows 3 and 4
+    docs = {"general": ([0.5] * 3, [0.0, 0.5, 0.5]),
+            "monic": ([1.0] * 3, [0.0, 0.25, 0.25])}
+    results = {}
+    for form, (a, c) in docs.items():
+        path = tmp_path / f"{form}.json"
+        path.write_text(json.dumps({"schema": 1, "form": form,
+                                    "coefficients": {"a": a, "b": [0.0] * 3,
+                                                     "c": c}}))
+        code, out, err = run(capsys, "diagnose", "--recurrence", str(path),
+                             *flags)
+        assert code == 0, err
+        results[form] = json.loads(out)
+    assert results["general"] == results["monic"]
+    if flags[0] == "--true-interval":
+        assert results["general"]["true_interval"]["limits"] == \
+            pytest.approx([-math.sqrt(0.5), math.sqrt(0.5)])
+
+
+def test_diagnose_rho_on_a_lattice_of_n_plus_one_points(capsys):
+    code, out, err = run(capsys, "diagnose", "--family", "krawtchouk",
+                         "--p", "0.3", "--N", "3", "--rho", "0.3")
+    assert code == 0, err
+    assert json.loads(out)["rho"]["n_terms"] == 2
+
+
+def test_diagnose_rho_without_a_degree_exits_with_one_stderr_line():
+    # Hahn with N = 1 has the rows diagnose reads but leaves rho no degree
+    # past p_0; a least-squares fit on one partial sum ended in a traceback
+    proc = _child_cli("diagnose", "--family", "hahn", "--alpha", "0.5",
+                      "--beta", "0.5", "--N", "1", "--rho", "0.3")
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("orthopoly: "), lines
+    assert "rho needs n_max >= 1" in lines[0]

@@ -268,8 +268,6 @@ def test_q_pochhammer_infinite_matches_long_product():
 def test_q_context_validation():
     with pytest.raises(Q.QSeriesError):
         Q.QContext(1.5)
-    with pytest.raises(Q.QSeriesError):
-        Q.QContext(0.5, series_tol=-1.0)
 
 
 def test_q_integral_of_x():
@@ -370,8 +368,9 @@ def test_cq_gegenbauer_limit_example():
 
 
 def test_q_series_monotone_in_terms():
-    # adding terms changes a converged 1phi0 by less than the tail scale
-    ctx = Q.QContext(0.5, series_tol=1e-15)
-    loose = Q.basic_hyp(Q.QContext(0.5, series_tol=1e-10), [0.3], [], 0.4)
-    tight = Q.basic_hyp(ctx, [0.3], [], 0.4)
-    assert abs(loose - tight) < 1e-9
+    # the truncated 1phi0 sums to the q-binomial theorem's closed form
+    # (a z; q)_inf / (z; q)_inf, so its dropped tail is below rounding
+    ctx = Q.QContext(0.5)
+    closed = Q.q_pochhammer(ctx, 0.3 * 0.4) / Q.q_pochhammer(ctx, 0.4)
+    assert Q.basic_hyp(ctx, [0.3], [], 0.4) == pytest.approx(closed,
+                                                              rel=1e-14)

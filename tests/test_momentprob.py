@@ -240,6 +240,16 @@ def test_rho_requires_orthonormal():
         MP.rho(legendre_monic(), 0.0, 50)
 
 
+def test_rho_needs_one_degree_past_p0():
+    # n_max = 0 leaves one partial sum, whose log-log slope is undefined
+    sys = hermite_monic_system()
+    ortho = R.convert_form(sys, R.norms_from_recurrence(
+        sys, math.sqrt(math.pi), 1.0, 0), "orthonormal")
+    for n_max in (0, -1):
+        with pytest.raises(MP.MomentProblemError, match="n_max >= 1"):
+            MP.rho(ortho, 0.3, n_max)
+
+
 def orthonormal_legendre():
     sys = legendre_monic()
     norms = R.norms_from_recurrence(sys, 2.0, 1.0, 60)

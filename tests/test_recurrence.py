@@ -85,25 +85,79 @@ def _bits(values) -> bytes:
 
 @pytest.mark.parametrize("family", CONTINUOUS)
 def test_evaluation_paths_agree_bit_for_bit(family):
-    """The scalar loop, the array loop and the values row of the derivative
-    pass form the same p_j, and the derivative rows at an array of points
-    are those at each point alone (past the double range too)."""
+    """The scalar loop, the array pass and the values row of its derivative
+    states form the same p_j, and the states at an array of points, 1-D or
+    2-D, are those at each point alone (past the double range too)."""
     sys = F.family_system(CONTINUOUS[family])
     lo, hi = {"laguerre": (0.0, 30.0), "hermite": (-6.0, 6.0)}.get(
         family, (-1.0, 1.0))
     x = np.linspace(lo, hi, 9)
+    grid = x.reshape(3, 3)
     for n in (10, 200, 1000):
-        with np.errstate(over="ignore", invalid="ignore"):
-            array = np.array(R.eval_all(sys, n, x))
-            scalar = np.array([R.eval_all(sys, n, t) for t in x.tolist()]).T
-            deriv = R.eval_all_derivatives(sys, n, x)
-            single = np.stack([R.eval_all_derivatives(sys, n, t)
-                               for t in x.tolist()], axis=-1)
+        array = R.eval_all(sys, n, x)
+        scalar = np.array([R.eval_all(sys, n, t) for t in x.tolist()]).T
         assert np.isfinite(array[:, 1:-1]).any()
         assert _bits(scalar) == _bits(array), n
-        assert _bits(deriv[0]) == _bits(array), n
-        assert deriv.shape == single.shape == (3, n + 1, len(x))
-        assert _bits(single) == _bits(deriv), n
+        assert _bits(R.eval_all(sys, n, grid)) == _bits(array), n
+        for order in (1, 2):
+            deriv = R.eval_all_derivatives(sys, n, x, order)
+            single = np.stack([R.eval_all_derivatives(sys, n, t, order)
+                               for t in x.tolist()], axis=-1)
+            on_grid = R.eval_all_derivatives(sys, n, grid, order)
+            assert deriv.shape == single.shape == (order + 1, n + 1, len(x))
+            assert on_grid.shape == (order + 1, n + 1, 3, 3)
+            assert _bits(deriv[0]) == _bits(array), (n, order)
+            assert _bits(single) == _bits(deriv), (n, order)
+            assert _bits(on_grid) == _bits(deriv), (n, order)
+        assert _bits(deriv[:2]) == _bits(
+            R.eval_all_derivatives(sys, n, x, 1)), n
+
+
+def test_eval_all_on_an_array_is_one_array():
+    sys = legendre_system()
+    x = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+    for at in (x, x[0], np.array(0.3)):
+        vals = R.eval_all(sys, 4, at)
+        assert isinstance(vals, np.ndarray)
+        assert vals.shape == (5,) + at.shape
+    assert isinstance(R.eval_all(sys, 4, 0.3), list)
+
+
+def test_eval_poly_on_an_array_owns_its_data():
+    x = np.linspace(-1.0, 1.0, 5)
+    p = R.eval_poly(legendre_system(), 30, x)
+    assert p.shape == x.shape
+    assert p.base is None and p.flags.owndata
+
+
+@pytest.mark.parametrize("family", ("hermite", "laguerre"))
+@pytest.mark.parametrize("order", (0, 1, 2))
+def test_streamed_states_equal_kept_states(family, order):
+    """Three slots that take turns hold, at each yield, the state that the
+    full buffer of eval_all and eval_all_derivatives keeps for that degree
+    (b = 0 and b != 0 rows; values past the double range included)."""
+    sys = F.family_monic_system(CONTINUOUS[family])
+    x = np.linspace(-40.0, 3000.0, 11)
+    n = 1000
+    stream = np.empty((3,) + (order + 1,) * (order > 0) + x.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        streamed = [stream[j % 3].copy()
+                    for j in R._pass(sys.table(n - 1), sys.p0, x, stream)]
+    kept = (R.eval_all(sys, n, x) if order == 0
+            else R.eval_all_derivatives(sys, n, x, order).swapaxes(0, 1))
+    assert len(streamed) == n + 1
+    assert not np.isfinite(kept).all()
+    assert _bits(streamed) == _bits(kept)
+
+
+def test_evaluation_past_the_double_range_raises_no_warnings():
+    # pytest turns a RuntimeWarning into an error; H_1000(6) is not a
+    # double, and the scalar and array paths both give it as inf or nan
+    sys = hermite_system()
+    for x in (6.0, np.array([6.0, 0.5])):
+        assert not np.isfinite(R.eval_all(sys, 1000, x)[-1]).all()
+        assert not np.isfinite(
+            R.eval_all_derivatives(sys, 1000, x)[:, -1]).all()
 
 
 def test_eval_all_consistent_with_eval_poly():
