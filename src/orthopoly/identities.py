@@ -203,9 +203,9 @@ def _orthogonality(spec, n: int, xs):
             f"orthogonality to degree {n}: the {n + 2}-point Gauss rule "
             "has weights that underflow or are not finite")
     ortho = _orthonormal_from(F.family_system(spec), F.family_mu0(spec))
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = R.eval_all(ortho, n, nodes)
-        gram = (p * weights) @ p.T
+    # p~_j(x_k)^2 w_k <= 1 at the nodes of the rule: no product overflows
+    p = R.eval_all(ortho, n, nodes)
+    gram = (p * weights) @ p.T
     return {j: gram[j, :j] for j in range(n + 1)}, {}
 
 

@@ -159,14 +159,14 @@ def _pass(rows, p0: float, x: np.ndarray, out: np.ndarray):
     (slots, order + 1, m), by a_j p_{j+1}^(k) = (x - b_j) p_j^(k) + k
     p_j^(k-1) - c_j p_{j-1}^(k).  Overflow is left to the caller's errstate."""
     order = out.shape[1] - 1 if out.ndim == 3 else 0
-    slots, tmp, k = list(out), np.empty_like(out[0]), len(out)
+    slots, tmp, size = list(out), np.empty_like(out[0]), len(out)
     cur = np.multiply(x, 0.0, slots[0])   # p_0 = p0 + 0 x, p_0^(k) = 0 x
     cur[0 if order else ...] += p0
     yield 0
     for j, (a, b, c) in enumerate(rows):
-        nxt = slots[(j + 1) % k]
-        # complex products round by operand order: p^(k) (x - b) and, as in
-        # the Python-float loop, (x - b) p keep the bits of the earlier loops
+        nxt = slots[(j + 1) % size]
+        # complex products round by operand order, which stays as it was:
+        # p^(k) (x - b) for derivatives, (x - b) p as in the Python-float loop
         if order:
             np.multiply(cur, np.subtract(x, b, nxt) if b else x, nxt)
             nxt[1] += cur[0]

@@ -1039,20 +1039,25 @@ def test_jacobi_type_commands_pass_to_degree_1000(family, capsys):
             json.loads(out)
 
 
+def _child_cli(*argv):
+    """The command line in a child process, whose stderr shows what numpy
+    and LAPACK print there."""
+    src = os.path.dirname(os.path.dirname(orthopoly.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from orthopoly.cli import main; sys.exit(main())",
+         *argv], env=env, capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("fam", (("hermite",), ("laguerre", "--alpha", "0.5")),
                          ids=("hermite", "laguerre"))
 def test_values_past_the_double_range_exit_with_one_stderr_line(fam):
     # pytest captures numpy's RuntimeWarnings, so the CLI runs in a child;
     # hundreds of the 1000 Gauss weights lie below the double range
-    src = os.path.dirname(os.path.dirname(orthopoly.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from orthopoly.cli import main; sys.exit(main())",
-         "quadrature", "--family", *fam, "--n", "1000"],
-        env=env, capture_output=True, text=True, timeout=120)
+    proc = _child_cli("quadrature", "--family", *fam, "--n", "1000")
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("orthopoly: "), lines
@@ -1061,15 +1066,7 @@ def test_values_past_the_double_range_exit_with_one_stderr_line(fam):
 def test_measure_that_does_not_settle_exits_with_one_stderr_line(tmp_path):
     # in a child, so that a warning printed on the way shows on stderr
     path, _ = _measure_file(tmp_path, "laguerre", ("--alpha", "0.5"))
-    src = os.path.dirname(os.path.dirname(orthopoly.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from orthopoly.cli import main; sys.exit(main())",
-         "recurrence", "--measure", path, "--n-max", "300"],
-        env=env, capture_output=True, text=True, timeout=120)
+    proc = _child_cli("recurrence", "--measure", path, "--n-max", "300")
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("orthopoly: "), lines
@@ -1102,19 +1099,6 @@ def test_sweep_gives_a_document_or_a_clean_exit(family, tmp_path, capsys):
             assert err.startswith("orthopoly: "), (argv, err)
         else:
             json.loads(out)
-
-
-def _child_cli(*argv):
-    """The command line in a child process, whose stderr shows what numpy
-    and LAPACK print there."""
-    src = os.path.dirname(os.path.dirname(orthopoly.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from orthopoly.cli import main; sys.exit(main())",
-         *argv], env=env, capture_output=True, text=True, timeout=120)
 
 
 @pytest.mark.parametrize("flags", [("--true-interval", "3"),
