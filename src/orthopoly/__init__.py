@@ -9,8 +9,8 @@ import sys as _sys
 
 __version__ = "0.1.0"
 
-_SUBMODULES = ("cli", "discrete", "families", "identities", "io", "kernels",
-               "measures", "momentprob", "qseries", "recurrence")
+_SUBMODULES = ("cli", "discrete", "errors", "families", "identities", "io",
+               "kernels", "measures", "momentprob", "qseries", "recurrence")
 # re-exported name -> the submodule that defines it
 _EXPORTS = {"FamilySpec": "families", "Measure": "measures",
             "MomentSequence": "measures", "NormData": "recurrence",

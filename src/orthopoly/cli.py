@@ -23,6 +23,7 @@ import numpy as np
 from . import families as F
 from . import measures as M
 from . import recurrence as R
+from .errors import ConfigError, NumericalFailure
 
 DEFAULT_TOL = 1e-12
 
@@ -35,14 +36,6 @@ _NUMERICAL_ERRORS = (("measures", "IntegrationError"),
 # the identities of `check` (identities.IDENTITIES) and their tolerances
 _CHECK_TOLS = {"ode": 1e-10, "shift": 1e-10, "cd": 1e-10,
                "quadratic": 1e-11, "orthogonality": 1e-10, "limit": 0.0}
-
-
-class ConfigError(ValueError):
-    """Invalid command line configuration; exits with status 2."""
-
-
-class NumericalFailure(RuntimeError):
-    """Computation failed or exceeded tolerance; exits with status 1."""
 
 
 def _tolerance(tol: float | None) -> float:
@@ -251,11 +244,6 @@ def _cmd_check(args) -> int:
     return 0 if passed else 1
 
 
-def _orthonormal_from(sys_: R.RecurrenceSystem, h0: float):
-    norms = R.norms_from_recurrence(sys_, h0, 1.0, 0)
-    return R.convert_form(sys_, norms, "orthonormal")
-
-
 def _cmd_diagnose(args) -> int:
     from . import io as OPIO
     from . import momentprob as P
@@ -264,14 +252,16 @@ def _cmd_diagnose(args) -> int:
     sys_, m = _load_system(args)
     monic = sys_ if sys_.form == "monic" else R.convert_form(
         sys_, R.norms_from_recurrence(sys_, 1.0, 1.0, 0), "monic")
+    hint = monic.max_index_hint   # the last row of a document or lattice
     if args.carleman:
         if m is not None:
             ms = M.moments(m, 32, args.tol)
             report = P.carleman(P.carleman_moment_terms(ms, 16))
             mode = "moments"
         else:
-            # the terms are 1/sqrt(a_n c_{n+1}) for n = 1..2000
-            favard = R.validate_favard(monic, 2001)
+            # the terms are 1/sqrt(a_n c_{n+1}) for n = 1..min(2000, hint - 1)
+            favard = R.validate_favard(
+                monic, 2001 if hint is None else min(2001, hint))
             bad = [n for n, _ in favard.failures if n > 0]
             if bad:
                 raise NumericalFailure("Carleman terms need a_n c_(n+1) > 0: "
@@ -281,8 +271,7 @@ def _cmd_diagnose(args) -> int:
         doc["carleman"] = {"verdict": report.verdict,
                            "exponent": report.exponent, "terms": mode}
     if args.rho is not None:
-        ortho = _orthonormal_from(monic, 1.0)
-        hint = monic.max_index_hint
+        ortho = R.orthonormal_from(monic, 1.0)
         n_eval = min(200, hint - 1) if hint is not None else 200
         report = P.rho(ortho, args.rho[1], n_eval)
         doc["rho"] = {"z": args.rho[0], "value": report.rho,

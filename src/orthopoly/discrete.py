@@ -259,8 +259,3 @@ def discrete_system(fam: FamilySpec, monic: bool = False) -> RecurrenceSystem:
 def charlier_system(a: float) -> RecurrenceSystem:
     """Three-term recurrence of the Charlier polynomials c_n(x; a)."""
     return discrete_system(charlier(a))
-
-
-def charlier_norms(a: float, n: int) -> float:
-    """h_n = a^{-n} n! under the e^{-a}-normalized weight."""
-    return a ** -n * math.factorial(n)

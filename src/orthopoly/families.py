@@ -1,10 +1,10 @@
 """The family registry, and the Jacobi, Laguerre and Hermite families with
 their special cases.
 
-Series evaluation, even-weight splitting and the electrostatic zero
-characterization; the identities that `check` verifies are in identities.py.
-A terminating series at double arguments is an exact rational: it is summed
-in integers and rounded once.
+Series evaluation and the electrostatic zero characterization; the
+identities that `check` verifies are in identities.py.  A terminating
+series at double arguments is an exact rational: it is summed in integers
+and rounded once.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import Measure, continuous_measure
-from .recurrence import RecurrenceError, RecurrenceSystem, favard_products
+from .recurrence import RecurrenceSystem
 
 class FamilyError(ValueError):
     """Invalid family parameters."""
@@ -301,42 +301,6 @@ def special_case_eval(spec: FamilySpec, n: int, x: float) -> float:
     return _jacobi_sum(n, a, b, x, prefactor)
 
 
-# ---------------------------------------------------------------------------
-# monomial coefficient vectors (exact-in-coefficients derivatives)
-
-@_in_double_range
-def jacobi_coeffs(n: int, alpha: float, beta: float) -> np.ndarray:
-    """Monomial coefficients of P_n^{(alpha,beta)}, ascending order."""
-    out = np.zeros(n + 1)
-    zpow = np.array([1.0])
-    base = np.array([-0.5, 0.5])  # (x - 1)/2
-    for k in range(n + 1):
-        t = (pochhammer(n + alpha + beta + 1, k)
-             * pochhammer(alpha + k + 1, n - k)
-             / (math.factorial(k) * math.factorial(n - k)))
-        out[:len(zpow)] += t * zpow
-        zpow = np.convolve(zpow, base)
-    return out
-
-
-@_in_double_range
-def laguerre_coeffs(n: int, alpha: float) -> np.ndarray:
-    out = np.zeros(n + 1)
-    for k in range(n + 1):
-        out[k] = ((-1) ** k * pochhammer(alpha + k + 1, n - k)
-                  / (math.factorial(k) * math.factorial(n - k)))
-    return out
-
-
-@_in_double_range
-def hermite_coeffs(n: int) -> np.ndarray:
-    out = np.zeros(n + 1)
-    for j in range(n // 2 + 1):
-        out[n - 2 * j] = ((-1) ** j * 2 ** (n - 2 * j) * math.factorial(n)
-                          / (math.factorial(j) * math.factorial(n - 2 * j)))
-    return out
-
-
 # the three classical types of a continuous family
 JACOBI, LAGUERRE, HERMITE = "jacobi", "laguerre", "hermite"
 
@@ -369,32 +333,6 @@ def classical(spec: FamilySpec):
     if f == "chebyshev_u":
         return JACOBI, 0.5, 0.5, (2.0, 1.5)
     raise FamilyError(f"{f} has no classical type")
-
-
-# ---------------------------------------------------------------------------
-# even-weight splitting
-
-def split_even_system(sys: RecurrenceSystem,
-                      n_max: int) -> tuple[RecurrenceSystem, RecurrenceSystem]:
-    """Split an even system into monic q, r with p_2n(x) = q_n(x^2),
-    p_{2n+1}(x) = x r_n(x^2) (after monic rescaling of p)."""
-    b = sys.arrays(2 * n_max + 2)[1]
-    if b.any():
-        raise RecurrenceError(
-            f"b_{np.flatnonzero(b)[0]} != 0: measure is not even")
-
-    def half(shift: int) -> RecurrenceSystem:
-        def rows(j: np.ndarray) -> tuple:
-            # the monic c_i of sys are the Favard products a_{i-1} c_i
-            c = np.concatenate(([0.0], favard_products(sys, 2 * j[-1]
-                                                       + shift + 1)))
-            i = 2 * j + shift
-            return 1.0, c[i] + c[i + 1], np.where(j > 0, c[i - 1] * c[i], 0.0)
-
-        return RecurrenceSystem(rows_fn=rows, form="monic", p0=1.0,
-                                max_index_hint=n_max)
-
-    return half(0), half(1)
 
 
 # ---------------------------------------------------------------------------
@@ -433,14 +371,6 @@ def _jacobi_monic_rows(j: np.ndarray, alpha: float,
     return b, c
 
 
-def jacobi_monic_b(n: int, alpha: float, beta: float) -> float:
-    return float(_jacobi_monic_rows(np.array([n]), alpha, beta)[0][0])
-
-
-def jacobi_monic_c(n: int, alpha: float, beta: float) -> float:
-    return float(_jacobi_monic_rows(np.array([n]), alpha, beta)[1][0])
-
-
 def jacobi_monic_system(alpha: float, beta: float) -> RecurrenceSystem:
     return RecurrenceSystem(
         rows_fn=lambda j: (1.0, *_jacobi_monic_rows(j, alpha, beta)),
@@ -456,12 +386,6 @@ def laguerre_monic_system(alpha: float) -> RecurrenceSystem:
 def hermite_monic_system() -> RecurrenceSystem:
     return RecurrenceSystem(rows_fn=lambda j: (1.0, 0.0, j / 2.0),
                             form="monic", p0=1.0)
-
-
-def jacobi_leading_coeff(n: int, alpha: float, beta: float) -> float:
-    """k_n = (n+alpha+beta+1)_n / (2^n n!), from n factors: an oracle for
-    the closed-form rows of jacobi_system."""
-    return pochhammer(n + alpha + beta + 1, n) / (2 ** n * math.factorial(n))
 
 
 def jacobi_system(alpha: float, beta: float,

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import families as F
 from . import recurrence as R
-from .cli import ConfigError, NumericalFailure, _orthonormal_from
+from .errors import ConfigError, NumericalFailure
 
 
 def pearson_pair(spec: F.FamilySpec):
@@ -202,7 +202,7 @@ def _orthogonality(spec, n: int, xs):
         raise NumericalFailure(
             f"orthogonality to degree {n}: the {n + 2}-point Gauss rule "
             "has weights that underflow or are not finite")
-    ortho = _orthonormal_from(F.family_system(spec), F.family_mu0(spec))
+    ortho = R.orthonormal_from(F.family_system(spec), F.family_mu0(spec))
     # p~_j(x_k)^2 w_k <= 1 at the nodes of the rule: no product overflows
     p = R.eval_all(ortho, n, nodes)
     gram = (p * weights) @ p.T

@@ -124,18 +124,6 @@ def kernel_polys(sys: RecurrenceSystem, norms: NormData, y: float,
     return [make(n) for n in range(n_max + 1)]
 
 
-def kernel_poly_bilinear_residual(sys: RecurrenceSystem, norms: NormData,
-                                  n: int, x: float, y: float) -> float:
-    """Residual of p_n(y)p_{n+1}(x) - p_{n+1}(y)p_n(x)
-    = (h_n k_{n+1}/k_n)(x - y) K_n(x, y), with k_{n+1}/k_n = 1/a_n."""
-    pn_x, pn1_x = eval_all(sys, n + 1, x)[-2:]
-    pn_y, pn1_y = eval_all(sys, n + 1, y)[-2:]
-    lhs = pn_y * pn1_x - pn1_y * pn_x
-    rhs = (norms.h[n] / sys.coeffs(n)[0] * (x - y)
-           * cd_kernel(sys, norms, n, x, y, method="sum"))
-    return (lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
-
-
 def jacobi_matrix(sys: RecurrenceSystem, n: int) -> tuple[np.ndarray,
                                                           np.ndarray]:
     """Diagonal and off-diagonal of the n x n orthonormal-form Jacobi matrix."""
@@ -363,39 +351,3 @@ def lagrange_weights(nodes: np.ndarray, m: Measure,
 
         out[k] = integrate(m, lk, tol)
     return out
-
-
-@dataclass(frozen=True)
-class DiscreteSystemReport:
-    gram: np.ndarray
-    max_offdiag: float
-    diag_errors: np.ndarray
-    recovered_weights: np.ndarray
-    weight_error: float
-
-
-def finite_discrete_system(rule: QuadratureRule, sys: RecurrenceSystem,
-                           norms: NormData, n: int) -> DiscreteSystemReport:
-    """Verify that p_0..p_{n-1} are orthogonal on the rule's node set and
-    recover the weights from the homogeneous system sum_k w_k p_j(x_k) = 0."""
-    if len(rule.nodes) != n:
-        raise KernelError(f"rule has {len(rule.nodes)} nodes, expected {n}")
-    P = eval_all(sys, n - 1, rule.nodes)   # (n, n)
-    G = P @ np.diag(rule.weights) @ P.T
-    diag_err = np.abs(np.diag(G) - norms.h[:n])
-    off = G - np.diag(np.diag(G))
-    # weights up to scale: nullspace of the rows j = 1..n-1
-    _, _, vt = np.linalg.svd(P[1:])
-    w = vt[-1]
-    if np.all(w <= 0):
-        w = -w
-    if np.any(w <= 0):
-        raise KernelError("rank deficiency or sign-indefinite recovery; "
-                          "check for duplicate nodes")
-    w *= norms.h[0] / w.sum()
-    return DiscreteSystemReport(
-        gram=G,
-        max_offdiag=float(np.max(np.abs(off))),
-        diag_errors=diag_err,
-        recovered_weights=w,
-        weight_error=float(np.max(np.abs(w - rule.weights))))

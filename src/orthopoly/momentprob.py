@@ -58,33 +58,22 @@ def stieltjes_identity_residual(sys: RecurrenceSystem, m: Measure, n: int,
     return (lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
 
 
-def continued_fraction(sys: RecurrenceSystem, n: int, z,
-                       method: str = "cf"):
-    """F_n(z), the n-th convergent of the continued fraction attached to a
-    monic system; methods "cf" (bottom-up) and "ratio" (p^{(1)}/p)."""
+def continued_fraction(sys: RecurrenceSystem, n: int, z):
+    """F_n(z) = p^{(1)}_{n-1}(z) / p_n(z), the n-th convergent of the
+    continued fraction attached to a monic system, summed bottom-up."""
     if sys.form != "monic":
         raise MomentProblemError("continued fraction needs a monic system")
     if n < 1:
         raise MomentProblemError("need n >= 1")
-    if method == "cf":
-        rows = sys.table(n - 1)
-        t = z - rows[n - 1][1]
-        for j in range(n - 2, -1, -1):
-            if t == 0:
-                raise MomentProblemError(f"pole in continued fraction at {z}")
-            t = z - rows[j][1] - rows[j + 1][2] / t
+    rows = sys.table(n - 1)
+    t = z - rows[n - 1][1]
+    for j in range(n - 2, -1, -1):
         if t == 0:
             raise MomentProblemError(f"pole in continued fraction at {z}")
-        return 1.0 / t
-    if method == "ratio":
-        # backward-stable only off the zero set; extended precision keeps
-        # the ratio honest near the spectrum
-        num = eval_poly(numerator_polys(sys), n - 1, z, precision=40)
-        den = eval_poly(sys, n, z, precision=40)
-        if den == 0:
-            raise MomentProblemError(f"z = {z} is a zero of p_{n}")
-        return num / den
-    raise MomentProblemError(f"unknown method {method!r}")
+        t = z - rows[j][1] - rows[j + 1][2] / t
+    if t == 0:
+        raise MomentProblemError(f"pole in continued fraction at {z}")
+    return 1.0 / t
 
 
 @dataclass(frozen=True)

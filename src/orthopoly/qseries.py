@@ -204,28 +204,6 @@ def cq_ultraspherical(ctx: QContext, n: int, beta: float,
     return total.real
 
 
-def cq_from_askey_wilson(ctx: QContext, n: int, beta: float,
-                         theta: float) -> float:
-    """C_n via the Askey-Wilson specialization a=-c=beta^{1/2},
-    b=-d=(q beta)^{1/2}, with the degree constant computed, not assumed."""
-    if beta <= 0:
-        raise QSeriesError("specialization needs beta > 0")
-    sb, sqb = math.sqrt(beta), math.sqrt(ctx.q * beta)
-
-    def aw(th):
-        return askey_wilson_eval(ctx, n, sb, sqb, -sb, -sqb, th)
-
-    kappa = None
-    for th_ref in (1.0, 0.7, 1.9):
-        ref = cq_ultraspherical(ctx, n, beta, th_ref)
-        if abs(ref) > 1e-8:
-            kappa = aw(th_ref) / ref
-            break
-    if kappa is None:
-        raise QSeriesError("could not fix the specialization constant")
-    return aw(theta) / kappa
-
-
 def gen_fn_check(ctx: QContext, beta: float, theta: float, t: float,
                  n_terms: int) -> tuple[float, float]:
     """(residual, tail bound) of the q-ultraspherical generating function

@@ -130,19 +130,11 @@ def from_tables(a: Sequence[float], b: Sequence[float], c: Sequence[float],
                             max_index_hint=len(a) - 1)
 
 
-def eval_poly(sys: RecurrenceSystem, n: int, x, precision: int | None = None):
+def eval_poly(sys: RecurrenceSystem, n: int, x):
     """p_n(x) by the forward recurrence: the last of eval_all, copied for
-    array x so that it does not hold the other degrees.  `precision` runs it
-    in mpmath with that many decimal digits (outside the support, where the
-    recurrence loses accuracy) and returns a float or complex."""
-    if precision is None:
-        p = eval_all(sys, n, x)[-1]
-        return p.copy() if isinstance(x, np.ndarray) else p
-    import mpmath
-
-    with mpmath.workdps(precision):
-        p = eval_all(sys, n, mpmath.mpmathify(x))[-1]
-        return complex(p) if isinstance(p, mpmath.mpc) else float(p)
+    array x so that it does not hold the other degrees."""
+    p = eval_all(sys, n, x)[-1]
+    return p.copy() if isinstance(x, np.ndarray) else p
 
 
 def _rows_to(sys: RecurrenceSystem, n: int) -> list:
@@ -201,10 +193,13 @@ def eval_all_derivatives(sys: RecurrenceSystem, n: int, x,
 
 
 def eval_all(sys: RecurrenceSystem, n: int, x):
-    """[p_0(x), ..., p_n(x)] by a Python-float loop for scalar x (mpmath
-    numbers too), an (n + 1, *x.shape) array by `_pass` for array x."""
+    """[p_0(x), ..., p_n(x)] by a Python-float loop for scalar x (a numpy
+    scalar as its Python number; mpmath numbers too), an (n + 1, *x.shape)
+    array by `_pass` for array x."""
     if isinstance(x, np.ndarray):
         return _kept(sys, n, x, 0)
+    if isinstance(x, np.generic):
+        x = x.item()
     out = [sys.p0 + 0.0 * x]
     p_prev, p = 0.0, out[0]
     for a, b, c in _rows_to(sys, n):
@@ -300,21 +295,7 @@ def convert_form(sys: RecurrenceSystem, norms: NormData,
     return ortho
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
-    all_b_zero: bool
-    max_deviation: float
-
-
-def check_even_symmetry(sys: RecurrenceSystem, n_max: int,
-                        samples: Sequence[float]) -> SymmetryReport:
-    """Verify p_n(-x) = (-1)^n p_n(x) at the samples when all b_n vanish."""
-    all_b_zero = not sys.arrays(n_max)[1].any()
-    worst = 0.0
-    if all_b_zero:
-        x = np.asarray(samples, dtype=float)
-        plus, minus = eval_all(sys, n_max, x), eval_all(sys, n_max, -x)
-        sign = (-1.0) ** np.arange(n_max + 1)[:, None]
-        worst = float(np.max(np.abs(minus - sign * plus)
-                             / np.maximum(1.0, np.abs(plus)), initial=0.0))
-    return SymmetryReport(all_b_zero=all_b_zero, max_deviation=worst)
+def orthonormal_from(sys: RecurrenceSystem, h0: float) -> RecurrenceSystem:
+    """The orthonormal form of `sys` for the norm h_0 = <p_0, p_0> = h0."""
+    return convert_form(sys, norms_from_recurrence(sys, h0, 1.0, 0),
+                        "orthonormal")

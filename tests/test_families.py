@@ -155,12 +155,54 @@ def test_series_matches_recurrence():
                     (spec.family, n, x)
 
 
+# monomial coefficient vectors (exact-in-coefficients derivatives), formed
+# from float factorials: FamilyError from degree 171 on
+
+@F._in_double_range
+def jacobi_coeffs(n: int, alpha: float, beta: float) -> np.ndarray:
+    """Monomial coefficients of P_n^{(alpha,beta)}, ascending order."""
+    out = np.zeros(n + 1)
+    zpow = np.array([1.0])
+    base = np.array([-0.5, 0.5])  # (x - 1)/2
+    for k in range(n + 1):
+        t = (F.pochhammer(n + alpha + beta + 1, k)
+             * F.pochhammer(alpha + k + 1, n - k)
+             / (math.factorial(k) * math.factorial(n - k)))
+        out[:len(zpow)] += t * zpow
+        zpow = np.convolve(zpow, base)
+    return out
+
+
+@F._in_double_range
+def laguerre_coeffs(n: int, alpha: float) -> np.ndarray:
+    out = np.zeros(n + 1)
+    for k in range(n + 1):
+        out[k] = ((-1) ** k * F.pochhammer(alpha + k + 1, n - k)
+                  / (math.factorial(k) * math.factorial(n - k)))
+    return out
+
+
+@F._in_double_range
+def hermite_coeffs(n: int) -> np.ndarray:
+    out = np.zeros(n + 1)
+    for j in range(n // 2 + 1):
+        out[n - 2 * j] = ((-1) ** j * 2 ** (n - 2 * j) * math.factorial(n)
+                          / (math.factorial(j) * math.factorial(n - 2 * j)))
+    return out
+
+
+def jacobi_leading_coeff(n: int, alpha: float, beta: float) -> float:
+    """k_n = (n+alpha+beta+1)_n / (2^n n!), from n factors: an oracle for
+    the closed-form rows of jacobi_system."""
+    return F.pochhammer(n + alpha + beta + 1, n) / (2 ** n * math.factorial(n))
+
+
 def test_coeff_vectors_match_series():
     for spec, coeffs in ((F.jacobi(0.5, 1.5),
-                          lambda n: F.jacobi_coeffs(n, 0.5, 1.5)),
+                          lambda n: jacobi_coeffs(n, 0.5, 1.5)),
                          (F.laguerre(0.3),
-                          lambda n: F.laguerre_coeffs(n, 0.3)),
-                         (F.hermite(), F.hermite_coeffs)):
+                          lambda n: laguerre_coeffs(n, 0.3)),
+                         (F.hermite(), hermite_coeffs)):
         for n in (0, 1, 4, 9):
             c = coeffs(n)
             x = 0.37
@@ -217,11 +259,11 @@ def test_degree_171_raises_family_error():
     import mpmath
 
     n = 171
-    for call in (lambda n: F.jacobi_coeffs(n, 0.5, 1.5),
-                 lambda n: F.laguerre_coeffs(n, 0.5)):
+    for call in (lambda n: jacobi_coeffs(n, 0.5, 1.5),
+                 lambda n: laguerre_coeffs(n, 0.5)):
         with pytest.raises(F.FamilyError, match="double range"):
             call(n)
-    assert F.laguerre_coeffs(170, 0.5)[-1] == 1 / math.factorial(170)
+    assert laguerre_coeffs(170, 0.5)[-1] == 1 / math.factorial(170)
     assert F.jacobi_eval(n, 0.5, 1.5, 0.3) == _direct_mp_sum(
         _jacobi_term(n, 0.5, 1.5, 0.3), n + 1, 60 + n)
     assert F.laguerre_eval(n, 0.5, 1.0) == _direct_mp_sum(
@@ -367,9 +409,9 @@ def test_monic_derivative_lowers_degree_and_shifts_parameters():
     # d/dx of monic P_n^{(a,b)} equals n times monic P_{n-1}^{(a+1,b+1)}
     a, b = 0.5, 1.5
     for n in (1, 2, 5, 8):
-        pc = F.jacobi_coeffs(n, a, b) / F.jacobi_leading_coeff(n, a, b)
-        qc = (F.jacobi_coeffs(n - 1, a + 1, b + 1)
-              / F.jacobi_leading_coeff(n - 1, a + 1, b + 1))
+        pc = jacobi_coeffs(n, a, b) / jacobi_leading_coeff(n, a, b)
+        qc = (jacobi_coeffs(n - 1, a + 1, b + 1)
+              / jacobi_leading_coeff(n - 1, a + 1, b + 1))
         assert np.allclose(npoly.polyder(pc), n * qc, rtol=1e-12, atol=1e-12)
 
 
@@ -377,9 +419,9 @@ def test_monic_lowering_relation():
     # ((1-x^2) d/dx + (b-a-(a+b+2)x)) q_{n-1} = -(n+a+b+1) p_n, monic chain
     a, b = 0.5, 1.5
     n = 4
-    qc = (F.jacobi_coeffs(n - 1, a + 1, b + 1)
-          / F.jacobi_leading_coeff(n - 1, a + 1, b + 1))
-    pc = F.jacobi_coeffs(n, a, b) / F.jacobi_leading_coeff(n, a, b)
+    qc = (jacobi_coeffs(n - 1, a + 1, b + 1)
+          / jacobi_leading_coeff(n - 1, a + 1, b + 1))
+    pc = jacobi_coeffs(n, a, b) / jacobi_leading_coeff(n, a, b)
     for x in (-0.6, 0.1, 0.8):
         q = npoly.polyval(x, qc)
         dq = npoly.polyval(x, npoly.polyder(qc))
@@ -392,9 +434,9 @@ def test_monic_norm_ratio_identity():
     # n int q_{n-1}^2 w1 = (n+a+b+1) int p_n^2 w
     a, b = 0.5, 1.5
     n = 3
-    pc = F.jacobi_coeffs(n, a, b) / F.jacobi_leading_coeff(n, a, b)
-    qc = (F.jacobi_coeffs(n - 1, a + 1, b + 1)
-          / F.jacobi_leading_coeff(n - 1, a + 1, b + 1))
+    pc = jacobi_coeffs(n, a, b) / jacobi_leading_coeff(n, a, b)
+    qc = (jacobi_coeffs(n - 1, a + 1, b + 1)
+          / jacobi_leading_coeff(n - 1, a + 1, b + 1))
     w = F.family_measure(F.jacobi(a, b))
     w1 = F.family_measure(F.jacobi(a + 1, b + 1))
     lhs = n * M.inner_product(lambda x: npoly.polyval(x, qc),
@@ -408,7 +450,7 @@ def test_monic_value_at_one():
     # monic P_n^{(a,b)}(1) = 2^n (a+1)_n / (n+a+b+1)_n
     a, b = 0.5, 1.5
     for n in range(1, 9):
-        got = F.jacobi_eval(n, a, b, 1.0) / F.jacobi_leading_coeff(n, a, b)
+        got = F.jacobi_eval(n, a, b, 1.0) / jacobi_leading_coeff(n, a, b)
         want = (2.0 ** n * F.pochhammer(a + 1, n)
                 / F.pochhammer(n + a + b + 1, n))
         assert got == pytest.approx(want, rel=1e-12)
@@ -482,9 +524,31 @@ def test_quadratic_transform_residuals_below_minus_one_half():
     assert max(np.abs(even).max(), np.abs(odd).max()) <= 1e-13
 
 
+def split_even_system(sys, n_max):
+    """Split an even system into monic q, r with p_2n(x) = q_n(x^2),
+    p_{2n+1}(x) = x r_n(x^2) (after monic rescaling of p)."""
+    b = sys.arrays(2 * n_max + 2)[1]
+    if b.any():
+        raise R.RecurrenceError(
+            f"b_{np.flatnonzero(b)[0]} != 0: measure is not even")
+
+    def half(shift: int) -> R.RecurrenceSystem:
+        def rows(j: np.ndarray) -> tuple:
+            # the monic c_i of sys are the Favard products a_{i-1} c_i
+            c = np.concatenate(([0.0], R.favard_products(sys, 2 * j[-1]
+                                                         + shift + 1)))
+            i = 2 * j + shift
+            return 1.0, c[i] + c[i + 1], np.where(j > 0, c[i - 1] * c[i], 0.0)
+
+        return R.RecurrenceSystem(rows_fn=rows, form="monic", p0=1.0,
+                                  max_index_hint=n_max)
+
+    return half(0), half(1)
+
+
 def test_split_hermite_gives_laguerre_half():
     # q_n from Hermite are the monic Laguerre(-1/2) polynomials
-    q_sys, r_sys = F.split_even_system(F.hermite_monic_system(), 5)
+    q_sys, r_sys = split_even_system(F.hermite_monic_system(), 5)
     lag = F.laguerre_monic_system(-0.5)
     for n in range(1, 6):
         assert q_sys.coeffs(n) == pytest.approx(lag.coeffs(n))
@@ -493,7 +557,7 @@ def test_split_hermite_gives_laguerre_half():
 
 
 def test_split_legendre_q1():
-    q_sys, _ = F.split_even_system(
+    q_sys, _ = split_even_system(
         F.jacobi_monic_system(0.0, 0.0), 4)
     # monic p_2 = x^2 - 1/3, so q_1(y) = y - 1/3
     assert R.eval_poly(q_sys, 1, 0.0) == pytest.approx(-1.0 / 3.0)
@@ -501,7 +565,7 @@ def test_split_legendre_q1():
 
 def test_split_values_match():
     sys = F.hermite_monic_system()
-    q_sys, r_sys = F.split_even_system(sys, 4)
+    q_sys, r_sys = split_even_system(sys, 4)
     for x in (0.3, 1.1):
         for n in range(4):
             assert R.eval_poly(sys, 2 * n, x) == pytest.approx(
@@ -512,7 +576,7 @@ def test_split_values_match():
 
 def test_split_rejects_uneven_system():
     with pytest.raises(R.RecurrenceError):
-        F.split_even_system(F.laguerre_monic_system(0.0), 3)
+        split_even_system(F.laguerre_monic_system(0.0), 3)
 
 
 # ---------------------------------------------------------------------------

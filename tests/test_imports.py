@@ -13,7 +13,7 @@ import pytest
 import orthopoly
 
 # every subcommand loads these: the parser is built from the family registry
-BASE = {"cli", "families", "measures", "recurrence"}
+BASE = {"cli", "errors", "families", "measures", "recurrence"}
 
 _LOADED_PROBE = textwrap.dedent("""
     import json, sys

@@ -166,11 +166,22 @@ def test_kernel_polys_rejects_interior_y():
         K.kernel_polys(sys, norms, 0.5, 3, support_upper=1.0)
 
 
+def kernel_poly_bilinear_residual(sys, norms, n, x, y):
+    """Residual of p_n(y)p_{n+1}(x) - p_{n+1}(y)p_n(x)
+    = (h_n k_{n+1}/k_n)(x - y) K_n(x, y), with k_{n+1}/k_n = 1/a_n."""
+    pn_x, pn1_x = R.eval_all(sys, n + 1, x)[-2:]
+    pn_y, pn1_y = R.eval_all(sys, n + 1, y)[-2:]
+    lhs = pn_y * pn1_x - pn1_y * pn_x
+    rhs = (norms.h[n] / sys.coeffs(n)[0] * (x - y)
+           * K.cd_kernel(sys, norms, n, x, y, method="sum"))
+    return (lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
+
+
 def test_kernel_poly_bilinear_identity():
     sys, norms = legendre_setup()
     for n in (1, 4, 9):
         for x, y in ((-0.3, 0.7), (0.2, 0.9)):
-            assert abs(K.kernel_poly_bilinear_residual(
+            assert abs(kernel_poly_bilinear_residual(
                 sys, norms, n, x, y)) < 1e-12
 
 
@@ -238,15 +249,39 @@ def test_lagrange_weights_cross_check():
         assert lw == pytest.approx(rule.weights, rel=1e-10)
 
 
+def finite_discrete_system(rule, sys, norms, n):
+    """The Gram matrix of p_0..p_{n-1} on the rule's nodes, and the weights
+    recovered from the homogeneous system sum_k w_k p_j(x_k) = 0, j >= 1,
+    scaled to the mass h_0."""
+    if len(rule.nodes) != n:
+        raise K.KernelError(f"rule has {len(rule.nodes)} nodes, expected {n}")
+    P = R.eval_all(sys, n - 1, rule.nodes)   # (n, n)
+    gram = P @ np.diag(rule.weights) @ P.T
+    # weights up to scale: nullspace of the rows j = 1..n-1
+    _, _, vt = np.linalg.svd(P[1:])
+    w = vt[-1]
+    if np.all(w <= 0):
+        w = -w
+    if np.any(w <= 0):
+        raise K.KernelError("rank deficiency or sign-indefinite recovery; "
+                            "check for duplicate nodes")
+    w *= norms.h[0] / w.sum()
+    return gram, w
+
+
+def max_offdiag(gram):
+    return np.max(np.abs(gram - np.diag(np.diag(gram))))
+
+
 def test_finite_discrete_system_legendre():
     sys, norms = legendre_setup()
     m = family_measure(legendre())
     rule = K.gauss_rule(sys, norms, m, 2)
-    rep = K.finite_discrete_system(rule, sys, norms, 2)
-    assert rep.max_offdiag < 1e-13
-    assert np.all(rep.diag_errors < 1e-12)
-    assert rep.recovered_weights == pytest.approx([1.0, 1.0])
-    assert rep.weight_error < 1e-12
+    gram, weights = finite_discrete_system(rule, sys, norms, 2)
+    assert max_offdiag(gram) < 1e-13
+    assert np.all(np.abs(np.diag(gram) - norms.h[:2]) < 1e-12)
+    assert weights == pytest.approx([1.0, 1.0])
+    assert np.max(np.abs(weights - rule.weights)) < 1e-12
 
 
 def test_finite_discrete_system_charlier(monkeypatch):
@@ -258,11 +293,11 @@ def test_finite_discrete_system_charlier(monkeypatch):
     rule = K.gauss_rule(sys, norms, m, 3)
     # the normalized Charlier measure has mass h_0 = 1
     assert rule.weights.sum() == pytest.approx(1.0, rel=1e-14)
-    rep = K.finite_discrete_system(rule, sys, norms, 3)
+    gram, weights = finite_discrete_system(rule, sys, norms, 3)
     # h_n = a^{-n} n! at a=1: 1, 1, 2
-    assert np.diag(rep.gram) == pytest.approx([1.0, 1.0, 2.0], rel=1e-9)
-    assert rep.max_offdiag < 1e-9
-    assert rep.weight_error < 1e-9
+    assert np.diag(gram) == pytest.approx([1.0, 1.0, 2.0], rel=1e-9)
+    assert max_offdiag(gram) < 1e-9
+    assert np.max(np.abs(weights - rule.weights)) < 1e-9
 
 
 def test_finite_discrete_system_size_mismatch():
@@ -270,7 +305,7 @@ def test_finite_discrete_system_size_mismatch():
     m = family_measure(legendre())
     rule = K.gauss_rule(sys, norms, m, 2)
     with pytest.raises(K.KernelError):
-        K.finite_discrete_system(rule, sys, norms, 3)
+        finite_discrete_system(rule, sys, norms, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from orthopoly import measures as M
 from orthopoly import recurrence as R
 from orthopoly.discrete import charlier, family_measure as charlier_measure
 from orthopoly.families import (chebyshev_t, chebyshev_u, family_measure,
-                                gegenbauer, hermite, jacobi, jacobi_monic_b,
-                                jacobi_monic_c, laguerre, legendre)
+                                gegenbauer, hermite, jacobi,
+                                jacobi_monic_system, laguerre, legendre)
 
 
 def legendre_half():
@@ -91,9 +91,9 @@ def test_stieltjes_procedure_legendre():
     assert sys.coeffs(1)[2] == pytest.approx(1.0 / 3.0, rel=1e-10)
     assert sys.coeffs(2)[2] == pytest.approx(4.0 / 15.0, rel=1e-10)
     # cross-check against the closed monic Jacobi chain
+    closed_c = jacobi_monic_system(0.0, 0.0).arrays(6)[2]
     for n in range(1, 7):
-        assert sys.coeffs(n)[2] == pytest.approx(
-            jacobi_monic_c(n, 0.0, 0.0), rel=1e-9)
+        assert sys.coeffs(n)[2] == pytest.approx(closed_c[n], rel=1e-9)
     assert R.validate_favard(sys, 5).passed
 
 
@@ -244,13 +244,12 @@ def test_declared_endpoint_singularity_is_shifted_jacobi():
                              alg_exponents=(-0.9, 0.0))
     sys, norms = M.recurrence_from_measure(m, 16)
     assert norms.h[0] == pytest.approx(10.0, rel=1e-14)
+    _, closed_b, closed_c = jacobi_monic_system(0.0, -0.9).arrays(16)
     for n in range(17):
         _, b, c = sys.coeffs(n)
-        assert b == pytest.approx((1 + jacobi_monic_b(n, 0.0, -0.9)) / 2,
-                                  rel=1e-12)
+        assert b == pytest.approx((1 + closed_b[n]) / 2, rel=1e-12)
         if n:
-            assert c == pytest.approx(jacobi_monic_c(n, 0.0, -0.9) / 4,
-                                      rel=1e-12)
+            assert c == pytest.approx(closed_c[n] / 4, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", (40, 200))
