@@ -67,12 +67,25 @@ def shift_check(spec: F.FamilySpec, n: int, direction: str,
     if direction not in ("raise", "lower"):
         raise F.FamilyError(f"unknown direction {direction!r}")
     with np.errstate(all="ignore"):
-        (p, dp, _), (q, dq, _), sigma, tau, mu, k = _pearson_chains(spec, n, x)
-        if direction == "raise":
-            out = _scaled(dp[1:], -k[1:] * q)
-        else:
-            out = _scaled(sigma * dq, tau * q, -mu[1:] * p[1:])
+        return _shift_residuals(_pearson_chains(spec, n, x), direction)
+
+
+def _shift_residuals(chains, direction: str) -> np.ndarray:
+    """`shift_check`'s residuals in one direction from the chains of
+    `_pearson_chains`, which serve both directions."""
+    (p, dp, _), (q, dq, _), sigma, tau, mu, k = chains
+    if direction == "raise":
+        out = _scaled(dp[1:], -k[1:] * q)
+    else:
+        out = _scaled(sigma * dq, tau * q, -mu[1:] * p[1:])
     return np.concatenate([np.zeros_like(p[:1]), out])
+
+
+def _shift(spec, n: int, xs):
+    with np.errstate(all="ignore"):
+        chains = _pearson_chains(spec, n, xs)
+        return dict(enumerate(np.hstack([_shift_residuals(chains, d)
+                                         for d in ("raise", "lower")]))), {}
 
 
 def _jacobi_ratio_system(alpha: float, beta: float) -> R.RecurrenceSystem:
@@ -228,10 +241,8 @@ def _limit(spec, n: int, xs):
 IDENTITIES = {
     "ode": lambda spec, n, xs: (
         dict(enumerate(ode_residual(spec, n, xs))), {}),
-    "shift": lambda spec, n, xs: (dict(enumerate(np.hstack(
-        [shift_check(spec, n, d, xs) for d in ("raise", "lower")]))), {}),
-    "cd": _cd, "quadratic": _quadratic, "orthogonality": _orthogonality,
-    "limit": _limit}
+    "shift": _shift, "cd": _cd, "quadratic": _quadratic,
+    "orthogonality": _orthogonality, "limit": _limit}
 
 
 def check_battery(spec, identity: str, n: int):

@@ -3,6 +3,7 @@ the Jacobi matrix, and Gauss quadrature with exactness checks."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -26,7 +27,14 @@ _CONFLUENT_SWITCH = 1e-6
 #   scipy   0.08 (0.09)  0.14 (0.15)  0.28 (0.32)  0.48 (0.54)  1.1 (1.3)
 _DENSE_MAX_ORDER = 96
 # extreme_zeros solves n_max problems, not one, so its dense chains stop
-# earlier: at n_max = 100, 17 ms dense against 6.7 ms of dstebz bisection
+# earlier.  Warm, dstebz bisection is the faster from n_max = 32 on, with
+# or without the interlacing bracket (Jacobi(0.5, 1.5), ms per call, median
+# of 4 processes' medians of 11, one Xeon VM core); the dense chains below
+# 49 spare a cold process the import of scipy.linalg:
+#   n_max               32     48     64     80     100
+#   dense               0.64   1.93   4.07   7.56   13.0
+#   bisection           0.42   0.86   1.49   2.25   3.31
+#   (without bracket)   0.43   0.96   1.70   2.70   4.12
 _CHAIN_DENSE_MAX_ORDER = 48
 
 
@@ -156,7 +164,16 @@ def extreme_zeros(sys: RecurrenceSystem, n_max: int) -> tuple:
     """Smallest and largest zeros of p_1..p_{n_max} from the leading blocks of
     one Jacobi matrix: the ends of `zeros` while n_max (n_max // 2 when b =
     0) is at most `_CHAIN_DENSE_MAX_ORDER` = 48, Sturm bisection (LAPACK
-    dstebz, abstol 2 tiny) beyond."""
+    dstebz, abstol 2 tiny) beyond.
+
+    By Cauchy interlacing the largest eigenvalue of the block of order k
+    lies at or above that of order k - 1, prev, and every other one at or
+    below prev.  So it is first bisected in the bracket (prev + d, prev + d
+    + g] only, g twice the last step of the chain and d the bound 8 eps
+    (max|b_j| + 2 max e_j) on the error of prev, which keeps the second
+    eigenvalue out; the smallest in the mirrored bracket.  Where that
+    bracket does not hold exactly one eigenvalue, or is empty in floating
+    point, the extreme is bisected from the Gershgorin interval."""
     if n_max < 1:
         raise KernelError("need n >= 1")
     diag, off = jacobi_matrix(sys, n_max)
@@ -166,17 +183,38 @@ def extreme_zeros(sys: RecurrenceSystem, n_max: int) -> tuple:
                                for k in range(1, n_max + 1)]).T)
     from scipy.linalg import lapack
 
-    def bisect(k: int, i: int) -> float:   # range 2 = 'I': eigenvalue i
-        _, w, _, _, info = lapack.dstebz(diag[:k], off[:k - 1], 2, 0.0, 0.0,
+    # margin[k - 1] bounds the error of an extreme of the block of order k
+    margin = (8 * np.finfo(float).eps
+              * (np.maximum.accumulate(np.abs(diag))
+                 + 2 * np.maximum.accumulate(np.append(0.0, off)))).tolist()
+
+    def bisect(k: int, rng: int, vl: float, vu: float, i: int):
+        # range 1 = 'V': eigenvalues in (vl, vu]; 2 = 'I': eigenvalue i
+        m, w, _, _, info = lapack.dstebz(diag[:k], off[:k - 1], rng, vl, vu,
                                          i, i, 2 * np.finfo(float).tiny, "E")
         if info != 0:
             raise KernelError(f"eigensolve failed (dstebz info {info})")
-        return w[0]
+        return m, w[0]
 
-    # order 1 is b_0: the f2py wrapper rejects an empty off-diagonal
-    hi = np.array([diag[0]] + [bisect(k, k) for k in range(2, n_max + 1)])
-    lo = [-h if mirrored else bisect(k, 1) for k, h in enumerate(hi[1:], 2)]
-    return np.array([diag[0]] + lo), hi
+    def chain(sign: int) -> np.ndarray:   # +1: largest zeros, -1: smallest
+        # order 1 is b_0: the f2py wrapper rejects an empty off-diagonal
+        out = [float(diag[0])]
+        for k in range(2, n_max + 1):
+            if k > 2:
+                near = out[-1] + sign * margin[k - 1]
+                far = near + sign * 2 * abs(out[-1] - out[-2])
+                vl, vu = min(near, far), max(near, far)
+                # LAPACK reports vl >= vu as an illegal value on stdout
+                if -math.inf < vl < vu < math.inf:
+                    m, w = bisect(k, 1, vl, vu, 1)
+                    if m == 1:
+                        out.append(w)
+                        continue
+            out.append(bisect(k, 2, 0.0, 0.0, k if sign > 0 else 1)[1])
+        return np.array(out)
+
+    hi = chain(+1)
+    return (np.append(diag[0], -hi[1:]) if mirrored else chain(-1)), hi
 
 
 def gauss_rule(sys: RecurrenceSystem, norms: NormData, m: Measure | None,

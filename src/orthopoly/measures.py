@@ -55,7 +55,12 @@ class Measure:
         """Distinct support points of a finite measure, None otherwise."""
         if self.kind != "discrete_finite":
             return None
-        return int(np.unique(self.nodes).size)
+        # sort and compare, as np.unique does (every nan one point), without
+        # the import of numpy.ma that np.unique costs a cold process
+        nan = np.isnan(self.nodes)
+        x = np.sort(self.nodes[~nan])
+        return (int(x.size and 1 + np.count_nonzero(x[1:] != x[:-1]))
+                + bool(nan.any()))
 
 
 def continuous_measure(weight, support, normalizer=1.0, alg_exponents=None,
@@ -166,12 +171,12 @@ def recurrence_from_measure(m: Measure, n_max: int,
     """Monic recurrence coefficients by discretized Lanczos.
 
     The measure is replaced by the K-point discretization that `integrate`
-    sums over.  Lanczos with full reorthogonalisation on diag(nodes) gives
-    b_n and c_n = beta_n^2 (Gautschi, Orthogonal Polynomials: Computation
-    and Approximation, 2004, section 2.2; Gragg & Harrod 1984).  K starts
-    at n_max + 1 and doubles until every b_n and sqrt(c_n) changes by at
-    most `tol` relative to |b_n| + sqrt(c_n) + sqrt(c_{n+1}).  A finite
-    measure is used as it is.
+    sums over.  Lanczos on diag(nodes), each step fully reorthogonalised by
+    two classical Gram-Schmidt passes, gives b_n and c_n = beta_n^2
+    (Gautschi, Orthogonal Polynomials: Computation and Approximation, 2004,
+    section 2.2; Gragg & Harrod 1984).  K starts at n_max + 1 and doubles
+    until every b_n and sqrt(c_n) changes by at most `tol` relative to
+    |b_n| + sqrt(c_n) + sqrt(c_{n+1}).  A finite measure is used as it is.
 
     Raises RecurrenceError when K would exceed _MAX_POINTS.  So a weight
     with an endpoint singularity that `alg_exponents` does not declare, or
@@ -275,8 +280,11 @@ def _times_exp(v: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _lanczos(x: np.ndarray, w: np.ndarray, n_max: int):
     """(points, mass, b_0..b_n, beta_0..beta_{n+1}) of the discrete measure
-    sum_k w_k delta(x_k), by Lanczos on diag(x) with two full
-    reorthogonalisations per step; beta_0 = 0 and beta_n = sqrt(c_n).
+    sum_k w_k delta(x_k), by Lanczos on diag(x); beta_0 = 0 and beta_n =
+    sqrt(c_n).  Step j orthogonalises x q_j against q_0..q_j by classical
+    Gram-Schmidt twice (twice is enough: Parlett, The Symmetric Eigenvalue
+    Problem, 1980, section 6-9); the first pass also gives b_j and takes
+    the place of the three-term subtraction.
 
     Points of weight 0 are dropped.  Returns None when a node or weight is
     not finite, or when fewer than n_max + 1 points carry weight.
@@ -296,12 +304,12 @@ def _lanczos(x: np.ndarray, w: np.ndarray, n_max: int):
     beta = np.zeros(n_max + 2)
     for j in range(n_max + 1):
         v = x * Q[j]
-        b[j] = Q[j] @ v
-        v -= b[j] * Q[j]
-        if j:
-            v -= beta[j] * Q[j - 1]
-        for _ in range(2):
-            v -= Q[:j + 1].T @ (Q[:j + 1] @ v)
+        # the first pass holds the Lanczos projections: b_j, and beta_j on
+        # q_{j-1}
+        h = Q[:j + 1] @ v
+        b[j] = h[j]
+        v -= h @ Q[:j + 1]
+        v -= (Q[:j + 1] @ v) @ Q[:j + 1]
         beta[j + 1] = math.sqrt(v @ v)
         if j < n_max:
             if not beta[j + 1] > 0:

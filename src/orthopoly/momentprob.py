@@ -126,8 +126,10 @@ def carleman(terms) -> CarlemanReport:
     negative = np.flatnonzero(terms < 0)
     if negative.size:
         raise MomentProblemError(f"negative term at n={negative[0] + 1}")
-    marks = np.unique(np.round(np.logspace(0, math.log10(len(terms)), 80))
-                      ).astype(int)
+    # the distinct marks of the ascending rounded logspace; np.unique would
+    # import numpy.ma
+    marks = np.round(np.logspace(0, math.log10(len(terms)), 80))
+    marks = marks[np.append(True, marks[1:] != marks[:-1])].astype(int)
     partial = np.cumsum(terms)
     sums, total = partial[marks - 1], partial[-1]
     window = marks >= max(marks[-1] / 100.0, 1.0)

@@ -157,15 +157,13 @@ def _pass(rows, p0: float, x: np.ndarray, out: np.ndarray):
     yield 0
     for j, (a, b, c) in enumerate(rows):
         nxt = slots[(j + 1) % size]
-        # complex products round by operand order, which stays as it was:
-        # p^(k) (x - b) for derivatives, (x - b) p as in the Python-float loop
+        # (x - b) p^(k) in one operand order for values and derivatives, so
+        # that their complex values round alike
+        np.multiply(np.subtract(x, b, nxt) if b else x, cur, nxt)
         if order:
-            np.multiply(cur, np.subtract(x, b, nxt) if b else x, nxt)
             nxt[1] += cur[0]
             if order == 2:
                 nxt[2] += np.multiply(cur[1], 2.0, tmp[2])
-        else:
-            np.multiply(np.subtract(x, b, nxt) if b else x, cur, nxt)
         if j:
             nxt -= np.multiply(prev, c, tmp)
         nxt /= a

@@ -315,6 +315,25 @@ def test_shift_unknown_direction():
         I.shift_check(F.hermite(), 1, "sideways", 0.0)
 
 
+def test_shift_battery_builds_one_pair_of_chains(monkeypatch):
+    # both directions read the same chains: p_k and q_k, one
+    # eval_all_derivatives pass each
+    real, calls = R.eval_all_derivatives, []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(R, "eval_all_derivatives", counting)
+    spec, xs = F.jacobi(0.5, 1.5), np.linspace(-0.9, 0.9, 7)
+    by_degree, details = I.IDENTITIES["shift"](spec, 30, xs)
+    assert calls == [30, 29] and details == {}
+    blocks = np.hstack([I.shift_check(spec, 30, d, xs)
+                        for d in ("raise", "lower")])
+    assert np.array(list(by_degree.values())).tobytes() == blocks.tobytes()
+    assert list(by_degree) == list(range(31))
+
+
 def rodrigues_eval(spec, n: int, x: float) -> float:
     """Evaluate via the Rodrigues formula.  With the Pearson pair,
     (d/dx)^k (sigma^n w) = sigma^(n-k) w r_k for the polynomials r_0 = 1,

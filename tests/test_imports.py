@@ -25,7 +25,7 @@ _LOADED_PROBE = textwrap.dedent("""
         "package": sorted(m.split(".", 1)[1] for m in sys.modules
                           if m.startswith("orthopoly.")),
         "other": [m for m in ("fractions", "numpy.polynomial", "mpmath",
-                              "scipy") if m in sys.modules]}))
+                              "scipy", "numpy.ma") if m in sys.modules]}))
 """)
 
 _NAMESPACE_PROBE = textwrap.dedent("""
@@ -112,4 +112,18 @@ def test_subcommand_loads_only_its_modules(argv, extra):
     # (the series sums are exact integer arithmetic), and scipy by none:
     # these eigenproblems are small enough for numpy's LAPACK
     assert set(got["package"]) == BASE | extra
+    assert got["other"] == []
+
+
+def test_recurrence_of_a_finite_measure_file_loads_only_its_modules(
+        tmp_path):
+    # counting the distinct points takes no np.unique, which loads numpy.ma
+    path = tmp_path / "finite.json"
+    path.write_text(json.dumps({
+        "schema": 1, "kind": "discrete_finite",
+        "nodes": [-1 + 2 * k / 19 for k in range(20)], "weights": [1.0] * 20}))
+    got = _probe(_LOADED_PROBE, "recurrence", "--measure", str(path),
+                 "--n-max", "15")
+    assert got["code"] == 0
+    assert set(got["package"]) == BASE | {"io"}
     assert got["other"] == []

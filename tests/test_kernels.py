@@ -649,6 +649,8 @@ def test_dense_chains_are_the_ends_of_zeros(family, n_max):
 def test_bisection_failure_raises_kernel_error(monkeypatch):
     from scipy.linalg import lapack
 
+    real = lapack.dstebz
+
     def failing(d, e, *args):
         return 0, np.zeros(len(d)), None, None, 1
 
@@ -659,3 +661,78 @@ def test_bisection_failure_raises_kernel_error(monkeypatch):
             K.extreme_zeros(F.family_monic_system(F.jacobi(0.5, 1.5)), n_max)
     with pytest.raises(K.KernelError, match="need n >= 1"):
         K.extreme_zeros(F.family_monic_system(F.jacobi(0.5, 1.5)), 0)
+
+    # a failed bracketed call (range 1 = 'V') raises too; it does not fall
+    # back to the interval call (range 2 = 'I')
+    calls = []
+
+    def failing_in_bracket(d, e, rng, *args):
+        calls.append(rng)
+        return (0, np.zeros(len(d)), None, None, 2) if rng == 1 \
+            else real(d, e, rng, *args)
+
+    monkeypatch.setattr(lapack, "dstebz", failing_in_bracket)
+    with pytest.raises(K.KernelError, match="dstebz info 2"):
+        K.extreme_zeros(F.family_monic_system(F.jacobi(0.5, 1.5)), 49)
+    # order 2 has no bracket; order 3 tries one, which fails
+    assert calls == [2, 1]
+
+
+def interval_chains(sys, n_max):
+    """Both extreme-zero chains, each bisected from the Gershgorin interval
+    (dstebz RANGE = 'I') at every order."""
+    from scipy.linalg import lapack
+
+    diag, off = K.jacobi_matrix(sys, n_max)
+
+    def bisect(k, i):
+        return lapack.dstebz(diag[:k], off[:k - 1], 2, 0.0, 0.0, i, i,
+                             2 * np.finfo(float).tiny, "E")[1][0]
+
+    orders = range(2, n_max + 1)
+    return (np.array([diag[0]] + [bisect(k, 1) for k in orders]),
+            np.array([diag[0]] + [bisect(k, k) for k in orders]))
+
+
+def chain_norms(sys, n_max):
+    """||J_k|| <= max|b_j| + 2 max e_j for the blocks k = 1..n_max."""
+    diag, off = K.jacobi_matrix(sys, n_max)
+    return (np.maximum.accumulate(np.abs(diag))
+            + 2 * np.maximum.accumulate(np.append(0.0, off)))
+
+
+@pytest.mark.parametrize("sys", [
+    # the smallest zero of Charlier sits at rounding level above 0
+    F.family_monic_system(F.family_spec("charlier", {"a": 2.0})),
+    # c_n = 4^-n: both chains settle within a few orders
+    R.from_tables([1.0] * 101, [0.0] * 50 + [0.5] * 51,
+                  [0.0] + [4.0 ** -j for j in range(1, 101)], form="monic"),
+], ids=["charlier", "geometric"])
+def test_chains_with_vanishing_steps_print_nothing(sys, capfd):
+    # a step of 0 leaves an empty bracket, which must not reach LAPACK:
+    # dstebz prints an illegal-value message on stdout for vl >= vu
+    lo, hi = K.extreme_zeros(sys, 100)
+    assert capfd.readouterr() == ("", "")
+    ref_lo, ref_hi = interval_chains(sys, 100)
+    err = np.maximum(np.abs(lo - ref_lo), np.abs(hi - ref_hi))
+    assert np.all(err <= 2 * EPS * chain_norms(sys, 100))
+
+
+@pytest.mark.parametrize("jump", [5.0, -5.0])
+def test_weakly_coupled_row_keeps_the_extreme_zero(jump):
+    # row 50 jumps to b = +-5 and couples to the rows before it by e =
+    # 1e-8: from order 51 the extreme is near b, while the next eigenvalue
+    # stays within rounding of the extreme of order 50.  The margin above
+    # that extreme keeps the next eigenvalue out of the bracket; without
+    # it the bracket returns it (0.998 in place of 5 at order 51).
+    b, c = np.zeros(101), np.full(101, 0.25)
+    b[50], c[0], c[50] = jump, 0.0, 1e-16
+    sys = R.from_tables(np.ones(101), b, c, form="monic")
+    lo, hi = K.extreme_zeros(sys, 100)
+    diag, off = K.jacobi_matrix(sys, 100)
+    norms = chain_norms(sys, 100)
+    for k in range(45, 101):
+        dense = np.linalg.eigvalsh(np.diag(diag[:k]) + np.diag(off[:k - 1], 1)
+                                   + np.diag(off[:k - 1], -1))
+        err = max(abs(lo[k - 1] - dense[0]), abs(hi[k - 1] - dense[-1]))
+        assert err <= 8 * EPS * norms[k - 1], (k, lo[k - 1], hi[k - 1])

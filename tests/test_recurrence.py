@@ -126,6 +126,19 @@ def test_evaluation_paths_agree_bit_for_bit(family):
             R.eval_all_derivatives(sys, n, x, 1)), n
 
 
+def test_complex_values_row_of_the_derivative_pass_is_eval_all():
+    # (x - b) p^(k) is formed in one operand order for values and
+    # derivatives; complex products round by operand order, so the rows
+    # differed before (1055 of 1407 entries here)
+    sys = F.family_monic_system(F.jacobi(0.5, 1.5))
+    z = np.linspace(-0.9, 0.9, 7) + 0.5j
+    values = R.eval_all(sys, 200, z)
+    assert values.dtype == complex
+    for order in (1, 2):
+        assert R.eval_all_derivatives(sys, 200, z, order)[0].tobytes() == \
+            values.tobytes()
+
+
 def test_eval_all_on_an_array_is_one_array():
     sys = legendre_system()
     x = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
