@@ -74,7 +74,7 @@ def cd_kernel(sys: RecurrenceSystem, norms: NormData, n: int, x, y,
     without warnings.  A float for float x and y; for arrays x and y of one
     shape, an array of the kernel at the pairs (x_i, y_i), each recurrence
     run once over all of them."""
-    if method not in ("auto", "sum", "closed"):
+    if method not in ("auto", "sum"):
         raise KernelError(f"unknown method {method!r}")
     on = convert_form(sys, norms, "orthonormal")
     on.table(n)   # the rows both forms read, grown in one block

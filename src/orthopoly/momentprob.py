@@ -320,28 +320,33 @@ def support_bound_criteria(sys: RecurrenceSystem,
 # ---------------------------------------------------------------------------
 # Stieltjes-Wigert chains and the non-uniqueness demonstration
 
+def _stieltjes_wigert_b(j: np.ndarray) -> np.ndarray:
+    """b_n of both Stieltjes-Wigert chains."""
+    return np.exp(j + 0.75) * (1 + math.exp(-0.5) - np.exp(-(j + 1) / 2.0))
+
+
 def stieltjes_wigert_monic() -> RecurrenceSystem:
     """Monic chain of the log-normal (q = e^{-1/2}) orthogonal polynomials:
-    c_n = e^{2n}(1 - e^{-n/2})."""
-    def coeff(n: int) -> tuple[float, float, float]:
-        b = math.exp(n + 0.75) * (1 + math.exp(-0.5)
-                                  - math.exp(-(n + 1) / 2.0))
-        c = math.exp(2 * n) * (1 - math.exp(-n / 2.0)) if n > 0 else 0.0
-        return 1.0, b, c
+    c_n = e^{2n}(1 - e^{-n/2}).  Past n = 354 its rows raise."""
+    def rows(j: np.ndarray) -> tuple:
+        with np.errstate(over="raise"):
+            return 1.0, _stieltjes_wigert_b(j), np.exp(2 * j) * (
+                1 - np.exp(-j / 2.0))
 
-    return RecurrenceSystem(coeff, form="monic", p0=1.0)
+    return RecurrenceSystem(rows, form="monic", p0=1.0)
 
 
 def stieltjes_wigert_orthonormal() -> RecurrenceSystem:
-    def a(n: int) -> float:
-        return math.exp(n + 1) * math.sqrt(1 - math.exp(-(n + 1) / 2.0))
+    """Its orthonormal chain, a_n = c_{n+1} = e^{n+1} sqrt(1 - e^{-(n+1)/2}),
+    not the root of the monic c_{n+1}: its rows raise past n = 708, not 354."""
+    def e(m: np.ndarray) -> np.ndarray:
+        return np.exp(m) * np.sqrt(1 - np.exp(-m / 2.0))
 
-    def coeff(n: int) -> tuple[float, float, float]:
-        b = math.exp(n + 0.75) * (1 + math.exp(-0.5)
-                                  - math.exp(-(n + 1) / 2.0))
-        return a(n), b, a(n - 1) if n > 0 else 0.0
+    def rows(j: np.ndarray) -> tuple:
+        with np.errstate(over="raise"):
+            return e(j + 1), _stieltjes_wigert_b(j), e(j)
 
-    return RecurrenceSystem(coeff, form="orthonormal", p0=1.0)
+    return RecurrenceSystem(rows, form="orthonormal", p0=1.0)
 
 
 def lognormal_moment(n: int, C: float, tol: float = 1e-12) -> float:

@@ -1,6 +1,7 @@
-"""q-toolkit: q-numbers, q-shifted factorials, basic hypergeometric series,
-q-derivative and q-integral, Askey-Wilson polynomials and the continuous
-q-ultraspherical family with its generating function."""
+"""q-toolkit, all in double precision: q-numbers, q-shifted factorials,
+basic hypergeometric series, q-derivative and q-integral, the Askey-Wilson
+polynomials by their recurrence (Koekoek, Lesky & Swarttouw 2010, (14.1.4))
+and the continuous q-ultraspherical family with its generating function."""
 
 from __future__ import annotations
 
@@ -8,7 +9,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .families import FamilyError, special_case_eval, gegenbauer
+from .recurrence import RecurrenceError, RecurrenceSystem, eval_all
 
 
 class QSeriesError(RuntimeError):
@@ -144,50 +148,55 @@ def basic_hyp(ctx: QContext, upper, lower, z):
 # ---------------------------------------------------------------------------
 # Askey-Wilson and continuous q-ultraspherical
 
+def _askey_wilson_system(q: float, a: float, b: float, c: float,
+                         d: float) -> RecurrenceSystem:
+    """General-form rows of p_n = a^-n (ab, ac, ad; q)_n 4phi3, from the A_n
+    and C_n of Koekoek, Lesky & Swarttouw (2010, (14.1.4)) divided through
+    by that normalisation, s = abcd; inf or nan rows are the caller's."""
+    def lead(z):
+        return (1 - a * b * z) * (1 - a * c * z) * (1 - a * d * z)
+
+    def rows(j: np.ndarray) -> tuple:
+        qn = q ** j.astype(float)
+        qp, first = qn / q, j == 0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            s = np.float64(a) * b * c * d   # 1 - s = 0 divides to inf
+            # 1 - s q^(n-1) cancels from a_0 and A_0, which matters at s = q
+            an = np.where(first, 1 / (2 * (1 - s)), (1 - s * qp) / (
+                2 * (1 - s * qn * qp) * (1 - s * qn * qn)))
+            A = np.where(first, lead(1.0) / (a * (1 - s)),
+                         lead(qn) * (1 - s * qp) / (
+                             a * (1 - s * qn * qp) * (1 - s * qn * qn)))
+            C = np.where(first, 0.0, a * (1 - qn) * (1 - b * c * qp) * (
+                1 - b * d * qp) * (1 - c * d * qp) / (
+                (1 - s * qp * qp) * (1 - s * qn * qp)))
+            return an, (a + 1 / a - A - C) / 2, C * lead(qp) / (2 * a)
+
+    return RecurrenceSystem(rows, form="general", p0=1.0)
+
+
 def askey_wilson_eval(ctx: QContext, n: int, a: float, b: float, c: float,
                       d: float, theta: float) -> float:
-    """p_n(cos theta; a,b,c,d | q), symmetric in (a, b, c, d).
-
-    The terminating 4phi3 is summed in 30-digit arithmetic: the parameter
-    symmetry is exact in the formula but individual term orderings differ by
-    permutation, and double precision leaves visible asymmetry.
-    """
+    """p_n(cos theta; a,b,c,d | q), symmetric in (a, b, c, d), by the
+    recurrence of Koekoek, Lesky & Swarttouw (2010, (14.1.4)) in doubles:
+    the terms of its 4phi3 reach q^(-n^2/2) and cancel."""
+    if n < 0:
+        raise QSeriesError("degree must be non-negative")
+    if not all(map(math.isfinite, (a, b, c, d, theta))):
+        raise QSeriesError("parameters and theta must be finite")
     if a == 0:
         raise QSeriesError("parameter a must be nonzero")
-    import mpmath
-
-    q = ctx.q
-    with mpmath.workdps(30):
-        qm = mpmath.mpf(q)
-        am, bm, cm, dm = (mpmath.mpf(v) for v in (a, b, c, d))
-        eip = mpmath.expjpi(mpmath.mpf(theta) / mpmath.pi)
-        upper = [qm ** -n, am * bm * cm * dm * qm ** (n - 1),
-                 am * eip, am / eip]
-        lower = [am * bm, am * cm, am * dm]
-        for bp in lower:
-            m = _is_q_power(ctx, float(bp))
-            if m is not None and m < n:
-                raise QSeriesError(
-                    f"lower parameter {float(bp)} hits q^(-{m}) before "
-                    f"termination at {n}")
-        term = total = mpmath.mpc(1)
-        for k in range(n):
-            ratio = qm
-            for u in upper:
-                ratio *= 1 - u * qm ** k
-            for bp in lower:
-                ratio /= 1 - bp * qm ** k
-            ratio /= 1 - qm ** (k + 1)
-            term *= ratio
-            total += term
-        prefactor = mpmath.mpc(1)
-        for bp in lower:
-            for k in range(n):
-                prefactor *= 1 - bp * qm ** k
-        val = prefactor / am ** n * total
-        if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
-            raise QSeriesError(f"unexpected imaginary part {float(val.imag)}")
-        return float(val.real)
+    system = _askey_wilson_system(ctx.q, a, b, c, d)
+    try:
+        # a_k = 0 where s q^(k-1) = 1, inf or nan where some s q^m = 1
+        finite = np.isfinite(system.arrays(n - 1)).all()
+        p = eval_all(system, n, math.cos(theta))[-1]
+    except RecurrenceError as exc:
+        raise QSeriesError(f"Askey-Wilson recurrence: {exc}") from None
+    if not (finite and math.isfinite(p)):
+        raise QSeriesError("Askey-Wilson recurrence is not finite to degree "
+                           f"{n} (s = abcd = {a * b * c * d})")
+    return p
 
 
 def cq_ultraspherical(ctx: QContext, n: int, beta: float,

@@ -23,29 +23,18 @@ class RecurrenceError(ValueError):
     """Invalid or inconsistent recurrence data."""
 
 
-def _checked_row(coeff_fn, i: int) -> tuple[float, float, float]:
-    try:
-        return coeff_fn(i)
-    except (IndexError, KeyError) as exc:
-        raise RecurrenceError(f"coefficients undefined at index {i}") from exc
-
-
 @dataclass(frozen=True)
 class RecurrenceSystem:
     """Orthogonal polynomial system given by its coefficient rows.
 
     rows_fn(j) returns (a_j, b_j, c_j), arrays or scalars, at an index range
-    j.  coeff_fn(n), the row at one index, is the adapter for per-index
-    callers; given instead of rows_fn, it is wrapped into one.  c_0 is
-    ignored.  Rows are computed and validated once, into a table that grows
-    on demand."""
+    j.  c_0 is ignored.  Rows are computed and validated once, into a table
+    that grows on demand."""
 
-    coeff_fn: Callable[[int], tuple[float, float, float]] | None = None
+    rows_fn: Callable[[np.ndarray], tuple]
     form: str = "general"
     p0: float = 1.0
     max_index_hint: int | None = None
-    rows_fn: Callable[[np.ndarray], tuple] | None = field(default=None,
-                                                          kw_only=True)
     _cache: dict = field(default_factory=lambda: {"abc": np.empty((3, 0)),
                                                   "rows": []},
                          init=False, compare=False, repr=False)
@@ -53,10 +42,6 @@ class RecurrenceSystem:
     def __post_init__(self):
         if self.form not in FORMS:
             raise RecurrenceError(f"unknown form {self.form!r}")
-        if self.rows_fn is None:
-            fn = self.coeff_fn
-            object.__setattr__(self, "rows_fn", lambda j: np.array(
-                [_checked_row(fn, i) for i in j.tolist()], dtype=float).T)
 
     def _grow(self, n: int) -> None:
         cache = self._cache

@@ -36,12 +36,9 @@ def criterion(num, label, budget):
 
 
 def chebyshev_t_monic():
-    def coeff(n):
-        if n == 0:
-            return 1.0, 0.0, 0.0
-        return 1.0, 0.0, 0.5 if n == 1 else 0.25
-
-    return R.RecurrenceSystem(coeff, form="monic", p0=1.0)
+    return R.RecurrenceSystem(
+        lambda j: (1.0, 0.0, np.select([j == 0, j == 1], [0.0, 0.5], 0.25)),
+        form="monic", p0=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +304,7 @@ def test_criterion_13_askey_wilson_symmetry():
                 (0.1, 0.2, 0.3, 0.4),
                 (-0.2, 0.5, -0.4, 0.35)]
         for params in sets:
-            for n in range(7):
+            for n in (*range(7), 10, 30):
                 base = Q.askey_wilson_eval(ctx, n, *params, 1.1)
                 for perm in itertools.permutations(params):
                     val = Q.askey_wilson_eval(ctx, n, *perm, 1.1)

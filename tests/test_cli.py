@@ -495,11 +495,11 @@ def test_check_orthogonality_fails_on_a_perturbed_coefficient(
     def perturbed(spec):
         sys_ = real(spec)
 
-        def coeff(j):
-            a, b, c = sys_.coeffs(j)
-            return a, b, c * (1 + 1e-9) if j == 5 else c
+        def rows(j):
+            a, b, c = sys_.arrays(j[-1])[:, j]
+            return a, b, np.where(j == 5, c * (1 + 1e-9), c)
 
-        return RecurrenceSystem(coeff, form=sys_.form, p0=sys_.p0)
+        return RecurrenceSystem(rows, form=sys_.form, p0=sys_.p0)
 
     monkeypatch.setattr(F, "family_system", perturbed)
     code, out, err = run(capsys, "check", "--family", family,

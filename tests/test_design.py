@@ -6,9 +6,10 @@ the kernels, moment diagnostics, lattice families, documents and identity
 checks inside the subcommands, no other module imports the identity checks,
 and io.py needs the kernels for an annotation only.  No module imports the
 command line: its two errors live in errors.py, so `python -m orthopoly.cli`
-catches the classes that the identity checks raise.  The series sums of
-families.py and discrete.py run in exact integer arithmetic, and only
-qseries.py imports mpmath."""
+catches the classes that the identity checks raise.  No module imports
+mpmath: the series sums of families.py and discrete.py run in exact integer
+arithmetic, qseries.py evaluates the Askey-Wilson polynomials by their
+three-term recurrence, and mpmath is a test dependency only."""
 
 import ast
 from pathlib import Path
@@ -130,9 +131,8 @@ def imported_modules(source: str) -> set[str]:
     return names
 
 
-@pytest.mark.parametrize("module", ("families.py", "discrete.py",
-                                    "identities.py", "recurrence.py",
-                                    "momentprob.py"))
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in Path(orthopoly.__file__).parent.glob("*.py")))
 def test_series_modules_do_not_import_mpmath(module):
     assert not any(name.split(".")[0] == "mpmath"
                    for name in imported_modules(_source(module)))

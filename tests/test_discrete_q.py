@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -333,6 +334,114 @@ def test_askey_wilson_permutation_symmetry():
     for perm in itertools.permutations(params):
         val = Q.askey_wilson_eval(ctx, 4, *perm, 1.1)
         assert val == pytest.approx(base, rel=1e-13)
+
+
+def test_askey_wilson_rejects_a_negative_degree():
+    with pytest.raises(Q.QSeriesError, match="non-negative"):
+        Q.askey_wilson_eval(Q.QContext(0.5), -1, 0.1, 0.2, 0.3, 0.4, 0.3)
+
+
+@pytest.mark.parametrize("slot", range(5))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_askey_wilson_rejects_a_non_finite_parameter_or_angle(slot, bad):
+    args = [0.1, 0.2, 0.3, 0.4, 0.3]
+    args[slot] = bad
+    with pytest.raises(Q.QSeriesError, match="finite"):
+        Q.askey_wilson_eval(Q.QContext(0.5), 3, *args)
+
+
+@pytest.mark.parametrize("n,params", [(1, (1.0, 1.0, 1.0, 1.0)),
+                                      (2, (1.0, 1.0, 1.0, 2.0))],
+                         ids=["s=1", "s=1/q"])
+def test_askey_wilson_rejects_a_row_that_is_not_finite(n, params):
+    # a_0 = 1/(2(1 - s)) at s = 1, and a_1 has 1 - sq = 0 at s = 1/q
+    with pytest.raises(Q.QSeriesError, match="not finite"):
+        Q.askey_wilson_eval(Q.QContext(0.5), n, *params, 0.3)
+
+
+def test_askey_wilson_rejects_a_vanishing_leading_row():
+    # s q = 1 makes a_2 = (1 - s q)/... = 0
+    with pytest.raises(Q.QSeriesError, match="a_2 = 0"):
+        Q.askey_wilson_eval(Q.QContext(0.5), 3, 1.0, 1.0, 1.0, 2.0, 0.3)
+
+
+def test_askey_wilson_refuses_a_zero_first_parameter():
+    # the rows divide by a
+    with pytest.raises(Q.QSeriesError, match="nonzero"):
+        Q.askey_wilson_eval(Q.QContext(0.5), 3, 0.0, 0.2, 0.3, 0.4, 0.3)
+
+
+def askey_wilson_4phi3(q, n, a, b, c, d, x):
+    """p_n(x) = a^-n (ab, ac, ad; q)_n 4phi3(q^-n, abcd q^(n-1), a e^(i theta),
+    a e^(-i theta); ab, ac, ad; q, q), x = cos theta, with
+    (a e^(i theta), a e^(-i theta); q)_k = prod_j<k (1 - 2a q^j x + a^2 q^2j),
+    so that exact arithmetic stays exact; in any number type of q."""
+    s = a * b * c * d
+    term = total = norm = q ** 0
+    for k in range(n):
+        qk = q ** k
+        term *= ((1 - qk / q ** n) * (1 - s * q ** (n - 1) * qk)
+                 * (1 - 2 * a * qk * x + a * a * qk * qk) * q
+                 / ((1 - a * b * qk) * (1 - a * c * qk) * (1 - a * d * qk)
+                    * (1 - q * qk)))
+        total += term
+        norm *= (1 - a * b * qk) * (1 - a * c * qk) * (1 - a * d * qk) / a
+    return norm * total
+
+
+def test_askey_wilson_against_exact_fractions():
+    # q = 1/2, (a, b, c, d) = (1/10, 1/5, 3/10, 2/5): every term is rational
+    eps = 2.0 ** -52
+    q = Fraction(1, 2)
+    params = [Fraction(k, 10) for k in (1, 2, 3, 4)]
+    xs = [Fraction(3, 10), Fraction(-7, 10), Fraction(19, 20)]
+    ctx = Q.QContext(float(q))
+    for n in range(13):
+        ref = [float(askey_wilson_4phi3(q, n, *params, x)) for x in xs]
+        got = [Q.askey_wilson_eval(ctx, n, *map(float, params),
+                                   math.acos(float(x))) for x in xs]
+        scale = max(map(abs, ref))
+        for g, r in zip(got, ref):
+            assert abs(g - r) <= 100 * max(n, 1) * eps * scale, (n, g, r)
+
+
+def test_askey_wilson_at_s_equal_to_q():
+    # the 1 - s/q that cancels from a_0 and A_0 is 0 here
+    q = Fraction(1, 2)
+    params = [Fraction(1, 5), Fraction(1, 2), Fraction(5, 2), Fraction(2)]
+    x = Fraction(3, 10)
+    for n in range(7):
+        ref = float(askey_wilson_4phi3(q, n, *params, x))
+        got = Q.askey_wilson_eval(Q.QContext(0.5), n, *map(float, params),
+                                  math.acos(0.3))
+        assert got == pytest.approx(ref, rel=1e-13, abs=1e-13)
+
+
+_AW_PARAMS = [(0.1, 0.2, 0.3, 0.4), (0.3, -0.45, 0.25, 0.6),
+              (-0.2, 0.5, -0.4, 0.35)]
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9])
+@pytest.mark.parametrize("n", [10, 15, 30])
+def test_askey_wilson_against_high_precision_4phi3(q, n):
+    # the 4phi3 terms reach q^(-n^2/2) and cancel: 60 + n^2 |log10 q|
+    # digits leave 60 after the cancellation
+    import mpmath
+
+    ctx = Q.QContext(q)
+    beta = 0.4   # the q-ultraspherical specialisation as the fourth set
+    sb, sqb = math.sqrt(beta), math.sqrt(q * beta)
+    thetas = (0.3, 0.7, 1.1, 2.0, 2.9)
+    eps = 2.0 ** -52
+    with mpmath.workdps(60 + math.ceil(n * n * abs(math.log10(q)))):
+        for params in _AW_PARAMS + [(sb, sqb, -sb, -sqb)]:
+            ref = [float(askey_wilson_4phi3(
+                mpmath.mpf(q), n, *map(mpmath.mpf, params),
+                mpmath.cos(mpmath.mpf(t)))) for t in thetas]
+            got = [Q.askey_wilson_eval(ctx, n, *params, t) for t in thetas]
+            scale = max(map(abs, ref))
+            for g, r in zip(got, ref):
+                assert abs(g - r) <= 100 * n * eps * scale, (params, g, r)
 
 
 def test_cq_ultraspherical_degree_zero():

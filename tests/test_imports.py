@@ -127,3 +127,33 @@ def test_recurrence_of_a_finite_measure_file_loads_only_its_modules(
     assert got["code"] == 0
     assert set(got["package"]) == BASE | {"io"}
     assert got["other"] == []
+
+
+_NO_MPMATH_PROBE = textwrap.dedent("""
+    import json, sys
+    sys.modules["mpmath"] = None   # every import of mpmath now fails
+    from orthopoly import qseries as Q
+    from orthopoly.cli import main
+
+    codes = [main(argv) for argv in (
+        ["tabulate", "--family", "legendre", "--n-max", "3", "--grid=-1:1:3"],
+        ["recurrence", "--family", "jacobi", "--alpha", "0.5", "--beta",
+         "1.5", "--n-max", "5"],
+        ["quadrature", "--family", "legendre", "--n", "200"],
+        ["zeros", "--family", "charlier", "--a", "2", "--n", "5"],
+        ["check", "--family", "hermite", "--identity", "orthogonality",
+         "--n", "10"],
+        ["diagnose", "--family", "hermite", "--carleman", "--true-interval",
+         "60"])]
+    ctx = Q.QContext(0.5)
+    Q.askey_wilson_eval(ctx, 30, 0.1, 0.2, 0.3, 0.4, 1.1)
+    Q.basic_hyp(ctx, [ctx.q ** -3, 0.2], [0.4], 0.3)
+    Q.cq_ultraspherical(ctx, 10, 0.4, 1.1)
+    Q.gen_fn_check(ctx, 0.4, 1.1, 0.2, 30)
+    print(json.dumps({"codes": codes}))
+""")
+
+
+def test_every_subcommand_and_the_q_toolkit_run_without_mpmath():
+    # mpmath is a test dependency: the package runs where it is missing
+    assert _probe(_NO_MPMATH_PROBE)["codes"] == [0] * 6

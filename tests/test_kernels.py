@@ -62,7 +62,7 @@ def test_kernel_sum_vs_closed_random():
         if abs(x - y) < 1e-3:
             continue
         s = K.cd_kernel(sys, norms, n, x, y, method="sum")
-        c = K.cd_kernel(sys, norms, n, x, y, method="closed")
+        c = K.cd_kernel(sys, norms, n, x, y)
         assert c == pytest.approx(s, rel=1e-10, abs=1e-10)
 
 
@@ -197,7 +197,7 @@ def test_zeros_hermite_small():
 
 
 def test_zeros_requires_favard():
-    bad = R.RecurrenceSystem(lambda n: (1.0, 0.0, -1.0), form="monic")
+    bad = R.RecurrenceSystem(lambda j: (1.0, 0.0, -1.0), form="monic")
     with pytest.raises(R.RecurrenceError):
         K.zeros(bad, None, 3)
     with pytest.raises(K.KernelError):
@@ -395,11 +395,11 @@ def test_hermite_200_keeps_every_weight():
 
 def with_diagonal(sys, j, b):
     """`sys` with b_j replaced by `b`."""
-    def coeff(i):
-        a, b_i, c = sys.coeffs(i)
-        return a, (b if i == j else b_i), c
+    def rows(i):
+        a, b_i, c = sys.arrays(i[-1])[:, i]
+        return a, np.where(i == j, b, b_i), c
 
-    return R.RecurrenceSystem(coeff, form=sys.form, p0=sys.p0)
+    return R.RecurrenceSystem(rows, form=sys.form, p0=sys.p0)
 
 
 def full_golub_welsch(sys, mu0, n):
@@ -554,7 +554,7 @@ def test_half_size_route_refuses_an_indefinite_matrix():
         K._half_eigvals(np.array([1.0, 1.0, 1.0]), np.array([2.0, 0.5]))
 
 
-@pytest.mark.parametrize("method", ["auto", "sum", "closed"])
+@pytest.mark.parametrize("method", ["auto", "sum"])
 def test_kernel_on_arrays_matches_scalar_calls(method):
     # distinct pairs take the closed form, near-equal ones the confluent one
     sys, norms = legendre_setup()

@@ -13,12 +13,9 @@ from orthopoly.families import (family_measure, hermite_monic_system,
 
 def chebyshev_t_monic():
     # b = 0, c_1 = 1/2, c_n = 1/4
-    def coeff(n):
-        if n == 0:
-            return 1.0, 0.0, 0.0
-        return 1.0, 0.0, 0.5 if n == 1 else 0.25
-
-    return R.RecurrenceSystem(coeff, form="monic", p0=1.0)
+    return R.RecurrenceSystem(
+        lambda j: (1.0, 0.0, np.select([j == 0, j == 1], [0.0, 0.5], 0.25)),
+        form="monic", p0=1.0)
 
 
 def legendre_monic():
@@ -54,8 +51,8 @@ def test_numerator_polys_orthonormal_shift():
 
 
 def test_numerator_polys_reject_general():
-    sys = R.RecurrenceSystem(lambda n: (2.0, 0.0, 1.0 if n else 0.0),
-                             form="general")
+    sys = R.RecurrenceSystem(
+        lambda j: (2.0, 0.0, np.where(j > 0, 1.0, 0.0)), form="general")
     with pytest.raises(MP.MomentProblemError):
         MP.numerator_polys(sys)
 
@@ -320,8 +317,8 @@ def test_support_bounds_hermite():
 
 
 def test_support_bounds_constant_chain():
-    sys = R.RecurrenceSystem(lambda n: (1.0, 5.0, 1.0 if n else 0.0),
-                             form="monic")
+    sys = R.RecurrenceSystem(
+        lambda j: (1.0, 5.0, np.where(j > 0, 1.0, 0.0)), form="monic")
     cls = MP.support_bound_criteria(sys, 100)
     assert cls.kind == "bounded"
     assert cls.interval == pytest.approx((3.0, 7.0))
@@ -358,3 +355,14 @@ def test_sw_chains_consistent():
         a_prev = ortho.coeffs(n - 1)[0]
         assert a_prev ** 2 == pytest.approx(monic.coeffs(n)[2], rel=1e-13)
         assert ortho.coeffs(n)[1] == monic.coeffs(n)[1]
+
+
+@pytest.mark.parametrize("chain,last", [(MP.stieltjes_wigert_monic, 354),
+                                        (MP.stieltjes_wigert_orthonormal,
+                                         708)], ids=["monic", "orthonormal"])
+def test_sw_chains_raise_past_the_double_range(chain, last):
+    # e^{2n} of the monic c_n overflows at n = 355, e^{n+1} of the
+    # orthonormal a_n at n = 709: no row is inf
+    assert np.isfinite(chain().arrays(last)).all()
+    with pytest.raises(ArithmeticError):
+        chain().coeffs(last + 1)

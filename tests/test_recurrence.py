@@ -19,9 +19,9 @@ def test_eval_legendre_at_one():
 
 
 def test_eval_degree_zero_returns_p0():
-    sys = R.RecurrenceSystem(lambda n: (1.0, 0.0, 0.25), form="monic", p0=1.0)
+    sys = R.RecurrenceSystem(lambda j: (1.0, 0.0, 0.25), form="monic", p0=1.0)
     assert R.eval_poly(sys, 0, 12.3) == 1.0
-    sys2 = R.RecurrenceSystem(lambda n: (2.0, 1.0, 0.5), p0=3.5)
+    sys2 = R.RecurrenceSystem(lambda j: (2.0, 1.0, 0.5), p0=3.5)
     assert R.eval_poly(sys2, 0, -4.0) == 3.5
 
 
@@ -65,7 +65,7 @@ def test_eval_negative_degree_rejected():
 
 
 def test_zero_a_coefficient_rejected():
-    sys = R.RecurrenceSystem(lambda n: (0.0, 0.0, 1.0))
+    sys = R.RecurrenceSystem(lambda j: (0.0, 0.0, 1.0))
     with pytest.raises(R.RecurrenceError):
         R.eval_poly(sys, 2, 0.5)
 
@@ -215,14 +215,14 @@ def test_favard_legendre_passes():
 
 
 def test_favard_zero_product_fails():
-    sys = R.RecurrenceSystem(lambda n: (1.0, 0.0, 0.0), form="monic")
+    sys = R.RecurrenceSystem(lambda j: (1.0, 0.0, 0.0), form="monic")
     rep = R.validate_favard(sys, 3)
     assert not rep.passed
     assert rep.failures[0][0] == 0
 
 
 def test_favard_negative_product_fails():
-    sys = R.RecurrenceSystem(lambda n: (1.0, 0.0, -1.0), form="monic")
+    sys = R.RecurrenceSystem(lambda j: (1.0, 0.0, -1.0), form="monic")
     rep = R.validate_favard(sys, 1)
     assert not rep.passed and rep.failures[0] == (0, -1.0)
 
@@ -249,8 +249,8 @@ def test_norms_hermite_classical_chain():
 
 
 def test_norms_constant_quarter_chain():
-    sys = R.RecurrenceSystem(lambda n: (1.0, 0.0, 0.25 if n else 0.0),
-                             form="monic")
+    sys = R.RecurrenceSystem(
+        lambda j: (1.0, 0.0, np.where(j > 0, 0.25, 0.0)), form="monic")
     norms = R.norms_from_recurrence(sys, 1.0, 1.0, 8)
     assert np.allclose(norms.h, 4.0 ** -np.arange(9))
 
@@ -279,7 +279,7 @@ def test_norms_base_case():
 
 
 def test_norms_favard_violation_raises():
-    sys = R.RecurrenceSystem(lambda n: (1.0, 0.0, -1.0), form="monic")
+    sys = R.RecurrenceSystem(lambda j: (1.0, 0.0, -1.0), form="monic")
     with pytest.raises(R.RecurrenceError):
         R.norms_from_recurrence(sys, 1.0, 1.0, 3)
 
@@ -296,8 +296,8 @@ def test_convert_hermite_to_monic():
 
 def test_convert_orthonormal_from_monic_squares():
     # Remark: orthonormal a_{n-1} = 2 corresponds to monic c_n = 4
-    sys = R.RecurrenceSystem(lambda n: (2.0, 0.0, 2.0 if n else 0.0),
-                             form="orthonormal")
+    sys = R.RecurrenceSystem(
+        lambda j: (2.0, 0.0, np.where(j > 0, 2.0, 0.0)), form="orthonormal")
     norms = R.norms_from_recurrence(sys, 1.0, 1.0, 6)
     monic = R.convert_form(sys, norms, "monic")
     assert monic.coeffs(3)[2] == pytest.approx(4.0)
@@ -380,8 +380,8 @@ def test_even_symmetry_legendre_sampled():
 
 
 def test_even_symmetry_skips_asymmetric():
-    sys = R.RecurrenceSystem(lambda n: (1.0, 1.0, 0.25 if n else 0.0),
-                             form="monic")
+    sys = R.RecurrenceSystem(
+        lambda j: (1.0, 1.0, np.where(j > 0, 0.25, 0.0)), form="monic")
     assert not even_symmetry(sys, 4, [0.5])[0]
 
 
@@ -398,7 +398,7 @@ def _counting_legendre():
 
 
 def test_table_rows_are_python_floats_and_match_coeffs():
-    sys = R.RecurrenceSystem(lambda n: (np.float64(n + 1), n, 0.5 * n))
+    sys = R.RecurrenceSystem(lambda j: (j + 1.0, j, 0.5 * j))
     rows = sys.table(4)
     assert len(rows) == 5
     assert all(type(v) is float for row in rows for v in row)
