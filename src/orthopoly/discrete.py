@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from .families import FamilyError, FamilySpec, hyp, pochhammer
+from .families import (FamilyError, FamilySpec, hyp, pochhammer,
+                       shared_system)
 from .measures import Measure, discrete_infinite_measure, discrete_measure
 from .recurrence import RecurrenceError, RecurrenceSystem
 
@@ -233,11 +234,17 @@ def _recurrence_terms(fam: FamilySpec,
 
 def discrete_system(fam: FamilySpec, monic: bool = False) -> RecurrenceSystem:
     """Three-term recurrence of a discrete family, normalized by p_n(0) = 1
-    as in discrete_eval, or monic: (1, A_n + C_n, A_{n-1} C_n).
+    as in discrete_eval, or monic: (1, A_n + C_n, A_{n-1} C_n), shared by
+    every call with the same parameters (see families.shared_system).
 
     A family on a finite lattice stops at N: coefficients past index N raise
     RecurrenceError, and so does a_N = 0 in the general form.
     """
+    return shared_system(fam, "monic" if monic else "general",
+                         lambda: _lattice_system(fam, monic))
+
+
+def _lattice_system(fam: FamilySpec, monic: bool) -> RecurrenceSystem:
     bound = fam.parameters.get("N")
 
     def rows(j: np.ndarray) -> tuple:

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -412,14 +415,50 @@ def jacobi_system(alpha: float, beta: float,
     return RecurrenceSystem(rows_fn=rows, form="general", p0=1.0)
 
 
+# The systems of family_system, family_monic_system and
+# discrete.discrete_system, one per family, form and parameter bits, the
+# least recently used dropped past _SYSTEMS_KEPT
+_SYSTEMS_KEPT = 64
+_systems: OrderedDict = OrderedDict()
+_systems_lock = threading.Lock()
+
+
+def shared_system(spec: FamilySpec, form: str,
+                  build: Callable[[], RecurrenceSystem]) -> RecurrenceSystem:
+    """The one system of `spec` in `form`, from build() on first use.  The
+    key holds the exact bits of each parameter, so -0.0 and 0.0 differ."""
+    key = (spec.family, form, tuple(
+        (type(v), v if isinstance(v, int) else float(v).hex())
+        for v in map(spec.parameters.__getitem__, PARAMETERS[spec.family])))
+    with _systems_lock:
+        system = _systems.get(key)
+        if system is None:
+            system = _systems[key] = build()
+            if len(_systems) > _SYSTEMS_KEPT:
+                _systems.popitem(last=False)
+        else:
+            _systems.move_to_end(key)
+    return system
+
+
+def clear_systems() -> None:
+    """Forget the shared systems (and the rows they hold)."""
+    with _systems_lock:
+        _systems.clear()
+
+
 def family_system(spec: FamilySpec) -> RecurrenceSystem:
     """Three-term recurrence in the family's classical normalization (for
-    the discrete families p_n(0) = 1, as in discrete.discrete_eval).  The
-    Jacobi-type rows stay within a few ulp to any degree (see
-    jacobi_system)."""
+    the discrete families p_n(0) = 1, as in discrete.discrete_eval), shared
+    by every call with the same parameters.  The Jacobi-type rows stay
+    within a few ulp to any degree (see jacobi_system)."""
     if spec.discrete:
         from .discrete import discrete_system
         return discrete_system(spec)
+    return shared_system(spec, "general", lambda: _classical_system(spec))
+
+
+def _classical_system(spec: FamilySpec) -> RecurrenceSystem:
     kind, a, b, prefactor = classical(spec)
     if kind == LAGUERRE:
         return laguerre_system(a)
@@ -433,9 +472,14 @@ def family_system(spec: FamilySpec) -> RecurrenceSystem:
 
 
 def family_monic_system(spec: FamilySpec) -> RecurrenceSystem:
+    """The monic recurrence, shared as in family_system."""
     if spec.discrete:
         from .discrete import discrete_system
         return discrete_system(spec, monic=True)
+    return shared_system(spec, "monic", lambda: _classical_monic_system(spec))
+
+
+def _classical_monic_system(spec: FamilySpec) -> RecurrenceSystem:
     kind, a, b, _ = classical(spec)
     if kind == LAGUERRE:
         return laguerre_monic_system(a)

@@ -10,9 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import Measure, integrate
-from .recurrence import (NormData, RecurrenceError, RecurrenceSystem, _pass,
-                         convert_form, eval_all, eval_all_derivatives,
-                         validate_favard)
+from .recurrence import (NormData, RecurrenceSystem, _pass, convert_form,
+                         eval_all, eval_all_derivatives, favard_roots)
 
 # below this separation the closed form of the kernel cancels; use the
 # confluent (derivative) form instead
@@ -36,6 +35,11 @@ _DENSE_MAX_ORDER = 96
 #   bisection           0.42   0.86   1.49   2.25   3.31
 #   (without bracket)   0.43   0.96   1.70   2.70   4.12
 _CHAIN_DENSE_MAX_ORDER = 48
+# the absolute tolerance of its bisection
+_BISECT_ABSTOL = 2 * np.finfo(float).tiny
+# off-diagonals of binary exponent up to this one keep the entries of
+# _half_jacobi, sums of two squares, in the normal double range
+_SQUARE_MAX_EXP = 500
 
 
 class KernelError(ValueError):
@@ -135,11 +139,7 @@ def kernel_polys(sys: RecurrenceSystem, norms: NormData, y: float,
 def jacobi_matrix(sys: RecurrenceSystem, n: int) -> tuple[np.ndarray,
                                                           np.ndarray]:
     """Diagonal and off-diagonal of the n x n orthonormal-form Jacobi matrix."""
-    diag = sys.arrays(n - 1)[1]
-    favard = validate_favard(sys, n - 1)
-    if favard.failures:
-        raise RecurrenceError(f"Favard violation at n={favard.failures[0][0]}")
-    return diag, np.sqrt(favard.products)
+    return sys.arrays(n - 1)[1], favard_roots(sys, n - 1)
 
 
 def zeros(sys: RecurrenceSystem, norms: NormData | None, n: int) -> np.ndarray:
@@ -191,7 +191,7 @@ def extreme_zeros(sys: RecurrenceSystem, n_max: int) -> tuple:
     def bisect(k: int, rng: int, vl: float, vu: float, i: int):
         # range 1 = 'V': eigenvalues in (vl, vu]; 2 = 'I': eigenvalue i
         m, w, _, _, info = lapack.dstebz(diag[:k], off[:k - 1], rng, vl, vu,
-                                         i, i, 2 * np.finfo(float).tiny, "E")
+                                         i, i, _BISECT_ABSTOL, "E")
         if info != 0:
             raise KernelError(f"eigensolve failed (dstebz info {info})")
         return m, w[0]
@@ -313,6 +313,12 @@ def _eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     dsterf: through numpy's dsyevd up to order `_DENSE_MAX_ORDER` = 96,
     directly (scipy) beyond, with the same result."""
     if not diag.any():
+        top = math.frexp(off.max(initial=0.0))[1]
+        if abs(top) > _SQUARE_MAX_EXP:
+            # the squares of _half_jacobi would leave the normal range: solve
+            # the problem scaled by a power of two, which is exact
+            scale = math.ldexp(1.0, -top)
+            return _eigenvalues(diag, off * scale) / scale
         half = np.sqrt(_half_eigvals(*_half_jacobi(off)))
         return np.concatenate((-half[::-1], [0.0][:len(diag) % 2], half))
     if len(diag) <= _DENSE_MAX_ORDER:

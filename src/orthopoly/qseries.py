@@ -152,7 +152,7 @@ def _askey_wilson_system(q: float, a: float, b: float, c: float,
                          d: float) -> RecurrenceSystem:
     """General-form rows of p_n = a^-n (ab, ac, ad; q)_n 4phi3, from the A_n
     and C_n of Koekoek, Lesky & Swarttouw (2010, (14.1.4)) divided through
-    by that normalisation, s = abcd; inf or nan rows are the caller's."""
+    by that normalisation, s = abcd."""
     def lead(z):
         return (1 - a * b * z) * (1 - a * c * z) * (1 - a * d * z)
 
@@ -179,21 +179,24 @@ def askey_wilson_eval(ctx: QContext, n: int, a: float, b: float, c: float,
                       d: float, theta: float) -> float:
     """p_n(cos theta; a,b,c,d | q), symmetric in (a, b, c, d), by the
     recurrence of Koekoek, Lesky & Swarttouw (2010, (14.1.4)) in doubles:
-    the terms of its 4phi3 reach q^(-n^2/2) and cancel."""
+    the terms of its 4phi3 reach q^(-n^2/2) and cancel.  The rows divide by
+    their a, and their b_n cancels like 1/|a|, so the parameter of largest
+    modulus (the first of a tie) takes that place."""
     if n < 0:
         raise QSeriesError("degree must be non-negative")
-    if not all(map(math.isfinite, (a, b, c, d, theta))):
+    params = [a, b, c, d]
+    if not all(map(math.isfinite, (*params, theta))):
         raise QSeriesError("parameters and theta must be finite")
-    if a == 0:
-        raise QSeriesError("parameter a must be nonzero")
-    system = _askey_wilson_system(ctx.q, a, b, c, d)
+    first = params.pop(max(range(4), key=lambda i: abs(params[i])))
+    if first == 0:
+        raise QSeriesError("parameters a, b, c, d are all 0")
     try:
-        # a_k = 0 where s q^(k-1) = 1, inf or nan where some s q^m = 1
-        finite = np.isfinite(system.arrays(n - 1)).all()
-        p = eval_all(system, n, math.cos(theta))[-1]
+        # a_k = 0 where s q^(k-1) = 1, a row not finite where some s q^m = 1
+        p = eval_all(_askey_wilson_system(ctx.q, first, *params), n,
+                     math.cos(theta))[-1]
     except RecurrenceError as exc:
         raise QSeriesError(f"Askey-Wilson recurrence: {exc}") from None
-    if not (finite and math.isfinite(p)):
+    if not math.isfinite(p):
         raise QSeriesError("Askey-Wilson recurrence is not finite to degree "
                            f"{n} (s = abcd = {a * b * c * d})")
     return p

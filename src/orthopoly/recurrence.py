@@ -11,12 +11,16 @@ with p_0 constant.  Forms: "general" (arbitrary a_n), "monic" (a_n = 1),
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 FORMS = ("general", "monic", "orthonormal")
+_TINY = np.finfo(float).tiny   # the smallest normal double
+# makes each table publication a compare-and-set, so tables only grow
+_PUBLISH = threading.Lock()
 
 
 class RecurrenceError(ValueError):
@@ -28,51 +32,62 @@ class RecurrenceSystem:
     """Orthogonal polynomial system given by its coefficient rows.
 
     rows_fn(j) returns (a_j, b_j, c_j), arrays or scalars, at an index range
-    j.  c_0 is ignored.  Rows are computed and validated once, into a table
-    that grows on demand."""
+    j.  c_0 multiplies nothing.  Rows are computed and validated once (finite,
+    a_j != 0) into a table that grows on demand.  The table is one snapshot
+    (abc, rows), replaced whole, so that threads sharing a system each read
+    a consistent one."""
 
     rows_fn: Callable[[np.ndarray], tuple]
     form: str = "general"
     p0: float = 1.0
     max_index_hint: int | None = None
-    _cache: dict = field(default_factory=lambda: {"abc": np.empty((3, 0)),
-                                                  "rows": []},
+    _cache: dict = field(default_factory=lambda: {"table": (np.empty((3, 0)),
+                                                            [])},
                          init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.form not in FORMS:
             raise RecurrenceError(f"unknown form {self.form!r}")
 
-    def _grow(self, n: int) -> None:
-        cache = self._cache
-        lo = len(cache["rows"])
+    def _grow(self, n: int) -> tuple[np.ndarray, list]:
+        """A snapshot (abc, rows) that holds the rows through index n, taken
+        from one read of the table; a longer one is published for the next
+        reader.  Rows are elementwise in the index, so threads that grow the
+        same rows at once build the same bits."""
+        snap = self._cache["table"]
+        abc, rows = snap
+        lo = len(rows)
         if n < lo:
-            return
+            return snap
         block = np.empty((3, n + 1 - lo))
         block[0], block[1], block[2] = self.rows_fn(np.arange(lo, n + 1))
         if not block[0].all():
             raise RecurrenceError(f"a_{lo + np.argmin(block[0] != 0)} = 0")
-        cache["abc"] = np.concatenate((cache["abc"], block), axis=1)
-        cache["abc"].flags.writeable = False
-        cache["rows"] += zip(*block.tolist())
+        finite = np.isfinite(block).all(axis=0)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise RecurrenceError(f"row {lo + k} is not finite: (a, b, c) = "
+                                  f"{tuple(block[:, k].tolist())}")
+        abc = np.concatenate((abc, block), axis=1)
+        abc.flags.writeable = False
+        snap = abc, rows + list(zip(*block.tolist()))
+        with _PUBLISH:
+            if len(self._cache["table"][1]) < len(snap[1]):
+                self._cache["table"] = snap
+        return snap
 
     def table(self, n: int) -> list[tuple[float, float, float]]:
         """Rows (a_j, b_j, c_j) for j = 0..n, as Python floats."""
-        self._grow(n)
-        return self._cache["rows"][:max(n + 1, 0)]
+        return self._grow(n)[1][:max(n + 1, 0)]
 
     def arrays(self, n: int) -> np.ndarray:
         """Read-only (3, n + 1) array of the rows a_j, b_j, c_j, j = 0..n."""
-        self._grow(n)
-        return self._cache["abc"][:, :max(n + 1, 0)]
+        return self._grow(n)[0][:, :max(n + 1, 0)]
 
     def coeffs(self, n: int) -> tuple[float, float, float]:
         if n < 0:
             raise RecurrenceError(f"coefficient index {n} is negative")
-        rows = self._cache["rows"]
-        if n >= len(rows):
-            self._grow(n)
-        return rows[n]
+        return self._grow(n)[1][n]
 
 
 @dataclass(frozen=True)
@@ -202,9 +217,32 @@ class FavardReport:
 
 
 def favard_products(sys: RecurrenceSystem, upto: int) -> np.ndarray:
-    """a_n c_{n+1} for n < upto; Favard's theorem needs each one positive."""
+    """a_n c_{n+1} for n < upto; Favard's theorem needs each one positive.
+    A product past the double range is +-inf or 0, without a warning."""
     a, _, c = sys.arrays(upto)
-    return a[:-1] * c[1:]
+    with np.errstate(over="ignore", under="ignore"):
+        return a[:-1] * c[1:]
+
+
+def favard_roots(sys: RecurrenceSystem, upto: int) -> np.ndarray:
+    """e_n = sqrt(a_n c_{n+1}) for n < upto: the orthonormal a_n and the
+    off-diagonal of the Jacobi matrix.  RecurrenceError at the first n whose
+    product is not positive.  Where the product of the finite factors
+    overflows, or underflows below the normal range, e_n is
+    sqrt|a_n| sqrt|c_{n+1}| instead, which is in range."""
+    prods = favard_products(sys, upto)
+    normal = (prods >= _TINY) & (prods < math.inf)
+    if normal.all():
+        return np.sqrt(prods)
+    a, _, c = sys.arrays(upto)
+    a, c = a[:-1], c[1:]
+    bad = np.flatnonzero(np.sign(a) != np.sign(c))
+    if bad.size:
+        raise RecurrenceError(f"Favard violation at n={bad[0]}")
+    e = np.sqrt(prods)
+    far = ~normal
+    e[far] = np.sqrt(np.abs(a[far])) * np.sqrt(np.abs(c[far]))
+    return e
 
 
 def validate_favard(sys: RecurrenceSystem, upto: int) -> FavardReport:
@@ -259,11 +297,7 @@ def convert_form(sys: RecurrenceSystem, norms: NormData,
             p0=1.0, max_index_hint=sys.max_index_hint)
 
     def ortho_rows(j: np.ndarray) -> tuple:
-        prods = favard_products(sys, j[-1] + 1)
-        bad = np.flatnonzero(prods[j] <= 0)
-        if bad.size:
-            raise RecurrenceError(f"Favard violation at n={j[bad[0]]}")
-        e = np.sqrt(prods)
+        e = favard_roots(sys, j[-1] + 1)
         return e[j], b_of(j), np.concatenate(([0.0], e))[j]
 
     ortho = RecurrenceSystem(

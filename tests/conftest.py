@@ -1,17 +1,28 @@
-"""Shared test plumbing: acceptance criteria results are collected here and
-printed as one line per criterion in the terminal summary; the error of
-computed monic recurrence rows against a family's closed form; the command
-line in a child process."""
+"""Shared test plumbing: every test starts without shared family systems;
+acceptance criteria results are collected here and printed as one line per
+criterion in the terminal summary; the error of computed monic recurrence
+rows against a family's closed form; the command line in a child process."""
 
 import math
 import os
 import subprocess
 import sys
 
+import pytest
+
 import orthopoly
-from orthopoly.families import family_monic_system
+from orthopoly.families import clear_systems, family_monic_system
 
 acceptance_lines = []
+
+
+@pytest.fixture(autouse=True)
+def fresh_systems():
+    """Clear the shared systems before and after each test, so that a test
+    that monkeypatches rows never reads rows that another test built."""
+    clear_systems()
+    yield
+    clear_systems()
 
 
 def record_criterion(num, label, passed, elapsed):

@@ -141,6 +141,27 @@ def test_zeros_from_recurrence_file(tmp_path, capsys):
     assert got == pytest.approx([-1 / math.sqrt(2), 1 / math.sqrt(2)])
 
 
+def test_zeros_of_a_table_whose_favard_products_overflow(tmp_path):
+    # monic c_n = a_{n-1} c_n = 1e400; the Jacobi off-diagonal is 1e200
+    doc = {"schema": 1, "form": "general",
+           "coefficients": {"a": [1e200] * 6, "b": [0.0] * 6,
+                            "c": [0.0] + [1e200] * 5}}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    res = child_cli("zeros", "--recurrence", str(path), "--n", "5")
+    assert (res.returncode, res.stderr) == (0, "")
+    want = [2e200 * math.cos(k * math.pi / 6) for k in range(5, 0, -1)]
+    assert json.loads(res.stdout)["zeros"] == pytest.approx(
+        want, rel=1e-15, abs=1e185)
+    # diagnose needs the monic rows, whose c_n = 1e400 is no double
+    res = child_cli("diagnose", "--recurrence", str(path),
+                    "--true-interval", "5")
+    assert res.returncode == 1
+    assert res.stderr.splitlines() == [
+        "orthopoly: numerical failure at tolerance 1e-12: row 1 is not "
+        "finite: (a, b, c) = (1.0, 0.0, inf)"]
+
+
 def test_zeros_of_finite_family_at_lattice_size(capsys):
     # p_5 of Krawtchouk(0.3, 5) has its five zeros inside [0, 5]
     code, out, err = run(capsys, "zeros", "--family", "krawtchouk", "--p",

@@ -365,10 +365,33 @@ def test_askey_wilson_rejects_a_vanishing_leading_row():
         Q.askey_wilson_eval(Q.QContext(0.5), 3, 1.0, 1.0, 1.0, 2.0, 0.3)
 
 
-def test_askey_wilson_refuses_a_zero_first_parameter():
-    # the rows divide by a
-    with pytest.raises(Q.QSeriesError, match="nonzero"):
-        Q.askey_wilson_eval(Q.QContext(0.5), 3, 0.0, 0.2, 0.3, 0.4, 0.3)
+def test_askey_wilson_refuses_only_all_zero_parameters():
+    # the rows divide by their a, which is the parameter of largest modulus
+    ctx = Q.QContext(0.5)
+    with pytest.raises(Q.QSeriesError, match="all 0"):
+        Q.askey_wilson_eval(ctx, 3, 0.0, 0.0, -0.0, 0.0, 0.3)
+    got = Q.askey_wilson_eval(ctx, 3, 0.0, 0.2, 0.3, 0.4, 0.3)
+    assert got == Q.askey_wilson_eval(ctx, 3, 0.4, 0.0, 0.2, 0.3, 0.3)
+    ref = askey_wilson_4phi3(Fraction(1, 2), 3, Fraction(0.4), Fraction(0),
+                             Fraction(0.2), Fraction(0.3),
+                             Fraction(math.cos(0.3)))
+    assert got == pytest.approx(float(ref), rel=1e-14)
+
+
+def test_askey_wilson_with_a_small_first_parameter():
+    # b_n = (a + 1/a - A_n - C_n)/2 cancels like 1/|a|: the evaluation puts
+    # the parameter of largest modulus in a's place
+    n, eps = 10, 2.0 ** -52
+    params = (1e-3, 0.2, 0.3, 0.4)
+    thetas = (0.3, 1.1, 2.0)
+    ref = [float(askey_wilson_4phi3(Fraction(1, 2), n,
+                                    *map(Fraction, params),
+                                    Fraction(math.cos(t)))) for t in thetas]
+    got = [Q.askey_wilson_eval(Q.QContext(0.5), n, *params, t)
+           for t in thetas]
+    scale = max(map(abs, ref))
+    for g, r in zip(got, ref):
+        assert abs(g - r) <= 100 * n * eps * scale, (g, r)
 
 
 def askey_wilson_4phi3(q, n, a, b, c, d, x):

@@ -492,3 +492,119 @@ def test_favard_products_match_the_report():
     prods = R.favard_products(sys, 6)
     assert list(prods) == list(R.validate_favard(sys, 6).products)
     assert len(R.favard_products(sys, 0)) == 0
+
+
+def test_family_systems_are_shared_per_parameter_bits():
+    from orthopoly import discrete as D
+
+    spec = F.jacobi(0.5, 1.5)
+    shared = F.family_system(spec)
+    assert F.family_system(F.jacobi(0.5, 1.5)) is shared
+    assert F.family_bundle(spec).system is shared
+    assert F.family_monic_system(spec) is F.family_monic_system(spec)
+    assert F.family_monic_system(spec) is not shared
+    assert F.family_system(F.laguerre(-0.0)) is not F.family_system(
+        F.laguerre(0.0))
+    lattice = D.krawtchouk(0.3, 20)
+    assert F.family_system(lattice) is D.discrete_system(lattice)
+    assert F.family_monic_system(lattice) is D.discrete_system(lattice, True)
+    assert D.charlier_system(2.0) is D.discrete_system(D.charlier(2.0))
+    F.clear_systems()
+    assert F.family_system(spec) is not shared
+
+
+def test_shared_systems_stay_within_their_bound():
+    kept = F._SYSTEMS_KEPT
+    first = F.family_system(F.laguerre(0.0))
+    specs = [F.laguerre(k / 8) for k in range(1, 2 * kept)]
+    systems = [F.family_system(s) for s in specs]
+    assert len(F._systems) == kept
+    assert F.family_system(specs[-1]) is systems[-1]
+    assert F.family_system(F.laguerre(0.0)) is not first
+
+
+def test_threaded_growth_gives_the_rows_of_a_fresh_system():
+    import sys as _sys
+    import threading
+
+    sizes = (10, 200, 1000, 50)
+    fresh = F.jacobi_system(0.5, 1.5)
+    want = {n: (fresh.table(n), fresh.arrays(n).copy(), fresh.coeffs(n))
+            for n in sizes}
+    interval = _sys.getswitchinterval()
+    _sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            F.clear_systems()
+            shared = F.family_system(F.jacobi(0.5, 1.5))
+            start, got = threading.Barrier(4), []
+
+            def grow(shared=shared, start=start, got=got):
+                start.wait(timeout=30)
+                for n in sizes:
+                    got.append((n, shared.table(n), shared.arrays(n),
+                                shared.coeffs(n)))
+
+            threads = [threading.Thread(target=grow) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            assert len(got) == 4 * len(sizes)
+            for n, table, arrays, coeffs in got:
+                assert table == want[n][0], n
+                assert np.array_equal(arrays, want[n][1]), n
+                assert coeffs == want[n][2], n
+    finally:
+        _sys.setswitchinterval(interval)
+
+
+def test_a_row_that_is_not_finite_is_refused():
+    for bad in (np.inf, np.nan):
+        sys = R.RecurrenceSystem(
+            lambda j, bad=bad: (1.0, np.where(j == 3, bad, 0.0), 0.5))
+        assert len(sys.table(2)) == 3
+        with pytest.raises(R.RecurrenceError, match="row 3 is not finite"):
+            sys.table(5)
+        assert len(sys.table(2)) == 3
+
+
+@pytest.mark.parametrize("scale", (1e200, 1e-200))
+def test_favard_roots_past_the_double_range(scale):
+    # a_n = c_n = scale: the Favard products scale^2 over- or underflow,
+    # their roots e_n = scale do not
+    sys = R.from_tables([scale] * 6, [0.0] * 6, [0.0] + [scale] * 5)
+    import warnings
+
+    from orthopoly import kernels as K
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert list(R.favard_roots(sys, 5)) == [scale] * 5
+        ortho = R.orthonormal_from(sys, 1.0)
+        assert ortho.arrays(4)[0].tolist() == [scale] * 5
+        diag, off = K.jacobi_matrix(sys, 5)
+        assert off.tolist() == [scale] * 4
+        zs = K.zeros(sys, None, 5)
+    want = [2 * scale * math.cos(k * math.pi / 6) for k in range(5, 0, -1)]
+    assert zs == pytest.approx(want, rel=1e-15, abs=1e-15 * scale)
+    assert R.eval_all(ortho, 5, 0.5 * scale)[-1] == pytest.approx(
+        R.eval_all(R.orthonormal_from(
+            R.from_tables([1.0] * 6, [0.0] * 6, [0.0] + [1.0] * 5), 1.0),
+            5, 0.5)[-1], rel=1e-14)
+
+
+def test_favard_roots_refuse_a_product_that_is_not_positive():
+    for c in (0.0, -1e200):
+        sys = R.from_tables([1e200] * 4, [0.0] * 4, [0.0, 1e200, c, 1e200])
+        with pytest.raises(R.RecurrenceError, match="Favard violation at n=1"):
+            R.favard_roots(sys, 3)
+
+
+@pytest.mark.parametrize("spec", (F.legendre(), F.hermite(), F.laguerre(0.5),
+                                  F.jacobi(0.5, 1.5), F.chebyshev_t()),
+                         ids=lambda s: s.family)
+def test_favard_roots_in_range_are_the_roots_of_the_products(spec):
+    sys = F.family_system(spec)
+    roots = R.favard_roots(sys, 1000)
+    assert np.array_equal(roots, np.sqrt(R.favard_products(sys, 1000)))
