@@ -572,12 +572,13 @@ def test_a_row_that_is_not_finite_is_refused():
 
 @pytest.mark.parametrize("scale", (1e200, 1e-200))
 def test_favard_roots_past_the_double_range(scale):
-    # a_n = c_n = scale: the Favard products scale^2 over- or underflow,
-    # their roots e_n = scale do not
-    sys = R.from_tables([scale] * 6, [0.0] * 6, [0.0] + [scale] * 5)
     import warnings
 
     from orthopoly import kernels as K
+
+    # a_n = c_n = scale: the Favard products scale^2 over- or underflow,
+    # their roots e_n = scale do not
+    sys = R.from_tables([scale] * 6, [0.0] * 6, [0.0] + [scale] * 5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert list(R.favard_roots(sys, 5)) == [scale] * 5
