@@ -442,7 +442,10 @@ def shared_system(spec: FamilySpec, form: str,
 
 
 def clear_systems() -> None:
-    """Forget the shared systems (and the rows they hold)."""
+    """Forget the shared systems, and what they hold: their rows, the
+    log-norm increments of `recurrence.norms_from_recurrence` and the
+    spectral data of `kernels._spectrum` (zeros, Gauss denominators and
+    u_0^2, extreme-zero chains, for up to 8 orders per system)."""
     with _systems_lock:
         _systems.clear()
 

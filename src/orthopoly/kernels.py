@@ -5,13 +5,15 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .measures import Measure, integrate
-from .recurrence import (NormData, RecurrenceSystem, _pass, convert_form,
-                         eval_all, eval_all_derivatives, favard_roots)
+from .recurrence import (_PUBLISH, NormData, RecurrenceSystem, _pass,
+                         convert_form, eval_all, eval_all_derivatives,
+                         favard_roots)
 
 # below this separation the closed form of the kernel cancels; use the
 # confluent (derivative) form instead
@@ -143,7 +145,8 @@ def jacobi_matrix(sys: RecurrenceSystem, n: int) -> tuple[np.ndarray,
 
 
 def zeros(sys: RecurrenceSystem, norms: NormData | None, n: int) -> np.ndarray:
-    """Zeros of p_n as eigenvalues of the Jacobi matrix, ascending.
+    """Zeros of p_n as eigenvalues of the Jacobi matrix, ascending; a copy of
+    those `sys` keeps for order n (see `_spectrum`).
 
     When every diagonal entry b_j is exactly 0 (a symmetric weight) the
     half-size problem is solved instead: the zeros are 0 (n odd) and
@@ -157,14 +160,15 @@ def zeros(sys: RecurrenceSystem, norms: NormData | None, n: int) -> np.ndarray:
     """
     if n < 1:
         raise KernelError("need n >= 1")
-    return _eigenvalues(*jacobi_matrix(sys, n))
+    return _spectrum(sys, n, "nodes").copy()
 
 
 def extreme_zeros(sys: RecurrenceSystem, n_max: int) -> tuple:
     """Smallest and largest zeros of p_1..p_{n_max} from the leading blocks of
     one Jacobi matrix: the ends of `zeros` while n_max (n_max // 2 when b =
     0) is at most `_CHAIN_DENSE_MAX_ORDER` = 48, Sturm bisection (LAPACK
-    dstebz, abstol 2 tiny) beyond.
+    dstebz, abstol 2 tiny) beyond.  Copies of the chains `sys` keeps for
+    n_max (see `_spectrum`).
 
     By Cauchy interlacing the largest eigenvalue of the block of order k
     lies at or above that of order k - 1, prev, and every other one at or
@@ -176,13 +180,16 @@ def extreme_zeros(sys: RecurrenceSystem, n_max: int) -> tuple:
     point, the extreme is bisected from the Gershgorin interval."""
     if n_max < 1:
         raise KernelError("need n >= 1")
-    diag, off = jacobi_matrix(sys, n_max)
-    mirrored = not diag.any()
-    if (n_max // 2 if mirrored else n_max) <= _CHAIN_DENSE_MAX_ORDER:
-        return tuple(np.array([_eigenvalues(diag[:k], off[:k - 1])[[0, -1]]
-                               for k in range(1, n_max + 1)]).T)
+    lo, hi = _spectrum(sys, n_max, "extreme")
+    return lo.copy(), hi.copy()
+
+
+def _bisected_chains(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """The (2, n) extreme-zero chains of the Jacobi matrix (diag, off) by
+    the bracketed bisection of `extreme_zeros`."""
     from scipy.linalg import lapack
 
+    n_max, mirrored = len(diag), not diag.any()
     # margin[k - 1] bounds the error of an extreme of the block of order k
     margin = (8 * np.finfo(float).eps
               * (np.maximum.accumulate(np.abs(diag))
@@ -214,7 +221,8 @@ def extreme_zeros(sys: RecurrenceSystem, n_max: int) -> tuple:
         return np.array(out)
 
     hi = chain(+1)
-    return (np.append(diag[0], -hi[1:]) if mirrored else chain(-1)), hi
+    return np.array((np.append(diag[0], -hi[1:]) if mirrored else chain(-1),
+                     hi))
 
 
 def gauss_rule(sys: RecurrenceSystem, norms: NormData, m: Measure | None,
@@ -234,35 +242,99 @@ def gauss_rule(sys: RecurrenceSystem, norms: NormData, m: Measure | None,
     with a RuntimeWarning when those weights miss mu_0 by 100 n eps, the
     weights are mu_0 u_0^2 from the full eigensolve (Golub and Welsch,
     Math. Comp. 23, 1969), by scipy's `eigh_tridiagonal` at every order.
+    The nodes, the denominators of those weights for the mass 1 and u_0^2
+    are what `sys` keeps for order n (see `_spectrum`); mu_0, the sum check
+    and its warning, and the checks of `QuadratureRule` come with each call.
     """
     if n < 1:
         raise KernelError("need n >= 1")
-    diag, off = jacobi_matrix(sys, n)
     mu0 = norms.h[0] / sys.p0 ** 2
-    if m is not None and m.kind != "continuous":
-        nodes, weights = _golub_welsch(diag, off, mu0)
-    else:
-        nodes, weights = _gauss_nodes_weights(diag, off, mu0)
+    if m is None or m.kind == "continuous":
+        nodes, weights = _christoffel_rule(sys, n, mu0)
         total = weights.sum()
-        if not abs(total - mu0) <= 100 * n * np.finfo(float).eps * mu0:
-            warnings.warn(
-                f"gauss_rule: recurrence weights sum to {float(total)!r}, not "
-                f"mu_0 = {float(mu0)!r}; using Golub-Welsch eigenvectors",
-                RuntimeWarning, stacklevel=2)
-            nodes, weights = _golub_welsch(diag, off, mu0)
-    return QuadratureRule(nodes=nodes, weights=weights,
+        if abs(total - mu0) <= 100 * n * np.finfo(float).eps * mu0:
+            return QuadratureRule(nodes=nodes.copy(), weights=weights,
+                                  exactness_degree=2 * n - 1)
+        warnings.warn(
+            f"gauss_rule: recurrence weights sum to {float(total)!r}, not "
+            f"mu_0 = {float(mu0)!r}; using Golub-Welsch eigenvectors",
+            RuntimeWarning, stacklevel=2)
+    nodes, u0_squared = _spectrum(sys, n, "lattice")
+    return QuadratureRule(nodes=nodes.copy(), weights=mu0 * u0_squared,
                           exactness_degree=2 * n - 1)
 
 
-def _gauss_nodes_weights(diag: np.ndarray, off: np.ndarray,
-                         mu0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues of the Jacobi matrix (diag, off) and their
-    Newton-corrected Christoffel weights for the mass mu0 (see
-    `gauss_rule`), summed over the states (p~_j, p~_j') of e_j p~_{j+1} =
-    (x - b_j) p~_j - e_{j-1} p~_{j-1} scaled by sqrt(mu0) (p~_0 = 1) as they
-    come through three slots, with p~_n unnormalised (only p~_n / p~_n'
-    enters).  A weight whose sums leave the double range is 0."""
-    nodes = _eigenvalues(diag, off)
+def _christoffel_rule(sys: RecurrenceSystem, n: int,
+                      mu0: float) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only ascending eigenvalues of the order-n Jacobi matrix of
+    `sys` and their Newton-corrected Christoffel weights for the mass mu0
+    (see `gauss_rule`); a weight whose sums leave the double range is 0."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        w = mu0 / _spectrum(sys, n, "christoffel")
+    return _spectrum(sys, n, "nodes"), np.where(np.isfinite(w) & (w > 0),
+                                                w, 0.0)
+
+
+# Spectral data of a system's Jacobi matrices, kept in its cache per order,
+# the least recently used order dropped past _SPECTRA_KEPT
+_SPECTRA_KEPT = 8
+
+
+def _spectrum(sys: RecurrenceSystem, n: int, kind: str) -> np.ndarray:
+    """Read-only spectral data of the order-n Jacobi matrix of `sys`,
+    computed on the first call for (n, kind) and then kept in `sys._cache`,
+    so that a shared system carries it from call to call:
+      "nodes"        ascending eigenvalues (`_eigenvalues`),
+      "christoffel"  their unit-mass Christoffel denominators, w = mu_0 / D
+                     (`_christoffel_denominators`),
+      "lattice"      (2, n): Golub-Welsch nodes and u_0^2 (`_golub_welsch`),
+      "extreme"      (2, n): the smallest and largest zeros of the orders
+                     1..n (`extreme_zeros`).
+    The only caller of those solvers.  Entries are published under
+    `recurrence._PUBLISH`, as the rows are; past _SPECTRA_KEPT orders the
+    least recently used one is dropped, so a store holds at most 6 n doubles
+    for each of 8 orders n."""
+    with _PUBLISH:
+        store = sys._cache.setdefault("spectra", OrderedDict())
+        found = store.get(n, {})
+        if found:
+            store.move_to_end(n)
+    if kind in found:
+        return found[kind]
+    diag, off = jacobi_matrix(sys, n)
+    new = {}
+    if kind == "lattice":
+        new[kind] = np.array(_golub_welsch(diag, off))
+    elif kind == "extreme":
+        if (n // 2 if not diag.any() else n) > _CHAIN_DENSE_MAX_ORDER:
+            new[kind] = _bisected_chains(diag, off)
+        else:
+            new[kind] = np.array([_eigenvalues(diag[:k], off[:k - 1])[[0, -1]]
+                                  for k in range(1, n + 1)]).T
+    else:
+        nodes = found.get("nodes")
+        if nodes is None:
+            nodes = new["nodes"] = _eigenvalues(diag, off)
+        if kind == "christoffel":
+            new[kind] = _christoffel_denominators(diag, off, nodes)
+    for value in new.values():
+        value.flags.writeable = False
+    with _PUBLISH:
+        store[n] = {**store.get(n, {}), **new}
+        store.move_to_end(n)
+        if len(store) > _SPECTRA_KEPT:
+            store.popitem(last=False)
+    return new[kind]
+
+
+def _christoffel_denominators(diag: np.ndarray, off: np.ndarray,
+                              nodes: np.ndarray) -> np.ndarray:
+    """Denominators D of the Newton-corrected Christoffel weights mu0 / D
+    (see `gauss_rule`) at the ascending eigenvalues `nodes` of the Jacobi
+    matrix (diag, off), summed over the states (p~_j, p~_j') of e_j p~_{j+1}
+    = (x - b_j) p~_j - e_{j-1} p~_{j-1} with p~_0 = 1 as they come through
+    three slots, with p~_n unnormalised (only p~_n / p~_n' enters).  A
+    denominator whose sums leave the double range is inf, nan or <= 0."""
     n, e = len(diag), off.tolist()
     half = 0 if diag.any() else n // 2
     sums = np.zeros((2, n - half))   # (sum p~_j^2, sum p~_j p~_j'), j < n
@@ -273,14 +345,13 @@ def _gauss_nodes_weights(diag: np.ndarray, off: np.ndarray,
             y = states[j % 3]
             if j < n:
                 sums += np.multiply(y, y[0], out=tmp)
-        w = mu0 / (sums[0] - 2 * y[0] / y[1] * sums[1])
-    w = np.where(np.isfinite(w) & (w > 0), w, 0.0)
-    return nodes, np.concatenate((w[::-1][:half], w))
+        den = sums[0] - 2 * y[0] / y[1] * sums[1]
+    return np.concatenate((den[::-1][:half], den))
 
 
-def _golub_welsch(diag: np.ndarray, off: np.ndarray,
-                  mu0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights mu_0 u_0^2 from the full eigensolve, by scipy's
+def _golub_welsch(diag: np.ndarray,
+                  off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and u_0^2 from the full eigensolve, by scipy's
     `eigh_tridiagonal` (whose default driver for all eigenpairs is LAPACK
     dstevd) at every order: only lattice measures and the mu_0 fallback of
     `gauss_rule` need it."""
@@ -288,7 +359,7 @@ def _golub_welsch(diag: np.ndarray, off: np.ndarray,
 
     vals, vecs = _sp_linalg.eigh_tridiagonal(diag, off)
     order = np.argsort(vals)
-    return vals[order], mu0 * vecs[0, order] ** 2
+    return vals[order], vecs[0, order] ** 2
 
 
 def _dense_solve(solver, diag: np.ndarray, lower, upper, **kwargs):
@@ -318,8 +389,9 @@ def _eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
             # the squares of _half_jacobi would leave the normal range: solve
             # the problem scaled by a power of two, which is exact
             scale = math.ldexp(1.0, -top)
-            return _eigenvalues(diag, off * scale) / scale
-        half = np.sqrt(_half_eigvals(*_half_jacobi(off)))
+            half = np.sqrt(_half_eigvals(*_half_jacobi(off * scale))) / scale
+        else:
+            half = np.sqrt(_half_eigvals(*_half_jacobi(off)))
         return np.concatenate((-half[::-1], [0.0][:len(diag) % 2], half))
     if len(diag) <= _DENSE_MAX_ORDER:
         return _dense_solve(np.linalg.eigvalsh, diag, off, off)

@@ -222,7 +222,9 @@ def _discretize(m: Measure, size: int) -> tuple[np.ndarray, np.ndarray]:
     `alg_exponents` on an interval, generalized Laguerre with the exponent
     at the finite end on a half line, Hermite on the line; its rule comes
     from its closed-form monic recurrence through `kernels.gauss_rule`'s
-    eigenvalues and Christoffel weights (0 below the double range)."""
+    eigenvalues and Christoffel weights (0 below the double range), which
+    `kernels._christoffel_rule` forms from the spectral data of the
+    system."""
     if size in m._cache:
         return m._cache[size]
     if m.kind == "discrete_infinite":
@@ -231,10 +233,7 @@ def _discretize(m: Measure, size: int) -> tuple[np.ndarray, np.ndarray]:
     else:
         from .families import (hermite_monic_system, jacobi_monic_system,
                                laguerre_monic_system)
-        from .kernels import _gauss_nodes_weights, jacobi_matrix
-
-        def rule(sys: RecurrenceSystem, mass: float):
-            return _gauss_nodes_weights(*jacobi_matrix(sys, size), mass)
+        from .kernels import _christoffel_rule
 
         a, b = m.support
         if m.alg_exponents is None:
@@ -243,21 +242,24 @@ def _discretize(m: Measure, size: int) -> tuple[np.ndarray, np.ndarray]:
             (left, right), rest = (m.alg_exponents,
                                    m.alg_smooth or (lambda x: 1.0))
         if math.isinf(a) and math.isinf(b):
-            x, w = rule(hermite_monic_system(), math.sqrt(math.pi))
+            x, w = _christoffel_rule(hermite_monic_system(), size,
+                                    math.sqrt(math.pi))
             ratio = _times_exp(_values(m.weight, x), x * x)
         elif math.isinf(a) or math.isinf(b):
             # x = end + sign t, t >= 0, with the exponent at the finite end
             sign, end, expo = ((1.0, a, left) if math.isinf(b)
                                else (-1.0, b, right))
-            t, w = rule(laguerre_monic_system(expo), math.gamma(expo + 1))
+            t, w = _christoffel_rule(laguerre_monic_system(expo), size,
+                                    math.gamma(expo + 1))
             x = end + sign * t
             ratio = _times_exp(_values(rest, x), t)
         else:
             # (x - a)^l (b - x)^r is ((b - a)/2)^(l + r) (1 + t)^l (1 - t)^r
             half = (b - a) / 2
-            t, w = rule(jacobi_monic_system(right, left),
-                        2 ** (left + right + 1) * math.gamma(left + 1)
-                        * math.gamma(right + 1) / math.gamma(left + right + 2))
+            t, w = _christoffel_rule(
+                jacobi_monic_system(right, left), size,
+                2 ** (left + right + 1) * math.gamma(left + 1)
+                * math.gamma(right + 1) / math.gamma(left + right + 2))
             x = a + half * (1.0 + t)
             ratio = half ** (left + right + 1) * _values(rest, x)
         w = np.where(w == 0, 0.0, w * ratio)

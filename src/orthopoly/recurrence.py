@@ -255,19 +255,39 @@ def validate_favard(sys: RecurrenceSystem, upto: int) -> FavardReport:
 def norms_from_recurrence(sys: RecurrenceSystem, h0: float, k0: float,
                           upto: int) -> NormData:
     """log h_{n+1} = log h_n + log(c_{n+1}/a_n), from log h_0 = log h0.
-    k0 only has to be nonzero: no consumer needs the leading coefficients."""
+    k0 only has to be nonzero: no consumer needs the leading coefficients.
+    The increments, after an exact sign check of each a_n c_{n+1}, are kept
+    in the cache of `sys` and computed again only for a longer chain, so a
+    call on a shared system is the cumulative sum from log h0."""
     if h0 <= 0:
         raise RecurrenceError("h0 must be positive")
     if k0 == 0:
         raise RecurrenceError("k0 must be nonzero")
-    a, _, c = sys.arrays(upto)
-    bad = np.flatnonzero(np.sign(a[:-1]) * np.sign(c[1:]) <= 0)
-    if bad.size:
-        n = int(bad[0])
-        raise RecurrenceError(f"Favard violation at n={n}: "
-                              f"a_{n} c_{n + 1} = {a[n] * c[n + 1]} <= 0")
     return NormData(log_h=np.cumsum(np.concatenate(
-        ([math.log(h0)], np.log(c[1:] / a[:-1])))))
+        ([math.log(h0)], _log_steps(sys, upto)))))
+
+
+def _log_steps(sys: RecurrenceSystem, upto: int) -> np.ndarray:
+    """Read-only log(c_{n+1}/a_n) for n < upto; RecurrenceError at the first
+    n whose a_n c_{n+1} is not positive.  The longest chain computed so far
+    is kept in `sys._cache` (a chain of length L holds the rows through L)
+    and published as the rows are."""
+    steps = sys._cache.get("log_steps")
+    if steps is None or len(steps) < upto:
+        a, _, c = sys.arrays(upto)
+        bad = np.flatnonzero(np.sign(a[:-1]) * np.sign(c[1:]) <= 0)
+        if bad.size:
+            n = int(bad[0])
+            raise RecurrenceError(f"Favard violation at n={n}: "
+                                  f"a_{n} c_{n + 1} = {a[n] * c[n + 1]} <= 0")
+        steps = np.log(c[1:] / a[:-1])
+        steps.flags.writeable = False
+        if upto >= 0:   # a negative upto grows no row
+            with _PUBLISH:
+                kept = sys._cache.get("log_steps")
+                if kept is None or len(kept) < len(steps):
+                    sys._cache["log_steps"] = steps
+    return steps[:max(upto, 0)]
 
 
 def convert_form(sys: RecurrenceSystem, norms: NormData,

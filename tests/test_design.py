@@ -176,3 +176,48 @@ def test_check_run_as_a_module_exits_with_one_stderr_line(argv, code):
     assert proc.returncode == code
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("orthopoly: "), lines
+
+
+# The eigensolves and the weight pass of the kernels run in one place,
+# kernels._spectrum, which keeps their results per system and order.
+SPECTRAL_SOLVERS = ("_eigenvalues", "_golub_welsch",
+                    "_christoffel_denominators")
+
+
+def solver_uses(source: str) -> list[tuple[str, str]]:
+    """(outermost enclosing function, or "<module>"; name) for every
+    reference to a spectral solver, called or not, also as an attribute."""
+    uses = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if (isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and owner == "<module>"):
+                inner = child.name
+            name = (child.id if isinstance(child, ast.Name) else
+                    child.attr if isinstance(child, ast.Attribute) else None)
+            if name in SPECTRAL_SOLVERS:
+                uses.append((owner, name))
+            visit(child, inner)
+
+    visit(ast.parse(source), "<module>")
+    return uses
+
+
+def test_only_the_spectral_store_runs_the_solvers():
+    owners = {owner for p in Path(orthopoly.__file__).parent.glob("*.py")
+              for owner, _ in solver_uses(p.read_text(encoding="utf-8"))}
+    assert owners == {"_spectrum"}
+
+
+def test_solver_guard_sees_calls_references_and_nesting():
+    source = ("def _spectrum(d, e):\n    return _eigenvalues(d, e)\n"
+              "def zeros(s):\n    def inner():\n"
+              "        return K._golub_welsch(1, 2)\n    return inner\n"
+              "solve = _christoffel_denominators\n"
+              "class Rule:\n    def nodes(self):\n"
+              "        return _eigenvalues(0, 0)\n")
+    assert solver_uses(source) == [
+        ("_spectrum", "_eigenvalues"), ("zeros", "_golub_welsch"),
+        ("<module>", "_christoffel_denominators"), ("nodes", "_eigenvalues")]

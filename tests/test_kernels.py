@@ -427,8 +427,9 @@ def test_one_nonzero_diagonal_entry_takes_the_full_eigensolve(monkeypatch):
     assert normwise(zs, half_rule.nodes) <= 100 * n * EPS
     assert normwise(rule.nodes, half_rule.nodes) <= 100 * n * EPS
     assert normwise(rule.weights, half_rule.weights) <= 100 * n * EPS
+    # sys keeps its zeros of order n; a fresh system solves again
     with pytest.raises(AssertionError, match="half-size"):
-        K.zeros(sys, None, n)
+        K.zeros(F.legendre_system(), None, n)
 
 
 NON_SYMMETRIC = {
@@ -736,3 +737,172 @@ def test_weakly_coupled_row_keeps_the_extreme_zero(jump):
                                    + np.diag(off[:k - 1], -1))
         err = max(abs(lo[k - 1] - dense[0]), abs(hi[k - 1] - dense[-1]))
         assert err <= 8 * EPS * norms[k - 1], (k, lo[k - 1], hi[k - 1])
+
+
+# ---------------------------------------------------------------------------
+# the spectral data a system keeps (kernels._spectrum)
+
+# a shared system, and the constructor that builds the same one afresh
+SHARED = {
+    "legendre": (lambda: F.family_system(legendre()), legendre_system),
+    "jacobi": (lambda: F.family_monic_system(F.jacobi(0.5, 1.5)),
+               lambda: F.jacobi_monic_system(0.5, 1.5)),
+    "laguerre": (lambda: F.family_monic_system(F.laguerre(0.5)),
+                 lambda: F.laguerre_monic_system(0.5)),
+    "charlier": (lambda: charlier_system(1.5),
+                 lambda: R.from_tables(*charlier_system(1.5).arrays(300))),
+}
+# any measure that is not continuous takes the Golub-Welsch route
+LATTICE = M.discrete_measure([0.0, 1.0], [1.0, 1.0])
+
+
+def bits(x):
+    """The dtype, shape and bytes of the arrays of a result."""
+    if isinstance(x, K.QuadratureRule):
+        return bits(x.nodes) + bits(x.weights) + (x.exactness_degree,)
+    if isinstance(x, tuple):
+        return sum(map(bits, x), ())
+    return (x.dtype.str, x.shape, x.tobytes())
+
+
+def outcome(fn):
+    """The bits of fn(), or its error, and the warnings it gave."""
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = bits(fn())
+        except (K.KernelError, R.RecurrenceError) as exc:
+            got = (type(exc).__name__, str(exc))
+    return got, [(w.category, str(w.message)) for w in caught]
+
+
+def spectral_calls(sys, n):
+    norms = R.norms_from_recurrence(sys, 1.0, 1.0, 0)
+    return [lambda: K.zeros(sys, None, n),
+            lambda: K.gauss_rule(sys, norms, None, n),
+            lambda: K.gauss_rule(sys, norms, LATTICE, n),
+            lambda: K.extreme_zeros(sys, 48),
+            lambda: K.extreme_zeros(sys, 49)]
+
+
+def spectral_outcomes(sys, n):
+    return [outcome(call) for call in spectral_calls(sys, n)]
+
+
+@pytest.mark.parametrize("family", sorted(SHARED))
+def test_shared_spectra_equal_those_of_a_fresh_system(family):
+    # charlier at n >= 50 falls back to Golub-Welsch with a warning, and
+    # laguerre at n = 200 refuses (a weight below the double range): both
+    # on every call
+    shared, build = SHARED[family]
+    for n in (1, 10, 49, 200):
+        want = spectral_outcomes(build(), n)
+        assert spectral_outcomes(shared(), n) == want, n
+        assert spectral_outcomes(shared(), n) == want, n
+
+
+def test_the_mu0_fallback_recurs_on_every_call(monkeypatch):
+    real = K._christoffel_denominators
+    monkeypatch.setattr(K, "_christoffel_denominators",
+                        lambda *args: 2.0 * real(*args))
+    shared, build = SHARED["jacobi"]
+    want = outcome(lambda: monic_rule(build(), 1.0, 30))
+    assert want[1] and "Golub-Welsch" in want[1][0][1]
+    for _ in range(2):
+        assert outcome(lambda: monic_rule(shared(), 1.0, 30)) == want
+
+
+def test_laguerre_200_is_refused_on_every_call():
+    sys = F.family_monic_system(F.laguerre(0.5))
+    for _ in range(2):
+        with pytest.raises(K.KernelError, match="strictly positive"):
+            monic_rule(sys, math.gamma(1.5), 200)
+
+
+@pytest.mark.parametrize("spec", [legendre(), F.jacobi(0.5, 1.5)],
+                         ids=["half-size", "dsterf"])
+def test_one_eigensolve_per_system_and_order(monkeypatch, spec):
+    solved = []
+    real = K._eigenvalues
+
+    def counting(diag, off):
+        solved.append(len(diag))
+        return real(diag, off)
+
+    monkeypatch.setattr(K, "_eigenvalues", counting)
+    sys = F.family_monic_system(spec)
+    for _ in range(2):
+        for n in (10, 200):
+            K.zeros(sys, None, n)
+            monic_rule(sys, 2.0, n)
+    assert solved == [10, 200]
+
+
+def test_returned_arrays_are_copies():
+    sys = F.family_monic_system(F.jacobi(0.5, 1.5))
+    want = spectral_outcomes(F.jacobi_monic_system(0.5, 1.5), 10)
+    zs = K.zeros(sys, None, 10)
+    rules = [monic_rule(sys, 1.0, 10),
+             K.gauss_rule(sys, R.norms_from_recurrence(sys, 1.0, 1.0, 0),
+                          LATTICE, 10)]
+    chains = K.extreme_zeros(sys, 48) + K.extreme_zeros(sys, 49)
+    for array in (zs, *chains, *(a for r in rules
+                                 for a in (r.nodes, r.weights))):
+        array[:] = 7.0
+    assert spectral_outcomes(sys, 10) == want
+
+
+def test_a_system_keeps_the_spectra_of_its_last_orders():
+    kept = K._SPECTRA_KEPT
+    sys = F.family_monic_system(F.jacobi(0.5, 1.5))
+    for n in range(1, 2 * kept + 1):
+        K.zeros(sys, None, n)
+    store = sys._cache["spectra"]
+    assert list(store) == list(range(kept + 1, 2 * kept + 1))
+    K.extreme_zeros(sys, kept + 1)   # a kept order moves to the end
+    K.zeros(sys, None, 1)
+    assert list(store) == [*range(kept + 3, 2 * kept + 1), kept + 1, 1]
+    assert all(not a.flags.writeable for e in store.values()
+               for a in e.values())
+    F.clear_systems()
+    assert "spectra" not in F.family_monic_system(
+        F.jacobi(0.5, 1.5))._cache
+
+
+def test_threads_sharing_a_system_get_the_spectra_of_a_fresh_one():
+    import sys as _sys
+    import threading
+
+    # no call warns at these orders, so the threads record no warnings
+    # (catch_warnings is not thread-safe)
+    orders = (10, 49, 200, 97)
+    fresh = F.jacobi_monic_system(0.5, 1.5)
+    want = {n: [bits(call()) for call in spectral_calls(fresh, n)]
+            for n in orders}
+    interval = _sys.getswitchinterval()
+    _sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            F.clear_systems()
+            shared = F.family_monic_system(F.jacobi(0.5, 1.5))
+            start, got = threading.Barrier(4), []
+
+            def solve(shared=shared, start=start, got=got):
+                start.wait(timeout=30)
+                for n in orders:
+                    got.append((n, [bits(call())
+                                    for call in spectral_calls(shared, n)]))
+
+            threads = [threading.Thread(target=solve) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert len(got) == 4 * len(orders)
+            for n, results in got:
+                assert results == want[n], n
+    finally:
+        _sys.setswitchinterval(interval)

@@ -186,13 +186,13 @@ def test_integrand_singular_inside_the_support_does_not_settle():
 
 def test_second_moments_call_builds_no_new_discretization(monkeypatch):
     built = []
-    real = K._gauss_nodes_weights
+    real = K._christoffel_denominators
 
-    def counting(diag, off, mu0):
+    def counting(diag, off, nodes):
         built.append(len(diag))
-        return real(diag, off, mu0)
+        return real(diag, off, nodes)
 
-    monkeypatch.setattr(K, "_gauss_nodes_weights", counting)
+    monkeypatch.setattr(K, "_christoffel_denominators", counting)
     m = family_measure(laguerre(0.5))
     first = M.moments(m, 32).mu
     assert built

@@ -609,3 +609,28 @@ def test_favard_roots_in_range_are_the_roots_of_the_products(spec):
     sys = F.family_system(spec)
     roots = R.favard_roots(sys, 1000)
     assert np.array_equal(roots, np.sqrt(R.favard_products(sys, 1000)))
+
+
+def test_norm_chain_is_kept_with_the_rows():
+    spec = F.jacobi(0.5, 1.5)
+    shared = F.family_system(spec)
+    fresh = F.jacobi_system(*F.classical(spec)[1:])
+    for upto in (0, 10, 1000, 5, 1000):
+        got = R.norms_from_recurrence(shared, 0.7, 1.0, upto).log_h
+        want = R.norms_from_recurrence(fresh, 0.7, 1.0, upto).log_h
+        assert got.tobytes() == want.tobytes(), upto
+    steps = shared._cache["log_steps"]
+    assert len(steps) == 1000 and not steps.flags.writeable
+
+
+def test_a_favard_violation_past_the_kept_chain_recurs():
+    c = [0.0] + [0.25] * 6 + [-0.25] + [0.25] * 12
+    sys = R.from_tables([1.0] * 20, [0.0] * 20, c, form="monic")
+    short = R.norms_from_recurrence(sys, 1.0, 1.0, 5).log_h
+    for _ in range(2):
+        with pytest.raises(R.RecurrenceError,
+                           match=r"at n=6: a_6 c_7 = -0.25 <= 0"):
+            R.norms_from_recurrence(sys, 1.0, 1.0, 10)
+    assert np.array_equal(R.norms_from_recurrence(sys, 1.0, 1.0, 5).log_h,
+                          short)
+    assert len(sys._cache["log_steps"]) == 5
