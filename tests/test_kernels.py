@@ -814,13 +814,6 @@ def test_the_mu0_fallback_recurs_on_every_call(monkeypatch):
         assert outcome(lambda: monic_rule(shared(), 1.0, 30)) == want
 
 
-def test_laguerre_200_is_refused_on_every_call():
-    sys = F.family_monic_system(F.laguerre(0.5))
-    for _ in range(2):
-        with pytest.raises(K.KernelError, match="strictly positive"):
-            monic_rule(sys, math.gamma(1.5), 200)
-
-
 @pytest.mark.parametrize("spec", [legendre(), F.jacobi(0.5, 1.5)],
                          ids=["half-size", "dsterf"])
 def test_one_eigensolve_per_system_and_order(monkeypatch, spec):
