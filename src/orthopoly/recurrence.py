@@ -151,12 +151,15 @@ def _pass(rows, p0: float, x: np.ndarray, out: np.ndarray):
     (slots, order + 1, m), by a_j p_{j+1}^(k) = (x - b_j) p_j^(k) + k
     p_j^(k-1) - c_j p_{j-1}^(k).  Overflow is left to the caller's errstate."""
     order = out.shape[1] - 1 if out.ndim == 3 else 0
-    slots, tmp, size = list(out), np.empty_like(out[0]), len(out)
-    cur = np.multiply(x, 0.0, slots[0])   # p_0 = p0 + 0 x, p_0^(k) = 0 x
+    # a view of out per step, not a list of views of every slot: for a full
+    # table (`_kept`) that list would hold n + 1 Python objects (about 110
+    # bytes each) for the whole pass
+    tmp, size = np.empty_like(out[0]), len(out)
+    cur = np.multiply(x, 0.0, out[0])   # p_0 = p0 + 0 x, p_0^(k) = 0 x
     cur[0 if order else ...] += p0
     yield 0
     for j, (a, b, c) in enumerate(rows):
-        nxt = slots[(j + 1) % size]
+        nxt = out[(j + 1) % size]
         # (x - b) p^(k) in one operand order for values and derivatives, so
         # that their complex values round alike
         np.multiply(np.subtract(x, b, nxt) if b else x, cur, nxt)

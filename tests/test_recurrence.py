@@ -176,6 +176,20 @@ def test_streamed_states_equal_kept_states(family, order):
     assert _bits(streamed) == _bits(kept)
 
 
+def test_a_kept_pass_holds_no_view_per_row():
+    """Filling a full (n + 1)-row table, the pass holds a few Python objects
+    at a time, not a view of every row (1001 objects here)."""
+    import sys as interpreter
+    system = F.family_monic_system(CONTINUOUS["legendre"])
+    rows, x = system.table(999), np.linspace(-1.0, 1.0, 11)
+    out = np.empty((1001, 11))
+    before = interpreter.getallocatedblocks()
+    for j in R._pass(rows, system.p0, x, out):
+        if j == 500:
+            held = interpreter.getallocatedblocks() - before
+    assert held < 100
+
+
 def test_evaluation_past_the_double_range_raises_no_warnings():
     # pytest turns a RuntimeWarning into an error; H_1000(6) is not a
     # double, and the scalar and array paths both give it as inf or nan
