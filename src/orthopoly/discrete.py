@@ -115,7 +115,13 @@ def _lattice_weight(direct, log_weight) -> float:
 
 def family_measure(fam: FamilySpec, normalized: bool = False) -> Measure:
     """Orthogonality measure on the lattice; `normalized` applies e^{-a} for
-    Charlier (the other families are left as displayed)."""
+    Charlier (the other families are left as displayed).  Shared per family,
+    parameter bits and `normalized`, as `families.family_measure` is."""
+    return shared_system(fam, ("measure", bool(normalized)),
+                         lambda: _lattice_measure(fam, normalized))
+
+
+def _lattice_measure(fam: FamilySpec, normalized: bool) -> Measure:
     f = fam.family
     if f in ("krawtchouk", "hahn"):
         nodes = np.arange(fam.N + 1, dtype=float)

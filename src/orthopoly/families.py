@@ -416,36 +416,45 @@ def jacobi_system(alpha: float, beta: float,
 
 
 # The systems of family_system, family_monic_system and
-# discrete.discrete_system, one per family, form and parameter bits, the
-# least recently used dropped past _SYSTEMS_KEPT
+# discrete.discrete_system, and the measures of family_measure and
+# discrete.family_measure, one per family, form and parameter bits, the least
+# recently used dropped past _SYSTEMS_KEPT
 _SYSTEMS_KEPT = 64
 _systems: OrderedDict = OrderedDict()
 _systems_lock = threading.Lock()
 
 
-def shared_system(spec: FamilySpec, form: str,
-                  build: Callable[[], RecurrenceSystem]) -> RecurrenceSystem:
-    """The one system of `spec` in `form`, from build() on first use.  The
-    key holds the exact bits of each parameter, so -0.0 and 0.0 differ."""
+def shared_system(spec: FamilySpec, form, build: Callable[[], object]):
+    """The one object of `spec` in `form` (a system's form, or a measure's
+    tag), from build() on first use.  The key holds the exact bits of each
+    parameter, so -0.0 and 0.0 differ.  build() runs outside the lock, so
+    it may ask for other shared objects; when threads build the same key at
+    once, the first one to publish wins and every caller gets its object."""
     key = (spec.family, form, tuple(
         (type(v), v if isinstance(v, int) else float(v).hex())
         for v in map(spec.parameters.__getitem__, PARAMETERS[spec.family])))
     with _systems_lock:
-        system = _systems.get(key)
-        if system is None:
-            system = _systems[key] = build()
-            if len(_systems) > _SYSTEMS_KEPT:
-                _systems.popitem(last=False)
-        else:
+        found = _systems.get(key)
+        if found is not None:
             _systems.move_to_end(key)
-    return system
+            return found
+    built = build()
+    with _systems_lock:
+        found = _systems.setdefault(key, built)
+        _systems.move_to_end(key)
+        if len(_systems) > _SYSTEMS_KEPT:
+            _systems.popitem(last=False)
+    return found
 
 
 def clear_systems() -> None:
-    """Forget the shared systems, and what they hold: their rows, the
-    log-norm increments of `recurrence.norms_from_recurrence` and the
-    spectral data of `kernels._spectrum` (zeros, Gauss denominators and
-    u_0^2, extreme-zero chains, for up to 8 orders per system)."""
+    """Forget the shared systems and measures, and what they hold: a
+    system's rows, the log-norm increments of
+    `recurrence.norms_from_recurrence` and the spectral data of
+    `kernels._spectrum` (zeros, Gauss denominators and u_0^2, extreme-zero
+    chains, for up to 8 orders per system); a measure's last 16
+    discretizations and last 8 settled results of
+    `measures.recurrence_from_measure` (see `measures.Measure`)."""
     with _systems_lock:
         _systems.clear()
 
@@ -497,10 +506,18 @@ def _classical_monic_system(spec: FamilySpec) -> RecurrenceSystem:
 def family_measure(spec: FamilySpec, normalized: bool = False) -> Measure:
     """Orthogonality measure; `normalized` divides by the total mass where
     that makes a probability measure (Legendre, Hermite, Chebyshev-T; e^{-a}
-    for Charlier)."""
+    for Charlier).  One measure per family, parameter bits and `normalized`
+    is shared by every call (see `shared_system`), so what it keeps, its
+    discretizations and settled recurrences, lasts from call to call within
+    the bounds that `measures.Measure` states."""
     if spec.discrete:
         from .discrete import family_measure as lattice_measure
         return lattice_measure(spec, normalized)
+    return shared_system(spec, ("measure", bool(normalized)),
+                         lambda: _classical_measure(spec, normalized))
+
+
+def _classical_measure(spec: FamilySpec, normalized: bool) -> Measure:
     kind, a, b, _ = classical(spec)
     mass = _PROBABILITY_MASS.get(spec.family) if normalized else None
     norm = 1.0 / mass if mass else 1.0
@@ -542,6 +559,8 @@ class FamilyBundle:
 
 
 def family_bundle(spec: FamilySpec, normalized: bool = False) -> FamilyBundle:
+    """A new bundle of the shared system and measure of `spec` (see
+    `family_system` and `family_measure`) and its closed-form h_0."""
     return FamilyBundle(spec=spec,
                         system=family_system(spec),
                         measure=family_measure(spec, normalized),

@@ -35,14 +35,18 @@ def _scaled(*terms) -> np.ndarray:
     return np.where(scale == 0, 0.0, np.sum(terms, axis=0) / scale)
 
 
-def _pearson_chains(spec: F.FamilySpec, n: int, x):
-    """Monic p_k, k <= n, and q_k, k < n, of the shifted family, with their
-    derivatives, plus sigma(x), tau(x) and mu_k = tau' + (k - 1) sigma''/2."""
-    (s0, s1, s2), (t0, t1), shifted = pearson_pair(spec)
+def _pearson_chains(spec: F.FamilySpec, n: int, x, shifted: bool):
+    """Monic p_k, k <= n, with p' and p'' (the differential equation), or
+    with p' only and the shifted family's q_k, k < n, with q' (`shifted`,
+    the shift relations); plus sigma(x), tau(x) and mu_k = tau' + (k - 1)
+    sigma''/2.  q is None when not `shifted`."""
+    (s0, s1, s2), (t0, t1), shift_spec = pearson_pair(spec)
     x = np.asarray(x, dtype=float)
-    p = R.eval_all_derivatives(F.family_monic_system(spec), n, x)
-    q = R.eval_all_derivatives(F.family_monic_system(shifted), max(n - 1, 0),
-                               x)[:, :n]
+    order = 1 if shifted else 2
+    p = R.eval_all_derivatives(F.family_monic_system(spec), n, x, order)
+    q = (R.eval_all_derivatives(F.family_monic_system(shift_spec),
+                                max(n - 1, 0), x, order)[:, :n]
+         if shifted else None)
     k = np.arange(n + 1).reshape((-1,) + (1,) * x.ndim)
     return p, q, s0 + (s1 + s2 * x) * x, t0 + t1 * x, t1 + (k - 1) * s2, k
 
@@ -51,7 +55,8 @@ def ode_residual(spec: F.FamilySpec, n: int, x) -> np.ndarray:
     """Scaled residuals of sigma p'' + tau p' - k mu_k p = 0 for the monic
     p_k, k = 0..n, at the points x (rows are degrees)."""
     with np.errstate(all="ignore"):
-        (p, dp, ddp), _, sigma, tau, mu, k = _pearson_chains(spec, n, x)
+        (p, dp, ddp), _, sigma, tau, mu, k = _pearson_chains(spec, n, x,
+                                                             False)
         return _scaled(sigma * ddp, tau * dp, -k * mu * p)
 
 
@@ -67,13 +72,13 @@ def shift_check(spec: F.FamilySpec, n: int, direction: str,
     if direction not in ("raise", "lower"):
         raise F.FamilyError(f"unknown direction {direction!r}")
     with np.errstate(all="ignore"):
-        return _shift_residuals(_pearson_chains(spec, n, x), direction)
+        return _shift_residuals(_pearson_chains(spec, n, x, True), direction)
 
 
 def _shift_residuals(chains, direction: str) -> np.ndarray:
     """`shift_check`'s residuals in one direction from the chains of
     `_pearson_chains`, which serve both directions."""
-    (p, dp, _), (q, dq, _), sigma, tau, mu, k = chains
+    (p, dp), (q, dq), sigma, tau, mu, k = chains
     if direction == "raise":
         out = _scaled(dp[1:], -k[1:] * q)
     else:
@@ -83,9 +88,9 @@ def _shift_residuals(chains, direction: str) -> np.ndarray:
 
 def _shift(spec, n: int, xs):
     with np.errstate(all="ignore"):
-        chains = _pearson_chains(spec, n, xs)
-        return dict(enumerate(np.hstack([_shift_residuals(chains, d)
-                                         for d in ("raise", "lower")]))), {}
+        chains = _pearson_chains(spec, n, xs, True)
+        return np.hstack([_shift_residuals(chains, d)
+                          for d in ("raise", "lower")]), {}
 
 
 def _jacobi_ratio_system(alpha: float, beta: float) -> R.RecurrenceSystem:
@@ -181,7 +186,7 @@ def _cd(spec, n: int, xs):
     u, v = np.concatenate((x, x)), np.concatenate((y, x))
     s = K.cd_kernel(b.system, norms, n, u, v, method="sum")
     c = K.cd_kernel(b.system, norms, n, u, v)
-    return {n: (s - c) / np.maximum(np.abs(s), 1.0)}, {}
+    return ((s - c) / np.maximum(np.abs(s), 1.0))[None], {}
 
 
 def _quadratic(spec, n: int, xs):
@@ -189,8 +194,7 @@ def _quadratic(spec, n: int, xs):
     if kind != F.JACOBI:
         raise ConfigError("quadratic transformation applies to the "
                           "Jacobi-type families")
-    return dict(enumerate(np.hstack(
-        quadratic_transform_residuals(n, alpha, xs)))), {}
+    return np.hstack(quadratic_transform_residuals(n, alpha, xs)), {}
 
 
 def _orthogonality(spec, n: int, xs):
@@ -219,7 +223,8 @@ def _orthogonality(spec, n: int, xs):
     # p~_j(x_k)^2 w_k <= 1 at the nodes of the rule: no product overflows
     p = R.eval_all(ortho, n, nodes)
     gram = (p * weights) @ p.T
-    return {j: gram[j, :j] for j in range(n + 1)}, {}
+    # row j holds <p~_j, p~_k> for k < j, and 0 on and above the diagonal
+    return np.tril(gram, -1), {}
 
 
 def _limit(spec, n: int, xs):
@@ -232,15 +237,15 @@ def _limit(spec, n: int, xs):
               for param in (1e2, 2e2, 4e2, 8e2)]
     # exact agreement (error 0, as at n <= 1) counts as converging
     monotone = all(e1 < e0 or e1 == 0 for e0, e1 in zip(errors, errors[1:]))
-    return {n: 0.0 if monotone else 1.0}, {"errors": errors,
-                                           "monotone": monotone}
+    return np.array([[0.0 if monotone else 1.0]]), {"errors": errors,
+                                                    "monotone": monotone}
 
 
-# the battery of `check`: each identity gives its residuals by degree at the
-# check points xs, and details for the document
+# the battery of `check`: each identity gives its residuals at the check
+# points xs as one array whose rows are the last degrees up to n (every
+# degree, or n alone), and details for the document
 IDENTITIES = {
-    "ode": lambda spec, n, xs: (
-        dict(enumerate(ode_residual(spec, n, xs))), {}),
+    "ode": lambda spec, n, xs: (ode_residual(spec, n, xs), {}),
     "shift": _shift, "cd": _cd, "quadratic": _quadratic,
     "orthogonality": _orthogonality, "limit": _limit}
 
@@ -251,13 +256,11 @@ def check_battery(spec, identity: str, n: int):
         raise ConfigError("check supports the continuous families")
     xs = np.linspace(*{F.LAGUERRE: (0.2, 8.0), F.HERMITE: (-2.0, 2.0)}.get(
         F.classical(spec)[0], (-0.9, 0.9)), 7)
-    by_degree, details = IDENTITIES[identity](spec, n, xs)
-    worst = 0.0
-    for k, res in by_degree.items():
-        res = np.abs(np.asarray(res, dtype=float))
-        if not np.all(np.isfinite(res)):
-            raise NumericalFailure(
-                f"{identity} residual at degree {k} is not finite: the "
-                "values leave the double range")
-        worst = max(worst, float(res.max(initial=0.0)))
-    return worst, details
+    residuals, details = IDENTITIES[identity](spec, n, xs)
+    res = np.abs(residuals)
+    bad = ~np.isfinite(res).all(axis=1)
+    if bad.any():
+        raise NumericalFailure(
+            f"{identity} residual at degree {n + 1 - len(res) + bad.argmax()} "
+            "is not finite: the values leave the double range")
+    return float(res.max(initial=0.0)), details

@@ -248,7 +248,7 @@ def gauss_rule(sys: RecurrenceSystem, norms: NormData, m: Measure | None,
     """
     if n < 1:
         raise KernelError("need n >= 1")
-    mu0 = norms.h[0] / sys.p0 ** 2
+    mu0 = np.exp(norms.log_h[:1])[0] / sys.p0 ** 2   # h_0 alone
     if m is None or m.kind == "continuous":
         nodes, weights = _christoffel_rule(sys, n, mu0)
         total = weights.sum()

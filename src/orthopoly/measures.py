@@ -5,18 +5,23 @@ of the measure."""
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .recurrence import (NormData, RecurrenceError, RecurrenceSystem,
-                         from_tables, norms_from_recurrence)
+from .recurrence import (_PUBLISH, NormData, RecurrenceError,
+                         RecurrenceSystem, from_tables, norms_from_recurrence)
 
 DEFAULT_TOL = 1e-12
 # Sizes of the discretizations that integrate sums over, and the largest
 # one of a continuous measure that recurrence_from_measure tries.
 _FIRST_POINTS, _MAX_POINTS, _MAX_DISCRETE_TERMS = 16, 2048, 2 ** 18
+# What a measure keeps in `_cache` (see `_kept`): its discretizations by
+# size, and the settled results of recurrence_from_measure by (n_max, tol),
+# the least recently used of each dropped past these bounds
+_POINTS_KEPT, _RESULTS_KEPT = 16, 8
 
 
 class IntegrationError(RuntimeError):
@@ -33,8 +38,19 @@ class Measure:
     `alg_exponents` holds (left, right) exponents, which the Gauss rule of
     the discretization absorbs; `weight` is always the full weight,
     `alg_smooth` its regular part.  Every integral is a sum over a
-    discretization (`_discretize`), built once per size and kept in
-    `_cache`.
+    discretization (`_discretize`).
+
+    A measure keeps in `_cache`, each store bounded and the least recently
+    used entry dropped first (see `_kept`):
+      - its last 16 discretizations, two arrays of K doubles each: K <= 2048
+        on a continuous measure (at most 0.52 MB), and on a lattice up to
+        2^18 points for `integrate` (at most 8.4 MB);
+      - its last 8 settled results of `recurrence_from_measure`, about 160
+        bytes per row once the system's rows are read, so at most 1.3 MB at
+        n_max <= 1023, the most a continuous or lattice measure can settle
+        (a finite measure on N points: 8 x 160 N bytes).
+    What a caller grows on a kept system (its orthonormal rows, spectra) is
+    bounded by the system's own stores.
     """
 
     kind: str
@@ -168,7 +184,12 @@ def hankel_minors(ms: MomentSequence, n_max: int) -> HankelReport:
 def recurrence_from_measure(m: Measure, n_max: int,
                             tol: float = DEFAULT_TOL
                             ) -> tuple[RecurrenceSystem, NormData]:
-    """Monic recurrence coefficients by discretized Lanczos.
+    """Monic recurrence coefficients by discretized Lanczos, settled once
+    per (n_max, tol): the result is kept in `m._cache` under exactly that
+    key (see `_kept`), and a repeat call returns the same system and norms.
+    A longer result never serves a shorter call, so what a call returns
+    does not depend on the calls before it; a call that raises keeps
+    nothing, and its repeat raises again.
 
     The measure is replaced by the K-point discretization that `integrate`
     sums over.  Lanczos on diag(nodes), each step fully reorthogonalised by
@@ -184,6 +205,13 @@ def recurrence_from_measure(m: Measure, n_max: int,
     giving drifted coefficients, and so does a `tol` at the rounding level.
     A measure on N points has no polynomial of degree N: n_max >= N raises.
     """
+    return _kept(m, "recurrence", _RESULTS_KEPT, (n_max, tol),
+                 lambda: _settled_recurrence(m, n_max, tol))
+
+
+def _settled_recurrence(m: Measure, n_max: int, tol: float
+                        ) -> tuple[RecurrenceSystem, NormData]:
+    """What `recurrence_from_measure` computes on a miss."""
     if m.kind == "discrete_finite":
         if n_max >= m.n_points:
             raise RecurrenceError(
@@ -216,7 +244,7 @@ def recurrence_from_measure(m: Measure, n_max: int,
 
 def _discretize(m: Measure, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only nodes and weights of a size-point discrete stand-in for the
-    measure, built once per size and kept in `m._cache`: the first `size`
+    measure, kept in `m._cache` for the last 16 sizes: the first `size`
     points of a lattice, or the Gauss rule of a reference weight times the
     rest of the weight.  The reference weight is Jacobi with the declared
     `alg_exponents` on an interval, generalized Laguerre with the exponent
@@ -225,8 +253,12 @@ def _discretize(m: Measure, size: int) -> tuple[np.ndarray, np.ndarray]:
     eigenvalues and Christoffel weights (0 below the double range), which
     `kernels._christoffel_rule` forms from the spectral data of the
     system."""
-    if size in m._cache:
-        return m._cache[size]
+    return _kept(m, "points", _POINTS_KEPT, size,
+                 lambda: _discretization(m, size))
+
+
+def _discretization(m: Measure, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """What `_discretize` builds on a miss."""
     if m.kind == "discrete_infinite":
         x = np.arange(size, dtype=float)
         w = np.array([m.weight_fn(k) for k in range(size)], dtype=float)
@@ -265,8 +297,29 @@ def _discretize(m: Measure, size: int) -> tuple[np.ndarray, np.ndarray]:
         w = np.where(w == 0, 0.0, w * ratio)
     w *= m.normalizer
     x.flags.writeable = w.flags.writeable = False
-    m._cache[size] = x, w
     return x, w
+
+
+def _kept(m: Measure, store: str, bound: int, key, make: Callable[[], tuple]):
+    """make(), kept in the store `store` of `m._cache` under `key`, so that a
+    repeat call returns the same object.  A miss runs make() outside any
+    lock and publishes its result under `recurrence._PUBLISH`, as systems
+    publish their rows; the first result published wins.  Past `bound`
+    entries the least recently used one is dropped.  Nothing is kept when
+    make() raises."""
+    with _PUBLISH:
+        entries = m._cache.setdefault(store, OrderedDict())
+        found = entries.get(key)
+        if found is not None:
+            entries.move_to_end(key)
+            return found
+    value = make()
+    with _PUBLISH:
+        value = entries.setdefault(key, value)
+        entries.move_to_end(key)
+        if len(entries) > bound:
+            entries.popitem(last=False)
+    return value
 
 
 def _values(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:

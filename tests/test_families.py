@@ -14,6 +14,7 @@ from orthopoly import families as F
 from orthopoly import identities as I
 from orthopoly import measures as M
 from orthopoly import recurrence as R
+from orthopoly.errors import NumericalFailure
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +327,28 @@ def test_shift_battery_builds_one_pair_of_chains(monkeypatch):
 
     monkeypatch.setattr(R, "eval_all_derivatives", counting)
     spec, xs = F.jacobi(0.5, 1.5), np.linspace(-0.9, 0.9, 7)
-    by_degree, details = I.IDENTITIES["shift"](spec, 30, xs)
+    residuals, details = I.IDENTITIES["shift"](spec, 30, xs)
     assert calls == [30, 29] and details == {}
     blocks = np.hstack([I.shift_check(spec, 30, d, xs)
                         for d in ("raise", "lower")])
-    assert np.array(list(by_degree.values())).tobytes() == blocks.tobytes()
-    assert list(by_degree) == list(range(31))
+    # one row per degree 0..30
+    assert residuals.shape == (31, 14)
+    assert residuals.tobytes() == blocks.tobytes()
+
+
+def test_battery_names_the_first_degree_that_is_not_finite(monkeypatch):
+    rows = np.zeros((4, 3))
+    rows[2, 1], rows[3, 0] = np.nan, np.inf
+    for residuals, degree in ((rows, 9), (rows[3:], 10)):
+        monkeypatch.setitem(I.IDENTITIES, "cd",
+                            lambda spec, n, xs, r=residuals: (r, {}))
+        with pytest.raises(NumericalFailure,
+                           match=f"cd residual at degree {degree} is not "
+                                 "finite"):
+            I.check_battery(F.legendre(), "cd", 10)
+    rows[2:] = [[0.5, -3.0, 1.0], [0.0, 2.0, -0.25]]
+    monkeypatch.setitem(I.IDENTITIES, "cd", lambda spec, n, xs: (rows, {}))
+    assert I.check_battery(F.legendre(), "cd", 10) == (3.0, {})
 
 
 def rodrigues_eval(spec, n: int, x: float) -> float:

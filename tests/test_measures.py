@@ -7,6 +7,7 @@ import pytest
 from conftest import monic_row_error
 
 from orthopoly import discrete as D
+from orthopoly import families as F
 from orthopoly import kernels as K
 from orthopoly import measures as M
 from orthopoly import recurrence as R
@@ -344,3 +345,134 @@ def test_finite_measure_counts_distinct_points():
     assert norms.h[0] == 4.0
     with pytest.raises(R.RecurrenceError):
         M.recurrence_from_measure(m, 2)
+
+
+def _kept_measures():
+    """The measures of the kept-results tests: continuous, finite and
+    lattice."""
+    return {"legendre": family_measure(legendre()),
+            "laguerre": family_measure(laguerre(0.5)),
+            "finite": M.discrete_measure(
+                np.linspace(-1.0, 1.0, 60), 1 + 0.5 * np.sin(np.arange(60))),
+            "charlier": charlier_measure(charlier(2.0), normalized=True)}
+
+
+def _result_bits(result):
+    sys, norms = result
+    rows = sys.arrays(sys.max_index_hint)
+    return (rows.dtype, rows.shape, rows.tobytes(), norms.log_h.dtype,
+            norms.log_h.shape, norms.log_h.tobytes())
+
+
+@pytest.mark.parametrize("n", (1, 10, 40))
+@pytest.mark.parametrize("name", ("legendre", "laguerre", "finite",
+                                  "charlier"))
+def test_kept_recurrence_is_that_of_a_fresh_measure(name, n):
+    import dataclasses
+
+    m = _kept_measures()[name]
+    # a copy of the measure keeps nothing of the original's
+    want = _result_bits(M.recurrence_from_measure(dataclasses.replace(m), n))
+    first = M.recurrence_from_measure(m, n)
+    again = M.recurrence_from_measure(m, n)
+    assert again[0] is first[0] and again[1] is first[1]
+    assert _result_bits(first) == _result_bits(again) == want
+    assert not first[1].log_h.flags.writeable
+
+
+def test_a_longer_result_never_serves_a_shorter_call():
+    import dataclasses
+
+    m = family_measure(legendre())
+    longer = M.recurrence_from_measure(m, 40)
+    shorter = M.recurrence_from_measure(m, 10)
+    assert shorter[0] is not longer[0]
+    assert shorter[0].max_index_hint == 10
+    assert _result_bits(shorter) == _result_bits(
+        M.recurrence_from_measure(dataclasses.replace(m), 10))
+    looser = M.recurrence_from_measure(m, 10, 1e-10)
+    assert looser[0] is not shorter[0]
+    assert list(m._cache["recurrence"]) == [(40, 1e-12), (10, 1e-12),
+                                            (10, 1e-10)]
+
+
+def test_a_failing_call_keeps_nothing_and_raises_again():
+    singular = M.continuous_measure(lambda x: x ** -0.9, (0.0, 1.0))
+    m = family_measure(legendre())
+    for _ in range(2):
+        with pytest.raises(R.RecurrenceError, match="did not settle"):
+            M.recurrence_from_measure(singular, 16)
+        with pytest.raises(R.RecurrenceError, match="did not settle"):
+            M.recurrence_from_measure(m, 10, 1e-18)
+    assert not singular._cache.get("recurrence")
+    assert not m._cache.get("recurrence")
+    sys, _ = M.recurrence_from_measure(m, 10)
+    assert list(m._cache["recurrence"]) == [(10, 1e-12)]
+
+
+def test_a_measure_keeps_its_last_results_and_discretizations():
+    m = family_measure(legendre())
+    kept = M._RESULTS_KEPT
+    results = {n: M.recurrence_from_measure(m, n)
+               for n in range(1, 2 * kept + 1)}
+    store = m._cache["recurrence"]
+    assert [n for n, _ in store] == list(range(kept + 1, 2 * kept + 1))
+    # a kept result moves to the end, and the next new one drops the oldest
+    assert M.recurrence_from_measure(m, kept + 1)[0] is results[kept + 1][0]
+    M.recurrence_from_measure(m, 1)
+    assert [n for n, _ in store] == [*range(kept + 3, 2 * kept + 1),
+                                     kept + 1, 1]
+    assert M.recurrence_from_measure(m, 2)[0] is not results[2][0]
+
+    points = m._cache["points"]
+    bound = M._POINTS_KEPT
+    assert len(points) == bound
+    sizes = range(100, 100 + 2 * bound)
+    rules = {k: M._discretize(m, k) for k in sizes}
+    assert list(points) == list(sizes[bound:])
+    assert M._discretize(m, sizes[bound]) is rules[sizes[bound]]
+    M._discretize(m, 7)
+    assert list(points) == [*sizes[bound + 2:], sizes[bound], 7]
+
+
+def test_threads_sharing_a_measure_get_the_results_of_a_fresh_one():
+    import dataclasses
+    import sys as _sys
+    import threading
+
+    degrees = (10, 40, 1, 20)
+    fresh = dataclasses.replace(family_measure(legendre()))
+    want = {n: _result_bits(M.recurrence_from_measure(fresh, n))
+            for n in degrees}
+    want_mu = M.moments(fresh, 8).mu.tobytes()
+    interval = _sys.getswitchinterval()
+    _sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            F.clear_systems()
+            shared = family_measure(legendre())
+            start, got = threading.Barrier(4), []
+
+            def settle(shared=shared, start=start, got=got):
+                start.wait(timeout=30)
+                for n in degrees:
+                    got.append((n, M.recurrence_from_measure(shared, n)))
+                got.append(("mu", M.moments(shared, 8).mu.tobytes()))
+
+            threads = [threading.Thread(target=settle) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert len(got) == 4 * (len(degrees) + 1)
+            for n, result in got:
+                if n == "mu":
+                    assert result == want_mu
+                else:
+                    assert _result_bits(result) == want[n], n
+                    # the first result published is every caller's
+                    assert result[0] is M.recurrence_from_measure(shared,
+                                                                  n)[0]
+    finally:
+        _sys.setswitchinterval(interval)

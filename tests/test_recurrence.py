@@ -527,6 +527,52 @@ def test_family_systems_are_shared_per_parameter_bits():
     assert F.family_system(spec) is not shared
 
 
+def test_family_measures_are_shared_per_parameter_bits():
+    from orthopoly import discrete as D
+
+    spec = F.jacobi(0.5, 1.5)
+    shared = F.family_measure(spec)
+    assert F.family_measure(F.jacobi(0.5, 1.5)) is shared
+    assert F.family_bundle(spec).measure is shared
+    assert F.family_measure(spec, normalized=True) is not shared
+    assert (F.family_bundle(spec, normalized=True).measure
+            is F.family_measure(spec, normalized=True))
+    assert F.family_measure(F.laguerre(-0.0)) is not F.family_measure(
+        F.laguerre(0.0))
+    assert F.family_measure(F.legendre(), True) is not F.family_measure(
+        F.legendre(), False)
+    for lattice in (D.charlier(2.0), D.krawtchouk(0.3, 20)):
+        assert F.family_measure(lattice) is D.family_measure(lattice)
+        assert D.family_measure(lattice, True) is not D.family_measure(
+            lattice)
+    F.clear_systems()
+    assert F.family_measure(spec) is not shared
+
+
+def test_a_shared_builder_may_ask_for_another_shared_object(monkeypatch):
+    import threading
+
+    # a lock of this test's own, so that a builder that hangs holding it
+    # leaves the other tests the module's lock
+    monkeypatch.setattr(F, "_systems_lock", threading.Lock())
+    got = []
+
+    def build():
+        return (F.family_system(F.legendre()),
+                F.family_measure(F.legendre()))
+
+    worker = threading.Thread(
+        target=lambda: got.append(F.shared_system(F.legendre(), "pair",
+                                                  build)),
+        daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive(), "the builder hangs on the store's lock"
+    assert got[0] == (F.family_system(F.legendre()),
+                      F.family_measure(F.legendre()))
+    assert F.shared_system(F.legendre(), "pair", build) is got[0]
+
+
 def test_shared_systems_stay_within_their_bound():
     kept = F._SYSTEMS_KEPT
     first = F.family_system(F.laguerre(0.0))
