@@ -186,10 +186,11 @@ def recurrence_from_measure(m: Measure, n_max: int,
                             ) -> tuple[RecurrenceSystem, NormData]:
     """Monic recurrence coefficients by discretized Lanczos, settled once
     per (n_max, tol): the result is kept in `m._cache` under exactly that
-    key (see `_kept`), and a repeat call returns the same system and norms.
-    A longer result never serves a shorter call, so what a call returns
-    does not depend on the calls before it; a call that raises keeps
-    nothing, and its repeat raises again.
+    key, among the measure's last 8 (see `Measure` for their bytes), and a
+    repeat call returns the same system and norms.  A longer result never
+    serves a shorter call, so what a call returns does not depend on the
+    calls before it; a call that raises keeps nothing, and its repeat
+    raises again.
 
     The measure is replaced by the K-point discretization that `integrate`
     sums over.  Lanczos on diag(nodes), each step fully reorthogonalised by

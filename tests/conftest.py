@@ -1,7 +1,8 @@
-"""Shared test plumbing: every test starts without shared family systems;
-acceptance criteria results are collected here and printed as one line per
-criterion in the terminal summary; the error of computed monic recurrence
-rows against a family's closed form; the command line in a child process."""
+"""Shared test plumbing: every test starts without shared family systems
+and measures; acceptance criteria results are collected here and printed as
+one line per criterion in the terminal summary; the error of computed monic
+recurrence rows against a family's closed form; the command line in a child
+process."""
 
 import math
 import os
@@ -18,8 +19,9 @@ acceptance_lines = []
 
 @pytest.fixture(autouse=True)
 def fresh_systems():
-    """Clear the shared systems before and after each test, so that a test
-    that monkeypatches rows never reads rows that another test built."""
+    """Clear the shared systems and measures before and after each test, so
+    that a test that monkeypatches rows never reads rows that another test
+    built, nor a result that a measure kept."""
     clear_systems()
     yield
     clear_systems()
