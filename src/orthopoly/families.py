@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .measures import Measure, continuous_measure
-from .recurrence import RecurrenceSystem
+from .recurrence import _PUBLISH, RecurrenceSystem, _keep
 
 class FamilyError(ValueError):
     """Invalid family parameters."""
@@ -417,11 +415,11 @@ def jacobi_system(alpha: float, beta: float,
 
 # The systems of family_system, family_monic_system and
 # discrete.discrete_system, and the measures of family_measure and
-# discrete.family_measure, one per family, form and parameter bits, the least
-# recently used dropped past _SYSTEMS_KEPT
+# discrete.family_measure, one per family, form and parameter bits, kept in
+# the store "systems" of _shared (see recurrence._keep), the least recently
+# used dropped past _SYSTEMS_KEPT
 _SYSTEMS_KEPT = 64
-_systems: OrderedDict = OrderedDict()
-_systems_lock = threading.Lock()
+_shared: dict = {}
 
 
 def shared_system(spec: FamilySpec, form, build: Callable[[], object]):
@@ -433,30 +431,20 @@ def shared_system(spec: FamilySpec, form, build: Callable[[], object]):
     key = (spec.family, form, tuple(
         (type(v), v if isinstance(v, int) else float(v).hex())
         for v in map(spec.parameters.__getitem__, PARAMETERS[spec.family])))
-    with _systems_lock:
-        found = _systems.get(key)
-        if found is not None:
-            _systems.move_to_end(key)
-            return found
-    built = build()
-    with _systems_lock:
-        found = _systems.setdefault(key, built)
-        _systems.move_to_end(key)
-        if len(_systems) > _SYSTEMS_KEPT:
-            _systems.popitem(last=False)
-    return found
+    return _keep(_shared, "systems", _SYSTEMS_KEPT, key, build)
 
 
 def clear_systems() -> None:
     """Forget the shared systems and measures, and what they hold: a
     system's rows, the log-norm increments of
-    `recurrence.norms_from_recurrence` and the spectral data of
-    `kernels._spectrum` (zeros, Gauss denominators and u_0^2, extreme-zero
-    chains, for up to 8 orders per system); a measure's last 16
-    discretizations and last 8 settled results of
-    `measures.recurrence_from_measure` (see `measures.Measure`)."""
-    with _systems_lock:
-        _systems.clear()
+    `recurrence.norms_from_recurrence` and the last 16 spectral entries of
+    `kernels._spectrum` (zeros, Gauss denominators, Golub-Welsch nodes and
+    u_0^2, extreme-zero chains); a measure's last 16 discretizations and
+    last 8 settled results of `measures.recurrence_from_measure` (see
+    `measures.Measure`).  The store is emptied under `recurrence._PUBLISH`,
+    the lock it is published under."""
+    with _PUBLISH:
+        _shared.clear()
 
 
 def family_system(spec: FamilySpec) -> RecurrenceSystem:

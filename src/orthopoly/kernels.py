@@ -5,13 +5,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .measures import Measure, integrate
-from .recurrence import (_PUBLISH, NormData, RecurrenceSystem, _pass,
+from .recurrence import (NormData, RecurrenceSystem, _keep, _pass,
                          convert_form, eval_all, eval_all_derivatives,
                          favard_roots)
 
@@ -275,9 +274,9 @@ def _christoffel_rule(sys: RecurrenceSystem, n: int,
                                                 w, 0.0)
 
 
-# Spectral data of a system's Jacobi matrices, kept in its cache per order,
-# the least recently used order dropped past _SPECTRA_KEPT
-_SPECTRA_KEPT = 8
+# Spectral data of a system's Jacobi matrices, kept in its cache per order
+# and kind, the least recently used entry dropped past _SPECTRA_KEPT
+_SPECTRA_KEPT = 16
 
 
 def _spectrum(sys: RecurrenceSystem, n: int, kind: str) -> np.ndarray:
@@ -286,45 +285,31 @@ def _spectrum(sys: RecurrenceSystem, n: int, kind: str) -> np.ndarray:
     so that a shared system carries it from call to call:
       "nodes"        ascending eigenvalues (`_eigenvalues`),
       "christoffel"  their unit-mass Christoffel denominators, w = mu_0 / D
-                     (`_christoffel_denominators`),
+                     (`_christoffel_denominators`), at the kept "nodes",
       "lattice"      (2, n): Golub-Welsch nodes and u_0^2 (`_golub_welsch`),
       "extreme"      (2, n): the smallest and largest zeros of the orders
                      1..n (`extreme_zeros`).
-    The only caller of those solvers.  Entries are published under
-    `recurrence._PUBLISH`, as the rows are; past _SPECTRA_KEPT orders the
-    least recently used one is dropped, so a store holds at most 6 n doubles
-    for each of 8 orders n."""
-    with _PUBLISH:
-        store = sys._cache.setdefault("spectra", OrderedDict())
-        found = store.get(n, {})
-        if found:
-            store.move_to_end(n)
-    if kind in found:
-        return found[kind]
-    diag, off = jacobi_matrix(sys, n)
-    new = {}
-    if kind == "lattice":
-        new[kind] = np.array(_golub_welsch(diag, off))
-    elif kind == "extreme":
-        if (n // 2 if not diag.any() else n) > _CHAIN_DENSE_MAX_ORDER:
-            new[kind] = _bisected_chains(diag, off)
+    The only caller of those solvers.  Each (n, kind) is one entry of the
+    store "spectra" (see `recurrence._keep`), at most 2 n doubles; past
+    _SPECTRA_KEPT = 16 entries the least recently used one is dropped."""
+    def solve() -> np.ndarray:
+        diag, off = jacobi_matrix(sys, n)
+        if kind == "nodes":
+            value = _eigenvalues(diag, off)
+        elif kind == "christoffel":
+            value = _christoffel_denominators(diag, off,
+                                              _spectrum(sys, n, "nodes"))
+        elif kind == "lattice":
+            value = np.array(_golub_welsch(diag, off))
+        elif (n // 2 if not diag.any() else n) > _CHAIN_DENSE_MAX_ORDER:
+            value = _bisected_chains(diag, off)
         else:
-            new[kind] = np.array([_eigenvalues(diag[:k], off[:k - 1])[[0, -1]]
-                                  for k in range(1, n + 1)]).T
-    else:
-        nodes = found.get("nodes")
-        if nodes is None:
-            nodes = new["nodes"] = _eigenvalues(diag, off)
-        if kind == "christoffel":
-            new[kind] = _christoffel_denominators(diag, off, nodes)
-    for value in new.values():
+            value = np.array([_eigenvalues(diag[:k], off[:k - 1])[[0, -1]]
+                              for k in range(1, n + 1)]).T
         value.flags.writeable = False
-    with _PUBLISH:
-        store[n] = {**store.get(n, {}), **new}
-        store.move_to_end(n)
-        if len(store) > _SPECTRA_KEPT:
-            store.popitem(last=False)
-    return new[kind]
+        return value
+
+    return _keep(sys._cache, "spectra", _SPECTRA_KEPT, (n, kind), solve)
 
 
 def _christoffel_denominators(diag: np.ndarray, off: np.ndarray,

@@ -5,22 +5,22 @@ of the measure."""
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .recurrence import (_PUBLISH, NormData, RecurrenceError,
-                         RecurrenceSystem, from_tables, norms_from_recurrence)
+from .recurrence import (NormData, RecurrenceError, RecurrenceSystem, _keep,
+                         from_tables, norms_from_recurrence)
 
 DEFAULT_TOL = 1e-12
 # Sizes of the discretizations that integrate sums over, and the largest
 # one of a continuous measure that recurrence_from_measure tries.
 _FIRST_POINTS, _MAX_POINTS, _MAX_DISCRETE_TERMS = 16, 2048, 2 ** 18
-# What a measure keeps in `_cache` (see `_kept`): its discretizations by
-# size, and the settled results of recurrence_from_measure by (n_max, tol),
-# the least recently used of each dropped past these bounds
+# What a measure keeps in `_cache` (see `recurrence._keep`): its
+# discretizations by size, and the settled results of
+# recurrence_from_measure by (n_max, tol), the least recently used of each
+# dropped past these bounds
 _POINTS_KEPT, _RESULTS_KEPT = 16, 8
 
 
@@ -37,11 +37,11 @@ class Measure:
     For continuous measures with an endpoint-singular algebraic factor,
     `alg_exponents` holds (left, right) exponents, which the Gauss rule of
     the discretization absorbs; `weight` is always the full weight,
-    `alg_smooth` its regular part.  Every integral is a sum over a
-    discretization (`_discretize`).
+    `alg_smooth` its regular part; an exponent must exceed -1.  Every
+    integral is a sum over a discretization (`_discretize`).
 
     A measure keeps in `_cache`, each store bounded and the least recently
-    used entry dropped first (see `_kept`):
+    used entry dropped first (see `recurrence._keep`):
       - its last 16 discretizations, two arrays of K doubles each: K <= 2048
         on a continuous measure (at most 0.52 MB), and on a lattice up to
         2^18 points for `integrate` (at most 8.4 MB);
@@ -50,7 +50,9 @@ class Measure:
         n_max <= 1023, the most a continuous or lattice measure can settle
         (a finite measure on N points: 8 x 160 N bytes).
     What a caller grows on a kept system (its orthonormal rows, spectra) is
-    bounded by the system's own stores.
+    bounded by the system's own stores, and so are the eigenvalues and
+    Christoffel denominators of a continuous measure's reference rules,
+    which the shared reference systems keep (`families.shared_system`).
     """
 
     kind: str
@@ -206,7 +208,7 @@ def recurrence_from_measure(m: Measure, n_max: int,
     giving drifted coefficients, and so does a `tol` at the rounding level.
     A measure on N points has no polynomial of degree N: n_max >= N raises.
     """
-    return _kept(m, "recurrence", _RESULTS_KEPT, (n_max, tol),
+    return _keep(m._cache, "recurrence", _RESULTS_KEPT, (n_max, tol),
                  lambda: _settled_recurrence(m, n_max, tol))
 
 
@@ -249,12 +251,13 @@ def _discretize(m: Measure, size: int) -> tuple[np.ndarray, np.ndarray]:
     points of a lattice, or the Gauss rule of a reference weight times the
     rest of the weight.  The reference weight is Jacobi with the declared
     `alg_exponents` on an interval, generalized Laguerre with the exponent
-    at the finite end on a half line, Hermite on the line; its rule comes
-    from its closed-form monic recurrence through `kernels.gauss_rule`'s
-    eigenvalues and Christoffel weights (0 below the double range), which
-    `kernels._christoffel_rule` forms from the spectral data of the
-    system."""
-    return _kept(m, "points", _POINTS_KEPT, size,
+    at the finite end on a half line, Hermite on the line.  Its rule is
+    `kernels.gauss_rule`'s eigenvalues and Christoffel weights (0 below the
+    double range) of the family's shared monic system
+    (`families.family_monic_system`, which keeps them with its spectra) for
+    the mass `families.family_mu0`; an exponent <= -1, not integrable,
+    raises the family's FamilyError."""
+    return _keep(m._cache, "points", _POINTS_KEPT, size,
                  lambda: _discretization(m, size))
 
 
@@ -264,9 +267,13 @@ def _discretization(m: Measure, size: int) -> tuple[np.ndarray, np.ndarray]:
         x = np.arange(size, dtype=float)
         w = np.array([m.weight_fn(k) for k in range(size)], dtype=float)
     else:
-        from .families import (hermite_monic_system, jacobi_monic_system,
-                               laguerre_monic_system)
+        from .families import (family_monic_system, family_mu0, hermite,
+                               jacobi, laguerre)
         from .kernels import _christoffel_rule
+
+        def rule(spec, mass_spec=None):
+            return _christoffel_rule(family_monic_system(spec), size,
+                                     family_mu0(mass_spec or spec))
 
         a, b = m.support
         if m.alg_exponents is None:
@@ -275,52 +282,27 @@ def _discretization(m: Measure, size: int) -> tuple[np.ndarray, np.ndarray]:
             (left, right), rest = (m.alg_exponents,
                                    m.alg_smooth or (lambda x: 1.0))
         if math.isinf(a) and math.isinf(b):
-            x, w = _christoffel_rule(hermite_monic_system(), size,
-                                    math.sqrt(math.pi))
+            x, w = rule(hermite())
             ratio = _times_exp(_values(m.weight, x), x * x)
         elif math.isinf(a) or math.isinf(b):
             # x = end + sign t, t >= 0, with the exponent at the finite end
             sign, end, expo = ((1.0, a, left) if math.isinf(b)
                                else (-1.0, b, right))
-            t, w = _christoffel_rule(laguerre_monic_system(expo), size,
-                                    math.gamma(expo + 1))
+            t, w = rule(laguerre(expo))
             x = end + sign * t
             ratio = _times_exp(_values(rest, x), t)
         else:
-            # (x - a)^l (b - x)^r is ((b - a)/2)^(l + r) (1 + t)^l (1 - t)^r
+            # (x - a)^l (b - x)^r is ((b - a)/2)^(l + r) (1 + t)^l (1 - t)^r;
+            # the mass is symmetric in (l, r) but rounds differently in the
+            # other order: it is that of jacobi(l, r)
             half = (b - a) / 2
-            t, w = _christoffel_rule(
-                jacobi_monic_system(right, left), size,
-                2 ** (left + right + 1) * math.gamma(left + 1)
-                * math.gamma(right + 1) / math.gamma(left + right + 2))
+            t, w = rule(jacobi(right, left), jacobi(left, right))
             x = a + half * (1.0 + t)
             ratio = half ** (left + right + 1) * _values(rest, x)
         w = np.where(w == 0, 0.0, w * ratio)
     w *= m.normalizer
     x.flags.writeable = w.flags.writeable = False
     return x, w
-
-
-def _kept(m: Measure, store: str, bound: int, key, make: Callable[[], tuple]):
-    """make(), kept in the store `store` of `m._cache` under `key`, so that a
-    repeat call returns the same object.  A miss runs make() outside any
-    lock and publishes its result under `recurrence._PUBLISH`, as systems
-    publish their rows; the first result published wins.  Past `bound`
-    entries the least recently used one is dropped.  Nothing is kept when
-    make() raises."""
-    with _PUBLISH:
-        entries = m._cache.setdefault(store, OrderedDict())
-        found = entries.get(key)
-        if found is not None:
-            entries.move_to_end(key)
-            return found
-    value = make()
-    with _PUBLISH:
-        value = entries.setdefault(key, value)
-        entries.move_to_end(key)
-        if len(entries) > bound:
-            entries.popitem(last=False)
-    return value
 
 
 def _values(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -19,7 +20,8 @@ import numpy as np
 
 FORMS = ("general", "monic", "orthonormal")
 _TINY = np.finfo(float).tiny   # the smallest normal double
-# makes each table publication a compare-and-set, so tables only grow
+# makes each table publication a compare-and-set, so tables only grow, and
+# guards every store of `_keep`: the package's one lock
 _PUBLISH = threading.Lock()
 
 
@@ -127,7 +129,7 @@ def from_tables(a: Sequence[float], b: Sequence[float], c: Sequence[float],
         return a[j], b[j], c[j]
 
     return RecurrenceSystem(rows_fn=rows, form=form, p0=p0,
-                            max_index_hint=len(a) - 1)
+                            max_index_hint=size - 1)
 
 
 def eval_poly(sys: RecurrenceSystem, n: int, x):
@@ -291,6 +293,31 @@ def _log_steps(sys: RecurrenceSystem, upto: int) -> np.ndarray:
                 if kept is None or len(kept) < len(steps):
                     sys._cache["log_steps"] = steps
     return steps[:max(upto, 0)]
+
+
+def _keep(cache: dict, store: str, bound: int, key,
+          make: Callable[[], object]):
+    """make(), kept in the store `store` of `cache` under exactly `key`, so
+    that a repeat call returns the same object: the package's one policy for
+    what it keeps (shared family objects, a measure's discretizations and
+    settled recurrences, a system's spectra).  A miss runs make() outside
+    any lock, so make() may ask for other kept objects, and publishes its
+    result under `_PUBLISH`, as systems publish their rows; the first result
+    published wins.  Past `bound` entries the least recently used one is
+    dropped.  Nothing is kept when make() raises."""
+    with _PUBLISH:
+        entries = cache.setdefault(store, OrderedDict())
+        found = entries.get(key)
+        if found is not None:
+            entries.move_to_end(key)
+            return found
+    value = make()
+    with _PUBLISH:
+        value = entries.setdefault(key, value)
+        entries.move_to_end(key)
+        if len(entries) > bound:
+            entries.popitem(last=False)
+    return value
 
 
 def convert_form(sys: RecurrenceSystem, norms: NormData,

@@ -9,7 +9,8 @@ command line: its two errors live in errors.py, so `python -m orthopoly.cli`
 catches the classes that the identity checks raise.  No module imports
 mpmath: the series sums of families.py and discrete.py run in exact integer
 arithmetic, qseries.py evaluates the Askey-Wilson polynomials by their
-three-term recurrence, and mpmath is a test dependency only."""
+three-term recurrence, and mpmath is a test dependency only.  What the
+package keeps it keeps through recurrence._keep, under its one lock."""
 
 import ast
 from pathlib import Path
@@ -221,3 +222,42 @@ def test_solver_guard_sees_calls_references_and_nesting():
     assert solver_uses(source) == [
         ("_spectrum", "_eigenvalues"), ("zeros", "_golub_welsch"),
         ("<module>", "_christoffel_denominators"), ("nodes", "_eigenvalues")]
+
+
+# What the package keeps, it keeps through recurrence._keep, the one
+# least-recently-used store, under recurrence._PUBLISH, the one lock.
+STORE_MAKERS = ("Lock", "RLock", "OrderedDict")
+
+
+def store_makers(source: str) -> list[tuple[int, str]]:
+    """(line, name) for every reference to a lock or an OrderedDict, also
+    as an attribute or an imported name."""
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            uses += [(node.lineno, a.name.rsplit(".", 1)[-1])
+                     for a in node.names]
+            continue
+        name = (node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else None)
+        uses.append((getattr(node, "lineno", 0), name))
+    return sorted(u for u in uses if u[1] in STORE_MAKERS)
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in Path(orthopoly.__file__).parent.glob("*.py")
+    if p.name != "recurrence.py"))
+def test_only_the_keeper_makes_a_store_or_a_lock(module):
+    assert store_makers(_source(module)) == []
+
+
+def test_store_guard_sees_locks_and_ordered_dicts():
+    source = ("import threading\nfrom collections import OrderedDict\n"
+              "lock = threading.Lock()\nagain = threading.RLock()\n"
+              "def f():\n    from threading import Lock\n"
+              "    return collections.OrderedDict(), OrderedDict\n"
+              "kept: dict = {}\n")
+    assert store_makers(source) == [
+        (2, "OrderedDict"), (3, "Lock"), (4, "RLock"), (6, "Lock"),
+        (7, "OrderedDict"), (7, "OrderedDict")]
+    assert store_makers(_source("recurrence.py")) != []

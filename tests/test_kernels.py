@@ -853,15 +853,47 @@ def test_a_system_keeps_the_spectra_of_its_last_orders():
     for n in range(1, 2 * kept + 1):
         K.zeros(sys, None, n)
     store = sys._cache["spectra"]
-    assert list(store) == list(range(kept + 1, 2 * kept + 1))
-    K.extreme_zeros(sys, kept + 1)   # a kept order moves to the end
-    K.zeros(sys, None, 1)
-    assert list(store) == [*range(kept + 3, 2 * kept + 1), kept + 1, 1]
-    assert all(not a.flags.writeable for e in store.values()
-               for a in e.values())
+    assert list(store) == [(n, "nodes") for n in range(kept + 1, 2 * kept + 1)]
+    # a kept entry moves to the end, and a new kind of a kept order is a new
+    # entry, which drops the oldest
+    K.zeros(sys, None, kept + 1)
+    K.extreme_zeros(sys, kept + 1)
+    assert list(store) == [*((n, "nodes") for n in range(kept + 3,
+                                                         2 * kept + 1)),
+                           (kept + 1, "nodes"), (kept + 1, "extreme")]
+    assert all(not a.flags.writeable for a in store.values())
     F.clear_systems()
     assert "spectra" not in F.family_monic_system(
         F.jacobi(0.5, 1.5))._cache
+
+
+def test_a_failing_solve_keeps_nothing_and_raises_again():
+    sys = R.from_tables([1.0] * 5, [0.0] * 5, [0.0, 0.5, -0.5, 0.5, 0.5],
+                        form="monic")
+    for _ in range(2):
+        with pytest.raises(R.RecurrenceError, match="Favard violation at n=1"):
+            K.zeros(sys, None, 4)
+    assert not sys._cache.get("spectra")
+
+
+def test_christoffel_denominators_keep_the_nodes_they_solve(monkeypatch):
+    solved = []
+    real = K._eigenvalues
+
+    def counting(diag, off):
+        solved.append(len(diag))
+        return real(diag, off)
+
+    monkeypatch.setattr(K, "_eigenvalues", counting)
+    sys = F.family_monic_system(F.jacobi(0.5, 1.5))
+    den = K._spectrum(sys, 30, "christoffel")
+    assert solved == [30]
+    store = sys._cache["spectra"]
+    assert list(store) == [(30, "nodes"), (30, "christoffel")]
+    assert store[(30, "christoffel")] is den
+    assert K.zeros(sys, None, 30).tobytes() == store[(30, "nodes")].tobytes()
+    monic_rule(sys, 1.0, 30)
+    assert solved == [30]
 
 
 def test_threads_sharing_a_system_get_the_spectra_of_a_fresh_one():

@@ -253,6 +253,77 @@ def test_declared_endpoint_singularity_is_shifted_jacobi():
             assert c == pytest.approx(closed_c[n] / 4, rel=1e-12)
 
 
+@pytest.mark.parametrize("support,exponents,bound", [
+    ((0.0, 1.0), (-1.0, 0.0), "alpha > -1 and beta > -1"),
+    ((0.0, 1.0), (0.5, -1.5), "alpha > -1 and beta > -1"),
+    ((0.0, math.inf), (-1.0, 0.0), "alpha > -1"),
+    ((-math.inf, 2.0), (0.0, -1.25), "alpha > -1")],
+    ids=["interval-at-1", "interval-past-1", "half-line-at-1",
+         "left-half-line-past-1"])
+def test_a_non_integrable_exponent_names_its_bound(support, exponents, bound):
+    m = M.continuous_measure(lambda x: 1.0, support, alg_exponents=exponents)
+    for _ in range(2):
+        with pytest.raises(F.FamilyError, match=bound):
+            M.recurrence_from_measure(m, 4)
+        with pytest.raises(F.FamilyError, match=bound):
+            M.integrate(m, lambda x: 1.0)
+    assert not m._cache.get("points") and not m._cache.get("recurrence")
+
+
+def _fresh_discretization(m, size):
+    """`_discretize` of a continuous measure as it was built before its
+    reference rules came from the shared family systems: fresh constructor
+    systems and the closed-form masses typed in."""
+    a, b = m.support
+    if m.alg_exponents is None:
+        (left, right), rest = (0.0, 0.0), m.weight
+    else:
+        (left, right), rest = m.alg_exponents, m.alg_smooth or (lambda x: 1.0)
+    if math.isinf(a) and math.isinf(b):
+        x, w = K._christoffel_rule(F.hermite_monic_system(), size,
+                                   math.sqrt(math.pi))
+        ratio = M._times_exp(M._values(m.weight, x), x * x)
+    elif math.isinf(a) or math.isinf(b):
+        sign, end, expo = ((1.0, a, left) if math.isinf(b)
+                           else (-1.0, b, right))
+        t, w = K._christoffel_rule(F.laguerre_monic_system(expo), size,
+                                   math.gamma(expo + 1))
+        x = end + sign * t
+        ratio = M._times_exp(M._values(rest, x), t)
+    else:
+        half = (b - a) / 2
+        t, w = K._christoffel_rule(
+            F.jacobi_monic_system(right, left), size,
+            2 ** (left + right + 1) * math.gamma(left + 1)
+            * math.gamma(right + 1) / math.gamma(left + right + 2))
+        x = a + half * (1.0 + t)
+        ratio = half ** (left + right + 1) * M._values(rest, x)
+    w = np.where(w == 0, 0.0, w * ratio) * m.normalizer
+    return x, w
+
+
+# each measure and the family of its reference rule
+REFERENCE_RULES = {
+    "jacobi": (jacobi(0.5, 1.5), jacobi(0.5, 1.5)),
+    "legendre": (legendre(), jacobi(0.0, 0.0)),
+    "laguerre": (laguerre(0.5), laguerre(0.5)),
+    "laguerre-0": (laguerre(0.0), laguerre(0.0)),
+    "hermite": (hermite(), hermite())}
+
+
+@pytest.mark.parametrize("size", (16, 64, 2048))
+@pytest.mark.parametrize("name", REFERENCE_RULES)
+def test_reference_rules_come_from_the_shared_systems(name, size):
+    spec, reference = REFERENCE_RULES[name]
+    m = family_measure(spec)
+    want = _fresh_discretization(m, size)
+    got = M._discretize(m, size)
+    assert [(a.dtype, a.shape, a.tobytes()) for a in got] == [
+        (a.dtype, a.shape, a.tobytes()) for a in want]
+    spectra = F.family_monic_system(reference)._cache["spectra"]
+    assert (size, "christoffel") in spectra
+
+
 @pytest.mark.parametrize("n", (40, 200))
 def test_jacobi_exponent_near_minus_one_gives_its_closed_form_recurrence(n):
     spec = jacobi(0.0, -0.9)

@@ -77,6 +77,15 @@ def test_from_tables_raises_past_stored_range():
         R.eval_poly(sys, 3, 0.3)
 
 
+def test_from_tables_hints_the_last_row_of_its_shortest_table():
+    sys = R.from_tables([1.0] * 5, [0.0] * 3, [0.0, .5, .5, .5, .5],
+                        form="monic")
+    assert sys.max_index_hint == 2
+    assert sys.arrays(sys.max_index_hint).shape == (3, 3)
+    with pytest.raises(R.RecurrenceError, match="undefined at index 3"):
+        sys.arrays(sys.max_index_hint + 1)
+
+
 def test_eval_with_derivative():
     sys = legendre_system()
     p, d, s = (v[3] for v in R.eval_all_derivatives(sys, 3, 0.4))
@@ -553,8 +562,8 @@ def test_a_shared_builder_may_ask_for_another_shared_object(monkeypatch):
     import threading
 
     # a lock of this test's own, so that a builder that hangs holding it
-    # leaves the other tests the module's lock
-    monkeypatch.setattr(F, "_systems_lock", threading.Lock())
+    # leaves the other tests the package's lock
+    monkeypatch.setattr(R, "_PUBLISH", threading.Lock())
     got = []
 
     def build():
@@ -578,7 +587,7 @@ def test_shared_systems_stay_within_their_bound():
     first = F.family_system(F.laguerre(0.0))
     specs = [F.laguerre(k / 8) for k in range(1, 2 * kept)]
     systems = [F.family_system(s) for s in specs]
-    assert len(F._systems) == kept
+    assert len(F._shared["systems"]) == kept
     assert F.family_system(specs[-1]) is systems[-1]
     assert F.family_system(F.laguerre(0.0)) is not first
 
