@@ -414,20 +414,21 @@ def jacobi_system(alpha: float, beta: float,
 
 
 # The systems of family_system, family_monic_system and
-# discrete.discrete_system, and the measures of family_measure and
-# discrete.family_measure, one per family, form and parameter bits, kept in
-# the store "systems" of _shared (see recurrence._keep), the least recently
-# used dropped past _SYSTEMS_KEPT
+# discrete.discrete_system, the measures of family_measure and
+# discrete.family_measure and the bundles of family_bundle, one per family,
+# form and parameter bits, kept in the store "systems" of _shared (see
+# recurrence._keep), the least recently used dropped past _SYSTEMS_KEPT
 _SYSTEMS_KEPT = 64
 _shared: dict = {}
 
 
 def shared_system(spec: FamilySpec, form, build: Callable[[], object]):
     """The one object of `spec` in `form` (a system's form, or a measure's
-    tag), from build() on first use.  The key holds the exact bits of each
-    parameter, so -0.0 and 0.0 differ.  build() runs outside the lock, so
-    it may ask for other shared objects; when threads build the same key at
-    once, the first one to publish wins and every caller gets its object."""
+    or bundle's tag), from build() on first use.  The key holds the exact
+    bits of each parameter, so -0.0 and 0.0 differ.  build() runs outside
+    the lock, so it may ask for other shared objects; when threads build
+    the same key at once, the first one to publish wins and every caller
+    gets its object."""
     key = (spec.family, form, tuple(
         (type(v), v if isinstance(v, int) else float(v).hex())
         for v in map(spec.parameters.__getitem__, PARAMETERS[spec.family])))
@@ -435,14 +436,15 @@ def shared_system(spec: FamilySpec, form, build: Callable[[], object]):
 
 
 def clear_systems() -> None:
-    """Forget the shared systems and measures, and what they hold: a
-    system's rows, the log-norm increments of
+    """Forget the shared systems, measures and bundles, and what they
+    hold: a system's rows, the log-norm increments of
     `recurrence.norms_from_recurrence` and the last 16 spectral entries of
     `kernels._spectrum` (zeros, Gauss denominators, Golub-Welsch nodes and
     u_0^2, extreme-zero chains); a measure's last 16 discretizations and
     last 8 settled results of `measures.recurrence_from_measure` (see
-    `measures.Measure`).  The store is emptied under `recurrence._PUBLISH`,
-    the lock it is published under."""
+    `measures.Measure`); the bundles of `family_bundle`, so that the next
+    one is built from new systems and measures.  The store is emptied under
+    `recurrence._PUBLISH`, the lock it is published under."""
     with _PUBLISH:
         _shared.clear()
 
@@ -523,8 +525,11 @@ def _classical_measure(spec: FamilySpec, normalized: bool) -> Measure:
                               alg_exponents=(b, a), alg_smooth=lambda x: 1.0)
 
 
+@_in_double_range
 def family_mu0(spec: FamilySpec, normalized: bool = False) -> float:
-    """Total mass of family_measure, in closed form."""
+    """Total mass of family_measure, in closed form; FamilyError where a
+    factor of that form leaves the double range (Gamma(a + 1) past a =
+    170.6)."""
     mass = _PROBABILITY_MASS.get(spec.family)
     if mass is not None:
         return 1.0 if normalized else mass
@@ -547,12 +552,16 @@ class FamilyBundle:
 
 
 def family_bundle(spec: FamilySpec, normalized: bool = False) -> FamilyBundle:
-    """A new bundle of the shared system and measure of `spec` (see
-    `family_system` and `family_measure`) and its closed-form h_0."""
-    return FamilyBundle(spec=spec,
-                        system=family_system(spec),
-                        measure=family_measure(spec, normalized),
-                        h0=family_mu0(spec, normalized))
+    """The shared system and measure of `spec` (see `family_system` and
+    `family_measure`) and its closed-form h_0 (`family_mu0`).  One bundle
+    per family, parameter bits and `normalized` is kept in the store of
+    `shared_system`, so a repeat call is one lookup; while it is kept, its
+    system and measure are too."""
+    return shared_system(spec, ("bundle", bool(normalized)),
+                         lambda: FamilyBundle(
+                             spec=spec, system=family_system(spec),
+                             measure=family_measure(spec, normalized),
+                             h0=family_mu0(spec, normalized)))
 
 
 # ---------------------------------------------------------------------------

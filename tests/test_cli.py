@@ -657,6 +657,34 @@ def test_non_finite_family_parameter_exits_2(family, value, tmp_path,
                        f"{family} requires finite parameters, got {params}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("quadrature", "--family", "laguerre", "--alpha", "200", "--n", "3"),
+    ("quadrature", "--family", "gegenbauer", "--lam", "200", "--n", "3"),
+    ("check", "--family", "laguerre", "--alpha", "200", "--identity", "cd",
+     "--n", "5"),
+    ("check", "--family", "jacobi", "--alpha", "300", "--beta", "300",
+     "--identity", "cd", "--n", "5"),
+    ("recurrence", "--n-max", "5", "--measure"),
+    ("zeros", "--n", "5", "--measure"),
+    ("diagnose", "--measure"),
+], ids=["quadrature-laguerre", "quadrature-gegenbauer", "check-laguerre",
+        "check-jacobi", "recurrence-measure", "zeros-measure",
+        "diagnose-measure"])
+def test_a_mass_past_the_double_range_exits_1(argv, tmp_path, capsys):
+    # Gamma(201) and Gamma(301) overflow a double
+    if argv[-1] == "--measure":
+        path = tmp_path / "laguerre.json"
+        path.write_text(json.dumps({"schema": 1, "kind": "continuous",
+                                    "name": "laguerre",
+                                    "parameters": {"alpha": 200}}))
+        argv += (str(path),)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == ("orthopoly: numerical failure at tolerance 1e-12: "
+                   "family_mu0: terms leave the double range "
+                   "(math range error)\n")
+
+
 def test_unknown_family_document_exits_2(tmp_path, capsys):
     path = tmp_path / "rec.json"
     for doc in ({"schema": 1, "family": "zernike"},

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from orthopoly import discrete as D
 from orthopoly import families as F
 from orthopoly import kernels as K
 from orthopoly import measures as M
@@ -31,6 +32,33 @@ def test_rule_validation():
     with pytest.raises(K.KernelError):
         K.QuadratureRule(nodes=[0.0, 1.0], weights=[1.0, -1.0],
                          exactness_degree=1)
+
+
+@pytest.mark.parametrize("nodes,weights,text", [
+    ([0.0, math.nan, 1.0], [1.0, 1.0, 1.0], "must be finite"),
+    ([math.nan], [1.0], "must be finite"),
+    ([-math.inf, 0.0, 1.0], [1.0, 1.0, 1.0], "must be finite"),
+    ([0.0, 0.5, 1.0], [1.0, math.nan, 1.0], "must be finite"),
+    ([0.0, 0.5, 1.0], [1.0, math.inf, 1.0], "must be finite"),
+    ([0.0, math.inf, math.inf], [1.0, 1.0, 1.0], "strictly increasing"),
+    ([[0.0, 1.0], [2.0, 3.0]], [[1.0, 1.0], [1.0, 1.0]], "must be 1-D"),
+    ([0.0, 1.0], [[1.0, 1.0]], "must be 1-D"),
+    (0.0, 1.0, "must be 1-D"),
+    # a rule that fails two checks names the first
+    ([1.0, 0.0], [1.0], "count mismatch"),
+    ([1.0, 0.0, math.nan], [1.0, 1.0, 1.0], "strictly increasing"),
+    ([0.0, 1.0, 2.0], [-1.0, 1.0, math.nan], "strictly positive"),
+], ids=["nan-node", "one-nan-node", "infinite-node", "nan-weight",
+        "infinite-weight", "infinite-nodes", "2-D", "2-D-weights", "0-D",
+        "mismatch-and-decreasing", "decreasing-and-nan", "negative-and-nan"])
+def test_a_rule_that_is_not_finite_and_1d_is_refused(nodes, weights, text):
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(K.KernelError, match=text):
+            K.QuadratureRule(nodes=nodes, weights=weights,
+                             exactness_degree=1)
 
 
 def test_rule_apply():
@@ -931,3 +959,92 @@ def test_threads_sharing_a_system_get_the_spectra_of_a_fresh_one():
                 assert results == want[n], n
     finally:
         _sys.setswitchinterval(interval)
+
+
+# ---------------------------------------------------------------------------
+# warm Gauss rules against the assembly they replaced
+
+# every registry family; the lattice ones have no bundle and take h_0 = 1
+RULE_FAMILIES = {
+    "legendre": legendre(), "hermite": F.hermite(),
+    "jacobi": F.jacobi(0.5, 1.5), "laguerre": F.laguerre(0.5),
+    "gegenbauer": F.gegenbauer(1.5), "chebyshev_t": F.chebyshev_t(),
+    "chebyshev_u": F.chebyshev_u(), "krawtchouk": D.krawtchouk(0.3, 2000),
+    "hahn": D.hahn(0.5, 1.5, 2000), "meixner": D.meixner(0.5, 0.3),
+    "charlier": charlier(2.0)}
+RULE_ORDERS = (1, 2, 10, 48, 49, 96, 97, 200, 1000)
+
+
+def parent_rule(nodes, weights):
+    """The arrays of QuadratureRule(nodes, weights) as its check was first
+    written, with np.diff and np.any; the same errors."""
+    nodes = np.asarray(nodes, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if len(nodes) != len(weights):
+        raise K.KernelError("node/weight count mismatch")
+    if np.any(np.diff(nodes) <= 0):
+        raise K.KernelError("nodes must be strictly increasing")
+    if np.any(weights <= 0):
+        raise K.KernelError("weights must be strictly positive")
+    return nodes, weights
+
+
+def parent_gauss(spec, lattice, n):
+    """log h_n and the rule of the ladder's Gauss step as first assembled: a
+    new bundle per call, the norms summed from a list, eps from np.finfo
+    and `parent_rule`.  On the Golub-Welsch route for lattice=True."""
+    import warnings
+
+    sys = F.family_system(spec)
+    if spec.discrete:
+        m, h0 = None, 1.0
+    else:
+        b = F.FamilyBundle(spec=spec, system=sys,
+                           measure=F.family_measure(spec),
+                           h0=F.family_mu0.__wrapped__(spec))
+        m, h0 = b.measure, b.h0
+    norms = R.NormData(log_h=np.cumsum(np.concatenate(
+        ([math.log(h0)], R._log_steps(sys, n + 1)))))
+    m = LATTICE if lattice else m
+    mu0 = np.exp(norms.log_h[:1])[0] / sys.p0 ** 2
+    if m is None or m.kind == "continuous":
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            w = mu0 / K._spectrum(sys, n, "christoffel")
+        nodes = K._spectrum(sys, n, "nodes")
+        weights = np.where(np.isfinite(w) & (w > 0), w, 0.0)
+        total = weights.sum()
+        if abs(total - mu0) <= 100 * n * np.finfo(float).eps * mu0:
+            return (norms.log_h, *parent_rule(nodes.copy(), weights))
+        warnings.warn(
+            f"gauss_rule: recurrence weights sum to {float(total)!r}, not "
+            f"mu_0 = {float(mu0)!r}; using Golub-Welsch eigenvectors",
+            RuntimeWarning, stacklevel=2)
+    nodes, u0_squared = K._spectrum(sys, n, "lattice")
+    return (norms.log_h, *parent_rule(nodes.copy(), mu0 * u0_squared))
+
+
+def ladder_gauss(spec, lattice, n):
+    """The same through `family_bundle`, `norms_from_recurrence` and
+    `gauss_rule`."""
+    if spec.discrete:
+        sys, m, h0 = F.family_system(spec), None, 1.0
+    else:
+        b = F.family_bundle(spec)
+        sys, m, h0 = b.system, b.measure, b.h0
+    norms = R.norms_from_recurrence(sys, h0, 1.0, n + 1)
+    rule = K.gauss_rule(sys, norms, LATTICE if lattice else m, n)
+    assert rule.exactness_degree == 2 * n - 1
+    return norms.log_h, rule.nodes, rule.weights
+
+
+@pytest.mark.parametrize("family", RULE_FAMILIES)
+def test_warm_gauss_rules_keep_the_bits_of_their_first_assembly(family):
+    spec = RULE_FAMILIES[family]
+    cases = [(lattice, n) for n in RULE_ORDERS for lattice in (False, True)]
+    want = {case: outcome(lambda: parent_gauss(spec, *case))
+            for case in cases}
+    F.clear_systems()
+    for case in cases:   # a first call, then a warm one
+        for _ in range(2):
+            assert outcome(lambda: ladder_gauss(spec, *case)) == want[case], \
+                case

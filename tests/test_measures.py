@@ -324,6 +324,42 @@ def test_reference_rules_come_from_the_shared_systems(name, size):
     assert (size, "christoffel") in spectra
 
 
+def _parent_christoffel_rule(sys, n, mu0):
+    """`kernels._christoffel_rule` as first assembled."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        w = mu0 / K._spectrum(sys, n, "christoffel")
+    return K._spectrum(sys, n, "nodes"), np.where(np.isfinite(w) & (w > 0),
+                                                  w, 0.0)
+
+
+# the measures of the benchmark's Stieltjes workload that are discretized
+# (its sixth, a finite measure, is summed as it is)
+STIELTJES_MEASURES = {
+    "legendre": lambda: family_measure(legendre()),
+    "jacobi": lambda: family_measure(jacobi(0.5, 1.5)),
+    "laguerre": lambda: family_measure(laguerre(0.5)),
+    "hermite": lambda: family_measure(hermite()),
+    "charlier": lambda: charlier_measure(charlier(2.0), True)}
+
+
+@pytest.mark.parametrize("name", STIELTJES_MEASURES)
+def test_discretizations_keep_the_bits_of_their_first_assembly(
+        name, monkeypatch):
+    sizes = (16, 32, 64, 128, 2048)
+    with monkeypatch.context() as patch:
+        patch.setattr(K, "_christoffel_rule", _parent_christoffel_rule)
+        patch.setattr(F, "family_mu0", F.family_mu0.__wrapped__)
+        want = {size: M._discretization(STIELTJES_MEASURES[name](), size)
+                for size in sizes}
+    F.clear_systems()
+    m = STIELTJES_MEASURES[name]()
+    for size in sizes:   # a first call, then a kept one
+        for _ in range(2):
+            got = M._discretize(m, size)
+            assert [(a.dtype, a.shape, a.tobytes()) for a in got] == [
+                (a.dtype, a.shape, a.tobytes()) for a in want[size]], size
+
+
 @pytest.mark.parametrize("n", (40, 200))
 def test_jacobi_exponent_near_minus_one_gives_its_closed_form_recurrence(n):
     spec = jacobi(0.0, -0.9)

@@ -536,6 +536,36 @@ def test_family_systems_are_shared_per_parameter_bits():
     assert F.family_system(spec) is not shared
 
 
+def test_family_bundles_are_kept_per_parameter_bits():
+    spec = F.jacobi(0.5, 1.5)
+    kept = F.family_bundle(spec)
+    assert F.family_bundle(spec) is kept
+    assert F.family_bundle(F.jacobi(0.5, 1.5)) is kept
+    assert kept.system is F.family_system(spec)
+    assert kept.measure is F.family_measure(spec)
+    assert kept.h0 == F.family_mu0(spec)
+    normalized = F.family_bundle(F.legendre(), normalized=True)
+    assert normalized is F.family_bundle(F.legendre(), True)
+    assert normalized is not F.family_bundle(F.legendre())
+    assert (normalized.h0, F.family_bundle(F.legendre()).h0) == (1.0, 2.0)
+    assert F.family_bundle(F.laguerre(-0.0)) is not F.family_bundle(
+        F.laguerre(0.0))
+    F.clear_systems()
+    assert F.family_bundle(spec) is not kept
+
+
+def test_a_mass_past_the_double_range_keeps_no_bundle():
+    spec = F.laguerre(200.0)
+    for _ in range(2):
+        with pytest.raises(F.FamilyError, match="family_mu0: terms leave "
+                                                "the double range"):
+            F.family_bundle(spec)
+    assert not [key for key in F._shared["systems"]
+                if key[1] == ("bundle", False)]
+    # inside the range the closed form is unchanged
+    assert F.family_mu0(F.laguerre(170.0)) == math.gamma(171.0)
+
+
 def test_family_measures_are_shared_per_parameter_bits():
     from orthopoly import discrete as D
 
