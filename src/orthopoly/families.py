@@ -423,12 +423,12 @@ _shared: dict = {}
 
 
 def shared_system(spec: FamilySpec, form, build: Callable[[], object]):
-    """The one object of `spec` in `form` (a system's form, or a measure's
-    or bundle's tag), from build() on first use.  The key holds the exact
-    bits of each parameter, so -0.0 and 0.0 differ.  build() runs outside
-    the lock, so it may ask for other shared objects; when threads build
-    the same key at once, the first one to publish wins and every caller
-    gets its object."""
+    """The one object of `spec` in `form` (a system's form, or the tag of a
+    measure, a bundle or another object), from build() on first use.  The
+    key holds the exact bits of each parameter, so -0.0 and 0.0 differ.
+    build() runs outside the lock, so it may ask for other shared objects;
+    when threads build the same key at once, the first one to publish wins
+    and every caller gets its object."""
     key = (spec.family, form, tuple(
         (type(v), v if isinstance(v, int) else float(v).hex())
         for v in map(spec.parameters.__getitem__, PARAMETERS[spec.family])))
@@ -443,8 +443,9 @@ def clear_systems() -> None:
     u_0^2, extreme-zero chains); a measure's last 16 discretizations and
     last 8 settled results of `measures.recurrence_from_measure` (see
     `measures.Measure`); the bundles of `family_bundle`, so that the next
-    one is built from new systems and measures.  The store is emptied under
-    `recurrence._PUBLISH`, the lock it is published under."""
+    one is built from new systems and measures; the ratio systems and
+    points of `check`.  The store is emptied under `recurrence._PUBLISH`,
+    the lock it is published under."""
     with _PUBLISH:
         _shared.clear()
 

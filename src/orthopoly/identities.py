@@ -127,17 +127,20 @@ def quadratic_transform_residuals(n: int, alpha: float,
     P_2k+1^{(a,a)}(x) ~ x P_k^{(a,1/2)}(2x^2 - 1), each side normalised by
     its value at 1, for k = 0..n (rows) at the points xs (columns).
 
-    Each of the three chains is one eval_all pass of a ratio system; the
-    tests hold the series form of the same residuals.  For alpha < -1/2
-    the normalised values grow like k^(-1/2 - alpha), and a residual is
-    taken relative to the largest value of its degree where that exceeds 1.
+    Each of the three chains is one eval_all pass of a ratio system kept in
+    the families' shared store (see `families.shared_system`); the tests
+    hold the series form of the same residuals.  For alpha < -1/2 the
+    normalised values grow like k^(-1/2 - alpha), and a residual is taken
+    relative to the largest value of its degree where that exceeds 1.
     """
     def residual(lhs, rhs):
         scale = np.maximum(abs(lhs), abs(rhs)).max(axis=1, keepdims=True)
         return (lhs - rhs) / np.maximum(1.0, scale)
 
     def chain(m_max, beta, at):
-        return R.eval_all(_jacobi_ratio_system(alpha, beta), m_max, at)
+        return R.eval_all(F.shared_system(
+            F.jacobi(alpha, beta), "ratio",
+            lambda: _jacobi_ratio_system(alpha, beta)), m_max, at)
 
     x = np.asarray(xs, dtype=float)
     y = 2 * x * x - 1
@@ -174,16 +177,25 @@ def limit_check(which: int, n: int, parameter: float, x: float,
     raise F.FamilyError(f"unknown limit relation {which}")
 
 
+def _cd_pairs(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """50 distinct pairs (x, y) drawn in [lo, hi), always from one seed, and
+    their 50 confluent pairs (x, x), as read-only arrays u and v of the
+    pairs (u_i, v_i)."""
+    x, y = np.random.default_rng(20260823).uniform(lo, hi, (50, 2)).T
+    u, v = np.concatenate((x, x)), np.concatenate((y, x))
+    u.flags.writeable = v.flags.writeable = False
+    return u, v
+
+
 def _cd(spec, n: int, xs):
     from . import kernels as K
     b = F.family_bundle(spec)
     norms = R.norms_from_recurrence(b.system, b.h0, 1.0, n + 1)
-    rng = np.random.default_rng(20260823)
     lo, hi = ((0.2, 8.0) if F.classical(spec)[0] == F.LAGUERRE
               else (-0.95, 0.95))
-    x, y = rng.uniform(lo, hi, (50, 2)).T
-    # 50 distinct pairs (x, y) and their 50 confluent pairs (x, x)
-    u, v = np.concatenate((x, x)), np.concatenate((y, x))
+    # kept per family: drawn at the first check, not at import, so that the
+    # other identities do not load numpy.random
+    u, v = F.shared_system(spec, "cd pairs", lambda: _cd_pairs(lo, hi))
     s = K.cd_kernel(b.system, norms, n, u, v, method="sum")
     c = K.cd_kernel(b.system, norms, n, u, v)
     return ((s - c) / np.maximum(np.abs(s), 1.0))[None], {}

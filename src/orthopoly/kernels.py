@@ -11,8 +11,7 @@ import numpy as np
 
 from .measures import Measure, integrate
 from .recurrence import (NormData, RecurrenceSystem, _keep, _pass,
-                         convert_form, eval_all, eval_all_derivatives,
-                         favard_roots)
+                         convert_form, eval_all, favard_roots)
 
 # below this separation the closed form of the kernel cancels; use the
 # confluent (derivative) form instead
@@ -87,44 +86,69 @@ def cd_kernel(sys: RecurrenceSystem, norms: NormData, n: int, x, y,
     """K_n(x,y) = sum_{j<=n} p~_j(x)p~_j(y), or its closed form, on the
     orthonormal chain p~_j = p_j/sqrt(h_j) of `sys`, so that no classical
     normalisation has to fit in a double; past the double range inf or nan,
-    without warnings.  A float for float x and y; for arrays x and y of one
-    shape, an array of the kernel at the pairs (x_i, y_i), each recurrence
-    run once over all of them."""
+    without warnings.  A float for real scalar x and y; for arrays x and y
+    of one shape, an array of the kernel at the pairs (x_i, y_i).  One
+    recurrence pass per form: "sum" runs one pass over all the x and y,
+    "auto" one pass with first derivatives over the x and y of the pairs
+    that take the closed form and the x of those that take its confluent
+    limit; scalar x and y step through one Python-float loop.  Complex
+    points raise KernelError."""
     if method not in ("auto", "sum"):
         raise KernelError(f"unknown method {method!r}")
+    if np.iscomplexobj(x) or np.iscomplexobj(y):
+        raise KernelError("cd_kernel takes real points x and y only")
     on = convert_form(sys, norms, "orthonormal")
-    on.table(n)   # the rows both forms read, grown in one block
+    rows = on.table(n)   # the rows both forms read, grown in one block
     scalar = np.ndim(x) == 0 and np.ndim(y) == 0
-    if not scalar:
+    if scalar:
+        x, y = float(x), float(y)
+    else:
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
                                    np.asarray(y, dtype=float))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if method == "sum":
-            p, q = eval_all(on, n, x), eval_all(on, n, y)
-            return float(np.dot(p, q)) if scalar else (p * q).sum(0)
+            if scalar:
+                return float(np.dot(eval_all(on, n, x), eval_all(on, n, y)))
+            p = eval_all(on, n, np.concatenate((x.ravel(), y.ravel())))
+            return (p[:, :x.size] * p[:, x.size:]).sum(0).reshape(x.shape)
         pref = on.coeffs(n)[0]   # sqrt(beta_{n+1}) = k_n / (h_n k_{n+1})
         if scalar:
-            if abs(x - y) >= _CONFLUENT_SWITCH * (1 + abs(x)):
-                return float(_cd_closed(on, n, pref, x, y))
-            return float(_cd_confluent(on, n, pref, x))
+            return _cd_float(rows, on.p0, pref, x, y)
         far = np.abs(x - y) >= _CONFLUENT_SWITCH * (1 + np.abs(x))
+        k = np.count_nonzero(far)
+        at = np.concatenate((x[far], y[far], x[~far]))
+        # (p~_j, p~_j') at every point in three slots; j = n + 1 is the last
+        states = np.empty((3, 2, at.size))
+        for _ in _pass(rows, on.p0, at, states):
+            pass
+        ps, ds = states[[n % 3, (n + 1) % 3]].swapaxes(0, 1)
+        (px, py, pc), dc = np.split(ps, [k, 2 * k], axis=1), ds[:, 2 * k:]
         out = np.empty(x.shape)
-        out[far] = _cd_closed(on, n, pref, x[far], y[far])
-        out[~far] = _cd_confluent(on, n, pref, x[~far])
+        out[far] = pref * (px[1] * py[0] - px[0] * py[1]) / (x[far] - y[far])
+        out[~far] = pref * (dc[1] * pc[0] - dc[0] * pc[1])
         return out
 
 
-def _cd_closed(on: RecurrenceSystem, n: int, pref: float, x, y):
-    """Christoffel-Darboux closed form of K_n(x, y), x != y."""
-    pn_x, pn1_x = eval_all(on, n + 1, x)[-2:]
-    pn_y, pn1_y = eval_all(on, n + 1, y)[-2:]
-    return pref * (pn1_x * pn_y - pn_x * pn1_y) / (x - y)
-
-
-def _cd_confluent(on: RecurrenceSystem, n: int, pref: float, x):
-    """Its confluent limit K_n(x, x)."""
-    ps, ds = eval_all_derivatives(on, n + 1, x, order=1)
-    return pref * (ds[n + 1] * ps[n] - ds[n] * ps[n + 1])
+def _cd_float(rows: list, p0: float, pref: float, x: float,
+              y: float) -> float:
+    """`cd_kernel` at floats x and y from the rows 0..n of the orthonormal
+    chain: the closed form, by the steps of `eval_all`, or where x and y are
+    within _CONFLUENT_SWITCH its confluent limit, by those of
+    `recurrence._pass` with order 1, as the array forms take them."""
+    if abs(x - y) >= _CONFLUENT_SWITCH * (1 + abs(x)):
+        xp, xn, yp, yn = 0.0, p0 + 0.0 * x, 0.0, p0 + 0.0 * y
+        for a, b, c in rows:
+            xp, xn = xn, ((x - b) * xn - c * xp) / a
+            yp, yn = yn, ((y - b) * yn - c * yp) / a
+        return pref * (xn * yp - xp * yn) / (x - y)
+    p, d, p_prev, d_prev = x * 0.0 + p0, x * 0.0, 0.0, 0.0
+    for j, (a, b, c) in enumerate(rows):
+        t = x - b if b else x
+        v, w = t * p, t * d + p
+        if j:
+            v, w = v - p_prev * c, w - d_prev * c
+        p_prev, d_prev, p, d = p, d, v / a, w / a
+    return pref * (d * p_prev - d_prev * p)
 
 
 def project(sys: RecurrenceSystem, norms: NormData, n: int, f,

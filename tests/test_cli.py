@@ -491,6 +491,9 @@ def test_check_quadratic_takes_alpha_from_jacobi_reduction(capsys,
 @pytest.mark.parametrize("n", ("10", "133"))
 def test_check_quadratic_fails_on_a_perturbed_coefficient(n, capsys,
                                                           monkeypatch):
+    # the ratio systems of the check are kept; drop any built from the true
+    # rows, so that the check builds them from the perturbed ones
+    F.clear_systems()
     real = F._jacobi_monic_rows
 
     def perturbed(j, alpha, beta):

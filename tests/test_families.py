@@ -786,3 +786,61 @@ def test_family_spec_copies_and_pickles(spec):
             assert getattr(twin, name) == value
     with pytest.raises(AttributeError):
         spec.missing
+
+
+def _parent_quadratic_residuals(n, alpha, xs):
+    """quadratic_transform_residuals as it was assembled before it kept its
+    ratio systems, the reference of its bits: three new systems per call."""
+    def residual(lhs, rhs):
+        scale = np.maximum(abs(lhs), abs(rhs)).max(axis=1, keepdims=True)
+        return (lhs - rhs) / np.maximum(1.0, scale)
+
+    def chain(m_max, beta, at):
+        return R.eval_all(I._jacobi_ratio_system(alpha, beta), m_max, at)
+
+    x = np.asarray(xs, dtype=float)
+    y = 2 * x * x - 1
+    sym = chain(2 * n + 1, alpha, x)
+    return (residual(sym[0::2], chain(n, -0.5, y)),
+            residual(sym[1::2], x * chain(n, 0.5, y)))
+
+
+@pytest.mark.parametrize("alpha", (0.0, 0.5, 1.0, -0.5, -0.9, -0.1))
+def test_kept_ratio_systems_keep_the_bits_of_new_ones(alpha):
+    # first calls grow the kept rows, repeats read them, at rising and
+    # falling degrees
+    for n in (0, 1, 10, 1000, 133, 2, 30):
+        ref = _parent_quadratic_residuals(n, alpha, _CLI_POINTS)
+        for _ in range(2):
+            got = I.quadratic_transform_residuals(n, alpha, _CLI_POINTS)
+            for g, r in zip(got, ref):
+                assert g.shape == r.shape and g.tobytes() == r.tobytes()
+
+
+def test_a_repeat_quadratic_check_reuses_its_ratio_systems(monkeypatch):
+    built, used = [], []
+    make, run = I._jacobi_ratio_system, R.eval_all
+
+    def spy_make(alpha, beta):
+        built.append(make(alpha, beta))
+        return built[-1]
+
+    def spy_run(sys, n, x):
+        used.append(sys)
+        return run(sys, n, x)
+
+    monkeypatch.setattr(I, "_jacobi_ratio_system", spy_make)
+    monkeypatch.setattr(R, "eval_all", spy_run)
+    first = I.quadratic_transform_residuals(10, 0.0, _CLI_POINTS)
+    second = I.quadratic_transform_residuals(10, 0.0, _CLI_POINTS)
+    assert len(built) == 3 and len(used) == 6
+    assert all(u is b for u, b in zip(used[:3], built))
+    assert all(u is v for u, v in zip(used[:3], used[3:]))
+    assert all(f.tobytes() == s.tobytes() for f, s in zip(first, second))
+    # Jacobi(0.5, 0.5) serves the symmetric and the odd chain of alpha = 0.5
+    I.quadratic_transform_residuals(10, 0.5, _CLI_POINTS)
+    assert len(built) == 5 and used[6] is used[8]
+    F.clear_systems()
+    I.quadratic_transform_residuals(10, 0.0, _CLI_POINTS)
+    assert len(built) == 8
+    assert not any(u is b for u in used[9:] for b in built[:5])

@@ -597,6 +597,125 @@ def test_kernel_on_arrays_matches_scalar_calls(method):
         np.testing.assert_allclose(got, ref, rtol=1e-14, atol=1e-14)
 
 
+def _parent_cd_kernel(sys, norms, n, x, y, method="auto"):
+    """cd_kernel as it was assembled before its one-pass forms, the
+    reference of its bits: an `eval_all` pass each over x and y (for "sum",
+    and for the closed form of "auto" at the distinct pairs), and an
+    `eval_all_derivatives` pass over the x of the near pairs."""
+    on = R.convert_form(sys, norms, "orthonormal")
+    scalar = np.ndim(x) == 0 and np.ndim(y) == 0
+    if not scalar:
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                                   np.asarray(y, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if method == "sum":
+            p, q = R.eval_all(on, n, x), R.eval_all(on, n, y)
+            return float(np.dot(p, q)) if scalar else (p * q).sum(0)
+        pref = on.coeffs(n)[0]
+
+        def closed(x, y):
+            pn_x, pn1_x = R.eval_all(on, n + 1, x)[-2:]
+            pn_y, pn1_y = R.eval_all(on, n + 1, y)[-2:]
+            return pref * (pn1_x * pn_y - pn_x * pn1_y) / (x - y)
+
+        def confluent(x):
+            ps, ds = R.eval_all_derivatives(on, n + 1, x, order=1)
+            return pref * (ds[n + 1] * ps[n] - ds[n] * ps[n + 1])
+
+        if scalar:
+            if abs(x - y) >= K._CONFLUENT_SWITCH * (1 + abs(x)):
+                return float(closed(x, y))
+            return float(confluent(x))
+        far = np.abs(x - y) >= K._CONFLUENT_SWITCH * (1 + np.abs(x))
+        out = np.empty(x.shape)
+        out[far] = closed(x[far], y[far])
+        out[~far] = confluent(x[~far])
+        return out
+
+
+def _same_bits(got, ref):
+    return (type(got) is type(ref) and np.shape(got) == np.shape(ref)
+            and np.asarray(got).tobytes() == np.asarray(ref).tobytes())
+
+
+@pytest.mark.parametrize("n", (0, 1, 2, 30, 1000))
+@pytest.mark.parametrize("family, sys, mu0, lo, hi", [
+    ("legendre", legendre_system(), 2.0, -1.5, 1.5),
+    ("hermite", hermite_system(), math.sqrt(math.pi), -60.0, 60.0),
+    ("laguerre", laguerre_system(0.5), math.gamma(1.5), 0.0, 5000.0)],
+    ids=("legendre", "hermite", "laguerre"))
+def test_kernel_forms_keep_the_bits_of_their_parent_assembly(family, sys,
+                                                            mu0, lo, hi, n):
+    # far, near (1e-9 apart) and equal pairs, alone and mixed, in 1-D, 2-D
+    # and broadcast shapes; at n = 1000 the values at the far ends of the
+    # intervals, past the supports, leave the double range (inf or nan)
+    norms = R.norms_from_recurrence(sys, mu0, 1.0, n + 1)
+    draw = np.random.default_rng(n)
+    x = draw.uniform(lo, hi, 12)
+    far = draw.uniform(lo, hi, 12)
+    near, equal = x + 1e-9 * (1 + abs(x)), x.copy()
+    mixed = np.where(np.arange(12) % 3 == 0, far,
+                     np.where(np.arange(12) % 3 == 1, near, equal))
+    cases = [(x, y) for y in (far, near, equal, mixed)]
+    cases += [(x.reshape(3, 4), mixed.reshape(3, 4)),
+              (x[:4, None], mixed[None, :3]), (x[:5], float(mixed[0])),
+              (x[:1], near[:1]), (x[:0], far[:0])]
+    for method in ("auto", "sum"):
+        for u, v in cases:
+            got = K.cd_kernel(sys, norms, n, u, v, method=method)
+            ref = _parent_cd_kernel(sys, norms, n, u, v, method=method)
+            assert _same_bits(got, ref), (method, np.shape(u), np.shape(v))
+        for i in range(12):
+            for y in (far, near, equal):
+                for u, v in ((float(x[i]), float(y[i])), (x[i], y[i])):
+                    got = K.cd_kernel(sys, norms, n, u, v, method=method)
+                    ref = _parent_cd_kernel(sys, norms, n, u, v,
+                                            method=method)
+                    assert _same_bits(got, ref), (method, type(u), u, v)
+
+
+@pytest.mark.parametrize("spec", [legendre(), F.laguerre(0.5)],
+                         ids=("legendre", "laguerre"))
+def test_the_cd_check_keeps_its_points_and_bits(spec, monkeypatch):
+    # the check's 50 pairs are drawn once per family, by the generator and
+    # seed that drew them on every call, and drawn again after a clear
+    from orthopoly import identities as I
+
+    draws, draw = [], I._cd_pairs
+    monkeypatch.setattr(I, "_cd_pairs",
+                        lambda lo, hi: draws.append(lo) or draw(lo, hi))
+    b = F.family_bundle(spec)
+    lo, hi = (0.2, 8.0) if spec.family == "laguerre" else (-0.95, 0.95)
+    for n in (0, 10, 60):
+        x, y = np.random.default_rng(20260823).uniform(lo, hi, (50, 2)).T
+        u, v = np.concatenate((x, x)), np.concatenate((y, x))
+        norms = R.norms_from_recurrence(b.system, b.h0, 1.0, n + 1)
+        s = _parent_cd_kernel(b.system, norms, n, u, v, method="sum")
+        c = _parent_cd_kernel(b.system, norms, n, u, v)
+        ref = ((s - c) / np.maximum(np.abs(s), 1.0))[None]
+        got, details = I.IDENTITIES["cd"](spec, n, None)
+        assert got.tobytes() == ref.tobytes() and details == {}
+    assert len(draws) == 1
+    F.clear_systems()
+    I.IDENTITIES["cd"](spec, 0, None)
+    assert len(draws) == 2
+
+
+@pytest.mark.parametrize("x, y", [
+    (0.1 + 0.2j, 0.3), (0.3, 0.1 + 0.2j), (np.complex128(0.1 + 0.2j), 0.3),
+    (np.array([0.1 + 0.2j, 0.5]), np.array([0.3, 0.5])),
+    (np.array([0.1, 0.5]), [0.3 + 0j, 0.5])],
+    ids=("complex", "complex-y", "complex128", "array", "list"))
+@pytest.mark.parametrize("method", ["auto", "sum"])
+def test_kernel_refuses_complex_points(x, y, method, recwarn):
+    # complex points were cast to their real parts with a ComplexWarning,
+    # or raised TypeError, depending on the path
+    sys, norms = legendre_setup()
+    with pytest.raises(K.KernelError, match="real points"):
+        K.cd_kernel(sys, norms, 10, x, y, method=method)
+    assert not recwarn.list
+
+
 # ---------------------------------------------------------------------------
 # extreme-zero chains
 
