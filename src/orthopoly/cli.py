@@ -33,9 +33,10 @@ _NUMERICAL_ERRORS = (("measures", "IntegrationError"),
                      ("kernels", "KernelError"), ("families", "FamilyError"),
                      ("momentprob", "MomentProblemError"))
 
-# the identities of `check` (identities.IDENTITIES) and their tolerances
-_CHECK_TOLS = {"ode": 1e-10, "shift": 1e-10, "cd": 1e-10,
-               "quadratic": 1e-11, "orthogonality": 1e-10, "limit": 0.0}
+# the identities of `check` (identities.IDENTITIES) and their tolerances;
+# true rows reach 1.3e-15 in quadratic and 0.023 in limit (see README)
+_CHECK_TOLS = {"ode": 1e-10, "shift": 1e-10, "cd": 1e-10, "quadratic": 7e-15,
+               "orthogonality": 1e-10, "limit": 0.1}
 
 
 def _tolerance(tol: float | None) -> float:
@@ -232,11 +233,11 @@ def _cmd_check(args) -> int:
     spec = _family_spec(args)
     tol = args.tol if args.tol_given else _CHECK_TOLS[args.identity]
     worst, details = identities.check_battery(spec, args.identity, args.n)
-    passed = details.get("monotone", worst <= tol)
+    passed = bool(worst <= tol)
     doc = {"schema": OPIO.SCHEMA_VERSION, "family": args.family,
            "identity": args.identity, "n": args.n,
-           "residual": float(worst), "tolerance": tol,
-           "pass": bool(passed), **details}
+           "residual": float(worst), "tolerance": tol, "pass": passed,
+           **details}
     _emit_json(args, doc)
     if not passed:
         print(f"orthopoly: identity {args.identity} not verified (residual "

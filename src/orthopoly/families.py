@@ -359,16 +359,18 @@ def laguerre_system(alpha: float) -> RecurrenceSystem:
 def _jacobi_monic_rows(j: np.ndarray, alpha: float,
                        beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Monic b_j, c_j of P^(alpha,beta) at the index array j."""
-    s = 2 * j + alpha + beta
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # float64: int parameters would make int64 products that overflow
+    alpha, beta = np.float64(alpha), np.float64(beta)
+    ab = alpha + beta   # j + ab is exact where alpha = beta near -1
+    s = 2 * j + ab
+    with np.errstate(all="ignore"):
         b = (beta ** 2 - alpha ** 2) / (s * (s + 2))
-        c = (4 * j * (j + alpha) * (j + beta) * (j + alpha + beta)
+        c = (4 * j * (j + alpha) * (j + beta) * (j + ab)
              / ((s - 1) * s ** 2 * (s + 1)))
-    # j = 0, 1: the factor s of b_0 and s - 1 of c_1 cancel; finite at 0
-    b[j == 0] = (beta - alpha) / (alpha + beta + 2)
-    c[j == 0] = 0.0
-    c[j == 1] = (4 * (1 + alpha) * (1 + beta)
-                 / ((2 + alpha + beta) ** 2 * (3 + alpha + beta)))
+        # j = 0, 1: the factor s of b_0 and s - 1 of c_1 cancel; finite at 0
+        b[j == 0] = (beta - alpha) / (ab + 2)
+        c[j == 0] = 0.0
+        c[j == 1] = 4 * (1 + alpha) * (1 + beta) / ((2 + ab) ** 2 * (3 + ab))
     return b, c
 
 
@@ -401,7 +403,7 @@ def jacobi_system(alpha: float, beta: float,
     def rows(j: np.ndarray) -> tuple:
         n = np.arange(j[0] - 1, j[-1] + 1, dtype=float)  # a_{j-1} for c_j
         b, c = _jacobi_monic_rows(j, alpha, beta)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             a = 2 * (n + 1) * (n + s + 1) / ((2 * n + s + 1) * (2 * n + s + 2))
             a[n == 0] = 2 / (s + 2)   # the factor s + 1 cancels
             if prefactor is not None:
@@ -443,8 +445,8 @@ def clear_systems() -> None:
     u_0^2, extreme-zero chains); a measure's last 16 discretizations and
     last 8 settled results of `measures.recurrence_from_measure` (see
     `measures.Measure`); the bundles of `family_bundle`, so that the next
-    one is built from new systems and measures; the ratio systems and
-    points of `check`.  The store is emptied under `recurrence._PUBLISH`,
+    one is built from new systems and measures; the points of `check
+    --identity cd`.  The store is emptied under `recurrence._PUBLISH`,
     the lock it is published under."""
     with _PUBLISH:
         _shared.clear()

@@ -87,94 +87,70 @@ def _shift_residuals(chains, direction: str) -> np.ndarray:
 
 
 def _shift(spec, n: int, xs):
-    with np.errstate(all="ignore"):
-        chains = _pearson_chains(spec, n, xs, True)
-        return np.hstack([_shift_residuals(chains, d)
-                          for d in ("raise", "lower")]), {}
+    chains = _pearson_chains(spec, n, xs, True)
+    return np.hstack([_shift_residuals(chains, d)
+                      for d in ("raise", "lower")]), {}
 
 
-def _jacobi_ratio_system(alpha: float, beta: float) -> R.RecurrenceSystem:
-    """The recurrence of r_m = p_m(x)/p_m(1) = P_m^{(alpha,beta)}(x) /
-    P_m^{(alpha,beta)}(1) for the monic Jacobi p_m.
-
-    With rho_m = p_{m+1}(1)/p_m(1), its rows are (rho_m, b_m, c_m/rho_{m-1}),
-    so p_m(1) itself, about 2^-m and below the normal range from m ~ 1030,
-    is never formed.  rho_m is taken in closed form: its own recurrence
-    rho_m = 1 - b_m - c_m/rho_{m-1} follows the subdominant solution at
-    x = 1 when alpha < 0 and loses digits (for alpha = -0.9 the residuals
-    to degree 21 came out 3e-12 to 9e-12 that way, 1.8e-14 this way).
-    """
-    def rows(j: np.ndarray) -> tuple:
-        m = np.arange(j[0] - 1, j[-1] + 1)  # rho_{j-1} divides c_j
-        s = 2 * m + alpha + beta
-        # p_m(1) = 2^m (alpha + 1)_m / (m + alpha + beta + 1)_m; at m = 0
-        # the factor s + 1 cancels, and it is 0 when alpha + beta = -1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rho = (2 * (m + alpha + 1) * (m + alpha + beta + 1)
-                   / ((s + 1) * (s + 2)))
-        rho[m == 0] = 1 - (beta - alpha) / (alpha + beta + 2)
-        rho[m == -1] = 1.0  # divides c_0 = 0: any finite nonzero value
-        b, c = F._jacobi_monic_rows(j, alpha, beta)
-        return rho[1:], b, c / rho[:-1]
-
-    return R.RecurrenceSystem(rows_fn=rows, form="general", p0=1.0)
+def _row_errors(b, c, b_ref, c_ref, b_size):
+    """Errors of monic rows b_k, c_k against b_ref, c_ref (one row longer):
+    b_k relative to b_size_k + sqrt(c_ref_k) + sqrt(c_ref_{k+1}) (returned
+    too), c_k relative to c_ref_k."""
+    root = np.sqrt(c_ref)
+    b_scale = b_size + root[:-1] + root[1:]
+    c_err = np.abs(c - c_ref[:-1])
+    return (np.abs(b - b_ref[:-1]) / b_scale,
+            np.divide(c_err, c_ref[:-1], out=c_err, where=c_ref[:-1] != 0),
+            b_scale)
 
 
-def quadratic_transform_residuals(n: int, alpha: float,
-                                  xs) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals of the even and odd quadratic transformations
-    P_2k^{(a,a)}(x) ~ P_k^{(a,-1/2)}(2x^2 - 1) and
-    P_2k+1^{(a,a)}(x) ~ x P_k^{(a,1/2)}(2x^2 - 1), each side normalised by
-    its value at 1, for k = 0..n (rows) at the points xs (columns).
-
-    Each of the three chains is one eval_all pass of a ratio system kept in
-    the families' shared store (see `families.shared_system`); the tests
-    hold the series form of the same residuals.  For alpha < -1/2 the
-    normalised values grow like k^(-1/2 - alpha), and a residual is taken
-    relative to the largest value of its degree where that exceeds 1.
-    """
-    def residual(lhs, rhs):
-        scale = np.maximum(abs(lhs), abs(rhs)).max(axis=1, keepdims=True)
-        return (lhs - rhs) / np.maximum(1.0, scale)
-
-    def chain(m_max, beta, at):
-        return R.eval_all(F.shared_system(
-            F.jacobi(alpha, beta), "ratio",
-            lambda: _jacobi_ratio_system(alpha, beta)), m_max, at)
-
-    x = np.asarray(xs, dtype=float)
-    y = 2 * x * x - 1
-    sym = chain(2 * n + 1, alpha, x)
-    return (residual(sym[0::2], chain(n, -0.5, y)),
-            residual(sym[1::2], x * chain(n, 0.5, y)))
+def quadratic_transform_residuals(n: int,
+                                  alpha: float) -> tuple[np.ndarray, ...]:
+    """The quadratic transformations P_2k^{(a,a)}(x) ~ P_k^{(a,-1/2)}(2x^2 -
+    1) and P_2k+1^{(a,a)}(x) ~ x P_k^{(a,1/2)}(2x^2 - 1) on monic rows
+    (Chihara 1978): with the rows c_m of Jacobi(a, a), x^2 p_m = p_{m+2} +
+    (c_m + c_{m+1}) p_m + c_{m-1} c_m p_{m-2}, so m = 2k and 2k + 1 give the
+    rows in t = x^2 of Jacobi(a, -+1/2) under y = 2t - 1, b' = (b + 1)/2,
+    c' = c/4.  Per block, rows k = 0..n of relative (b, c) errors."""
+    c = F._jacobi_monic_rows(np.arange(2 * n + 3), alpha, alpha)[1]
+    k = np.arange(n + 1)
+    out = []
+    for beta, m in ((-0.5, 2 * k), (0.5, 2 * k + 1)):
+        b_ref, c_ref = F._jacobi_monic_rows(np.arange(n + 2), alpha, beta)
+        # c_0 = 0 zeroes the product of row 0, where c[m - 1] wraps round
+        out.append(np.column_stack(_row_errors(
+            c[m] + c[m + 1], c[m - 1] * c[m], (b_ref + 1) / 2, c_ref / 4,
+            (np.abs(b_ref[:-1]) + 1) / 2)[:2]))
+    return tuple(out)
 
 
-@F._in_double_range
-def limit_check(which: int, n: int, parameter: float, x: float,
-                alpha: float = 0.0) -> float:
-    """Error of one of the three classical limit relations at x.
-
-    which=26: Jacobi(a,a) -> Hermite; which=27: Jacobi(alpha,b) -> Laguerre
-    (parameter is b); which=28: Laguerre(a) -> Hermite.  Monic variants.
-    """
-    herm = F.hermite_monic_system()
+def limit_row_errors(which: int, n: int, a: float, alpha: float = 0.0):
+    """Limit relation 26, 27 or 28 (Koekoek, Lesky & Swarttouw 2010, ch. 9)
+    on monic rows: at the parameter a the source (26: Jacobi(a, a), 27:
+    Jacobi(alpha, a), 28: Laguerre(a)) maps onto the target (Hermite,
+    Laguerre(alpha), Hermite) under x -> sigma x + t, b' = (b - t)/sigma and
+    c' = c/sigma^2.  The relative errors of the rows that fix p_n (b_k,
+    k < n, then c_k, 0 < k < n) and their rounding levels (64 eps, and 64
+    eps of (|b| + |t|)/|sigma| for b')."""
     if which == 26:
-        a = parameter
-        lhs = a ** (n / 2.0) * R.eval_poly(F.jacobi_monic_system(a, a), n,
-                                           x / math.sqrt(a))
-        return abs(lhs - R.eval_poly(herm, n, x))
-    if which == 27:
-        b = parameter
-        lhs = (-b / 2.0) ** n * R.eval_poly(F.jacobi_monic_system(alpha, b),
-                                            n, 1 - 2 * x / b)
-        return abs(lhs - R.eval_poly(F.laguerre_monic_system(alpha), n, x))
-    if which == 28:
-        a = parameter
-        lhs = ((2 * a) ** (-n / 2.0)
-               * R.eval_poly(F.laguerre_monic_system(a), n,
-                             math.sqrt(2 * a) * x + a))
-        return abs(lhs - R.eval_poly(herm, n, x))
-    raise F.FamilyError(f"unknown limit relation {which}")
+        source, sigma, t, target = (F.jacobi_monic_system(a, a), a ** -0.5,
+                                    0.0, F.hermite())
+    elif which == 27:
+        source, sigma, t, target = (F.jacobi_monic_system(alpha, a), -2 / a,
+                                    1.0, F.laguerre(alpha))
+    elif which == 28:
+        source, sigma, t, target = (F.laguerre_monic_system(a),
+                                    math.sqrt(2 * a), a, F.hermite())
+    else:
+        raise F.FamilyError(f"unknown limit relation {which}")
+    _, b, c = source.rows_fn(np.arange(n))
+    b_ref, c_ref = F.family_monic_system(target).arrays(n)[1:]
+    b_err, c_err, b_scale = _row_errors((b - t) / sigma, c / sigma ** 2,
+                                        b_ref, c_ref, np.abs(b_ref[:-1]))
+    eps = 64 * np.finfo(float).eps
+    return (np.concatenate((b_err, c_err[1:])),
+            np.concatenate((eps * (np.abs(b) + abs(t)) / abs(sigma) / b_scale,
+                            np.full(max(n - 1, 0), eps))))
 
 
 def _cd_pairs(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -206,7 +182,8 @@ def _quadratic(spec, n: int, xs):
     if kind != F.JACOBI:
         raise ConfigError("quadratic transformation applies to the "
                           "Jacobi-type families")
-    return np.hstack(quadratic_transform_residuals(n, alpha, xs)), {}
+    return (np.hstack(quadratic_transform_residuals(n, alpha)),
+            {"symmetric_jacobi": [alpha, alpha]})
 
 
 def _orthogonality(spec, n: int, xs):
@@ -217,13 +194,12 @@ def _orthogonality(spec, n: int, xs):
     from scipy import special
 
     kind, a, b, _ = F.classical(spec)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if kind == F.LAGUERRE:
-            nodes, weights = special.roots_genlaguerre(n + 2, a)
-        elif kind == F.HERMITE:
-            nodes, weights = special.roots_hermite(n + 2)
-        else:
-            nodes, weights = special.roots_jacobi(n + 2, a, b)
+    if kind == F.LAGUERRE:
+        nodes, weights = special.roots_genlaguerre(n + 2, a)
+    elif kind == F.HERMITE:
+        nodes, weights = special.roots_hermite(n + 2)
+    else:
+        nodes, weights = special.roots_jacobi(n + 2, a, b)
     # a weight that underflowed drops its node's products from the Gram
     # matrix, which then reads as a violated identity
     if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))
@@ -240,17 +216,34 @@ def _orthogonality(spec, n: int, xs):
 
 
 def _limit(spec, n: int, xs):
-    # every Jacobi-type family is a source of relation 26
-    which = {F.LAGUERRE: 28, F.HERMITE: None}.get(F.classical(spec)[0], 26)
-    if which is None:
+    kind, alpha, _, _ = F.classical(spec)
+    if kind == F.HERMITE:
         raise ConfigError(f"{spec.family} is a limit target, not a source; "
                           "use jacobi or laguerre")
-    errors = [limit_check(which, n, param, 0.5)
-              for param in (1e2, 2e2, 4e2, 8e2)]
-    # exact agreement (error 0, as at n <= 1) counts as converging
-    monotone = all(e1 < e0 or e1 == 0 for e0, e1 in zip(errors, errors[1:]))
-    return np.array([[0.0 if monotone else 1.0]]), {"errors": errors,
-                                                    "monotone": monotone}
+    relations = []
+    for which in (28,) if kind == F.LAGUERRE else (26, 27):
+        # the rows reach their rate for a >> n^2, and a >> alpha^2 in 27
+        a0 = 64 * np.float64(max(n, 1, alpha if which == 27 else 0)) ** 2
+        params = [a0 * 2 ** i for i in range(4)]
+        runs = [limit_row_errors(which, n, a, alpha) for a in params]
+        errors = np.array([r[0] for r in runs])
+        # a row at rounding level at the largest parameter shows no rate;
+        # each closes in at 2 as a doubles, the b rows of 28 at sqrt 2
+        judged = ~(errors[-1] <= runs[-1][1])
+        rate = np.where(np.arange(len(judged)) < n * (which == 28),
+                        math.sqrt(2), 2.0)
+        dev = np.abs(errors[:-1, judged] / errors[1:, judged]
+                     / rate[judged] - 1).max(initial=0.0)
+        relations.append({
+            "relation": which, "limit": (
+                "jacobi(a, a) -> hermite", f"jacobi({alpha}, a) -> "
+                f"laguerre({alpha})", "laguerre(a) -> hermite")[which - 26],
+            "parameters": params,
+            "errors": errors.max(axis=1, initial=0.0).tolist(),
+            "rows": int(judged.sum()), "deviation": float(dev)})
+    # a NaN deviation stays NaN, and check_battery reports it
+    return np.array([[np.max([r["deviation"] for r in relations])]]), {
+        "relations": relations}
 
 
 # the battery of `check`: each identity gives its residuals at the check
@@ -268,7 +261,8 @@ def check_battery(spec, identity: str, n: int):
         raise ConfigError("check supports the continuous families")
     xs = np.linspace(*{F.LAGUERRE: (0.2, 8.0), F.HERMITE: (-2.0, 2.0)}.get(
         F.classical(spec)[0], (-0.9, 0.9)), 7)
-    residuals, details = IDENTITIES[identity](spec, n, xs)
+    with np.errstate(all="ignore"):   # a non-finite residual is refused
+        residuals, details = IDENTITIES[identity](spec, n, xs)
     res = np.abs(residuals)
     bad = ~np.isfinite(res).all(axis=1)
     if bad.any():

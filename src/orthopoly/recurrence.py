@@ -285,7 +285,8 @@ def _log_steps(sys: RecurrenceSystem, upto: int) -> np.ndarray:
             n = int(bad[0])
             raise RecurrenceError(f"Favard violation at n={n}: "
                                   f"a_{n} c_{n + 1} = {a[n] * c[n + 1]} <= 0")
-        steps = np.log(c[1:] / a[:-1])
+        with np.errstate(divide="ignore"):   # NormData refuses a -inf
+            steps = np.log(c[1:] / a[:-1])
         steps.flags.writeable = False
         if upto >= 0:   # a negative upto grows no row
             with _PUBLISH:

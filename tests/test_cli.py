@@ -454,9 +454,9 @@ def test_check_shift_at_degree_200(capsys):
 def test_check_non_finite_residual_exits_1(capsys, monkeypatch):
     real = I.quadratic_transform_residuals
 
-    def one_nan(n, alpha, xs):
-        even, odd = real(n, alpha, xs)
-        even[2, np.abs(xs) < 0.1] = math.nan
+    def one_nan(n, alpha):
+        even, odd = real(n, alpha)
+        even[2, 1] = math.nan   # the c row of degree 2
         return even, odd
 
     monkeypatch.setattr(I, "quadratic_transform_residuals", one_nan)
@@ -472,20 +472,59 @@ def test_check_quadratic_takes_alpha_from_jacobi_reduction(capsys,
     seen = []
     real = I.quadratic_transform_residuals
 
-    def spy(n, alpha, xs):
+    def spy(n, alpha):
         seen.append(alpha)
-        return real(n, alpha, xs)
+        return real(n, alpha)
 
     monkeypatch.setattr(I, "quadratic_transform_residuals", spy)
+    # Jacobi(0.5, 1.5) checks Jacobi(0.5, 0.5), and its document says so
     for args, alpha in ((("--family", "gegenbauer", "--lam", "1.5"), 1.0),
                         (("--family", "chebyshev_t"), -0.5),
-                        (("--family", "chebyshev_u"), 0.5)):
+                        (("--family", "chebyshev_u"), 0.5),
+                        (("--family", "jacobi", *_CONTINUOUS["jacobi"]), 0.5)):
         seen.clear()
         code, out, _ = run(capsys, "check", *args, "--identity",
                            "quadratic", "--n", "10")
         assert code == 0
-        assert json.loads(out)["residual"] <= 1e-11
+        doc = json.loads(out)
+        assert doc["residual"] <= 1e-11
+        assert doc["symmetric_jacobi"] == [alpha, alpha]
         assert set(seen) == {alpha}
+
+
+@pytest.mark.parametrize("fam", (
+    ("legendre",), ("chebyshev_t",), ("chebyshev_u",),
+    ("gegenbauer", "--lam", "-0.4"), ("gegenbauer", "--lam", "3")),
+    ids=("legendre", "chebyshev_t", "chebyshev_u", "gegenbauer(-0.4)",
+         "gegenbauer(3)"))
+def test_check_quadratic_passes_to_degree_1000(fam, capsys):
+    # the value form failed Gegenbauer(-0.4) at n = 1000 (1.68e-11 against
+    # its 1e-11)
+    for n in ("0", "1", "2", "10", "133", "500", "999", "1000"):
+        code, out, err = run(capsys, "check", "--family", *fam,
+                             "--identity", "quadratic", "--n", n)
+        assert code == 0, (n, err)
+        assert json.loads(out)["residual"] <= 8 * 2.0 ** -52
+
+
+@pytest.mark.parametrize("n", ("10", "1000"))
+@pytest.mark.parametrize("k", (2, 5, 9))
+def test_check_quadratic_fails_on_a_row_perturbed_by_1e_12(k, n, capsys,
+                                                           monkeypatch):
+    real = F._jacobi_monic_rows
+
+    def perturbed(j, alpha, beta):
+        b, c = real(j, alpha, beta)
+        if (alpha, beta) == (0.0, 0.0):
+            c = np.where(j == k, c * (1 + 1e-12), c)
+        return b, c
+
+    monkeypatch.setattr(F, "_jacobi_monic_rows", perturbed)
+    code, out, err = run(capsys, "check", "--family", "legendre",
+                         "--identity", "quadratic", "--n", n)
+    assert code == 1
+    assert json.loads(out)["residual"] > 1e-13
+    assert "not verified" in err
 
 
 @pytest.mark.parametrize("n", ("10", "133"))
@@ -555,11 +594,18 @@ def test_check_never_reports_a_true_identity_as_violated(family, identity, n,
 
 
 def test_check_limit_from_every_jacobi_type_family(capsys):
-    for family in ("legendre", "chebyshev_t", "chebyshev_u"):
+    # relation 26 from Jacobi(a, a), 27 from Jacobi(alpha, b) on the
+    # family's own alpha
+    for family, alpha in (("legendre", 0.0), ("chebyshev_t", -0.5),
+                          ("chebyshev_u", 0.5)):
         code, out, _ = run(capsys, "check", "--family", family,
                            "--identity", "limit", "--n", "2")
         assert code == 0
-        assert json.loads(out)["monotone"] is True
+        doc = json.loads(out)
+        assert doc["pass"] is True
+        assert [r["relation"] for r in doc["relations"]] == [26, 27]
+        assert doc["relations"][1]["limit"] == (
+            f"jacobi({alpha}, a) -> laguerre({alpha})")
     code, _, err = run(capsys, "check", "--family", "hermite",
                        "--identity", "limit", "--n", "2")
     assert code == 2
@@ -567,10 +613,80 @@ def test_check_limit_from_every_jacobi_type_family(capsys):
 
 
 def test_check_limit_monotone(capsys):
+    # the row errors of relation 28 fall at each doubling of a, at the rate
+    # the verdict asks for
     code, out, _ = run(capsys, "check", "--family", "laguerre",
                        "--alpha", "0.5", "--identity", "limit", "--n", "2")
     assert code == 0
-    assert json.loads(out)["monotone"] is True
+    doc = json.loads(out)
+    (rel,) = doc["relations"]
+    assert rel["relation"] == 28 and rel["limit"] == "laguerre(a) -> hermite"
+    assert rel["parameters"] == [256.0, 512.0, 1024.0, 2048.0]
+    errs = rel["errors"]
+    assert all(e1 < e0 for e0, e1 in zip(errs, errs[1:]))
+    assert rel["rows"] == 3   # b_0, b_1 and c_1 fix p_2
+    assert doc["residual"] == rel["deviation"] <= doc["tolerance"] == 0.1
+
+
+@pytest.mark.parametrize("spec", (
+    F.legendre(), F.jacobi(0.5, 1.5), F.gegenbauer(1.5), F.chebyshev_t(),
+    F.chebyshev_u(), F.laguerre(0.5), F.gegenbauer(-0.4), F.jacobi(50, 1)),
+    ids=lambda s: f"{s.family}({','.join(map(str, s.parameters.values()))})")
+def test_check_limit_passes_at_every_degree_to_220(spec):
+    # relation 27 runs from a = 64 max(n, 1, alpha)^2: from 64 n^2 alone,
+    # Jacobi(50, 1) read 0.22 at n = 1
+    for n in (*range(221), 500, 999, 1000):
+        worst, _ = I.check_battery(spec, "limit", n)
+        assert worst <= 0.1, (n, worst)
+
+
+def _perturb_limit_source(monkeypatch, which, row):
+    """Perturb one row of the source of relation `which`, at every
+    parameter: c_5 by a factor 1 + 1e-3, b_3 by 1e-3 (relative for the
+    Laguerre source of 28, whose b rows all close in at the same rate)."""
+    def bump(b, c, j):
+        if row == "c5":
+            return b, np.where(j == 5, c * (1 + 1e-3), c)
+        return np.where(j == 3, b * (1 + 1e-3) if which == 28 else b + 1e-3,
+                        b), c
+
+    if which == 28:
+        real = F.laguerre_monic_system
+
+        def laguerre(a):
+            sys_ = real(a)
+            return RecurrenceSystem(
+                lambda j: (1.0, *bump(*sys_.rows_fn(j)[1:], j)),
+                form="monic")
+
+        monkeypatch.setattr(F, "laguerre_monic_system", laguerre)
+    else:
+        real_rows = F._jacobi_monic_rows
+
+        def rows(j, alpha, beta):
+            # the source of 26 is Jacobi(a, a), that of 27 Jacobi(0, a),
+            # with a >= 64
+            if beta >= 64 and (alpha == beta) == (which == 26):
+                return bump(*real_rows(j, alpha, beta), j)
+            return real_rows(j, alpha, beta)
+
+        monkeypatch.setattr(F, "_jacobi_monic_rows", rows)
+
+
+@pytest.mark.parametrize("n", ("10", "200"))
+@pytest.mark.parametrize("row", ("c5", "b3"))
+@pytest.mark.parametrize("which", (26, 27, 28))
+def test_check_limit_fails_on_a_perturbed_source_row(which, row, n, capsys,
+                                                     monkeypatch):
+    _perturb_limit_source(monkeypatch, which, row)
+    fam = ("laguerre", "--alpha", "0.5") if which == 28 else ("legendre",)
+    code, out, err = run(capsys, "check", "--family", *fam, "--identity",
+                         "limit", "--n", n)
+    assert code == 1, err
+    doc = json.loads(out)
+    failed = [r["relation"] for r in doc["relations"] if r["deviation"] > 0.1]
+    assert failed == [which]
+    assert "not verified" in err
 
 
 def test_recurrence_charlier_monic(capsys):
@@ -1030,25 +1146,35 @@ def test_errors_of_lazily_imported_modules_exit_1(error, monkeypatch,
 @pytest.mark.parametrize("n", ("500", "1000"))
 @pytest.mark.parametrize("family", ("legendre", "jacobi", "gegenbauer",
                                     "chebyshev_t", "chebyshev_u"))
-def test_check_limit_past_double_range_exits_1(family, n, capsys):
-    # a^(n/2) with a = 800 leaves the double range from n = 213 on
-    code, out, err = run(capsys, "check", "--family", family,
-                         *_CONTINUOUS[family], "--identity", "limit",
-                         "--n", n)
+def test_check_limit_past_double_range_exits_1(family, n, capsys,
+                                               monkeypatch):
+    """Past n = 213, where the value form's a^(n/2) left the double range,
+    the row form still gives a verdict: it passes the true relations and
+    exits 1 with "not verified" on a perturbed source row."""
+    argv = ("check", "--family", family, *_CONTINUOUS[family],
+            "--identity", "limit", "--n", n)
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    doc = json.loads(out)
+    # every c row is judged (the b rows of 26 are exactly 0)
+    assert all(r["rows"] >= int(n) - 1 for r in doc["relations"])
+    _perturb_limit_source(monkeypatch, 26, "c5")
+    code, out, err = run(capsys, *argv)
     assert code == 1
-    assert out == ""
-    assert "double range" in err
+    assert json.loads(out)["pass"] is False
+    assert "not verified" in err
 
 
 def test_check_limit_exact_at_degree_one(capsys):
-    # relation 26 holds exactly at n = 1: all four errors are 0
+    # relation 26 holds exactly at n = 1: b_0 = 0 of Jacobi(a, a) maps onto
+    # b_0 = 0 of Hermite, and no other row fixes p_1
     for family in ("legendre", "jacobi", "chebyshev_t"):
         code, out, err = run(capsys, "check", "--family", family,
                              *_CONTINUOUS[family], "--identity", "limit",
                              "--n", "1")
         assert code == 0, err
         doc = json.loads(out)
-        assert doc["errors"] == [0.0] * 4
+        assert doc["relations"][0]["errors"] == [0.0] * 4
         assert doc["pass"] is True
 
 
@@ -1113,10 +1239,33 @@ def test_jacobi_type_commands_pass_to_degree_1000(family, capsys):
                      ("quadrature", *fam, "--n", n),
                      ("zeros", *fam, "--n", n),
                      ("recurrence", *fam, "--n-max", n),
-                     ("check", *fam, "--identity", "cd", "--n", n)):
+                     *(("check", *fam, "--identity", identity, "--n", n)
+                       for identity in ("cd", "limit", "quadratic"))):
             code, out, err = run(capsys, *argv)
             assert code == 0, (argv, err)
             json.loads(out)
+
+
+def test_laguerre_limit_passes_to_degree_1000(capsys):
+    for n in ("133", "134", "500", "1000"):
+        code, out, err = run(capsys, "check", "--family", "laguerre",
+                             "--alpha", "0.5", "--identity", "limit",
+                             "--n", n)
+        assert code == 0, (n, err)
+        assert json.loads(out)["pass"] is True
+
+
+def test_a_norm_ratio_that_underflows_exits_with_one_line(capsys):
+    # c_1/a_0 underflows to 0 for lam = 1e-300, so log h_1 is -inf; numpy's
+    # divide warning once leaked to stderr before the message (an error
+    # under this suite's warning filter)
+    code, out, err = run(capsys, "quadrature", "--family", "gegenbauer",
+                         "--lam", "1e-300", "--n", "10")
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("orthopoly: "), lines
+    assert "Warning" not in err
 
 
 @pytest.mark.parametrize("fam", (("hermite",), ("laguerre", "--alpha", "0.5")),

@@ -529,35 +529,99 @@ def test_quadratic_transform_sweep():
             assert abs(even) < 1e-11 and abs(odd) < 1e-11
 
 
+def limit_value_error(which: int, n: int, parameter: float, x: float,
+                      alpha: float = 0.0) -> float:
+    """Error of one of the three limit relations at x, from values: the
+    scaled monic source value against the monic target value.  The small-n
+    oracle of identities.limit_row_errors (the value form needs a >> n^2,
+    and a^(n/2) leaves the double range from n = 213 at a = 800).
+
+    which=26: Jacobi(a,a) -> Hermite; which=27: Jacobi(alpha,b) -> Laguerre
+    (parameter is b); which=28: Laguerre(a) -> Hermite.
+    """
+    herm = F.hermite_monic_system()
+    if which == 26:
+        a = parameter
+        lhs = a ** (n / 2.0) * R.eval_poly(F.jacobi_monic_system(a, a), n,
+                                           x / math.sqrt(a))
+        return abs(lhs - R.eval_poly(herm, n, x))
+    if which == 27:
+        b = parameter
+        lhs = (-b / 2.0) ** n * R.eval_poly(F.jacobi_monic_system(alpha, b),
+                                            n, 1 - 2 * x / b)
+        return abs(lhs - R.eval_poly(F.laguerre_monic_system(alpha), n, x))
+    a = parameter
+    lhs = ((2 * a) ** (-n / 2.0)
+           * R.eval_poly(F.laguerre_monic_system(a), n,
+                         math.sqrt(2 * a) * x + a))
+    return abs(lhs - R.eval_poly(herm, n, x))
+
+
+_LIMIT_RATES = {26: 2.0, 27: 2.0, 28: math.sqrt(2)}
+
+
+@pytest.mark.parametrize("which", (26, 27, 28))
+def test_limit_rows_agree_with_the_values_at_small_n(which):
+    # on the row form's schedule, the value errors close in at the rate of
+    # the slowest row, as the row errors do, or are 0 with them
+    for n in range(5):
+        params = [64 * max(n, 1) ** 2 * 2.0 ** i for i in range(4)]
+        values = np.array([limit_value_error(which, n, a, 0.5, alpha=0.5)
+                           for a in params])
+        rows = np.array([I.limit_row_errors(which, n, a, 0.5)[0].max(
+            initial=0.0) for a in params])
+        assert (values == 0).all() == (rows == 0).all(), (n, values, rows)
+        if values.all():
+            for errs in (values, rows):
+                ratios = errs[:-1] / errs[1:] / _LIMIT_RATES[which]
+                assert np.abs(ratios - 1).max() <= 0.1, (n, errs)
+
+
 _CLI_POINTS = np.linspace(-0.9, 0.9, 7)
+_EPS = np.finfo(float).eps
 
 
 # alpha of Legendre, Jacobi(0.5, 1.5), Gegenbauer(1.5), Chebyshev T and U
 @pytest.mark.parametrize("alpha", (0.0, 0.5, 1.0, -0.5))
 def test_quadratic_transform_residuals_match_the_series(alpha):
-    even, odd = I.quadratic_transform_residuals(10, alpha, _CLI_POINTS)
-    assert even.shape == odd.shape == (11, 7)
+    """The row form and the series agree at small n: the blocks' rows pass,
+    the series residuals are at rounding level, and the monic chains that
+    the block rows define at t = x^2 give the monic Jacobi(alpha, alpha)
+    values, p_2k(x) = q_k(x^2) and p_2k+1(x) = x r_k(x^2)."""
+    even, odd = I.quadratic_transform_residuals(10, alpha)
+    assert even.shape == odd.shape == (11, 2)
+    assert max(even.max(), odd.max()) <= 8 * _EPS
     for k in range(11):
-        for i, x in enumerate(_CLI_POINTS):
+        for x in _CLI_POINTS:
             e, o = quadratic_transform_check(k, alpha, float(x))
-            assert abs(even[k, i] - e) <= 1e-12
-            assert abs(odd[k, i] - o) <= 1e-12
+            assert abs(e) <= 1e-12 and abs(o) <= 1e-12
+    c = F._jacobi_monic_rows(np.arange(23), alpha, alpha)[1]
+    p = R.eval_all(F.jacobi_monic_system(alpha, alpha), 21, _CLI_POINTS)
+    for odd_block in (0, 1):
+        m = 2 * np.arange(11) + odd_block
+        q = R.from_tables(np.ones(11), c[m] + c[m + 1],
+                          c[m] * np.concatenate(([0.0], c[m[1:] - 1])),
+                          form="monic")
+        got = R.eval_all(q, 10, _CLI_POINTS ** 2)
+        got = got * _CLI_POINTS ** odd_block
+        assert np.allclose(got, p[odd_block::2], rtol=1e-13, atol=1e-15)
 
 
 def test_quadratic_transform_residuals_reach_degree_1000():
-    # the monic p_m(1) leaves the normal range from m ~ 1030, which degree
-    # 2n + 1 reaches at n ~ 515; the chain carries p_m(x)/p_m(1) instead
-    for alpha in (0.0, -0.5, 1.0):
-        even, odd = I.quadratic_transform_residuals(1000, alpha, _CLI_POINTS)
-        assert np.all(np.isfinite(even)) and np.all(np.isfinite(odd))
-        assert max(np.abs(even).max(), np.abs(odd).max()) <= 1e-12
+    # no value is formed, so nothing leaves the double range
+    for alpha in (0.0, -0.5, 1.0, -0.9, 3.0):
+        even, odd = I.quadratic_transform_residuals(1000, alpha)
+        assert even.shape == odd.shape == (1001, 2)
+        assert max(even.max(), odd.max()) <= 8 * _EPS
 
 
 def test_quadratic_transform_residuals_below_minus_one_half():
-    # the normalised values grow like k^(-1/2 - alpha) here; rho_m by its
-    # own recurrence instead of the closed form left residuals of 3e-12
-    even, odd = I.quadratic_transform_residuals(21, -0.9, _CLI_POINTS)
-    assert max(np.abs(even).max(), np.abs(odd).max()) <= 1e-13
+    # the value form lost digits here (3e-12 to 9e-12 to degree 21 by a
+    # ratio recurrence); the rows of alpha = beta near -1 cancel j + alpha
+    # + beta exactly
+    for alpha in (-0.9, -0.999, -1 + 1e-9):
+        even, odd = I.quadratic_transform_residuals(21, alpha)
+        assert max(even.max(), odd.max()) <= 8 * _EPS, alpha
 
 
 def split_even_system(sys, n_max):
@@ -662,23 +726,29 @@ def test_family_mu0_closed_forms():
 # ---------------------------------------------------------------------------
 # limits, electrostatics, generating function
 
+def _largest_row_error(which, n, a, alpha=0.0):
+    return I.limit_row_errors(which, n, a, alpha)[0].max(initial=0.0)
+
+
 def test_limit_26_example():
-    # alpha = 1e4, n = 2: error below 1e-3
-    assert I.limit_check(26, 2, 1e4, 0.5) < 1e-3
+    # a = 1e4, n = 2: the rows are within 1e-3 of Hermite's
+    assert _largest_row_error(26, 2, 1e4) < 1e-3
 
 
 def test_limit_27_example():
-    assert I.limit_check(27, 1, 1e6, 1.0, alpha=0.0) < 1e-5
+    assert _largest_row_error(27, 1, 1e6, alpha=0.0) < 1e-5
 
 
 def test_limit_degree_zero_exact():
+    # p_0 = 1 has no rows
     for which in (26, 27, 28):
-        assert I.limit_check(which, 0, 100.0, 0.7) == 0.0
+        errors, floors = I.limit_row_errors(which, 0, 100.0)
+        assert errors.size == floors.size == 0
 
 
 def test_limit_unknown_relation():
     with pytest.raises(F.FamilyError):
-        I.limit_check(25, 1, 10.0, 0.0)
+        I.limit_row_errors(25, 1, 10.0)
 
 
 def test_electrostatic_gradient_legendre():
@@ -788,59 +858,50 @@ def test_family_spec_copies_and_pickles(spec):
         spec.missing
 
 
-def _parent_quadratic_residuals(n, alpha, xs):
-    """quadratic_transform_residuals as it was assembled before it kept its
-    ratio systems, the reference of its bits: three new systems per call."""
-    def residual(lhs, rhs):
-        scale = np.maximum(abs(lhs), abs(rhs)).max(axis=1, keepdims=True)
-        return (lhs - rhs) / np.maximum(1.0, scale)
-
-    def chain(m_max, beta, at):
-        return R.eval_all(I._jacobi_ratio_system(alpha, beta), m_max, at)
-
-    x = np.asarray(xs, dtype=float)
-    y = 2 * x * x - 1
-    sym = chain(2 * n + 1, alpha, x)
-    return (residual(sym[0::2], chain(n, -0.5, y)),
-            residual(sym[1::2], x * chain(n, 0.5, y)))
-
-
 @pytest.mark.parametrize("alpha", (0.0, 0.5, 1.0, -0.5, -0.9, -0.1))
 def test_kept_ratio_systems_keep_the_bits_of_new_ones(alpha):
-    # first calls grow the kept rows, repeats read them, at rising and
-    # falling degrees
+    """The quadratic check keeps nothing, so no call depends on the calls
+    before it: first and repeat calls at rising and falling degrees give
+    the bits of a call on an emptied store, and leave it empty."""
     for n in (0, 1, 10, 1000, 133, 2, 30):
-        ref = _parent_quadratic_residuals(n, alpha, _CLI_POINTS)
+        F.clear_systems()
+        ref = I.quadratic_transform_residuals(n, alpha)
         for _ in range(2):
-            got = I.quadratic_transform_residuals(n, alpha, _CLI_POINTS)
+            got = I.quadratic_transform_residuals(n, alpha)
             for g, r in zip(got, ref):
                 assert g.shape == r.shape and g.tobytes() == r.tobytes()
+        assert not F._shared
 
 
 def test_a_repeat_quadratic_check_reuses_its_ratio_systems(monkeypatch):
-    built, used = [], []
-    make, run = I._jacobi_ratio_system, R.eval_all
+    """A quadratic check, first or repeat, is three calls of the row
+    function and no recurrence pass: no system is built or kept."""
+    calls = []
+    rows, run = F._jacobi_monic_rows, R.eval_all
 
-    def spy_make(alpha, beta):
-        built.append(make(alpha, beta))
-        return built[-1]
+    def spy_rows(j, alpha, beta):
+        calls.append((len(j), alpha, beta))
+        return rows(j, alpha, beta)
 
-    def spy_run(sys, n, x):
-        used.append(sys)
-        return run(sys, n, x)
+    def no_pass(*args, **kwargs):
+        raise AssertionError("the quadratic check ran a recurrence pass")
 
-    monkeypatch.setattr(I, "_jacobi_ratio_system", spy_make)
-    monkeypatch.setattr(R, "eval_all", spy_run)
-    first = I.quadratic_transform_residuals(10, 0.0, _CLI_POINTS)
-    second = I.quadratic_transform_residuals(10, 0.0, _CLI_POINTS)
-    assert len(built) == 3 and len(used) == 6
-    assert all(u is b for u, b in zip(used[:3], built))
-    assert all(u is v for u, v in zip(used[:3], used[3:]))
+    monkeypatch.setattr(F, "_jacobi_monic_rows", spy_rows)
+    monkeypatch.setattr(R, "eval_all", no_pass)
+    first = I.quadratic_transform_residuals(10, 0.0)
+    second = I.quadratic_transform_residuals(10, 0.0)
+    assert calls == [(23, 0.0, 0.0), (12, 0.0, -0.5), (12, 0.0, 0.5)] * 2
     assert all(f.tobytes() == s.tobytes() for f, s in zip(first, second))
-    # Jacobi(0.5, 0.5) serves the symmetric and the odd chain of alpha = 0.5
-    I.quadratic_transform_residuals(10, 0.5, _CLI_POINTS)
-    assert len(built) == 5 and used[6] is used[8]
-    F.clear_systems()
-    I.quadratic_transform_residuals(10, 0.0, _CLI_POINTS)
-    assert len(built) == 8
-    assert not any(u is b for u in used[9:] for b in built[:5])
+    assert not F._shared
+
+
+def test_integer_parameters_give_the_rows_of_float_ones():
+    # int parameters once made int64 products (s - 1) s^2 (s + 1) that
+    # overflow: c_2 of Jacobi(100000, 100000) came out -3.38e-3
+    for alpha, beta in ((100000, 100000), (3, 5), (0, 0), (1, 2), (-0, 7)):
+        for make in (F.jacobi_monic_system, F.jacobi_system):
+            got = make(alpha, beta).arrays(40)
+            want = make(float(alpha), float(beta)).arrays(40)
+            assert got.tobytes() == want.tobytes(), (alpha, beta)
+    c2 = F.jacobi_monic_system(100000, 100000).arrays(5)[2][2]
+    assert c2 == pytest.approx(9.9997e-6, rel=1e-4)
