@@ -27,12 +27,6 @@ from .errors import ConfigError, NumericalFailure
 
 DEFAULT_TOL = 1e-12
 
-# (module, class) of the package errors that exit 1
-_NUMERICAL_ERRORS = (("measures", "IntegrationError"),
-                     ("recurrence", "RecurrenceError"),
-                     ("kernels", "KernelError"), ("families", "FamilyError"),
-                     ("momentprob", "MomentProblemError"))
-
 # the identities of `check` (identities.IDENTITIES) and their tolerances;
 # true rows reach 1.3e-15 in quadratic and 0.023 in limit (see README)
 _CHECK_TOLS = {"ode": 1e-10, "shift": 1e-10, "cd": 1e-10, "quadratic": 7e-15,
@@ -82,8 +76,11 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 def _emit(args, text: str) -> None:
     if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"--output {args.output}: {exc}") from exc
     else:
         _sys.stdout.write(text)
 
@@ -136,11 +133,7 @@ def _cmd_quadrature(args) -> int:
                           "subcommand; use a continuous family")
     b = F.family_bundle(spec)
     norms = R.norms_from_recurrence(b.system, b.h0, 1.0, args.n + 1)
-    try:
-        rule = K.gauss_rule(b.system, norms, b.measure, args.n, args.tol)
-    except (K.KernelError, R.RecurrenceError, M.IntegrationError) as exc:
-        raise NumericalFailure(f"gauss_rule failed at tolerance {args.tol}: "
-                               f"{exc}") from exc
+    rule = K.gauss_rule(b.system, norms, b.measure, args.n, args.tol)
     doc = OPIO.dump_rule(rule, args.tol)
     if args.format == "csv":
         _emit_csv(args, ["node", "weight"], zip(rule.nodes, rule.weights))
@@ -156,14 +149,6 @@ def _load_measure(args) -> M.Measure:
         return OPIO.load_measure(OPIO.read_json(args.measure))
     except (OSError, json.JSONDecodeError, OPIO.SchemaError) as exc:
         raise ConfigError(f"--measure {args.measure}: {exc}") from exc
-
-
-def _recurrence_from_measure(m: M.Measure, n_max: int, tol: float):
-    try:
-        return M.recurrence_from_measure(m, n_max, tol)
-    except (M.IntegrationError, R.RecurrenceError) as exc:
-        raise NumericalFailure("recurrence_from_measure failed at tolerance "
-                               f"{tol}: {exc}") from exc
 
 
 def _load_system(args) -> tuple[R.RecurrenceSystem, M.Measure | None]:
@@ -193,7 +178,7 @@ def _load_system(args) -> tuple[R.RecurrenceSystem, M.Measure | None]:
         # the zeros of p_N on N points are the points: rows to N - 1 do,
         # and the floor must not ask for a degree the measure does not have
         n_max = min(n_max, m.n_points - 1)
-    return _recurrence_from_measure(m, n_max, args.tol)[0], m
+    return M.recurrence_from_measure(m, n_max, args.tol)[0], m
 
 
 def _cmd_zeros(args) -> int:
@@ -201,10 +186,7 @@ def _cmd_zeros(args) -> int:
     from . import kernels as K
 
     sys_, _ = _load_system(args)
-    try:
-        zs = K.zeros(sys_, None, args.n)
-    except (K.KernelError, R.RecurrenceError) as exc:
-        raise NumericalFailure(f"zeros failed: {exc}") from exc
+    zs = K.zeros(sys_, None, args.n)
     _emit_json(args, {"schema": OPIO.SCHEMA_VERSION, "n": args.n,
                       "zeros": [float(z) for z in zs], "tolerance": args.tol})
     return 0
@@ -214,8 +196,8 @@ def _cmd_recurrence(args) -> int:
     from . import io as OPIO
 
     if getattr(args, "measure", None) is not None:
-        sys_, _ = _recurrence_from_measure(_load_measure(args), args.n,
-                                           args.tol)
+        sys_, _ = M.recurrence_from_measure(_load_measure(args), args.n,
+                                            args.tol)
     else:
         spec = _family_spec(args)
         sys_ = (F.family_monic_system(spec) if args.form == "monic"
@@ -378,14 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _numerical_errors() -> tuple[type, ...]:
-    """The numerical error classes of the package modules loaded so far: a
-    class whose module never loaded cannot have been raised."""
-    loaded = ((_sys.modules.get(f"{__package__}.{mod}"), name)
-              for mod, name in _NUMERICAL_ERRORS)
-    return tuple(getattr(mod, name) for mod, name in loaded if mod)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -398,10 +372,6 @@ def main(argv=None) -> int:
         return 2
     except NumericalFailure as exc:
         print(f"orthopoly: numerical failure: {exc}", file=_sys.stderr)
-        return 1
-    except _numerical_errors() as exc:
-        print(f"orthopoly: numerical failure at tolerance {args.tol}: {exc}",
-              file=_sys.stderr)
         return 1
 
 

@@ -1,5 +1,7 @@
-"""The two errors that end a command line run, in a module that the command
-line and the identity checks both import."""
+"""The two errors that end a command line run.  NumericalFailure is the
+base of every error the package raises for a failed computation, so the
+command line catches them all by one class; this leaf module is imported
+by every module that defines such an error."""
 
 
 class ConfigError(ValueError):

@@ -16,10 +16,11 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import NumericalFailure
 from .measures import Measure, continuous_measure
 from .recurrence import _PUBLISH, RecurrenceSystem, _keep
 
-class FamilyError(ValueError):
+class FamilyError(NumericalFailure, ValueError):
     """Invalid family parameters."""
 
 

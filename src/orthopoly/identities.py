@@ -194,12 +194,17 @@ def _orthogonality(spec, n: int, xs):
     from scipy import special
 
     kind, a, b, _ = F.classical(spec)
-    if kind == F.LAGUERRE:
-        nodes, weights = special.roots_genlaguerre(n + 2, a)
-    elif kind == F.HERMITE:
-        nodes, weights = special.roots_hermite(n + 2)
-    else:
-        nodes, weights = special.roots_jacobi(n + 2, a, b)
+    try:
+        if kind == F.LAGUERRE:
+            nodes, weights = special.roots_genlaguerre(n + 2, a)
+        elif kind == F.HERMITE:
+            nodes, weights = special.roots_hermite(n + 2)
+        else:
+            nodes, weights = special.roots_jacobi(n + 2, a, b)
+    except ValueError as exc:   # scipy refuses a non-finite Jacobi matrix
+        raise NumericalFailure(
+            f"orthogonality to degree {n}: the {n + 2}-point Gauss rule "
+            f"could not be built: {exc}") from exc
     # a weight that underflowed drops its node's products from the Gram
     # matrix, which then reads as a violated identity
     if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))

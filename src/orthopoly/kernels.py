@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalFailure
 from .measures import Measure, integrate
 from .recurrence import (NormData, RecurrenceSystem, _keep, _pass,
                          convert_form, eval_all, favard_roots)
@@ -43,7 +44,7 @@ _EPS = np.finfo(float).eps
 _SQUARE_MAX_EXP = 500
 
 
-class KernelError(ValueError):
+class KernelError(NumericalFailure, ValueError):
     """Invalid kernel or quadrature construction."""
 
 

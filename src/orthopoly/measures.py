@@ -10,6 +10,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import NumericalFailure
 from .recurrence import (NormData, RecurrenceError, RecurrenceSystem, _keep,
                          from_tables, norms_from_recurrence)
 
@@ -24,7 +25,7 @@ _FIRST_POINTS, _MAX_POINTS, _MAX_DISCRETE_TERMS = 16, 2048, 2 ** 18
 _POINTS_KEPT, _RESULTS_KEPT = 16, 8
 
 
-class IntegrationError(RuntimeError):
+class IntegrationError(NumericalFailure):
     """Integral or lattice sum did not settle within its largest
     discretization, as for an integrand singular inside the support."""
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalFailure
 from .kernels import extreme_zeros as _extreme_zeros
 from .measures import (Measure, MomentSequence, continuous_measure,
                        integrate)
@@ -21,7 +22,7 @@ from .recurrence import RecurrenceSystem, eval_all, eval_poly
 _RHO_CAP, _K_HALFWIDTH = 1e60, 60
 
 
-class MomentProblemError(RuntimeError):
+class MomentProblemError(NumericalFailure):
     """Diagnostic could not be computed."""
 
 

@@ -11,11 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalFailure
 from .families import FamilyError, special_case_eval, gegenbauer
 from .recurrence import RecurrenceError, RecurrenceSystem, eval_all
 
 
-class QSeriesError(RuntimeError):
+class QSeriesError(NumericalFailure):
     """q-series evaluation failed (pole or non-convergence)."""
 
 

@@ -18,6 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import NumericalFailure
+
 FORMS = ("general", "monic", "orthonormal")
 _TINY = np.finfo(float).tiny   # the smallest normal double
 # makes each table publication a compare-and-set, so tables only grow, and
@@ -25,7 +27,7 @@ _TINY = np.finfo(float).tiny   # the smallest normal double
 _PUBLISH = threading.Lock()
 
 
-class RecurrenceError(ValueError):
+class RecurrenceError(NumericalFailure, ValueError):
     """Invalid or inconsistent recurrence data."""
 
 

@@ -158,8 +158,8 @@ def test_zeros_of_a_table_whose_favard_products_overflow(tmp_path):
                     "--true-interval", "5")
     assert res.returncode == 1
     assert res.stderr.splitlines() == [
-        "orthopoly: numerical failure at tolerance 1e-12: row 1 is not "
-        "finite: (a, b, c) = (1.0, 0.0, inf)"]
+        "orthopoly: numerical failure: row 1 is not finite: "
+        "(a, b, c) = (1.0, 0.0, inf)"]
 
 
 def test_zeros_of_finite_family_at_lattice_size(capsys):
@@ -593,6 +593,18 @@ def test_check_never_reports_a_true_identity_as_violated(family, identity, n,
         assert json.loads(out)["pass"] is True
 
 
+def test_orthogonality_without_a_gauss_rule_exits_1():
+    # scipy's roots_jacobi refuses beta = 1e300 with a ValueError
+    proc = child_cli("check", "--family", "jacobi", "--alpha", "0.5",
+                     "--beta", "1e300", "--identity", "orthogonality",
+                     "--n", "5")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.splitlines() == [
+        "orthopoly: numerical failure: orthogonality to degree 5: the "
+        "7-point Gauss rule could not be built: array must not contain "
+        "infs or NaNs"]
+
+
 def test_check_limit_from_every_jacobi_type_family(capsys):
     # relation 26 from Jacobi(a, a), 27 from Jacobi(alpha, b) on the
     # family's own alpha
@@ -799,9 +811,8 @@ def test_a_mass_past_the_double_range_exits_1(argv, tmp_path, capsys):
         argv += (str(path),)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
-    assert err == ("orthopoly: numerical failure at tolerance 1e-12: "
-                   "family_mu0: terms leave the double range "
-                   "(math range error)\n")
+    assert err == ("orthopoly: numerical failure: family_mu0: terms leave "
+                   "the double range (math range error)\n")
 
 
 def test_unknown_family_document_exits_2(tmp_path, capsys):
@@ -934,6 +945,16 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(dest.read_text())["weights"] == pytest.approx([1, 1])
+
+
+def test_output_into_a_missing_directory_exits_2(tmp_path):
+    dest = tmp_path / "nodir" / "x.json"
+    proc = child_cli("--output", str(dest), "zeros", "--family", "hermite",
+                     "--n", "3")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [
+        f"orthopoly: invalid configuration: --output {dest}: [Errno 2] No "
+        f"such file or directory: {str(dest)!r}"]
 
 
 def test_diagnose_hermite_carleman(capsys):
@@ -1121,15 +1142,22 @@ def test_diagnose_carleman_on_too_few_rows_exits_with_one_stderr_line(
     assert len(lines) == 1 and lines[0].startswith("orthopoly: "), lines
 
 
-@pytest.mark.parametrize("error", ("KernelError", "MomentProblemError"))
+# the module that defines each package error of a failed computation
+_ERROR_MODULES = {"FamilyError": "families", "RecurrenceError": "recurrence",
+                  "KernelError": "kernels", "IntegrationError": "measures",
+                  "MomentProblemError": "momentprob",
+                  "QSeriesError": "qseries"}
+
+
+@pytest.mark.parametrize("error", _ERROR_MODULES)
 def test_errors_of_lazily_imported_modules_exit_1(error, monkeypatch,
                                                   capsys):
-    # cli.py imports kernels and momentprob inside the subcommands, and its
-    # error handler still knows their errors
-    from orthopoly import kernels as K
+    # cli.py imports kernels and momentprob inside the subcommands, and
+    # never qseries; every package error is a NumericalFailure, which its
+    # error handler knows
     from orthopoly import momentprob as P
 
-    exc = getattr(K if error == "KernelError" else P, error)
+    exc = getattr(getattr(orthopoly, _ERROR_MODULES[error]), error)
 
     def fail(*args, **kwargs):
         raise exc("no interval")
@@ -1139,8 +1167,7 @@ def test_errors_of_lazily_imported_modules_exit_1(error, monkeypatch,
                          "--true-interval", "10")
     assert code == 1
     assert out == ""
-    assert err == ("orthopoly: numerical failure at tolerance 1e-12: "
-                   "no interval\n")
+    assert err == "orthopoly: numerical failure: no interval\n"
 
 
 @pytest.mark.parametrize("n", ("500", "1000"))

@@ -6,7 +6,9 @@ the kernels, moment diagnostics, lattice families, documents and identity
 checks inside the subcommands, no other module imports the identity checks,
 and io.py needs the kernels for an annotation only.  No module imports the
 command line: its two errors live in errors.py, so `python -m orthopoly.cli`
-catches the classes that the identity checks raise.  No module imports
+catches the classes that the identity checks raise.  Every error the
+package defines is an errors.NumericalFailure, which exits 1, except the two
+configuration errors that exit 2.  No module imports
 mpmath: the series sums of families.py and discrete.py run in exact integer
 arithmetic, qseries.py evaluates the Askey-Wilson polynomials by their
 three-term recurrence, and mpmath is a test dependency only.  What the
@@ -164,6 +166,19 @@ def test_check_offers_the_identities_of_the_battery():
     if p.name != "cli.py"))
 def test_no_module_imports_the_command_line(module):
     assert "orthopoly.cli" not in imported_modules(_source(module))
+
+
+def test_every_package_error_but_the_configuration_ones_is_numerical():
+    from orthopoly.errors import ConfigError, NumericalFailure
+
+    defined = {cls for name in orthopoly._SUBMODULES
+               for cls in vars(getattr(orthopoly, name)).values()
+               if isinstance(cls, type) and issubclass(cls, BaseException)
+               and cls.__module__ == f"orthopoly.{name}"}
+    exit_2 = {ConfigError, orthopoly.io.SchemaError}
+    assert exit_2 < defined
+    assert {cls for cls in defined if not issubclass(cls, NumericalFailure)} \
+        == exit_2
 
 
 @pytest.mark.parametrize("argv,code", [
