@@ -8,22 +8,23 @@ Exit codes: 0 success (and all checked identities within tolerance),
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io as _stdio
 import json
 import math
 import os
 import sys as _sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 # the other package modules are imported by the subcommands that use them,
 # so a cold run loads only what its subcommand needs
 from . import families as F
-from . import measures as M
 from . import recurrence as R
 from .errors import ConfigError, NumericalFailure
+
+if TYPE_CHECKING:  # an annotation only: the measures load with their users
+    from .measures import Measure
 
 DEFAULT_TOL = 1e-12
 
@@ -90,12 +91,10 @@ def _emit_json(args, doc: dict) -> None:
 
 
 def _emit_csv(args, header: list, rows) -> None:
-    """A header line, then one line of reprs of doubles per row."""
-    buf = _stdio.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([repr(float(v)) for v in row] for row in rows)
-    _emit(args, buf.getvalue())
+    """A header line, then one line of reprs of doubles per row; no field
+    holds a comma, a quote or a line break, so none is quoted."""
+    lines = [header, *([repr(float(v)) for v in row] for row in rows)]
+    _emit(args, "".join(",".join(line) + "\n" for line in lines))
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +141,7 @@ def _cmd_quadrature(args) -> int:
     return 0
 
 
-def _load_measure(args) -> M.Measure:
+def _load_measure(args) -> Measure:
     from . import io as OPIO
 
     try:
@@ -151,7 +150,7 @@ def _load_measure(args) -> M.Measure:
         raise ConfigError(f"--measure {args.measure}: {exc}") from exc
 
 
-def _load_system(args) -> tuple[R.RecurrenceSystem, M.Measure | None]:
+def _load_system(args) -> tuple[R.RecurrenceSystem, Measure | None]:
     """The system of --family, --recurrence or --measure, and the measure
     of --measure (None for the other two sources)."""
     sources = [s for s in ("family", "recurrence", "measure")
@@ -170,6 +169,7 @@ def _load_system(args) -> tuple[R.RecurrenceSystem, M.Measure | None]:
         except (OSError, json.JSONDecodeError, OPIO.SchemaError) as exc:
             raise ConfigError(f"--recurrence {args.recurrence}: {exc}") \
                 from exc
+    from . import measures as M
     m = _load_measure(args)
     degree = max(getattr(args, "n", 0) or 0,
                  getattr(args, "true_interval", 0) or 0)
@@ -196,6 +196,7 @@ def _cmd_recurrence(args) -> int:
     from . import io as OPIO
 
     if getattr(args, "measure", None) is not None:
+        from . import measures as M
         sys_, _ = M.recurrence_from_measure(_load_measure(args), args.n,
                                             args.tol)
     else:
@@ -229,6 +230,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     from . import io as OPIO
+    from . import measures as M
     from . import momentprob as P
 
     doc = {"schema": OPIO.SCHEMA_VERSION, "tolerance": args.tol}
@@ -296,10 +298,13 @@ def _point(text: str) -> tuple[str, float | complex]:
     return text, z
 
 
-def _add_family_args(sp, required=False):
-    sp.add_argument("--family", required=required, choices=F.PARAMETERS)
+def _family_options(required: bool) -> argparse.ArgumentParser:
+    """A parent parser of --family and the family parameters."""
+    fp = argparse.ArgumentParser(add_help=False)
+    fp.add_argument("--family", required=required, choices=F.PARAMETERS)
     for name in dict.fromkeys(p for ps in F.PARAMETERS.values() for p in ps):
-        sp.add_argument(f"--{name}", type=int if name == "N" else float)
+        fp.add_argument(f"--{name}", type=int if name == "N" else float)
+    return fp
 
 
 @functools.cache
@@ -314,43 +319,42 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", help="write the document to a file "
                                          "instead of stdout")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    family, family_or_file = _family_options(True), _family_options(False)
 
-    sp = sub.add_parser("tabulate", help="evaluate p_0..p_n on a grid")
-    _add_family_args(sp, required=True)
+    sp = sub.add_parser("tabulate", parents=[family],
+                        help="evaluate p_0..p_n on a grid")
     sp.add_argument("--n-max", dest="n", type=_degree(0), required=True)
     sp.add_argument("--grid", required=True, help="a:b:steps")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.set_defaults(func=_cmd_tabulate)
 
-    sp = sub.add_parser("quadrature", help="n-point Gauss rule")
-    _add_family_args(sp, required=True)
+    sp = sub.add_parser("quadrature", parents=[family],
+                        help="n-point Gauss rule")
     sp.add_argument("--n", type=_degree(0), required=True)
     sp.add_argument("--format", choices=("csv", "json"), default="json")
     sp.set_defaults(func=_cmd_quadrature)
 
-    sp = sub.add_parser("zeros", help="zeros of p_n")
-    _add_family_args(sp)
+    sp = sub.add_parser("zeros", parents=[family_or_file], help="zeros of p_n")
     sp.add_argument("--recurrence", help="recurrence JSON file")
     sp.add_argument("--measure", help="measure JSON file")
     sp.add_argument("--n", type=_degree(0), required=True)
     sp.set_defaults(func=_cmd_zeros)
 
-    sp = sub.add_parser("recurrence", help="emit recurrence coefficients")
-    _add_family_args(sp)
+    sp = sub.add_parser("recurrence", parents=[family_or_file],
+                        help="emit recurrence coefficients")
     sp.add_argument("--measure", help="measure JSON file")
     sp.add_argument("--n-max", dest="n", type=_degree(0), required=True)
     sp.add_argument("--form", choices=("general", "monic"),
                     default="general")
     sp.set_defaults(func=_cmd_recurrence)
 
-    sp = sub.add_parser("check", help="verify an identity")
-    _add_family_args(sp, required=True)
+    sp = sub.add_parser("check", parents=[family], help="verify an identity")
     sp.add_argument("--identity", required=True, choices=_CHECK_TOLS)
     sp.add_argument("--n", type=_degree(0), required=True)
     sp.set_defaults(func=_cmd_check)
 
-    sp = sub.add_parser("diagnose", help="moment problem diagnostics")
-    _add_family_args(sp)
+    sp = sub.add_parser("diagnose", parents=[family_or_file],
+                        help="moment problem diagnostics")
     sp.add_argument("--recurrence", help="recurrence JSON file")
     sp.add_argument("--measure", help="measure JSON file")
     sp.add_argument("--carleman", action="store_true")

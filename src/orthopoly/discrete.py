@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import contextlib
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .families import (FamilyError, FamilySpec, hyp, pochhammer,
                        shared_system)
-from .measures import Measure, discrete_infinite_measure, discrete_measure
 from .recurrence import RecurrenceError, RecurrenceSystem
+
+if TYPE_CHECKING:  # an annotation only: the measures load with their users
+    from .measures import Measure
 
 
 def krawtchouk(p: float, N: int) -> FamilySpec:
@@ -122,6 +125,7 @@ def family_measure(fam: FamilySpec, normalized: bool = False) -> Measure:
 
 
 def _lattice_measure(fam: FamilySpec, normalized: bool) -> Measure:
+    from .measures import discrete_infinite_measure, discrete_measure
     f = fam.family
     if f in ("krawtchouk", "hahn"):
         nodes = np.arange(fam.N + 1, dtype=float)
@@ -227,7 +231,7 @@ def _recurrence_terms(fam: FamilySpec,
         raise FamilyError(f"{f} is not a discrete family")
     al, be, N = fam.alpha, fam.beta, fam.N
     s = 2 * n + al + be
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         A = ((n + al + be + 1) * (n + al + 1) * (N - n)
              / ((s + 1) * (s + 2)))
         C = n * (n + al + be + N + 1) * (n + be) / (s * (s + 1))

@@ -12,13 +12,16 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from .errors import NumericalFailure
-from .measures import Measure, continuous_measure
 from .recurrence import _PUBLISH, RecurrenceSystem, _keep
+
+if TYPE_CHECKING:  # an annotation only: the measures load with their users
+    from .measures import Measure
+
 
 class FamilyError(NumericalFailure, ValueError):
     """Invalid family parameters."""
@@ -512,6 +515,7 @@ def family_measure(spec: FamilySpec, normalized: bool = False) -> Measure:
 
 
 def _classical_measure(spec: FamilySpec, normalized: bool) -> Measure:
+    from .measures import continuous_measure
     kind, a, b, _ = classical(spec)
     mass = _PROBABILITY_MASS.get(spec.family) if normalized else None
     norm = 1.0 / mass if mass else 1.0
@@ -544,8 +548,7 @@ def family_mu0(spec: FamilySpec, normalized: bool = False) -> float:
             / math.gamma(a + b + 2))
 
 
-@dataclass(frozen=True)
-class FamilyBundle:
+class FamilyBundle(NamedTuple):
     """A family's system, measure and norm seeds, ready for the kernel and
     quadrature layers."""
 

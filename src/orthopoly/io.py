@@ -13,11 +13,11 @@ from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from . import families as _families
-from .measures import Measure, discrete_measure
 from .recurrence import FORMS, RecurrenceSystem, from_tables
 
-if TYPE_CHECKING:  # an annotation only: the kernels load with their users
+if TYPE_CHECKING:  # annotations only: these load with their users
     from .kernels import QuadratureRule
+    from .measures import Measure
 
 SCHEMA_VERSION = 1
 
@@ -124,6 +124,7 @@ def load_measure(doc: dict) -> Measure:
             m = replace(m, normalizer=_number(doc, "normalizer", 1.0))
         return m
     if kind == "discrete_finite":
+        from .measures import discrete_measure
         nodes, weights = _tables(doc, ("nodes", "weights"),
                                  "a discrete_finite measure")
         normalizer = _number(doc, "normalizer", 1.0)

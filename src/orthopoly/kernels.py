@@ -6,13 +6,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NumericalFailure
-from .measures import Measure, integrate
 from .recurrence import (NormData, RecurrenceSystem, _keep, _pass,
                          convert_form, eval_all, favard_roots)
+
+if TYPE_CHECKING:  # an annotation only: the measures load with their users
+    from .measures import Measure
 
 # below this separation the closed form of the kernel cancels; use the
 # confluent (derivative) form instead
@@ -155,6 +158,7 @@ def _cd_float(rows: list, p0: float, pref: float, x: float,
 def project(sys: RecurrenceSystem, norms: NormData, n: int, f,
             m: Measure, x: float, tol: float = 1e-12) -> float:
     """(Pi_n f)(x), the kernel projection onto degree <= n."""
+    from .measures import integrate
     return integrate(m, lambda y: cd_kernel(sys, norms, n, x, y) * f(y), tol)
 
 
@@ -477,6 +481,7 @@ def lagrange_weights(nodes: np.ndarray, m: Measure,
                      tol: float = 1e-12) -> np.ndarray:
     """Weights as integrals of the Lagrange basis, an independent cross-check
     of the eigenvector route."""
+    from .measures import integrate
     nodes = np.asarray(nodes, dtype=float)
     out = np.empty(len(nodes))
     for k in range(len(nodes)):

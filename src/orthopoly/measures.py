@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -165,8 +165,7 @@ def moments(m: Measure, n_max: int, tol: float = DEFAULT_TOL) -> MomentSequence:
     return MomentSequence(mu=mu)
 
 
-@dataclass(frozen=True)
-class HankelReport:
+class HankelReport(NamedTuple):
     minors: np.ndarray
     all_positive: bool
 

@@ -7,7 +7,7 @@ demonstration."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,8 +77,7 @@ def continued_fraction(sys: RecurrenceSystem, n: int, z):
     return 1.0 / t
 
 
-@dataclass(frozen=True)
-class MarkovReport:
+class MarkovReport(NamedTuple):
     schedule: tuple[int, ...]
     values: tuple
     oracle: complex
@@ -109,8 +108,7 @@ def markov_transform(sys: RecurrenceSystem, m: Measure, z,
 # ---------------------------------------------------------------------------
 # Carleman partial sums
 
-@dataclass(frozen=True)
-class CarlemanReport:
+class CarlemanReport(NamedTuple):
     n_marks: np.ndarray
     partial_sums: np.ndarray
     exponent: float
@@ -163,8 +161,7 @@ def carleman_moment_terms(ms: MomentSequence, n_max: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # rho(z) and Nevanlinna truncations
 
-@dataclass(frozen=True)
-class RhoReport:
+class RhoReport(NamedTuple):
     partials: np.ndarray
     rho: float
     verdict: str
@@ -204,8 +201,7 @@ def rho(sys: RecurrenceSystem, z, n_max: int) -> RhoReport:
                      verdict="inconclusive")
 
 
-@dataclass(frozen=True)
-class NevanlinnaReport:
+class NevanlinnaReport(NamedTuple):
     A: complex
     B: complex
     C: complex
@@ -239,8 +235,7 @@ def nevanlinna_ABCD(sys: RecurrenceSystem, z, N: int) -> NevanlinnaReport:
 # ---------------------------------------------------------------------------
 # true interval of orthogonality and support bounds
 
-@dataclass(frozen=True)
-class TrueIntervalEstimate:
+class TrueIntervalEstimate(NamedTuple):
     degrees: np.ndarray
     xi1_sequence: np.ndarray   # smallest zero per degree, nonincreasing
     eta1_sequence: np.ndarray  # largest zero per degree, nondecreasing
@@ -278,8 +273,7 @@ def true_interval(sys: RecurrenceSystem, n_max: int) -> TrueIntervalEstimate:
                                 limits=limits, chains_monotone=mono)
 
 
-@dataclass(frozen=True)
-class SupportClassification:
+class SupportClassification(NamedTuple):
     kind: str  # bounded | unbounded
     interval: tuple[float, float]
     b_limit: float | None = None
@@ -381,8 +375,7 @@ def lognormal_discrete_moment(n: int) -> float:
     return num / den
 
 
-@dataclass(frozen=True)
-class StieltjesWigertReport:
+class StieltjesWigertReport(NamedTuple):
     C_values: tuple[float, ...]
     continuous_dev: np.ndarray   # (len(C), n_max+1) deviations from 1
     pairwise_dev: float

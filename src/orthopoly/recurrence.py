@@ -14,7 +14,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -213,10 +213,9 @@ def eval_all(sys: RecurrenceSystem, n: int, x):
     return out
 
 
-@dataclass(frozen=True)
-class FavardReport:
+class FavardReport(NamedTuple):
     products: np.ndarray           # a_n * c_{n+1} for n = 0..upto-1
-    failures: list = field(default_factory=list)
+    failures: list
 
     @property
     def passed(self) -> bool:

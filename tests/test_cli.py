@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1383,3 +1384,37 @@ def test_diagnose_rho_without_a_degree_exits_with_one_stderr_line():
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("orthopoly: "), lines
     assert "rho needs n_max >= 1" in lines[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ("recurrence", "--family", "hahn", "--alpha", "1e300", "--beta", "1",
+     "--N", "8", "--n-max", "5"),
+    ("diagnose", "--family", "hahn", "--alpha", "1e300", "--beta", "1",
+     "--N", "8", "--carleman")], ids=("recurrence", "diagnose"))
+def test_hahn_rows_past_the_double_range_exit_with_one_stderr_line(argv):
+    # in a child, so that numpy's overflow warnings in the rows would show;
+    # the row check refuses the non-finite row
+    proc = child_cli(*argv)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(
+        "orthopoly: numerical failure: row 1 is not finite"), lines
+
+
+# The parser's help and its refusals of a missing --family, as the command
+# line printed them when each subcommand declared its family options itself
+_USAGE_CASES = json.loads((Path(__file__).parent / "cli_usage.json")
+                          .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", _USAGE_CASES,
+                         ids=[" ".join(c["argv"]) for c in _USAGE_CASES])
+def test_help_and_missing_family_texts_are_pinned(case, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")   # argparse wraps to the terminal
+    try:
+        code = main(case["argv"])
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (case["code"], case["stdout"],
+                                        case["stderr"])

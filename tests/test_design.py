@@ -2,9 +2,11 @@
 discrete.py: the other layers ask it for a classical type
 (families.classical) or a system, and never dispatch on a family's name.
 A cold command line run loads only what its subcommand uses: cli.py imports
-the kernels, moment diagnostics, lattice families, documents and identity
-checks inside the subcommands, no other module imports the identity checks,
-and io.py needs the kernels for an annotation only.  No module imports the
+the kernels, measures, moment diagnostics, lattice families, documents and
+identity checks inside the subcommands, families.py, discrete.py, io.py and
+kernels.py import the measures inside the functions that use them, no other
+module imports the identity checks, and io.py needs the kernels for an
+annotation only.  No module imports the
 command line: its two errors live in errors.py, so `python -m orthopoly.cli`
 catches the classes that the identity checks raise.  Every error the
 package defines is an errors.NumericalFailure, which exits 1, except the two
@@ -97,11 +99,20 @@ def _source(module: str) -> str:
 
 def test_cli_imports_only_the_modules_every_subcommand_needs():
     assert import_time_modules(_source("cli.py")) == {
-        "errors", "families", "measures", "recurrence"}
+        "errors", "families", "recurrence"}
 
 
 def test_io_does_not_import_the_kernels():
     assert "kernels" not in import_time_modules(_source("io.py"))
+
+
+@pytest.mark.parametrize("module", ("discrete.py", "families.py", "io.py",
+                                    "kernels.py"))
+def test_measures_load_only_with_the_functions_that_use_them(module):
+    # tabulate, recurrence --family, check ode|shift and zeros --family|
+    # --recurrence build no measure, so they do not load measures.py
+    assert "measures" not in import_time_modules(_source(module))
+    assert "orthopoly.measures" in imported_modules(_source(module))
 
 
 def test_import_guard_skips_functions_and_type_checking_blocks():
@@ -276,3 +287,45 @@ def test_store_guard_sees_locks_and_ordered_dicts():
         (2, "OrderedDict"), (3, "Lock"), (4, "RLock"), (6, "Lock"),
         (7, "OrderedDict"), (7, "OrderedDict")]
     assert store_makers(_source("recurrence.py")) != []
+
+
+# A record with no invariant and no cache is a typing.NamedTuple, which a
+# cold process creates faster than a dataclass; a dataclass checks its
+# fields in __post_init__ or keeps a _cache.
+def plain_dataclasses(source: str) -> list[str]:
+    """The classes decorated with dataclass, called or not, that define no
+    __post_init__ and no _cache field."""
+    def dataclass_decorator(node) -> bool:
+        node = node.func if isinstance(node, ast.Call) else node
+        return (node.id if isinstance(node, ast.Name) else
+                getattr(node, "attr", None)) == "dataclass"
+
+    plain = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.ClassDef)
+                and any(map(dataclass_decorator, node.decorator_list))):
+            continue
+        members = {item.name if isinstance(item, ast.FunctionDef) else
+                   getattr(item.target, "id", None)
+                   for item in node.body
+                   if isinstance(item, (ast.FunctionDef, ast.AnnAssign))}
+        if not members & {"__post_init__", "_cache"}:
+            plain.append(node.name)
+    return plain
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in Path(orthopoly.__file__).parent.glob("*.py")))
+def test_every_dataclass_checks_its_fields_or_keeps_a_cache(module):
+    assert plain_dataclasses(_source(module)) == []
+
+
+def test_dataclass_guard_sees_decorators_post_init_and_caches():
+    source = ("@dataclass(frozen=True)\nclass Report:\n    x: float\n"
+              "@dataclasses.dataclass\nclass Plain:\n    y: int = 0\n"
+              "@dataclass\nclass Checked:\n    x: float\n"
+              "    def __post_init__(self):\n        pass\n"
+              "@dataclass(frozen=True)\nclass Kept:\n"
+              "    _cache: dict = field(default_factory=dict)\n"
+              "class Record(NamedTuple):\n    x: float\n")
+    assert plain_dataclasses(source) == ["Report", "Plain"]

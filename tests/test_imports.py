@@ -13,7 +13,7 @@ import pytest
 import orthopoly
 
 # every subcommand loads these: the parser is built from the family registry
-BASE = {"cli", "errors", "families", "measures", "recurrence"}
+BASE = {"cli", "errors", "families", "recurrence"}
 
 _LOADED_PROBE = textwrap.dedent("""
     import json, sys
@@ -25,7 +25,8 @@ _LOADED_PROBE = textwrap.dedent("""
         "package": sorted(m.split(".", 1)[1] for m in sys.modules
                           if m.startswith("orthopoly.")),
         "other": [m for m in ("fractions", "numpy.polynomial", "mpmath",
-                              "scipy", "numpy.ma") if m in sys.modules]}))
+                              "scipy", "numpy.ma", "csv")
+                  if m in sys.modules]}))
 """)
 
 _NAMESPACE_PROBE = textwrap.dedent("""
@@ -84,21 +85,22 @@ def test_import_loads_no_submodule_and_no_numpy():
      {"identities", "io"}),
     (("check", "--family", "laguerre", "--alpha", "0.5", "--identity",
       "shift", "--n", "10"), {"identities", "io"}),
-    (("quadrature", "--family", "legendre", "--n", "5"), {"kernels", "io"}),
+    (("quadrature", "--family", "legendre", "--n", "5"),
+     {"kernels", "io", "measures"}),
     (("zeros", "--family", "hermite", "--n", "5"), {"kernels", "io"}),
     (("check", "--family", "legendre", "--identity", "cd", "--n", "10"),
-     {"identities", "kernels", "io"}),
+     {"identities", "kernels", "io", "measures"}),
     (("diagnose", "--family", "hermite", "--carleman", "--true-interval",
-      "10"), {"kernels", "io", "momentprob"}),
+      "10"), {"kernels", "io", "measures", "momentprob"}),
     # the largest true-interval orders of numpy's dense route
     (("diagnose", "--family", "legendre", "--true-interval", "97"),
-     {"kernels", "io", "momentprob"}),
+     {"kernels", "io", "measures", "momentprob"}),
     (("diagnose", "--family", "jacobi", "--alpha", "0.5", "--beta", "1.5",
-      "--true-interval", "48"), {"kernels", "io", "momentprob"}),
+      "--true-interval", "48"), {"kernels", "io", "measures", "momentprob"}),
     # numpy's dense route up to order 96: the half-size order 75 of a
     # symmetric 150-point rule, and the full order 96 of a non-symmetric one
     (("quadrature", "--family", "gegenbauer", "--lam", "1.5", "--n", "150"),
-     {"kernels", "io"}),
+     {"kernels", "io", "measures"}),
     (("zeros", "--family", "jacobi", "--alpha", "0.5", "--beta", "1.5",
       "--n", "96"), {"kernels", "io"}),
 ], ids=["tabulate-csv", "tabulate-json", "tabulate-lattice", "recurrence",
@@ -109,8 +111,9 @@ def test_subcommand_loads_only_its_modules(argv, extra):
     got = _probe(_LOADED_PROBE, *argv)
     assert got["code"] == 0
     # qseries is never loaded, momentprob only by diagnose, mpmath by none
-    # (the series sums are exact integer arithmetic), and scipy by none:
-    # these eigenproblems are small enough for numpy's LAPACK
+    # (the series sums are exact integer arithmetic), scipy by none (these
+    # eigenproblems are small enough for numpy's LAPACK), and csv by none
+    # (no CSV field needs quoting)
     assert set(got["package"]) == BASE | extra
     assert got["other"] == []
 
@@ -125,7 +128,19 @@ def test_recurrence_of_a_finite_measure_file_loads_only_its_modules(
     got = _probe(_LOADED_PROBE, "recurrence", "--measure", str(path),
                  "--n-max", "15")
     assert got["code"] == 0
-    assert set(got["package"]) == BASE | {"io"}
+    assert set(got["package"]) == BASE | {"io", "measures"}
+    assert got["other"] == []
+
+
+def test_zeros_of_a_recurrence_file_loads_no_measures(tmp_path):
+    path = tmp_path / "recurrence.json"
+    path.write_text(json.dumps({
+        "schema": 1, "form": "monic",
+        "coefficients": {"a": [1.0] * 8, "b": [0.0] * 8,
+                         "c": [0.0] + [0.25] * 7}}))
+    got = _probe(_LOADED_PROBE, "zeros", "--recurrence", str(path), "--n", "5")
+    assert got["code"] == 0
+    assert set(got["package"]) == BASE | {"io", "kernels"}
     assert got["other"] == []
 
 

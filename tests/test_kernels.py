@@ -238,7 +238,7 @@ def _no_quadrature(*args, **kwargs):
 
 def test_gauss_rule_legendre_two_point(monkeypatch):
     # mu_0 comes from norms.h[0] in closed form, not from quadrature
-    monkeypatch.setattr(K, "integrate", _no_quadrature)
+    monkeypatch.setattr(M, "integrate", _no_quadrature)
     sys, norms = legendre_setup()
     m = family_measure(legendre())
     rule = K.gauss_rule(sys, norms, m, 2)
@@ -313,7 +313,7 @@ def test_finite_discrete_system_legendre():
 
 
 def test_finite_discrete_system_charlier(monkeypatch):
-    monkeypatch.setattr(K, "integrate", _no_quadrature)
+    monkeypatch.setattr(M, "integrate", _no_quadrature)
     a = 1.0
     sys = charlier_system(a)
     norms = R.norms_from_recurrence(sys, 1.0, 1.0, 6)
