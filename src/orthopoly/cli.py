@@ -230,7 +230,6 @@ def _cmd_check(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     from . import io as OPIO
-    from . import measures as M
     from . import momentprob as P
 
     doc = {"schema": OPIO.SCHEMA_VERSION, "tolerance": args.tol}
@@ -240,6 +239,7 @@ def _cmd_diagnose(args) -> int:
     hint = monic.max_index_hint   # the last row of a document or lattice
     if args.carleman:
         if m is not None:
+            from . import measures as M
             ms = M.moments(m, 32, args.tol)
             report = P.carleman(P.carleman_moment_terms(ms, 16))
             mode = "moments"

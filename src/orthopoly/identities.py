@@ -165,15 +165,15 @@ def _cd_pairs(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _cd(spec, n: int, xs):
     from . import kernels as K
-    b = F.family_bundle(spec)
-    norms = R.norms_from_recurrence(b.system, b.h0, 1.0, n + 1)
+    sys = F.family_system(spec)
+    norms = R.norms_from_recurrence(sys, F.family_mu0(spec), 1.0, n + 1)
     lo, hi = ((0.2, 8.0) if F.classical(spec)[0] == F.LAGUERRE
               else (-0.95, 0.95))
     # kept per family: drawn at the first check, not at import, so that the
     # other identities do not load numpy.random
     u, v = F.shared_system(spec, "cd pairs", lambda: _cd_pairs(lo, hi))
-    s = K.cd_kernel(b.system, norms, n, u, v, method="sum")
-    c = K.cd_kernel(b.system, norms, n, u, v)
+    s = K.cd_kernel(sys, norms, n, u, v, method="sum")
+    c = K.cd_kernel(sys, norms, n, u, v)
     return ((s - c) / np.maximum(np.abs(s), 1.0))[None], {}
 
 

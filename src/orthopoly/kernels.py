@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .recurrence import (NormData, RecurrenceSystem, _keep, _pass,
-                         convert_form, eval_all, favard_roots)
+                         _rows_to, convert_form, favard_roots)
 
 if TYPE_CHECKING:  # an annotation only: the measures load with their users
     from .measures import Measure
@@ -92,11 +92,11 @@ def cd_kernel(sys: RecurrenceSystem, norms: NormData, n: int, x, y,
     normalisation has to fit in a double; past the double range inf or nan,
     without warnings.  A float for real scalar x and y; for arrays x and y
     of one shape, an array of the kernel at the pairs (x_i, y_i).  One
-    recurrence pass per form: "sum" runs one pass over all the x and y,
-    "auto" one pass with first derivatives over the x and y of the pairs
-    that take the closed form and the x of those that take its confluent
-    limit; scalar x and y step through one Python-float loop.  Complex
-    points raise KernelError."""
+    three-slot recurrence pass per form: "sum" over all the x and y, adding
+    products in degree order, "auto" with first derivatives over the x and
+    y of the closed-form pairs and the x of the confluent ones.  Scalar x
+    and y take a Python-float loop by the same steps, so they equal the
+    pair in an array call bit for bit.  Complex points raise KernelError."""
     if method not in ("auto", "sum"):
         raise KernelError(f"unknown method {method!r}")
     if np.iscomplexobj(x) or np.iscomplexobj(y):
@@ -111,10 +111,20 @@ def cd_kernel(sys: RecurrenceSystem, norms: NormData, n: int, x, y,
                                    np.asarray(y, dtype=float))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if method == "sum":
-            if scalar:
-                return float(np.dot(eval_all(on, n, x), eval_all(on, n, y)))
-            p = eval_all(on, n, np.concatenate((x.ravel(), y.ravel())))
-            return (p[:, :x.size] * p[:, x.size:]).sum(0).reshape(x.shape)
+            if scalar:   # both chains by the steps of `eval_all`
+                xp, xn, yp, yn = 0.0, on.p0 + 0.0 * x, 0.0, on.p0 + 0.0 * y
+                total = xn * yn
+                for a, b, c in _rows_to(on, n):
+                    xp, xn = xn, ((x - b) * xn - c * xp) / a
+                    yp, yn = yn, ((y - b) * yn - c * yp) / a
+                    total += xn * yn
+                return total
+            # p~_0(x)p~_0(y) is never -0.0, so 0.0 + it is that product
+            m, states = x.size, np.empty((3, 2 * x.size))
+            total, tmp = np.zeros((2, m))
+            for j in _pass(_rows_to(on, n), on.p0, np.append(x, y), states):
+                total += np.multiply(states[j % 3, :m], states[j % 3, m:], tmp)
+            return total.reshape(x.shape)
         pref = on.coeffs(n)[0]   # sqrt(beta_{n+1}) = k_n / (h_n k_{n+1})
         if scalar:
             return _cd_float(rows, on.p0, pref, x, y)

@@ -7,15 +7,16 @@ demonstration."""
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .errors import NumericalFailure
 from .kernels import extreme_zeros as _extreme_zeros
-from .measures import (Measure, MomentSequence, continuous_measure,
-                       integrate)
 from .recurrence import RecurrenceSystem, eval_all, eval_poly
+
+if TYPE_CHECKING:  # annotations only: the measures load with their users
+    from .measures import Measure, MomentSequence
 
 
 # rho's cap on sum |p_n(z)|^2; lognormal_discrete_moment's terms per side
@@ -49,6 +50,7 @@ def numerator_polys(sys: RecurrenceSystem) -> RecurrenceSystem:
 def stieltjes_identity_residual(sys: RecurrenceSystem, m: Measure, n: int,
                                 y: float, tol: float = 1e-12) -> float:
     """Residual of p_{n-1}^{(1)}(y) = (1/mu_0) int (p_n(y)-p_n(x))/(y-x) dmu."""
+    from .measures import integrate
     if sys.form != "monic":
         raise MomentProblemError("identity stated for monic systems")
     mu0 = integrate(m, lambda x: 1.0, tol)
@@ -89,6 +91,7 @@ class MarkovReport(NamedTuple):
 def markov_transform(sys: RecurrenceSystem, m: Measure, z,
                      n_schedule, tol: float = 1e-12) -> MarkovReport:
     """F_n(z) along a schedule versus (1/mu_0) int dmu/(z-x) by quadrature."""
+    from .measures import integrate
     schedule = tuple(int(n) for n in n_schedule)
     mu0 = integrate(m, lambda x: 1.0, tol)
     if isinstance(z, complex):
@@ -355,6 +358,7 @@ def lognormal_moment(n: int, C: float, tol: float = 1e-12) -> float:
     """
     if not -1.0 < C < 1.0:
         raise MomentProblemError("need C in (-1, 1)")
+    from .measures import continuous_measure, integrate
     phase = math.pi * (n + 1)
     gauss = continuous_measure(lambda u: math.exp(-u * u),
                                (-math.inf, math.inf))

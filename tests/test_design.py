@@ -107,7 +107,7 @@ def test_io_does_not_import_the_kernels():
 
 
 @pytest.mark.parametrize("module", ("discrete.py", "families.py", "io.py",
-                                    "kernels.py"))
+                                    "kernels.py", "momentprob.py"))
 def test_measures_load_only_with_the_functions_that_use_them(module):
     # tabulate, recurrence --family, check ode|shift and zeros --family|
     # --recurrence build no measure, so they do not load measures.py

@@ -89,14 +89,14 @@ def test_import_loads_no_submodule_and_no_numpy():
      {"kernels", "io", "measures"}),
     (("zeros", "--family", "hermite", "--n", "5"), {"kernels", "io"}),
     (("check", "--family", "legendre", "--identity", "cd", "--n", "10"),
-     {"identities", "kernels", "io", "measures"}),
+     {"identities", "kernels", "io"}),
     (("diagnose", "--family", "hermite", "--carleman", "--true-interval",
-      "10"), {"kernels", "io", "measures", "momentprob"}),
+      "10"), {"kernels", "io", "momentprob"}),
     # the largest true-interval orders of numpy's dense route
     (("diagnose", "--family", "legendre", "--true-interval", "97"),
-     {"kernels", "io", "measures", "momentprob"}),
+     {"kernels", "io", "momentprob"}),
     (("diagnose", "--family", "jacobi", "--alpha", "0.5", "--beta", "1.5",
-      "--true-interval", "48"), {"kernels", "io", "measures", "momentprob"}),
+      "--true-interval", "48"), {"kernels", "io", "momentprob"}),
     # numpy's dense route up to order 96: the half-size order 75 of a
     # symmetric 150-point rule, and the full order 96 of a non-symmetric one
     (("quadrature", "--family", "gegenbauer", "--lam", "1.5", "--n", "150"),

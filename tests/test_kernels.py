@@ -594,13 +594,14 @@ def test_kernel_on_arrays_matches_scalar_calls(method):
         ref = [K.cd_kernel(sys, norms, n, float(u), float(v), method=method)
                for u, v in zip(x, y)]
         assert got.shape == x.shape
-        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=1e-14)
+        assert got.tobytes() == np.array(ref).tobytes(), n
 
 
 def _parent_cd_kernel(sys, norms, n, x, y, method="auto"):
     """cd_kernel as it was assembled before its one-pass forms, the
     reference of its bits: an `eval_all` pass each over x and y (for "sum",
-    and for the closed form of "auto" at the distinct pairs), and an
+    whose products are added in degree order from that of degree 0, and for
+    the closed form of "auto" at the distinct pairs), and an
     `eval_all_derivatives` pass over the x of the near pairs."""
     on = R.convert_form(sys, norms, "orthonormal")
     scalar = np.ndim(x) == 0 and np.ndim(y) == 0
@@ -610,7 +611,12 @@ def _parent_cd_kernel(sys, norms, n, x, y, method="auto"):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if method == "sum":
             p, q = R.eval_all(on, n, x), R.eval_all(on, n, y)
-            return float(np.dot(p, q)) if scalar else (p * q).sum(0)
+            if not scalar:
+                return np.cumsum(p * q, axis=0)[-1]
+            total = p[0] * q[0]
+            for u, v in zip(p[1:], q[1:]):
+                total += u * v
+            return total
         pref = on.coeffs(n)[0]
 
         def closed(x, y):
@@ -672,6 +678,77 @@ def test_kernel_forms_keep_the_bits_of_their_parent_assembly(family, sys,
                     ref = _parent_cd_kernel(sys, norms, n, u, v,
                                             method=method)
                     assert _same_bits(got, ref), (method, type(u), u, v)
+
+
+@pytest.mark.parametrize("n", (0, 1, 2, 30, 1000))
+@pytest.mark.parametrize("sys, mu0, lo, hi", [
+    (legendre_system(), 2.0, -1.5, 1.5),
+    (hermite_system(), math.sqrt(math.pi), -60.0, 60.0),
+    (laguerre_system(0.5), math.gamma(1.5), 0.0, 5000.0)],
+    ids=("legendre", "hermite", "laguerre"))
+def test_kernel_forms_give_the_same_bits_at_every_shape(sys, mu0, lo, hi, n,
+                                                        recwarn):
+    # separated, near (1e-9 apart) and equal pairs, pairs of signed zeros,
+    # and points whose values leave the double range (at n = 1000, past the
+    # supports) or are not finite: each pair alone as floats, as 0-d arrays
+    # and as 1-point arrays, and with the others in 1-D, 2-D and broadcast
+    # calls, gives the same bits in both forms
+    norms = R.norms_from_recurrence(sys, mu0, 1.0, n + 1)
+    draw = np.random.default_rng(7 + n)
+    x = draw.uniform(lo, hi, 6)
+    x = np.concatenate((x, x, x, [0.0, -0.0, -0.0, lo, hi, math.inf]))
+    near = x[:6] + 1e-9 * (1 + abs(x[:6]))
+    y = np.concatenate((draw.uniform(lo, hi, 6), near, x[:6],
+                        [-0.0, 0.0, -0.0, hi, lo, 0.5]))
+    for method in ("auto", "sum"):
+        many = K.cd_kernel(sys, norms, n, x, y, method=method)
+        assert many.shape == x.shape
+        for i, (u, v) in enumerate(zip(x.tolist(), y.tolist())):
+            alone = [K.cd_kernel(sys, norms, n, u, v, method=method),
+                     K.cd_kernel(sys, norms, n, np.array(u), np.array(v),
+                                 method=method)]
+            assert all(type(got) is float for got in alone)
+            alone.append(K.cd_kernel(sys, norms, n, x[i:i + 1], y[i:i + 1],
+                                     method=method))
+            assert all(np.asarray(got).tobytes() == many[i:i + 1].tobytes()
+                       for got in alone), (method, u, v)
+        grid = K.cd_kernel(sys, norms, n, x.reshape(4, 6), y.reshape(4, 6),
+                           method=method)
+        assert grid.tobytes() == many.tobytes()
+        cross = K.cd_kernel(sys, norms, n, x[:, None], y[None, :6],
+                            method=method)
+        assert cross.shape == (len(x), 6)
+        for j in range(6):
+            column = K.cd_kernel(sys, norms, n, x, np.full(len(x), y[j]),
+                                 method=method)
+            assert cross[:, j].tobytes() == column.tobytes(), (method, j)
+        if n == 1000:
+            assert not np.isfinite(many[:-1]).all()
+        with pytest.raises(R.RecurrenceError):
+            K.cd_kernel(sys, norms, -1, 0.3, 0.4, method=method)
+        with pytest.raises(R.RecurrenceError):
+            K.cd_kernel(sys, norms, -1, x, y, method=method)
+    assert not recwarn.list
+
+
+def test_kernel_sum_keeps_three_slots_not_a_table():
+    # 20000 pairs at n = 1000: a table of the 1001 degrees at the 40000
+    # points would take 320 MB; three slots of them take 0.96 MB, and the
+    # whole call 1.9 MB with numpy 2.4
+    import tracemalloc
+
+    sys = legendre_system()
+    norms = R.norms_from_recurrence(sys, 2.0, 1.0, 1001)
+    x, y = np.random.default_rng(20000).uniform(-1, 1, (2, 20000))
+    K.cd_kernel(sys, norms, 1000, 0.3, 0.4, method="sum")   # grow the rows
+    tracemalloc.start()
+    try:
+        got = K.cd_kernel(sys, norms, 1000, x, y, method="sum")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == x.shape
+    assert peak < 32 * 8 * x.size, peak
 
 
 @pytest.mark.parametrize("spec", [legendre(), F.laguerre(0.5)],
