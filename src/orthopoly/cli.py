@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys as _sys
@@ -21,7 +20,7 @@ import numpy as np
 # so a cold run loads only what its subcommand needs
 from . import families as F
 from . import recurrence as R
-from .errors import ConfigError, NumericalFailure
+from .errors import SCHEMA_VERSION, ConfigError, NumericalFailure
 
 if TYPE_CHECKING:  # an annotation only: the measures load with their users
     from .measures import Measure
@@ -87,6 +86,7 @@ def _emit(args, text: str) -> None:
 
 
 def _emit_json(args, doc: dict) -> None:
+    import json
     _emit(args, json.dumps(doc, indent=2) + "\n")
 
 
@@ -113,8 +113,7 @@ def _cmd_tabulate(args) -> int:
             (grid, R.eval_all(F.family_system(spec), n_max, grid).T))
     header = ["x"] + [f"p{n}" for n in range(n_max + 1)]
     if args.format == "json":
-        from . import io as OPIO
-        _emit_json(args, {"schema": OPIO.SCHEMA_VERSION, "columns": header,
+        _emit_json(args, {"schema": SCHEMA_VERSION, "columns": header,
                           "rows": [[float(v) for v in row] for row in rows],
                           "tolerance": args.tol})
     else:
@@ -123,25 +122,28 @@ def _cmd_tabulate(args) -> int:
 
 
 def _cmd_quadrature(args) -> int:
-    from . import io as OPIO
     from . import kernels as K
 
     spec = _family_spec(args)
     if spec.discrete:
         raise ConfigError(f"{spec.family} is not supported by this "
                           "subcommand; use a continuous family")
-    b = F.family_bundle(spec)
-    norms = R.norms_from_recurrence(b.system, b.h0, 1.0, args.n + 1)
-    rule = K.gauss_rule(b.system, norms, b.measure, args.n, args.tol)
-    doc = OPIO.dump_rule(rule, args.tol)
+    sys_ = F.family_system(spec)
+    norms = R.norms_from_recurrence(sys_, F.family_mu0(spec), 1.0,
+                                    args.n + 1)
+    # a continuous family's rule needs no measure (see kernels.gauss_rule)
+    rule = K.gauss_rule(sys_, norms, None, args.n, args.tol)
     if args.format == "csv":
         _emit_csv(args, ["node", "weight"], zip(rule.nodes, rule.weights))
     else:
-        _emit_json(args, doc)
+        from . import io as OPIO
+        _emit_json(args, OPIO.dump_rule(rule, args.tol))
     return 0
 
 
 def _load_measure(args) -> Measure:
+    import json
+
     from . import io as OPIO
 
     try:
@@ -162,6 +164,8 @@ def _load_system(args) -> tuple[R.RecurrenceSystem, Measure | None]:
         # zeros and moment diagnostics do not depend on the normalisation
         return F.family_monic_system(_family_spec(args)), None
     if getattr(args, "recurrence", None) is not None:
+        import json
+
         from . import io as OPIO
         try:
             doc = OPIO.read_json(args.recurrence)
@@ -182,12 +186,11 @@ def _load_system(args) -> tuple[R.RecurrenceSystem, Measure | None]:
 
 
 def _cmd_zeros(args) -> int:
-    from . import io as OPIO
     from . import kernels as K
 
     sys_, _ = _load_system(args)
     zs = K.zeros(sys_, None, args.n)
-    _emit_json(args, {"schema": OPIO.SCHEMA_VERSION, "n": args.n,
+    _emit_json(args, {"schema": SCHEMA_VERSION, "n": args.n,
                       "zeros": [float(z) for z in zs], "tolerance": args.tol})
     return 0
 
@@ -211,13 +214,12 @@ def _cmd_recurrence(args) -> int:
 
 def _cmd_check(args) -> int:
     from . import identities
-    from . import io as OPIO
 
     spec = _family_spec(args)
     tol = args.tol if args.tol_given else _CHECK_TOLS[args.identity]
     worst, details = identities.check_battery(spec, args.identity, args.n)
     passed = bool(worst <= tol)
-    doc = {"schema": OPIO.SCHEMA_VERSION, "family": args.family,
+    doc = {"schema": SCHEMA_VERSION, "family": args.family,
            "identity": args.identity, "n": args.n,
            "residual": float(worst), "tolerance": tol, "pass": passed,
            **details}
@@ -229,10 +231,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    from . import io as OPIO
     from . import momentprob as P
 
-    doc = {"schema": OPIO.SCHEMA_VERSION, "tolerance": args.tol}
+    doc = {"schema": SCHEMA_VERSION, "tolerance": args.tol}
     sys_, m = _load_system(args)
     monic = sys_ if sys_.form == "monic" else R.convert_form(
         sys_, R.norms_from_recurrence(sys_, 1.0, 1.0, 0), "monic")

@@ -1,7 +1,11 @@
-"""The two errors that end a command line run.  NumericalFailure is the
-base of every error the package raises for a failed computation, so the
-command line catches them all by one class; this leaf module is imported
-by every module that defines such an error."""
+"""The two errors that end a command line run, and the schema version of
+every JSON document, which each subcommand reads here without loading
+`io`.  NumericalFailure is the base of every error the package raises for
+a failed computation, so the command line catches them all by one class;
+this leaf module is imported by every module that defines such an
+error."""
+
+SCHEMA_VERSION = 1
 
 
 class ConfigError(ValueError):

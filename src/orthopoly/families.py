@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from .errors import NumericalFailure
-from .recurrence import _PUBLISH, RecurrenceSystem, _keep
+from .recurrence import _PUBLISH, RecurrenceSystem, _keep, _Record
 
 if TYPE_CHECKING:  # an annotation only: the measures load with their users
     from .measures import Measure
@@ -178,15 +177,18 @@ def _validate(f: str, p: dict) -> None:
         raise FamilyError("charlier requires a > 0")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(_Record):
     """Tagged family with parameter record (see PARAMETERS)."""
 
-    family: str
-    parameters: dict = field(default_factory=dict)
+    def __init__(self, family: str, parameters: dict | None = None):
+        parameters = {} if parameters is None else parameters
+        _validate(family, parameters)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "parameters", parameters)
 
-    def __post_init__(self):
-        _validate(self.family, self.parameters)
+    def __eq__(self, other):
+        return (type(other) is FamilySpec and self.family == other.family
+                and self.parameters == other.parameters)
 
     def __getattr__(self, name):
         # copy and pickle probe dunders on a bare instance, whose
@@ -449,9 +451,8 @@ def clear_systems() -> None:
     u_0^2, extreme-zero chains); a measure's last 16 discretizations and
     last 8 settled results of `measures.recurrence_from_measure` (see
     `measures.Measure`); the bundles of `family_bundle`, so that the next
-    one is built from new systems and measures; the points of `check
-    --identity cd`.  The store is emptied under `recurrence._PUBLISH`,
-    the lock it is published under."""
+    one is built from new systems and measures.  The store is emptied under
+    `recurrence._PUBLISH`, the lock it is published under."""
     with _PUBLISH:
         _shared.clear()
 

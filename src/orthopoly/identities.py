@@ -153,25 +153,12 @@ def limit_row_errors(which: int, n: int, a: float, alpha: float = 0.0):
                             np.full(max(n - 1, 0), eps))))
 
 
-def _cd_pairs(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """50 distinct pairs (x, y) drawn in [lo, hi), always from one seed, and
-    their 50 confluent pairs (x, x), as read-only arrays u and v of the
-    pairs (u_i, v_i)."""
-    x, y = np.random.default_rng(20260823).uniform(lo, hi, (50, 2)).T
-    u, v = np.concatenate((x, x)), np.concatenate((y, x))
-    u.flags.writeable = v.flags.writeable = False
-    return u, v
-
-
 def _cd(spec, n: int, xs):
     from . import kernels as K
     sys = F.family_system(spec)
     norms = R.norms_from_recurrence(sys, F.family_mu0(spec), 1.0, n + 1)
-    lo, hi = ((0.2, 8.0) if F.classical(spec)[0] == F.LAGUERRE
-              else (-0.95, 0.95))
-    # kept per family: drawn at the first check, not at import, so that the
-    # other identities do not load numpy.random
-    u, v = F.shared_system(spec, "cd pairs", lambda: _cd_pairs(lo, hi))
+    # the 49 ordered pairs of the check points: 42 separated, 7 confluent
+    u, v = np.repeat(xs, len(xs)), np.tile(xs, len(xs))
     s = K.cd_kernel(sys, norms, n, u, v, method="sum")
     c = K.cd_kernel(sys, norms, n, u, v)
     return ((s - c) / np.maximum(np.abs(s), 1.0))[None], {}

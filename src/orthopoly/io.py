@@ -9,17 +9,15 @@ weights.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from . import families as _families
+from .errors import SCHEMA_VERSION
 from .recurrence import FORMS, RecurrenceSystem, from_tables
 
 if TYPE_CHECKING:  # annotations only: these load with their users
     from .kernels import QuadratureRule
     from .measures import Measure
-
-SCHEMA_VERSION = 1
 
 
 class SchemaError(ValueError):
@@ -121,6 +119,7 @@ def load_measure(doc: dict) -> Measure:
             raise SchemaError(f"{spec.family} has no {kind} measure")
         m = _families.family_measure(spec)
         if "normalizer" in doc:
+            from dataclasses import replace
             m = replace(m, normalizer=_number(doc, "normalizer", 1.0))
         return m
     if kind == "discrete_finite":

@@ -5,13 +5,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NumericalFailure
-from .recurrence import (NormData, RecurrenceSystem, _keep, _pass,
+from .recurrence import (NormData, RecurrenceSystem, _keep, _pass, _Record,
                          _rows_to, convert_form, favard_roots)
 
 if TYPE_CHECKING:  # an annotation only: the measures load with their users
@@ -51,24 +50,21 @@ class KernelError(NumericalFailure, ValueError):
     """Invalid kernel or quadrature construction."""
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(_Record):
     """Gauss rule: nodes at the zeros of p_n, positive weights, exact through
     degree 2n-1."""
 
-    nodes: np.ndarray
-    weights: np.ndarray
-    exactness_degree: int
-
-    def __post_init__(self):
+    def __init__(self, nodes: np.ndarray, weights: np.ndarray,
+                 exactness_degree: int):
         # one pass per property, each counted by np.count_nonzero, a third
         # of the cost of .any() on the short arrays of a rule; a nan compares
         # false, so only the last check sees it, and a rule that fails an
         # earlier one too keeps the text of that one
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        nodes = np.asarray(nodes, dtype=float)
+        weights = np.asarray(weights, dtype=float)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "exactness_degree", exactness_degree)
         if nodes.ndim != 1 or weights.ndim != 1:
             raise KernelError("nodes and weights must be 1-D")
         if len(nodes) != len(weights):

@@ -12,7 +12,6 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .errors import NumericalFailure
-from .kernels import extreme_zeros as _extreme_zeros
 from .recurrence import RecurrenceSystem, eval_all, eval_poly
 
 if TYPE_CHECKING:  # annotations only: the measures load with their users
@@ -268,7 +267,8 @@ def _extrapolate_edge(seq: np.ndarray, direction: float) -> float:
 def true_interval(sys: RecurrenceSystem, n_max: int) -> TrueIntervalEstimate:
     """Extreme-zero chains of degrees 1..n_max, read from one Jacobi matrix by
     `kernels.extreme_zeros`, and their extrapolated limits."""
-    lo, hi = _extreme_zeros(sys, n_max)
+    from .kernels import extreme_zeros   # loaded by this diagnostic only
+    lo, hi = extreme_zeros(sys, n_max)
     mono = bool(np.all(np.diff(lo) <= 1e-13) and np.all(np.diff(hi) >= -1e-13))
     limits = (_extrapolate_edge(lo, -1.0), _extrapolate_edge(hi, +1.0))
     return TrueIntervalEstimate(degrees=np.arange(1, n_max + 1),

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -31,8 +30,25 @@ class RecurrenceError(NumericalFailure, ValueError):
     """Invalid or inconsistent recurrence data."""
 
 
-@dataclass(frozen=True)
-class RecurrenceSystem:
+class _Record:
+    """Base of the read-only records: fields are set once, by
+    object.__setattr__ in __init__, and assigning or deleting one raises.
+    A plain class, since a cold launch creates it faster than a dataclass
+    and need not import `dataclasses`."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items()
+                           if not k.startswith("_"))
+        return f"{type(self).__name__}({fields})"
+
+
+class RecurrenceSystem(_Record):
     """Orthogonal polynomial system given by its coefficient rows.
 
     rows_fn(j) returns (a_j, b_j, c_j), arrays or scalars, at an index range
@@ -41,17 +57,17 @@ class RecurrenceSystem:
     (abc, rows), replaced whole, so that threads sharing a system each read
     a consistent one."""
 
-    rows_fn: Callable[[np.ndarray], tuple]
-    form: str = "general"
-    p0: float = 1.0
-    max_index_hint: int | None = None
-    _cache: dict = field(default_factory=lambda: {"table": (np.empty((3, 0)),
-                                                            [])},
-                         init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.form not in FORMS:
-            raise RecurrenceError(f"unknown form {self.form!r}")
+    def __init__(self, rows_fn: Callable[[np.ndarray], tuple],
+                 form: str = "general", p0: float = 1.0,
+                 max_index_hint: int | None = None):
+        if form not in FORMS:
+            raise RecurrenceError(f"unknown form {form!r}")
+        object.__setattr__(self, "rows_fn", rows_fn)
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "p0", p0)
+        object.__setattr__(self, "max_index_hint", max_index_hint)
+        object.__setattr__(self, "_cache",
+                           {"table": (np.empty((3, 0)), [])})
 
     def _grow(self, n: int) -> tuple[np.ndarray, list]:
         """A snapshot (abc, rows) that holds the rows through index n, taken
@@ -94,15 +110,12 @@ class RecurrenceSystem:
         return self._grow(n)[1][n]
 
 
-@dataclass(frozen=True)
-class NormData:
+class NormData(_Record):
     """Quadratic norms h_n = <p_n, p_n>, kept as log h_n so that no degree
     leaves the double range."""
 
-    log_h: np.ndarray
-
-    def __post_init__(self):
-        log_h = np.array(self.log_h, dtype=float)
+    def __init__(self, log_h: np.ndarray):
+        log_h = np.array(log_h, dtype=float)
         if np.count_nonzero(np.isfinite(log_h)) < log_h.size:
             raise RecurrenceError("log norms log h_n must be finite")
         log_h.flags.writeable = False

@@ -65,9 +65,10 @@ def test_guard_sees_comparisons_and_dict_keys():
     assert family_name_uses(source) == [1, 2, 3]
 
 
-def import_time_modules(source: str) -> set[str]:
-    """The package modules a module imports while it is loaded: its package
-    imports outside function bodies and `if TYPE_CHECKING:` blocks."""
+def module_level_imports(source: str) -> set[str]:
+    """The modules a module imports while it is loaded: its imports outside
+    function bodies and `if TYPE_CHECKING:` blocks, the package's own module
+    m as orthopoly.m."""
     def walk(nodes):
         for node in nodes:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -85,11 +86,16 @@ def import_time_modules(source: str) -> set[str]:
                     "orthopoly" if node.level else None, node.module)))
                 names = ([f"{base}.{a.name}" for a in node.names]
                          if base == "orthopoly" else [base])
-            yield from (name.split(".")[1] for name in names
-                        if name.startswith("orthopoly."))
+            yield from names
             yield from walk(ast.iter_child_nodes(node))
 
     return set(walk(ast.parse(source).body))
+
+
+def import_time_modules(source: str) -> set[str]:
+    """The package modules a module imports while it is loaded."""
+    return {name.split(".")[1] for name in module_level_imports(source)
+            if name.startswith("orthopoly.")}
 
 
 def _source(module: str) -> str:
@@ -289,22 +295,32 @@ def test_store_guard_sees_locks_and_ordered_dicts():
     assert store_makers(_source("recurrence.py")) != []
 
 
-# A record with no invariant and no cache is a typing.NamedTuple, which a
-# cold process creates faster than a dataclass; a dataclass checks its
+# A record with no invariant and no cache is a typing.NamedTuple; one that
+# checks its fields or keeps a cache is a plain class that refuses
+# assignment (recurrence._Record).  A cold process creates both faster than
+# a dataclass, and imports no `dataclasses` for them.  Only the measures,
+# which a launch loads only to build one, and the q-series toolkit, which
+# no subcommand loads, define dataclasses, and each of those checks its
 # fields in __post_init__ or keeps a _cache.
-def plain_dataclasses(source: str) -> list[str]:
-    """The classes decorated with dataclass, called or not, that define no
-    __post_init__ and no _cache field."""
+DATACLASS_MODULES = ("measures.py", "qseries.py")
+
+
+def dataclass_defs(source: str) -> list[ast.ClassDef]:
+    """The classes decorated with dataclass, called or not."""
     def dataclass_decorator(node) -> bool:
         node = node.func if isinstance(node, ast.Call) else node
         return (node.id if isinstance(node, ast.Name) else
                 getattr(node, "attr", None)) == "dataclass"
 
+    return [node for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef)
+            and any(map(dataclass_decorator, node.decorator_list))]
+
+
+def plain_dataclasses(source: str) -> list[str]:
+    """The dataclasses that define no __post_init__ and no _cache field."""
     plain = []
-    for node in ast.walk(ast.parse(source)):
-        if not (isinstance(node, ast.ClassDef)
-                and any(map(dataclass_decorator, node.decorator_list))):
-            continue
+    for node in dataclass_defs(source):
         members = {item.name if isinstance(item, ast.FunctionDef) else
                    getattr(item.target, "id", None)
                    for item in node.body
@@ -317,7 +333,11 @@ def plain_dataclasses(source: str) -> list[str]:
 @pytest.mark.parametrize("module", sorted(
     p.name for p in Path(orthopoly.__file__).parent.glob("*.py")))
 def test_every_dataclass_checks_its_fields_or_keeps_a_cache(module):
-    assert plain_dataclasses(_source(module)) == []
+    source = _source(module)
+    assert plain_dataclasses(source) == []
+    if module not in DATACLASS_MODULES:
+        assert dataclass_defs(source) == []
+        assert "dataclasses" not in module_level_imports(source)
 
 
 def test_dataclass_guard_sees_decorators_post_init_and_caches():
@@ -329,3 +349,9 @@ def test_dataclass_guard_sees_decorators_post_init_and_caches():
               "    _cache: dict = field(default_factory=dict)\n"
               "class Record(NamedTuple):\n    x: float\n")
     assert plain_dataclasses(source) == ["Report", "Plain"]
+    assert [node.name for node in dataclass_defs(source)] == [
+        "Report", "Plain", "Checked", "Kept"]
+    source = ("from dataclasses import dataclass\n"
+              "def load(m):\n    from dataclasses import replace\n")
+    assert module_level_imports(source) == {"dataclasses"}
+    assert module_level_imports(source.split("\n", 1)[1]) == set()

@@ -15,18 +15,22 @@ import orthopoly
 # every subcommand loads these: the parser is built from the family registry
 BASE = {"cli", "errors", "families", "recurrence"}
 
+# the modules are listed before the probe imports json itself
 _LOADED_PROBE = textwrap.dedent("""
-    import json, sys
+    import sys
     from orthopoly.cli import main
 
     code = main(sys.argv[1:])
+    loaded = set(sys.modules)
+    import json
     print(json.dumps({
         "code": code,
-        "package": sorted(m.split(".", 1)[1] for m in sys.modules
+        "package": sorted(m.split(".", 1)[1] for m in loaded
                           if m.startswith("orthopoly.")),
         "other": [m for m in ("fractions", "numpy.polynomial", "mpmath",
-                              "scipy", "numpy.ma", "csv")
-                  if m in sys.modules]}))
+                              "scipy", "numpy.ma", "csv", "numpy.random",
+                              "dataclasses", "json")
+                  if m in loaded]}))
 """)
 
 _NAMESPACE_PROBE = textwrap.dedent("""
@@ -76,46 +80,53 @@ def test_import_loads_no_submodule_and_no_numpy():
     (("tabulate", "--family", "legendre", "--n-max", "3", "--grid=-1:1:3"),
      set()),
     (("tabulate", "--family", "hermite", "--n-max", "3", "--grid=-1:1:3",
-      "--format", "json"), {"io"}),
+      "--format", "json"), set()),
     (("tabulate", "--family", "charlier", "--a", "2", "--n-max", "3",
       "--grid=0:3:4"), {"discrete"}),
     (("recurrence", "--family", "jacobi", "--alpha", "0.5", "--beta", "1.5",
       "--n-max", "5"), {"io"}),
     (("check", "--family", "hermite", "--identity", "ode", "--n", "10"),
-     {"identities", "io"}),
+     {"identities"}),
     (("check", "--family", "laguerre", "--alpha", "0.5", "--identity",
-      "shift", "--n", "10"), {"identities", "io"}),
-    (("quadrature", "--family", "legendre", "--n", "5"),
-     {"kernels", "io", "measures"}),
-    (("zeros", "--family", "hermite", "--n", "5"), {"kernels", "io"}),
+      "shift", "--n", "10"), {"identities"}),
+    (("quadrature", "--family", "legendre", "--n", "5"), {"kernels", "io"}),
+    (("zeros", "--family", "hermite", "--n", "5"), {"kernels"}),
     (("check", "--family", "legendre", "--identity", "cd", "--n", "10"),
-     {"identities", "kernels", "io"}),
+     {"identities", "kernels"}),
     (("diagnose", "--family", "hermite", "--carleman", "--true-interval",
-      "10"), {"kernels", "io", "momentprob"}),
+      "10"), {"kernels", "momentprob"}),
+    (("diagnose", "--family", "hermite", "--carleman", "--rho", "0.3"),
+     {"momentprob"}),
     # the largest true-interval orders of numpy's dense route
     (("diagnose", "--family", "legendre", "--true-interval", "97"),
-     {"kernels", "io", "momentprob"}),
+     {"kernels", "momentprob"}),
     (("diagnose", "--family", "jacobi", "--alpha", "0.5", "--beta", "1.5",
-      "--true-interval", "48"), {"kernels", "io", "momentprob"}),
+      "--true-interval", "48"), {"kernels", "momentprob"}),
     # numpy's dense route up to order 96: the half-size order 75 of a
     # symmetric 150-point rule, and the full order 96 of a non-symmetric one
     (("quadrature", "--family", "gegenbauer", "--lam", "1.5", "--n", "150"),
-     {"kernels", "io", "measures"}),
+     {"kernels", "io"}),
+    (("quadrature", "--family", "jacobi", "--alpha", "0.5", "--beta", "1.5",
+      "--n", "30", "--format", "csv"), {"kernels"}),
     (("zeros", "--family", "jacobi", "--alpha", "0.5", "--beta", "1.5",
-      "--n", "96"), {"kernels", "io"}),
+      "--n", "96"), {"kernels"}),
 ], ids=["tabulate-csv", "tabulate-json", "tabulate-lattice", "recurrence",
         "check-ode", "check-shift", "quadrature", "zeros", "check-cd",
-        "diagnose", "diagnose-interval-97", "diagnose-interval-48",
-        "quadrature-150", "zeros-96"])
+        "diagnose", "diagnose-moments", "diagnose-interval-97",
+        "diagnose-interval-48", "quadrature-150", "quadrature-csv",
+        "zeros-96"])
 def test_subcommand_loads_only_its_modules(argv, extra):
     got = _probe(_LOADED_PROBE, *argv)
     assert got["code"] == 0
     # qseries is never loaded, momentprob only by diagnose, mpmath by none
     # (the series sums are exact integer arithmetic), scipy by none (these
-    # eigenproblems are small enough for numpy's LAPACK), and csv by none
-    # (no CSV field needs quoting)
+    # eigenproblems are small enough for numpy's LAPACK), csv by none (no
+    # CSV field needs quoting), numpy.random by none (the cd check runs at
+    # the check points), dataclasses by none (no measure is built), and
+    # json only by the commands that write a JSON document
     assert set(got["package"]) == BASE | extra
-    assert got["other"] == []
+    csv_out = "csv" in argv or argv[0] == "tabulate" and "json" not in argv
+    assert got["other"] == ([] if csv_out else ["json"])
 
 
 def test_recurrence_of_a_finite_measure_file_loads_only_its_modules(
@@ -129,7 +140,8 @@ def test_recurrence_of_a_finite_measure_file_loads_only_its_modules(
                  "--n-max", "15")
     assert got["code"] == 0
     assert set(got["package"]) == BASE | {"io", "measures"}
-    assert got["other"] == []
+    # the measures are dataclasses, and the file is read by json
+    assert got["other"] == ["dataclasses", "json"]
 
 
 def test_zeros_of_a_recurrence_file_loads_no_measures(tmp_path):
@@ -141,7 +153,7 @@ def test_zeros_of_a_recurrence_file_loads_no_measures(tmp_path):
     got = _probe(_LOADED_PROBE, "zeros", "--recurrence", str(path), "--n", "5")
     assert got["code"] == 0
     assert set(got["package"]) == BASE | {"io", "kernels"}
-    assert got["other"] == []
+    assert got["other"] == ["json"]
 
 
 _NO_MPMATH_PROBE = textwrap.dedent("""

@@ -753,29 +753,26 @@ def test_kernel_sum_keeps_three_slots_not_a_table():
 
 @pytest.mark.parametrize("spec", [legendre(), F.laguerre(0.5)],
                          ids=("legendre", "laguerre"))
-def test_the_cd_check_keeps_its_points_and_bits(spec, monkeypatch):
-    # the check's 50 pairs are drawn once per family, by the generator and
-    # seed that drew them on every call, and drawn again after a clear
+def test_the_cd_check_keeps_its_points_and_bits(spec):
+    # the check runs at the 49 ordered pairs (x_i, x_j) of the battery's
+    # seven check points, 42 separated and 7 confluent, gives the bits of
+    # the kernel as it was assembled before its one-pass forms, and keeps
+    # nothing but the family's system in the shared store
     from orthopoly import identities as I
 
-    draws, draw = [], I._cd_pairs
-    monkeypatch.setattr(I, "_cd_pairs",
-                        lambda lo, hi: draws.append(lo) or draw(lo, hi))
-    b = F.family_bundle(spec)
-    lo, hi = (0.2, 8.0) if spec.family == "laguerre" else (-0.95, 0.95)
+    sys, h0 = F.family_system(spec), F.family_mu0(spec)
+    xs = np.linspace(*((0.2, 8.0) if spec.family == "laguerre"
+                       else (-0.9, 0.9)), 7)
+    u, v = np.repeat(xs, 7), np.tile(xs, 7)
     for n in (0, 10, 60):
-        x, y = np.random.default_rng(20260823).uniform(lo, hi, (50, 2)).T
-        u, v = np.concatenate((x, x)), np.concatenate((y, x))
-        norms = R.norms_from_recurrence(b.system, b.h0, 1.0, n + 1)
-        s = _parent_cd_kernel(b.system, norms, n, u, v, method="sum")
-        c = _parent_cd_kernel(b.system, norms, n, u, v)
+        norms = R.norms_from_recurrence(sys, h0, 1.0, n + 1)
+        s = _parent_cd_kernel(sys, norms, n, u, v, method="sum")
+        c = _parent_cd_kernel(sys, norms, n, u, v)
         ref = ((s - c) / np.maximum(np.abs(s), 1.0))[None]
-        got, details = I.IDENTITIES["cd"](spec, n, None)
-        assert got.tobytes() == ref.tobytes() and details == {}
-    assert len(draws) == 1
-    F.clear_systems()
-    I.IDENTITIES["cd"](spec, 0, None)
-    assert len(draws) == 2
+        got, details = I.IDENTITIES["cd"](spec, n, xs)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        assert details == {}
+    assert [key[1] for key in F._shared["systems"]] == ["general"]
 
 
 @pytest.mark.parametrize("x, y", [

@@ -376,6 +376,34 @@ def test_norm_data_validation():
             R.NormData(log_h=np.array([1.0, bad]))
 
 
+def test_records_refuse_assignment_and_deletion():
+    # the launch-path records are plain classes, read-only as the frozen
+    # dataclasses they replace
+    from orthopoly import kernels as K
+
+    records = [(R.RecurrenceSystem(lambda j: (1.0, 0.0, 0.25), form="monic"),
+                "form"), (R.NormData(log_h=[0.0, 1.0]), "log_h"),
+               (F.jacobi(0.5, 1.5), "parameters"),
+               (K.QuadratureRule([0.0, 1.0], [0.5, 0.5], 1), "nodes")]
+    for record, field in records:
+        before = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.new_field = 1
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        assert getattr(record, field) is before
+    # and print as they did, their cache left out
+    assert [repr(record) for record, _ in records[1:]] == [
+        "NormData(log_h=array([0., 1.]))",
+        "FamilySpec(family='jacobi', parameters={'alpha': 0.5, 'beta': 1.5})",
+        "QuadratureRule(nodes=array([0., 1.]), weights=array([0.5, 0.5]), "
+        "exactness_degree=1)"]
+    assert repr(records[0][0]).endswith(
+        ", form='monic', p0=1.0, max_index_hint=None)")
+
+
 def even_symmetry(sys, n_max, samples):
     """(all b_n zero, largest deviation from p_n(-x) = (-1)^n p_n(x) at the
     samples, checked only when all b_n vanish)."""
