@@ -754,23 +754,43 @@ def test_kernel_sum_keeps_three_slots_not_a_table():
 @pytest.mark.parametrize("spec", [legendre(), F.laguerre(0.5)],
                          ids=("legendre", "laguerre"))
 def test_the_cd_check_keeps_its_points_and_bits(spec):
-    # the check runs at the 49 ordered pairs (x_i, x_j) of the battery's
-    # seven check points, 42 separated and 7 confluent, gives the bits of
-    # the kernel as it was assembled before its one-pass forms, and keeps
-    # nothing but the family's system in the shared store
+    # the check runs at the 28 unordered pairs (x_i, x_j), i <= j, of the
+    # battery's seven check points, 21 separated and 7 confluent, gives the
+    # bits of the kernel as it was assembled before its one-pass forms, and
+    # keeps nothing but the family's system in the shared store; both forms
+    # are symmetric bit for bit, so the 49 ordered pairs have the same worst
+    # residual
     from orthopoly import identities as I
 
     sys, h0 = F.family_system(spec), F.family_mu0(spec)
     xs = np.linspace(*((0.2, 8.0) if spec.family == "laguerre"
                        else (-0.9, 0.9)), 7)
-    u, v = np.repeat(xs, 7), np.tile(xs, 7)
+    seen = []
+    check = I.IDENTITIES["cd"]
+
+    def spy(spec_, n, xs):
+        seen.append(xs.copy())
+        return check(spec_, n, xs)
+
     for n in (0, 10, 60):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(I.IDENTITIES, "cd", spy)
+            worst, details = I.check_battery(spec, "cd", n)
+        assert seen.pop().tobytes() == xs.tobytes()
+        i, j = np.triu_indices(7)
         norms = R.norms_from_recurrence(sys, h0, 1.0, n + 1)
-        s = _parent_cd_kernel(sys, norms, n, u, v, method="sum")
-        c = _parent_cd_kernel(sys, norms, n, u, v)
-        ref = ((s - c) / np.maximum(np.abs(s), 1.0))[None]
-        got, details = I.IDENTITIES["cd"](spec, n, xs)
-        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        residual = {}
+        for name, (u, v) in {"unordered": (xs[i], xs[j]),
+                             "ordered": (np.repeat(xs, 7), np.tile(xs, 7))
+                             }.items():
+            s = _parent_cd_kernel(sys, norms, n, u, v, method="sum")
+            c = _parent_cd_kernel(sys, norms, n, u, v)
+            residual[name] = (s - c) / np.maximum(np.abs(s), 1.0)
+        got, _ = check(spec, n, xs)
+        assert got.shape == (1, 28)
+        assert got.tobytes() == residual["unordered"].tobytes()
+        assert worst == np.abs(residual["unordered"]).max()
+        assert worst == np.abs(residual["ordered"]).max()
         assert details == {}
     assert [key[1] for key in F._shared["systems"]] == ["general"]
 
