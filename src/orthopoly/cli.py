@@ -331,14 +331,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("quadrature", parents=[family],
                         help="n-point Gauss rule")
-    sp.add_argument("--n", type=_degree(0), required=True)
+    sp.add_argument("--n", type=_degree(1), required=True)
     sp.add_argument("--format", choices=("csv", "json"), default="json")
     sp.set_defaults(func=_cmd_quadrature)
 
     sp = sub.add_parser("zeros", parents=[family_or_file], help="zeros of p_n")
     sp.add_argument("--recurrence", help="recurrence JSON file")
     sp.add_argument("--measure", help="measure JSON file")
-    sp.add_argument("--n", type=_degree(0), required=True)
+    sp.add_argument("--n", type=_degree(1), required=True)
     sp.set_defaults(func=_cmd_zeros)
 
     sp = sub.add_parser("recurrence", parents=[family_or_file],

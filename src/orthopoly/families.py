@@ -141,40 +141,69 @@ def hyp(upper, lower, z, terms=None) -> float:
 # ---------------------------------------------------------------------------
 # the family registry
 
-# Parameters of every family, in the order the command line lists the
-# families.  N is the size of a finite integer lattice and an int; the other
-# parameters are floats.
-PARAMETERS = {
-    "legendre": (), "hermite": (), "jacobi": ("alpha", "beta"),
-    "laguerre": ("alpha",), "gegenbauer": ("lam",), "chebyshev_t": (),
-    "chebyshev_u": (), "krawtchouk": ("p", "N"),
-    "hahn": ("alpha", "beta", "N"), "meixner": ("beta", "c"),
-    "charlier": ("a",),
+# the three classical types of a continuous family
+JACOBI, LAGUERRE, HERMITE = "jacobi", "laguerre", "hermite"
+
+
+class Family(NamedTuple):
+    """A row of FAMILIES.  The functions take the parameters in order:
+    `valid` is the domain test of finite ones, which `requires` states (an
+    N must besides be an integer >= 1); `classical` gives the classical
+    type (see `classical`), and `mass` the total mass where the
+    `normalized` measure is a probability measure."""
+
+    parameters: tuple[str, ...]
+    valid: Callable[..., bool] | None = None
+    requires: str = ""
+    classical: Callable[..., tuple] | None = None
+    mass: float | None = None
+    lattice: bool = False   # its series, weights and rows: discrete._LATTICE
+
+
+# One row per family, in the order the command line lists them.  N is the
+# size of a finite integer lattice and an int; the other parameters are
+# floats.  The masses are in closed form (Gamma(1/2)^2 is pi - 1 ulp,
+# 1/sqrt(pi) is pi^-1/2).
+FAMILIES = {
+    "legendre": Family((), classical=lambda: (JACOBI, 0.0, 0.0, None),
+                       mass=2.0),
+    "hermite": Family((), classical=lambda: (HERMITE, None, None, None),
+                      mass=math.sqrt(math.pi)),
+    "jacobi": Family(("alpha", "beta"), lambda a, b: a > -1 and b > -1,
+                     "alpha > -1 and beta > -1",
+                     lambda a, b: (JACOBI, a, b, None)),
+    "laguerre": Family(("alpha",), lambda a: a > -1, "alpha > -1",
+                       lambda a: (LAGUERRE, a, None, None)),
+    "gegenbauer": Family(("lam",), lambda lam: lam > -0.5 and lam != 0.0,
+                         "lam > -1/2 and lam != 0",
+                         lambda lam: (JACOBI, lam - 0.5, lam - 0.5,
+                                      (2 * lam, lam + 0.5))),
+    "chebyshev_t": Family(
+        (), classical=lambda: (JACOBI, -0.5, -0.5, (1.0, 0.5)), mass=math.pi),
+    "chebyshev_u": Family(
+        (), classical=lambda: (JACOBI, 0.5, 0.5, (2.0, 1.5))),
+    "krawtchouk": Family(("p", "N"), lambda p, N: 0 < p < 1, "0 < p < 1",
+                         lattice=True),
+    "hahn": Family(("alpha", "beta", "N"), lambda a, b, N: a > -1 and b > -1,
+                   "alpha > -1 and beta > -1", lattice=True),
+    "meixner": Family(("beta", "c"), lambda b, c: b > 0 and 0 < c < 1,
+                      "beta > 0 and 0 < c < 1", lattice=True),
+    "charlier": Family(("a",), lambda a: a > 0, "a > 0", lattice=True),
 }
-# the families orthogonal on an integer lattice (see discrete.py)
-LATTICE = frozenset(("krawtchouk", "hahn", "meixner", "charlier"))
+PARAMETERS = {f: row.parameters for f, row in FAMILIES.items()}
 
 
 def _validate(f: str, p: dict) -> None:
     """Raise FamilyError unless p is a valid parameter record of family f."""
-    if f not in PARAMETERS:
+    row = FAMILIES.get(f)
+    if row is None:
         raise FamilyError(f"unknown family {f!r}")
-    if not all(math.isfinite(p[k]) for k in PARAMETERS[f]):
+    if not all(math.isfinite(p[k]) for k in row.parameters):
         raise FamilyError(f"{f} requires finite parameters, got {p}")
-    if f in ("jacobi", "hahn") and (p["alpha"] <= -1 or p["beta"] <= -1):
-        raise FamilyError(f"{f} requires alpha > -1 and beta > -1")
-    if f == "laguerre" and p["alpha"] <= -1:
-        raise FamilyError("laguerre requires alpha > -1")
-    if f == "gegenbauer" and (p["lam"] <= -0.5 or p["lam"] == 0.0):
-        raise FamilyError("gegenbauer requires lam > -1/2 and lam != 0")
-    if f == "krawtchouk" and not 0 < p["p"] < 1:
-        raise FamilyError("krawtchouk requires 0 < p < 1")
-    if "N" in PARAMETERS[f] and (p["N"] < 1 or p["N"] != int(p["N"])):
+    if row.valid is not None and not row.valid(*map(p.get, row.parameters)):
+        raise FamilyError(f"{f} requires {row.requires}")
+    if "N" in row.parameters and (p["N"] < 1 or p["N"] != int(p["N"])):
         raise FamilyError(f"{f} requires integer N >= 1")
-    if f == "meixner" and (p["beta"] <= 0 or not 0 < p["c"] < 1):
-        raise FamilyError("meixner requires beta > 0 and 0 < c < 1")
-    if f == "charlier" and p["a"] <= 0:
-        raise FamilyError("charlier requires a > 0")
 
 
 class FamilySpec(_Record):
@@ -203,7 +232,7 @@ class FamilySpec(_Record):
     @property
     def discrete(self) -> bool:
         """True for the families orthogonal on an integer lattice."""
-        return self.family in LATTICE
+        return FAMILIES[self.family].lattice
 
 
 def family_spec(name: str, params: dict) -> FamilySpec:
@@ -308,38 +337,16 @@ def special_case_eval(spec: FamilySpec, n: int, x: float) -> float:
     return _jacobi_sum(n, a, b, x, prefactor)
 
 
-# the three classical types of a continuous family
-JACOBI, LAGUERRE, HERMITE = "jacobi", "laguerre", "hermite"
-
-# Total masses of the families whose `normalized` measure is a probability
-# measure, in closed form (Gamma(1/2)^2 is pi - 1 ulp, 1/sqrt(pi) is pi^-1/2)
-_PROBABILITY_MASS = {"legendre": 2.0, "hermite": math.sqrt(math.pi),
-                     "chebyshev_t": math.pi}
-
-
 def classical(spec: FamilySpec):
     """(kind, alpha, beta, prefactor): the classical type of a continuous
     family and its parameters.  For kind JACOBI, p_n = (c)_n/(d)_n
     P_n^{(alpha,beta)} for prefactor (c, d), so prefactor_{n+1}/prefactor_n
     = (c + n)/(d + n) (None where the prefactor is 1); LAGUERRE carries
     alpha and HERMITE nothing.  FamilyError for the lattice families."""
-    f = spec.family
-    if f == "jacobi":
-        return JACOBI, spec.alpha, spec.beta, None
-    if f == "laguerre":
-        return LAGUERRE, spec.alpha, None, None
-    if f == "hermite":
-        return HERMITE, None, None, None
-    if f == "gegenbauer":
-        lam = spec.lam
-        return JACOBI, lam - 0.5, lam - 0.5, (2 * lam, lam + 0.5)
-    if f == "legendre":
-        return JACOBI, 0.0, 0.0, None
-    if f == "chebyshev_t":
-        return JACOBI, -0.5, -0.5, (1.0, 0.5)
-    if f == "chebyshev_u":
-        return JACOBI, 0.5, 0.5, (2.0, 1.5)
-    raise FamilyError(f"{f} has no classical type")
+    row = FAMILIES[spec.family]
+    if row.classical is None:
+        raise FamilyError(f"{spec.family} has no classical type")
+    return row.classical(*map(spec.parameters.__getitem__, row.parameters))
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +525,7 @@ def family_measure(spec: FamilySpec, normalized: bool = False) -> Measure:
 def _classical_measure(spec: FamilySpec, normalized: bool) -> Measure:
     from .measures import continuous_measure
     kind, a, b, _ = classical(spec)
-    mass = _PROBABILITY_MASS.get(spec.family) if normalized else None
+    mass = FAMILIES[spec.family].mass if normalized else None
     norm = 1.0 / mass if mass else 1.0
     if kind == HERMITE:
         return continuous_measure(lambda x: math.exp(-x * x),
@@ -539,7 +546,7 @@ def family_mu0(spec: FamilySpec, normalized: bool = False) -> float:
     """Total mass of family_measure, in closed form; FamilyError where a
     factor of that form leaves the double range (Gamma(a + 1) past a =
     170.6)."""
-    mass = _PROBABILITY_MASS.get(spec.family)
+    mass = FAMILIES[spec.family].mass
     if mass is not None:
         return 1.0 if normalized else mass
     kind, a, b, _ = classical(spec)

@@ -761,7 +761,7 @@ def test_registry_missing_flag_exits_2(family, capsys):
                          [f for f, ps in F.PARAMETERS.items() if ps])
 def test_non_finite_family_parameter_exits_2(family, value, tmp_path,
                                              capsys):
-    kind = "discrete_infinite" if family in F.LATTICE else "continuous"
+    kind = "discrete_infinite" if F.FAMILIES[family].lattice else "continuous"
     path = tmp_path / "doc.json"
     for name in F.PARAMETERS[family]:
         params = {**{k: _VALUES[k] for k in F.PARAMETERS[family]},
@@ -1216,6 +1216,9 @@ def test_check_limit_exact_at_degree_one(capsys):
     ("recurrence", "--family", "legendre", "--n-max", "-1"),
     ("diagnose", "--family", "legendre", "--true-interval", "0"),
     ("diagnose", "--family", "legendre", "--true-interval", "-3"),
+    # there is no zero-point rule
+    ("quadrature", "--family", "legendre", "--n", "0"),
+    ("zeros", "--family", "legendre", "--n", "0"),
 ))
 def test_degree_below_minimum_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -1223,13 +1226,6 @@ def test_degree_below_minimum_exits_2(argv, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "must be at least" in err
-
-
-def test_degree_zero_rule_and_zeros_exit_1(capsys):
-    for sub in ("quadrature", "zeros"):
-        code, _, err = run(capsys, sub, "--family", "legendre", "--n", "0")
-        assert code == 1
-        assert "need n >= 1" in err
 
 
 _SWEEP_FAMILIES = {**_CONTINUOUS, "krawtchouk": ("--p", "0.3", "--N", "20"),
@@ -1399,6 +1395,23 @@ def test_hahn_rows_past_the_double_range_exit_with_one_stderr_line(argv):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(
         "orthopoly: numerical failure: row 1 is not finite"), lines
+
+
+@pytest.mark.parametrize("argv", [
+    ("zeros", "--family", "meixner", "--beta", "1e300", "--c", "0.999999",
+     "--n", "40"),
+    ("zeros", "--family", "meixner", "--beta", "1e305", "--c", "0.999999",
+     "--n", "40"),
+    ("recurrence", "--family", "meixner", "--beta", "1e305", "--c",
+     "0.999999", "--n-max", "5")], ids=("monic-c", "monic-b", "general"))
+def test_meixner_rows_past_the_double_range_exit_with_one_stderr_line(argv):
+    # in a child, so that numpy's warnings would show: at beta = 1e300 the
+    # monic c_n = A_{n-1} C_n overflows, at 1e305 A_n itself
+    proc = child_cli(*argv)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(
+        "orthopoly: numerical failure: row "), lines
 
 
 # The parser's help and its refusals of a missing --family, as the command

@@ -1,6 +1,10 @@
-"""Design guards.  A family's description lives in families.py and
-discrete.py: the other layers ask it for a classical type
-(families.classical) or a system, and never dispatch on a family's name.
+"""Design guards.  A family is described by one row of families.FAMILIES,
+and a lattice family by one more row of discrete._LATTICE, so a new
+lattice family is one row in each table: the two modules name a family
+only as a key of its table, and in the Legendre rounding case of
+families._classical_system.  The other layers ask them for a classical
+type (families.classical) or a system, and never dispatch on a family's
+name.
 A cold command line run loads only what its subcommand uses: cli.py imports
 the kernels, measures, moment diagnostics, lattice families, documents and
 identity checks inside the subcommands, families.py, discrete.py, io.py and
@@ -55,6 +59,31 @@ def family_name_uses(source: str) -> list[int]:
 def test_layer_does_not_dispatch_on_family_names(module):
     path = Path(orthopoly.__file__).parent / module
     assert family_name_uses(path.read_text(encoding="utf-8")) == []
+
+
+def _definition(tree: ast.Module, name: str):
+    """The module-level function or assignment that defines name."""
+    return next(node for node in tree.body
+                if getattr(node, "name", None) == name
+                or any(getattr(t, "id", None) == name
+                       for t in getattr(node, "targets", ())))
+
+
+@pytest.mark.parametrize("module,table,exceptions", [
+    ("families.py", "FAMILIES", ("_classical_system",)),
+    ("discrete.py", "_LATTICE", ())], ids=("families", "discrete"))
+def test_families_are_named_only_as_keys_of_their_table(module, table,
+                                                        exceptions):
+    source = _source(module)
+    tree = ast.parse(source)
+    uses = family_name_uses(source)
+    keys = _definition(tree, table).value
+    assert isinstance(keys, ast.Dict)
+    within = [line for name in exceptions
+              for fn in [_definition(tree, name)]
+              for line in uses if fn.lineno <= line <= fn.end_lineno]
+    assert len(within) == len(exceptions)
+    assert uses == sorted([keys.lineno, *within])
 
 
 def test_guard_sees_comparisons_and_dict_keys():

@@ -142,6 +142,33 @@ def test_weight_outside_support():
         D.discrete_weight(D.charlier(1.0), -1)
 
 
+# The three-point difference equations A(x) p_n(x-1) + B(x) p_n(x)
+# + C(x) p_n(x+1) = lambda_n p_n(x) with B = -(A + C): (A, C, lambda_n)
+# per lattice family
+_DIFFERENCE = {
+    "charlier": lambda s, n, x: (x, s.a, -float(n)),
+    "krawtchouk": lambda s, n, x: (x * (1 - s.p), s.p * (s.N - x),
+                                   -float(n)),
+    "meixner": lambda s, n, x: (x, s.c * (x + s.beta), n * (s.c - 1)),
+    "hahn": lambda s, n, x: (x * (x - s.beta - s.N - 1),
+                             (x + s.alpha + 1) * (x - s.N),
+                             n * (n + s.alpha + s.beta + 1)),
+}
+
+
+def difference_residual(fam, n: int, x: float) -> float:
+    """Residual of the difference equation of fam at degree n and point x,
+    scaled by its largest term (at least 1)."""
+    A, C, lam = _DIFFERENCE[fam.family](fam, n, x)
+    B = -(A + C)
+    terms = [A * D.discrete_eval(fam, n, x - 1),
+             B * D.discrete_eval(fam, n, x),
+             C * D.discrete_eval(fam, n, x + 1),
+             -lam * D.discrete_eval(fam, n, x)]
+    scale = max(max(abs(t) for t in terms), 1.0)
+    return sum(terms) / scale
+
+
 def test_difference_equation_residuals():
     cases = [(D.charlier(1.0), 2, 3.0),
              (D.charlier(0.5), 4, 5.0),
@@ -149,17 +176,17 @@ def test_difference_equation_residuals():
              (D.meixner(1.5, 0.4), 3, 2.0),
              (D.hahn(0.5, 1.5, 9), 4, 3.0)]
     for fam, n, x in cases:
-        assert abs(D.difference_residual(fam, n, x)) < 1e-12, fam.family
+        assert abs(difference_residual(fam, n, x)) < 1e-12, fam.family
 
 
 def test_difference_equation_degree_zero():
-    assert D.difference_residual(D.charlier(1.0), 0, 2.0) == 0.0
+    assert difference_residual(D.charlier(1.0), 0, 2.0) == 0.0
 
 
 def test_difference_equation_krawtchouk_linear():
     fam = D.krawtchouk(0.4, 7)
     for x in (1.0, 3.0, 6.0):
-        assert abs(D.difference_residual(fam, 1, x)) < 1e-14
+        assert abs(difference_residual(fam, 1, x)) < 1e-14
 
 
 def test_discrete_orthogonality_finite():
@@ -245,6 +272,106 @@ def test_hahn_limit_hits_jacobi_normalization():
     want = jacobi_eval(n, a, b, 1 - 2 * x) / (pochhammer(a + 1, n)
                                               / math.factorial(n))
     assert lim == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: D.discrete_eval(F.legendre(), 2, 0.5),
+    lambda: D.discrete_weight(F.jacobi(0.5, 1.5), 1),
+    lambda: D.family_measure(F.hermite()),
+    # the continuous measure kept under the same key must not answer
+    lambda: (F.family_measure(F.hermite()), D.family_measure(F.hermite())),
+    lambda: D.discrete_system(F.laguerre(0.5), monic=True),
+], ids=["eval", "weight", "measure", "kept-measure", "system"])
+def test_lattice_functions_refuse_a_continuous_family(call):
+    with pytest.raises(FamilyError, match="is not a discrete family"):
+        call()
+
+
+# ---------------------------------------------------------------------------
+# the lattice rows certified from the series of their table rows
+
+def _exact_series(upper, lower, z, n: int) -> Fraction:
+    """The terminating series sum_{k <= n} prod (a)_k / prod (b)_k z^k/k!,
+    in Fractions."""
+    term = total = Fraction(1)
+    for k in range(n):
+        num, den = z, k + 1
+        for a in upper:
+            num *= a + k
+        for b in lower:
+            den *= b + k
+        term = term * num / den
+        total += term
+    return total
+
+
+def _det(m) -> Fraction:
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+_POINTS = (Fraction(1, 2), Fraction(3, 4), Fraction(5, 2))
+
+
+def exact_rows(spec, n_max: int) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """(a_k, b_k, c_k) of x p_k = a_k p_{k+1} + b_k p_k + c_k p_{k-1},
+    k = 0..n_max, solved exactly at _POINTS from the series of the spec's
+    _LATTICE row, each parameter taken as the Fraction of its double."""
+    row = D._LATTICE[spec.family]
+    ps = [Fraction(spec.parameters[k]) for k in F.PARAMETERS[spec.family]]
+    p = [[_exact_series(*row.series(n, x, *ps), n) for x in _POINTS]
+         for n in range(n_max + 2)]
+    x1, x2, _ = _POINTS
+    a0 = (x1 - x2) / (p[1][0] - p[1][1])        # p_0 = 1 and c_0 = 0
+    rows = [(a0, x1 - a0 * p[1][0], Fraction(0))]
+    for k in range(1, n_max + 1):
+        cols = [[p[k + 1][i], p[k][i], p[k - 1][i]] for i in range(3)]
+        d = _det(cols)
+        rhs = [x * p[k][i] for i, x in enumerate(_POINTS)]
+        rows.append(tuple(
+            _det([[rhs[i] if j == col else cols[i][j] for j in range(3)]
+                  for i in range(3)]) / d for col in range(3)))
+    return rows
+
+
+def row_ulps(spec, n_max: int) -> float:
+    """Largest distance, in ulp of the exact value, of the general and
+    monic float rows of spec from the exact rows, k = 0..n_max; an exact
+    zero must be a float zero."""
+    exact = exact_rows(spec, n_max)
+    monic = [(Fraction(1), b, (exact[k - 1][0] * c if k else Fraction(0)))
+             for k, (_, b, c) in enumerate(exact)]
+    worst = 0.0
+    for form, want in (("general", exact), ("monic", monic)):
+        got = D.discrete_system(spec, monic=form == "monic").arrays(n_max)
+        for k, row in enumerate(want):
+            for f, e in zip(got[:, k].tolist(), row):
+                if e == 0:
+                    assert f == 0, (spec, form, k)
+                    continue
+                worst = max(worst, float(abs(Fraction(f) - e)
+                                         / Fraction(math.ulp(float(e)))))
+    return worst
+
+
+_CERTIFIED = [D.krawtchouk(0.3, 20), D.krawtchouk(0.7, 41),
+              D.hahn(0.5, 1.5, 40), D.hahn(-0.3, 2.7, 12),
+              D.meixner(1.5, 0.4), D.meixner(0.1, 0.9),
+              D.charlier(2.0), D.charlier(0.3)]
+
+
+@pytest.mark.parametrize("spec", _CERTIFIED,
+                         ids=[f"{s.family}{tuple(s.parameters.values())}"
+                              for s in _CERTIFIED])
+def test_lattice_rows_match_their_series_within_4_ulp(spec):
+    assert row_ulps(spec, min(40, spec.parameters.get("N", 41) - 1)) <= 4
+
+
+def test_the_row_certificate_sees_a_perturbed_meixner_beta(monkeypatch):
+    row = D._LATTICE["meixner"]
+    monkeypatch.setitem(D._LATTICE, "meixner", row._replace(
+        rows=lambda n, beta, c: row.rows(n, beta + 1e-12, c)))
+    assert row_ulps(D.meixner(1.5, 0.4), 40) > 4
 
 
 # ---------------------------------------------------------------------------
